@@ -38,14 +38,16 @@ def build_request(state: ClientState, negatives_pool: list[int], dp: DpConfig,
 def merge_graphs(plan: RequestPlan, response: SubgraphResponse,
                  user_embedding: np.ndarray) -> LocalGraph:
     """Join the KG subgraph with the local labels into one training graph."""
-    missing = [a for a in plan.request_items if a not in response.entity_vectors]
-    if missing:
-        raise ProtocolError(f"response missing anchors {missing[:5]}")
+    sub = response.subgraph
+    if not np.array_equal(sub.ids[0], plan.request_items):
+        raise ProtocolError("response anchors do not match the requested items")
+    if len(response.entity_rows) != len(sub.entities) or \
+            len(response.relation_rows) != len(sub.relations):
+        raise ProtocolError("response rows do not cover its subgraph")
     return LocalGraph(user=user_embedding,
-                      anchors=list(zip(plan.request_items, plan.local_labels)),
-                      subgraph=response.subgraph,
-                      entity_vectors=response.entity_vectors,
-                      relation_vectors=response.relation_vectors)
+                      labels=np.asarray(plan.local_labels, dtype=np.float64),
+                      subgraph=sub, entity_rows=response.entity_rows,
+                      relation_rows=response.relation_rows)
 
 
 def local_train(state: ClientState, graph: LocalGraph, model: ModelParams,
@@ -53,9 +55,9 @@ def local_train(state: ClientState, graph: LocalGraph, model: ModelParams,
     """Run forward/backward `epochs` times, stepping local copies in between.
 
     The uploaded gradient is the sum over epochs; the client's own user
-    embedding takes a step of size eta after every epoch. Gathered
-    embedding copies and a model copy are stepped locally so later epochs
-    see updated values, the global state is untouched.
+    embedding takes a step of size eta after every epoch. The gathered
+    rows and a model copy are stepped locally so later epochs see updated
+    values; the global state is untouched.
     """
     total: GradientPacket | None = None
     for epoch in range(epochs):
@@ -74,12 +76,10 @@ def local_train(state: ClientState, graph: LocalGraph, model: ModelParams,
             total.user_grad = total.user_grad + packet.user_grad
             total.loss = packet.loss  # most recent epoch's loss
         if epoch + 1 < epochs:
-            for idx in packet.entity_grads.ids():
-                graph.entity_vectors[idx] = (graph.entity_vectors[idx]
-                                             - eta * packet.entity_grads.entries[idx])
-            for idx in packet.relation_grads.ids():
-                graph.relation_vectors[idx] = (graph.relation_vectors[idx]
-                                               - eta * packet.relation_grads.entries[idx])
+            # backward returns one row per subgraph entity/relation, in id order
+            ent, rel = graph.entity_rows, graph.relation_rows
+            graph.entity_rows = ent - eta * packet.entity_grads.rows().reshape(ent.shape)
+            graph.relation_rows = rel - eta * packet.relation_grads.rows().reshape(rel.shape)
             if model.mode == "transform":
                 model = model.copy()
                 for layer, (dw, db) in enumerate(packet.model_grads):
@@ -87,5 +87,5 @@ def local_train(state: ClientState, graph: LocalGraph, model: ModelParams,
                     model.biases[layer] -= eta * db
     assert total is not None
     total.client_id = state.user_id
-    total.weight = len(graph.anchor_items)
+    total.weight = len(graph.labels)
     return total

@@ -50,14 +50,13 @@ def random_instance(seed: int, index: int = 0) -> tuple[LocalGraph, ModelParams,
     subgraph = sample_subgraph(kg, anchors, k, depth, rng)
 
     scale = 1.0 / np.sqrt(d)
-    entity_vectors = {int(e): rng.uniform(-scale, scale, d) for e in sorted(subgraph.entities)}
-    relation_vectors = {int(r): rng.uniform(-scale, scale, d) for r in sorted(subgraph.relations)}
+    entity_rows = rng.uniform(-scale, scale, (len(subgraph.entities), d))
+    relation_rows = rng.uniform(-scale, scale, (len(subgraph.relations), d))
     user = rng.uniform(-scale, scale, d)
     labels = np.array([int(rng.integers(0, 2)) for _ in anchors])
     params = init_model_params(d, depth, mode, rng)
-    graph = LocalGraph(user=user, anchors=list(zip(anchors, labels.tolist())),
-                       subgraph=subgraph, entity_vectors=entity_vectors,
-                       relation_vectors=relation_vectors)
+    graph = LocalGraph(user=user, labels=labels.astype(np.float64), subgraph=subgraph,
+                       entity_rows=entity_rows, relation_rows=relation_rows)
     return graph, params, labels
 
 
@@ -82,11 +81,12 @@ def finite_difference(graph: LocalGraph, params: ModelParams,
     def loss_fn() -> float:
         return forward_loss(graph, params, labels)[0]
 
+    sub = graph.subgraph
     fd = {
-        "entities": {e: _fd_vector(graph.entity_vectors[e], loss_fn, step)
-                     for e in sorted(graph.entity_vectors)},
-        "relations": {r: _fd_vector(graph.relation_vectors[r], loss_fn, step)
-                      for r in sorted(graph.relation_vectors)},
+        "entities": {int(e): _fd_vector(row, loss_fn, step)
+                     for e, row in zip(sub.entities, graph.entity_rows)},
+        "relations": {int(r): _fd_vector(row, loss_fn, step)
+                      for r, row in zip(sub.relations, graph.relation_rows)},
         "user": _fd_vector(graph.user, loss_fn, step),
         "model": [(_fd_vector(w, loss_fn, step), _fd_vector(b, loss_fn, step))
                   for w, b in zip(params.weights, params.biases)],

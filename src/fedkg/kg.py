@@ -1,13 +1,22 @@
-"""Server-side knowledge graph: triple store, neighbor sampling, subgraph extraction.
+"""Server-side knowledge graph: CSR triple store and receptive-field sampling.
 
 The graph is immutable after construction and treated as undirected: every
 triple (h, r, t) is indexed under both h and t, so anchor items reach
-attribute entities and vice versa during propagation.
+attribute entities and vice versa during propagation. Entity e's edges are
+rel[offsets[e]:offsets[e+1]] and nbr[offsets[e]:offsets[e+1]], sorted by
+(relation, neighbor).
+
+A sampled subgraph is the arrays the model consumes. ids[0] holds the
+anchors in request order and ids[l+1] the sorted distinct neighbors drawn
+at layer l. Layer l draws K edges with replacement for every non-isolated
+center in ids[l]; its rel_rows index `relations` and its tail_rows index
+ids[l+1]. `entities` and `relations` are the sorted distinct ids touched,
+the rows a server ships.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,41 +34,45 @@ class Triple:
 
 @dataclass
 class KnowledgeGraph:
-    """Entity-indexed adjacency over deduplicated, undirected triples.
+    """Deduplicated undirected triples in compressed sparse row form.
 
-    adjacency[e] is a (degree, 2) int array of (relation, neighbor) rows,
-    sorted for determinism. Empty arrays mark isolated entities.
+    Only exact duplicate triples are dropped, so reverse pairs and
+    self-loops keep their full edge multiplicity.
     """
 
     num_entities: int
     num_relations: int
-    adjacency: list[np.ndarray]
+    offsets: np.ndarray  # (num_entities + 1,) edge range per entity
+    rel: np.ndarray  # (2 * num_triples,) relation id per edge
+    nbr: np.ndarray  # (2 * num_triples,) neighbor entity per edge
     num_triples: int
 
-    def degree(self, entity: int) -> int:
-        return len(self.adjacency[entity])
 
-    def has_edge(self, center: int, relation: int, neighbor: int) -> bool:
-        adj = self.adjacency[center]
-        if len(adj) == 0:
-            return False
-        return bool(np.any((adj[:, 0] == relation) & (adj[:, 1] == neighbor)))
+@dataclass
+class Layer:
+    """K sampled (relation, tail) draws per non-isolated center of one depth."""
+
+    isolated: np.ndarray  # (n_centers,) bool; isolated centers keep their raw vector
+    rel_rows: np.ndarray  # (n_sampled, K) rows into Subgraph.relations
+    tail_rows: np.ndarray  # (n_sampled, K) rows into the next depth's ids
+
+    def __len__(self) -> int:
+        return len(self.isolated)
+
+    @property
+    def sampled(self) -> np.ndarray:
+        """Positions of the non-isolated centers, in rel_rows/tail_rows order."""
+        return np.flatnonzero(~self.isolated)
 
 
 @dataclass
 class Subgraph:
-    """Receptive field sampled around anchor items.
+    """Receptive field sampled around anchor items (layout in the module docstring)."""
 
-    layers[l] maps each center entity to an (K, 2) array of sampled
-    (relation, neighbor) rows; centers of layer l are the anchors (l=0)
-    or all neighbors sampled at layer l-1. Isolated centers get a (0, 2)
-    array and keep their raw embedding during propagation.
-    """
-
-    anchor_items: list[int]
-    layers: list[dict[int, np.ndarray]]
-    entities: set[int] = field(default_factory=set)
-    relations: set[int] = field(default_factory=set)
+    ids: list[np.ndarray]  # depth + 1 entity id arrays
+    layers: list[Layer]
+    entities: np.ndarray  # sorted distinct entity ids
+    relations: np.ndarray  # sorted distinct relation ids
 
     @property
     def depth(self) -> int:
@@ -68,81 +81,64 @@ class Subgraph:
 
 def build_kg(triples: list[Triple] | list[tuple[int, int, int]],
              num_entities: int, num_relations: int) -> KnowledgeGraph:
-    """Index triples into an undirected adjacency, dropping exact duplicates.
+    """Index triples into an undirected CSR store, dropping exact duplicates.
 
     Raises KgValidationError naming the first out-of-range triple.
     """
-    seen: set[tuple[int, int, int]] = set()
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(num_entities)]
-    kept = 0
-    for tr in triples:
-        h, r, t = (tr.head, tr.relation, tr.tail) if isinstance(tr, Triple) else tr
-        if not (0 <= h < num_entities and 0 <= t < num_entities):
+    hrt = np.array([(t.head, t.relation, t.tail) if isinstance(t, Triple) else t
+                    for t in triples], dtype=np.int64).reshape(-1, 3)
+    h, r, t = hrt.T
+    ent_bad = (h < 0) | (h >= num_entities) | (t < 0) | (t >= num_entities)
+    rel_bad = (r < 0) | (r >= num_relations)
+    if np.any(ent_bad | rel_bad):
+        first = int(np.argmax(ent_bad | rel_bad))
+        bad = tuple(int(x) for x in hrt[first])
+        if ent_bad[first]:
             raise KgValidationError(
-                f"triple ({h}, {r}, {t}): entity index out of range [0, {num_entities})")
-        if not (0 <= r < num_relations):
-            raise KgValidationError(
-                f"triple ({h}, {r}, {t}): relation index out of range [0, {num_relations})")
-        key = (h, r, t)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept += 1
-        buckets[h].append((r, t))
-        buckets[t].append((r, h))
+                f"triple {bad}: entity index out of range [0, {num_entities})")
+        raise KgValidationError(
+            f"triple {bad}: relation index out of range [0, {num_relations})")
 
-    adjacency = []
-    for rows in buckets:
-        if rows:
-            # keep multiplicity: only exact duplicate triples were dropped,
-            # so reverse pairs/self-loops contribute their full edge weight
-            arr = np.array(sorted(rows), dtype=np.int64)
-        else:
-            arr = np.empty((0, 2), dtype=np.int64)
-        adjacency.append(arr)
+    h, r, t = np.unique(hrt, axis=0).T
+    center = np.concatenate([h, t])
+    rel = np.concatenate([r, r])
+    nbr = np.concatenate([t, h])
+    order = np.lexsort((nbr, rel, center))
+    offsets = np.zeros(num_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(center, minlength=num_entities), out=offsets[1:])
     return KnowledgeGraph(num_entities=num_entities, num_relations=num_relations,
-                          adjacency=adjacency, num_triples=kept)
+                          offsets=offsets, rel=rel[order], nbr=nbr[order],
+                          num_triples=len(h))
 
 
-def sample_neighbors(kg: KnowledgeGraph, entity: int, k: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Sample k (relation, neighbor) rows uniformly with replacement.
-
-    Returns a (k, 2) array, or (0, 2) for isolated entities.
-    """
-    adj = kg.adjacency[entity]
-    if len(adj) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    idx = rng.integers(0, len(adj), size=k)
-    return adj[idx]
-
-
-def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int], k: int, depth: int,
-                    rng: np.random.Generator) -> Subgraph:
+def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int] | np.ndarray, k: int,
+                    depth: int, rng: np.random.Generator) -> Subgraph:
     """Extract a depth-layer receptive field around the anchors.
 
-    Layer 0 samples neighbors of the anchors; layer l samples neighbors of
-    every entity reached at layer l-1. Deterministic under a fixed rng:
-    centers are visited in sorted order.
+    Each layer makes one draw of K edge offsets per non-isolated center,
+    centers in sorted id order, so the random stream equals a per-center
+    loop of rng.integers(0, degree, size=K) over the sorted centers.
     """
-    entities: set[int] = set(int(a) for a in anchor_items)
-    relations: set[int] = set()
-    layers: list[dict[int, np.ndarray]] = []
-    frontier = sorted(entities)
+    ids = [np.asarray(anchor_items, dtype=np.int64)]
+    drawn: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for _ in range(depth):
-        layer: dict[int, np.ndarray] = {}
-        next_frontier: set[int] = set()
-        for center in frontier:
-            samples = sample_neighbors(kg, center, k, rng)
-            layer[center] = samples
-            if len(samples):
-                relations.update(int(r) for r in samples[:, 0])
-                next_frontier.update(int(e) for e in samples[:, 1])
-        layers.append(layer)
-        entities.update(next_frontier)
-        frontier = sorted(next_frontier)
-    return Subgraph(anchor_items=[int(a) for a in anchor_items], layers=layers,
-                    entities=entities, relations=relations)
+        centers, order = np.unique(ids[-1], return_inverse=True)
+        start = kg.offsets[centers]
+        deg = kg.offsets[centers + 1] - start
+        live = deg > 0
+        edges = start[live, None] + rng.integers(0, deg[live, None],
+                                                 size=(int(live.sum()), k))
+        # reorder the sorted-center draws to this depth's order (anchor order at 0)
+        edges = edges[(np.cumsum(live) - 1)[order[live[order]]]]
+        tails, tail_rows = np.unique(kg.nbr[edges], return_inverse=True)
+        drawn.append((~live[order], kg.rel[edges], tail_rows.reshape(edges.shape)))
+        ids.append(tails)
+    relations = np.unique(np.concatenate([rel for _, rel, _ in drawn])) \
+        if drawn else np.empty(0, dtype=np.int64)
+    layers = [Layer(isolated=iso, rel_rows=np.searchsorted(relations, rel), tail_rows=rows)
+              for iso, rel, rows in drawn]
+    return Subgraph(ids=ids, layers=layers, entities=np.unique(np.concatenate(ids)),
+                    relations=relations)
 
 
 def load_kg_file(path: str) -> tuple[list[Triple], int, int]:

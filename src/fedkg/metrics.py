@@ -92,10 +92,9 @@ def score_items(params: ParameterState, kg: KnowledgeGraph, user_emb: np.ndarray
                 rng: np.random.Generator) -> np.ndarray:
     """Run the trained model for one user over candidate items."""
     subgraph = sample_subgraph(kg, items, sample_size, depth, rng)
-    ent_vecs, rel_vecs = gather(params, subgraph.entities, subgraph.relations)
-    graph = LocalGraph(user=user_emb, anchors=[(i, 0) for i in items],
-                       subgraph=subgraph, entity_vectors=ent_vecs,
-                       relation_vectors=rel_vecs)
+    ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
+    graph = LocalGraph(user=user_emb, labels=np.zeros(len(items)), subgraph=subgraph,
+                       entity_rows=ent_rows, relation_rows=rel_rows)
     final = propagate(graph, params.model, depth)
     return np.asarray(sigmoid(final @ user_emb))
 

@@ -8,6 +8,12 @@ tanh(W_hop (x_self + sum) + b_hop) in `transform` mode. The prediction
 for an anchor item is sigmoid(<user, final item vector>), trained with
 mean binary cross-entropy.
 
+The model reads the subgraph's arrays directly (see `kg`): hop values are
+one (n_depth, d) matrix per depth, gathered from the graph's entity rows;
+layer l combines the rows of depth l that are not isolated with their
+tail rows in depth l+1. Entity gradients come back as one row per id in
+`subgraph.entities`, summed over depths in depth order.
+
 The backward pass is hand-derived and exact (checked against central
 finite differences); attention weights are shared across hops, so their
 adjoints accumulate over hops before the softmax backward.
@@ -61,23 +67,31 @@ def init_model_params(dim: int, depth: int, mode: str,
 
 
 class SparseGrad:
-    """Sparse per-id gradient vectors with accumulation counts."""
+    """Sparse per-id gradient vectors."""
 
     def __init__(self):
         self.entries: dict[int, np.ndarray] = {}
-        self.counts: dict[int, int] = {}
+
+    @classmethod
+    def from_rows(cls, ids, rows: np.ndarray) -> "SparseGrad":
+        """One entry per id, holding the matching row of `rows`."""
+        out = cls()
+        out.entries = {int(i): row for i, row in zip(ids, rows)}
+        return out
 
     def add(self, idx: int, vec: np.ndarray) -> None:
         idx = int(idx)
         if idx in self.entries:
             self.entries[idx] = self.entries[idx] + vec
-            self.counts[idx] += 1
         else:
             self.entries[idx] = np.array(vec, dtype=np.float64)
-            self.counts[idx] = 1
 
     def ids(self) -> list[int]:
         return sorted(self.entries)
+
+    def rows(self) -> np.ndarray:
+        """The vectors stacked in ids() order."""
+        return np.array([self.entries[i] for i in self.ids()], dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -116,21 +130,18 @@ class GradientPacket:
 
 @dataclass
 class LocalGraph:
-    """Training graph: anchors with labels, sampled subgraph, gathered vectors."""
+    """Training graph: sampled subgraph, anchor labels and the gathered rows.
+
+    The anchors are subgraph.ids[0]; labels follow their order. Row i of
+    entity_rows (relation_rows) is the vector of subgraph.entities[i]
+    (subgraph.relations[i]).
+    """
 
     user: np.ndarray
-    anchors: list[tuple[int, int]]  # (item, label)
+    labels: np.ndarray
     subgraph: Subgraph
-    entity_vectors: dict[int, np.ndarray]
-    relation_vectors: dict[int, np.ndarray]
-
-    @property
-    def anchor_items(self) -> list[int]:
-        return [a for a, _ in self.anchors]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([y for _, y in self.anchors], dtype=np.float64)
+    entity_rows: np.ndarray
+    relation_rows: np.ndarray
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -176,127 +187,56 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Forward plan and cache
+# Forward pass and cache
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _LayerPlan:
-    sampled_rows: np.ndarray  # rows in this depth's entity array that have samples
-    isolated_rows: np.ndarray  # rows whose neighbor list is empty (keep raw vector)
-    rel_rows: np.ndarray  # (n_sampled, K) rows into the relation matrix
-    rel_ids: np.ndarray  # (n_sampled, K) relation ids
-    tail_rows: np.ndarray  # (n_sampled, K) rows into the next depth's arrays
-
-
-@dataclass
-class _Plan:
-    depth: int
-    ents: list[np.ndarray]  # entity ids per depth; depth 0 keeps anchor order
-    layers: list[_LayerPlan]
-    rel_ids: np.ndarray  # sorted unique relation ids used anywhere
-
-
-@dataclass
 class _ForwardState:
-    plan: _Plan
-    rel_mat: np.ndarray  # (num_used_relations, d) gathered relation vectors
+    ent_rows: list[np.ndarray]  # per depth, rows into graph.entity_rows
     alphas: list[np.ndarray]  # per layer (n_sampled, K)
     hops: list[list[np.ndarray]]  # hops[i][depth] -> (n_depth, d) values after hop i
-    aggs: list[list[np.ndarray | None]]  # aggregated neighbor sums per hop/layer
+    aggs: list[list[np.ndarray]]  # aggregated neighbor sums per hop/layer
     logits: np.ndarray
     predictions: np.ndarray
 
 
-def _build_plan(graph: LocalGraph) -> _Plan:
-    sub = graph.subgraph
-    depth = sub.depth
-    ents: list[np.ndarray] = [np.array(graph.anchor_items, dtype=np.int64)]
-    for layer in sub.layers:
-        tails: list[int] = []
-        for samples in layer.values():
-            if len(samples):
-                tails.extend(int(t) for t in samples[:, 1])
-        ents.append(np.array(sorted(set(tails)), dtype=np.int64))
-
-    rel_ids = np.array(sorted(sub.relations), dtype=np.int64)
-    layers: list[_LayerPlan] = []
-    for lvl, layer in enumerate(sub.layers):
-        sampled, isolated, rels, tails = [], [], [], []
-        for row, ent in enumerate(ents[lvl]):
-            samples = layer[int(ent)]
-            if len(samples):
-                sampled.append(row)
-                rels.append(samples[:, 0])
-                tails.append(samples[:, 1])
-            else:
-                isolated.append(row)
-        if sampled:
-            rel_arr = np.stack(rels)
-            tail_arr = np.stack(tails)
-            rel_rows = np.searchsorted(rel_ids, rel_arr)
-            tail_rows = np.searchsorted(ents[lvl + 1], tail_arr)
-        else:
-            rel_arr = np.empty((0, 0), dtype=np.int64)
-            tail_arr = np.empty((0, 0), dtype=np.int64)
-            rel_rows = rel_arr
-            tail_rows = tail_arr
-        layers.append(_LayerPlan(
-            sampled_rows=np.array(sampled, dtype=np.int64),
-            isolated_rows=np.array(isolated, dtype=np.int64),
-            rel_rows=rel_rows, rel_ids=rel_arr, tail_rows=tail_rows))
-    return _Plan(depth=depth, ents=ents, layers=layers, rel_ids=rel_ids)
-
-
 def _forward(graph: LocalGraph, params: ModelParams) -> _ForwardState:
-    plan = _build_plan(graph)
-    if params.depth != plan.depth:
+    sub = graph.subgraph
+    if params.depth != sub.depth:
         raise ValueError(
-            f"model has {params.depth} layers but subgraph depth is {plan.depth}")
-    d = len(graph.user)
+            f"model has {params.depth} layers but subgraph depth is {sub.depth}")
     u = graph.user
 
-    rel_mat = (np.stack([graph.relation_vectors[int(r)] for r in plan.rel_ids])
-               if len(plan.rel_ids) else np.empty((0, d)))
-
     # Attention is user/relation only, so it is fixed across hops.
-    alphas: list[np.ndarray] = []
-    for lp in plan.layers:
-        if len(lp.sampled_rows):
-            scores = rel_mat[lp.rel_rows] @ u  # (n_sampled, K)
-            alphas.append(softmax(scores, axis=1))
-        else:
-            alphas.append(np.empty((0, 0)))
+    alphas = [softmax(graph.relation_rows[layer.rel_rows] @ u, axis=1)
+              for layer in sub.layers]
 
-    values0 = [np.stack([graph.entity_vectors[int(e)] for e in ents])
-               if len(ents) else np.empty((0, d))
-               for ents in plan.ents]
-    hops = [values0]
-    aggs: list[list[np.ndarray | None]] = []
-    for hop in range(1, plan.depth + 1):
+    ent_rows = [np.searchsorted(sub.entities, ids) for ids in sub.ids]
+    hops = [[graph.entity_rows[rows] for rows in ent_rows]]
+    aggs: list[list[np.ndarray]] = []
+    for hop in range(1, sub.depth + 1):
         prev = hops[-1]
         cur = [v.copy() for v in prev]
-        hop_aggs: list[np.ndarray | None] = []
-        for lvl, lp in enumerate(plan.layers):
-            if len(lp.sampled_rows) == 0:
-                hop_aggs.append(None)
-                continue
-            nbr = prev[lvl + 1][lp.tail_rows]  # (n_sampled, K, d)
+        hop_aggs: list[np.ndarray] = []
+        for lvl, layer in enumerate(sub.layers):
+            sampled = layer.sampled
+            nbr = prev[lvl + 1][layer.tail_rows]  # (n_sampled, K, d)
             agg = np.einsum("nk,nkd->nd", alphas[lvl], nbr)
             hop_aggs.append(agg)
             if params.mode == "replace":
-                cur[lvl][lp.sampled_rows] = agg
+                cur[lvl][sampled] = agg
             else:
                 w, b = params.weights[hop - 1], params.biases[hop - 1]
-                pre = (prev[lvl][lp.sampled_rows] + agg) @ w.T + b
-                cur[lvl][lp.sampled_rows] = np.tanh(pre)
+                pre = (prev[lvl][sampled] + agg) @ w.T + b
+                cur[lvl][sampled] = np.tanh(pre)
         hops.append(cur)
         aggs.append(hop_aggs)
 
     final_anchor = hops[-1][0]
     logits = final_anchor @ u if len(final_anchor) else np.empty(0)
     preds = sigmoid(logits) if logits.size else np.empty(0)
-    return _ForwardState(plan=plan, rel_mat=rel_mat, alphas=alphas, hops=hops,
-                         aggs=aggs, logits=logits, predictions=np.atleast_1d(preds))
+    return _ForwardState(ent_rows=ent_rows, alphas=alphas, hops=hops, aggs=aggs,
+                         logits=logits, predictions=np.atleast_1d(preds))
 
 
 def propagate(graph: LocalGraph, params: ModelParams, depth: int) -> np.ndarray:
@@ -324,7 +264,7 @@ def backward(graph: LocalGraph, params: ModelParams,
     the number of anchor items.
     """
     state = _forward(graph, params)
-    plan = state.plan
+    sub = graph.subgraph
     y = graph.labels if labels is None else np.asarray(labels, dtype=np.float64)
     m = len(y)
     if m == 0:
@@ -343,63 +283,60 @@ def backward(graph: LocalGraph, params: ModelParams,
 
     # Adjoints per hop state; only the final anchors receive loss gradient.
     adj = [[np.zeros_like(v) for v in hop] for hop in state.hops]
-    adj[plan.depth][0] = dz[:, None] * u[None, :]
+    adj[sub.depth][0] = dz[:, None] * u[None, :]
 
     dalpha = [np.zeros_like(a) for a in state.alphas]
     model_grads = [(np.zeros((d, d)), np.zeros(d)) for _ in range(params.depth)]
 
-    for hop in range(plan.depth, 0, -1):
+    for hop in range(sub.depth, 0, -1):
         prev = state.hops[hop - 1]
-        for lvl, lp in enumerate(plan.layers):
+        for lvl, layer in enumerate(sub.layers):
             g_full = adj[hop][lvl]
-            if len(lp.isolated_rows):
-                adj[hop - 1][lvl][lp.isolated_rows] += g_full[lp.isolated_rows]
-            if len(lp.sampled_rows) == 0:
+            adj[hop - 1][lvl][layer.isolated] += g_full[layer.isolated]
+            if len(layer.rel_rows) == 0:
                 continue
-            g = g_full[lp.sampled_rows]
+            sampled = layer.sampled
+            g = g_full[sampled]
             agg = state.aggs[hop - 1][lvl]
             if params.mode == "transform":
-                out = state.hops[hop][lvl][lp.sampled_rows]
+                out = state.hops[hop][lvl][sampled]
                 dpre = g * (1.0 - out * out)
                 w = params.weights[hop - 1]
                 dw, db = model_grads[hop - 1]
-                dw += dpre.T @ (prev[lvl][lp.sampled_rows] + agg)
+                dw += dpre.T @ (prev[lvl][sampled] + agg)
                 db += dpre.sum(axis=0)
                 dagg = dpre @ w
-                adj[hop - 1][lvl][lp.sampled_rows] += dagg  # self path
+                adj[hop - 1][lvl][sampled] += dagg  # self path
             else:
                 dagg = g
-            nbr = prev[lvl + 1][lp.tail_rows]
+            nbr = prev[lvl + 1][layer.tail_rows]
             dalpha[lvl] += np.einsum("nd,nkd->nk", dagg, nbr)
             contrib = state.alphas[lvl][:, :, None] * dagg[:, None, :]
-            np.add.at(adj[hop - 1][lvl + 1], lp.tail_rows.reshape(-1),
+            np.add.at(adj[hop - 1][lvl + 1], layer.tail_rows.reshape(-1),
                       contrib.reshape(-1, d))
         # Depths deeper than any center layer (the leaves) carry raw values
         # through every hop; pass their adjoint straight through.
-        adj[hop - 1][plan.depth] += adj[hop][plan.depth]
+        adj[hop - 1][sub.depth] += adj[hop][sub.depth]
 
     # Softmax backward, once per layer (weights are shared across hops).
-    rel_grad_mat = np.zeros_like(state.rel_mat)
-    for lvl, lp in enumerate(plan.layers):
-        if len(lp.sampled_rows) == 0:
+    rel_grad = np.zeros_like(graph.relation_rows)
+    for lvl, layer in enumerate(sub.layers):
+        if len(layer.rel_rows) == 0:
             continue
         a = state.alphas[lvl]
         da = dalpha[lvl]
         ds = a * (da - np.sum(a * da, axis=1, keepdims=True))
-        rel_vecs = state.rel_mat[lp.rel_rows]  # (n, K, d)
+        rel_vecs = graph.relation_rows[layer.rel_rows]  # (n, K, d)
         user_grad = user_grad + np.einsum("nk,nkd->d", ds, rel_vecs)
-        np.add.at(rel_grad_mat, lp.rel_rows.reshape(-1),
+        np.add.at(rel_grad, layer.rel_rows.reshape(-1),
                   ds.reshape(-1)[:, None] * u[None, :])
 
-    entity_grads = SparseGrad()
-    for lvl, ents in enumerate(plan.ents):
-        rows = adj[0][lvl]
-        for row, ent in enumerate(ents):
-            entity_grads.add(int(ent), rows[row])
-    relation_grads = SparseGrad()
-    for row, rid in enumerate(plan.rel_ids):
-        relation_grads.add(int(rid), rel_grad_mat[row])
+    # One row per entity, its depths summed in depth order; -0.0 is the
+    # additive identity, so a single-depth row comes out bitwise unchanged.
+    ent_grad = np.full((len(sub.entities), d), -0.0)
+    np.add.at(ent_grad, np.concatenate(state.ent_rows), np.concatenate(adj[0]))
 
-    return GradientPacket(entity_grads=entity_grads, relation_grads=relation_grads,
+    return GradientPacket(entity_grads=SparseGrad.from_rows(sub.entities, ent_grad),
+                          relation_grads=SparseGrad.from_rows(sub.relations, rel_grad),
                           model_grads=model_grads, user_grad=user_grad,
                           weight=m, loss=loss)

@@ -49,43 +49,56 @@ def init_params(num_entities: int, num_relations: int, dim: int,
     return ParameterState(entity_emb=entity, relation_emb=relation, model=model, dim=dim)
 
 
-def gather(state: ParameterState, entities: set[int] | list[int],
-           relations: set[int] | list[int]) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Copy the requested embedding rows; mutating the copies never touches state."""
-    ent_out: dict[int, np.ndarray] = {}
-    for e in sorted(int(x) for x in entities):
-        if not 0 <= e < state.num_entities:
-            raise KeyError(f"entity id {e} out of range [0, {state.num_entities})")
-        ent_out[e] = state.entity_emb[e].copy()
-    rel_out: dict[int, np.ndarray] = {}
-    for r in sorted(int(x) for x in relations):
-        if not 0 <= r < state.num_relations:
-            raise KeyError(f"relation id {r} out of range [0, {state.num_relations})")
-        rel_out[r] = state.relation_emb[r].copy()
-    return ent_out, rel_out
+def gather(state: ParameterState, entities: np.ndarray,
+           relations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the embedding rows of the given ids, in the given order.
+
+    Mutating the returned matrices never touches state.
+    """
+    return (state.entity_emb[_checked_ids(entities, state.num_entities, "entity")],
+            state.relation_emb[_checked_ids(relations, state.num_relations, "relation")])
+
+
+def _checked_ids(ids, size: int, kind: str) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= size)]
+    if len(bad):
+        raise KeyError(f"{kind} id {int(bad[0])} out of range [0, {size})")
+    return ids
+
+
+def _update_rows(grads: dict[int, np.ndarray], table: np.ndarray,
+                 kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a sparse {id: row} update against a table; return (ids, rows)."""
+    ids = _checked_ids(sorted(grads), len(table), kind)
+    rows = [np.asarray(grads[i]) for i in ids]
+    if any(row.shape != table.shape[1:] for row in rows):
+        raise ValueError(f"{kind} gradient row width differs from {table.shape[1]}")
+    stacked = np.array(rows, dtype=np.float64).reshape(len(ids), table.shape[1])
+    if not np.all(np.isfinite(stacked)):
+        raise ValueError(f"non-finite {kind} gradient in aggregated update")
+    return ids, stacked
 
 
 def apply_global_update(state: ParameterState, avg: "AggregatedGradient",
                         eta: float) -> None:
     """Plain gradient descent: p <- p - eta * avg_p on every touched parameter.
 
-    Rejects non-finite averages before touching anything, so a bad round
-    leaves the state bitwise unchanged.
+    Checks every id range, row width and value before the first write, so
+    a bad round leaves the state bitwise unchanged.
     """
-    for vec in avg.entity.values():
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("non-finite entity gradient in aggregated update")
-    for vec in avg.relation.values():
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("non-finite relation gradient in aggregated update")
-    for dw, db in avg.model:
+    ent_ids, ent_rows = _update_rows(avg.entity, state.entity_emb, "entity")
+    rel_ids, rel_rows = _update_rows(avg.relation, state.relation_emb, "relation")
+    if len(avg.model) > state.model.depth:
+        raise ValueError("model gradient has more layers than the model")
+    for (dw, db), w, b in zip(avg.model, state.model.weights, state.model.biases):
+        if np.shape(dw) != w.shape or np.shape(db) != b.shape:
+            raise ValueError("model gradient shape differs from the model")
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise ValueError("non-finite model gradient in aggregated update")
 
-    for e in sorted(avg.entity):
-        state.entity_emb[e] -= eta * avg.entity[e]
-    for r in sorted(avg.relation):
-        state.relation_emb[r] -= eta * avg.relation[r]
+    state.entity_emb[ent_ids] -= eta * ent_rows
+    state.relation_emb[rel_ids] -= eta * rel_rows
     for layer, (dw, db) in enumerate(avg.model):
         state.model.weights[layer] -= eta * dw
         state.model.biases[layer] -= eta * db

@@ -93,11 +93,9 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
     ent = SparseGrad()
     for idx in packet.entity_grads.ids():
         ent.entries[idx] = protect(packet.entity_grads.entries[idx])
-        ent.counts[idx] = packet.entity_grads.counts[idx]
     rel = SparseGrad()
     for idx in packet.relation_grads.ids():
         rel.entries[idx] = protect(packet.relation_grads.entries[idx])
-        rel.counts[idx] = packet.relation_grads.counts[idx]
     model = [(protect(dw), protect(db)) for dw, db in packet.model_grads]
     return GradientPacket(entity_grads=ent, relation_grads=rel, model_grads=model,
                           user_grad=None, weight=packet.weight, loss=packet.loss,

@@ -57,16 +57,12 @@ class RoundReport:
     mean_loss: float
     participants: int
     duration: float
-    metrics: dict | None = None
 
     def to_json_record(self) -> dict:
         # duration is wall-clock and would break bitwise-reproducible metrics
         # files, so it stays off the serialized record.
-        rec = {"type": "round", "round": self.round_index,
-               "mean_loss": self.mean_loss, "participants": self.participants}
-        if self.metrics:
-            rec["metrics"] = self.metrics
-        return rec
+        return {"type": "round", "round": self.round_index,
+                "mean_loss": self.mean_loss, "participants": self.participants}
 
 
 def select_clients(total: int, count: int, rng: np.random.Generator) -> list[int]:
@@ -84,10 +80,9 @@ def serve_request(msg: RequestMessage, kg: KnowledgeGraph, params: ParameterStat
         if not 0 <= item < kg.num_entities:
             raise RequestError(f"unknown item id {item}")
     subgraph = sample_subgraph(kg, msg.items, sample_size, depth, rng)
-    ent_vecs, rel_vecs = gather(params, subgraph.entities, subgraph.relations)
-    return SubgraphResponse(subgraph=subgraph, entity_vectors=ent_vecs,
-                            relation_vectors=rel_vecs, model=params.model.copy(),
-                            anchor_items=list(msg.items))
+    ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
+    return SubgraphResponse(subgraph=subgraph, entity_rows=ent_rows,
+                            relation_rows=rel_rows, model=params.model.copy())
 
 
 def aggregate(packets: list[GradientPacket]) -> AggregatedGradient:

@@ -3,7 +3,7 @@ import pytest
 
 from fedkg.client import ClientState, ProtocolError, build_request, local_train, merge_graphs
 from fedkg.kg import Triple, build_kg
-from fedkg.model import forward_loss
+from fedkg.model import backward, forward_loss
 from fedkg.params import init_params
 from fedkg.privacy import DpConfig
 from fedkg.rng import derive_rng
@@ -58,7 +58,8 @@ def test_merge_depth_zero_anchors_only():
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)
     plan, msg, response = _serve(client, kg, params, dp, depth=0)
     graph = merge_graphs(plan, response, client.user_embedding)
-    assert set(graph.entity_vectors) == client.interactions
+    assert graph.subgraph.entities.tolist() == sorted(client.interactions)
+    assert graph.entity_rows.shape == (len(client.interactions), 4)
     assert graph.subgraph.layers == []
 
 
@@ -69,7 +70,7 @@ def test_merge_entity_count_bound():
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)
     plan, msg, response = _serve(client, kg, params, dp, k=4, depth=1)
     graph = merge_graphs(plan, response, client.user_embedding)
-    assert len(graph.entity_vectors) <= 10
+    assert len(graph.entity_rows) == len(graph.subgraph.entities) <= 10
 
 
 def test_merge_shared_anchor_neighbor_single_vector():
@@ -80,14 +81,19 @@ def test_merge_shared_anchor_neighbor_single_vector():
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)
     plan, msg, response = _serve(client, kg, params, dp, k=2, depth=1)
     graph = merge_graphs(plan, response, client.user_embedding)
-    assert len(graph.entity_vectors) == 2  # one shared vector per entity id
+    assert graph.subgraph.entities.tolist() == [0, 1]
+    assert len(graph.entity_rows) == 2  # one shared vector per entity id
 
 
 def test_merge_missing_anchor_is_protocol_error():
     kg, params, client = _setup()
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)
     plan, msg, response = _serve(client, kg, params, dp)
-    del response.entity_vectors[sorted(client.interactions)[0]]
+    full_ids, full_rows = response.subgraph.ids[0], response.entity_rows
+    response.subgraph.ids[0] = full_ids[1:]
+    with pytest.raises(ProtocolError):
+        merge_graphs(plan, response, client.user_embedding)
+    response.subgraph.ids[0], response.entity_rows = full_ids, full_rows[1:]
     with pytest.raises(ProtocolError):
         merge_graphs(plan, response, client.user_embedding)
 
@@ -117,18 +123,33 @@ def test_local_train_epochs_differ():
     kg, params, client = _setup()
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)
 
-    packets = []
-    for epochs in (1, 2):
+    def fresh():
         c = ClientState(client.user_id, client.user_embedding.copy(),
                         set(client.interactions))
         plan, msg, response = _serve(c, kg, params, dp)
-        graph = merge_graphs(plan, response, c.user_embedding)
-        packets.append(local_train(c, graph, response.model, eta=0.2, epochs=epochs))
+        return c, merge_graphs(plan, response, c.user_embedding), response.model
+
+    packets = [local_train(*fresh(), eta=0.2, epochs=epochs) for epochs in (1, 2)]
     one, two = packets
     idx = one.entity_grads.ids()[0]
     assert not np.allclose(one.entity_grads.entries[idx],
                            two.entity_grads.entries[idx])
-    assert two.entity_grads.counts[idx] == 2
+
+    # the upload sums both epochs; the second sees rows, model and user stepped
+    c, graph, model = fresh()
+    first = backward(graph, model)
+    c.user_embedding -= 0.2 * first.user_grad
+    graph.entity_rows = graph.entity_rows - 0.2 * first.entity_grads.rows()
+    graph.relation_rows = graph.relation_rows - 0.2 * first.relation_grads.rows()
+    model = model.copy()
+    for layer, (dw, db) in enumerate(first.model_grads):
+        model.weights[layer] -= 0.2 * dw
+        model.biases[layer] -= 0.2 * db
+    second = backward(graph, model)
+    assert two.entity_grads.ids() == graph.subgraph.entities.tolist()
+    for i in two.entity_grads.ids():
+        assert np.array_equal(two.entity_grads.entries[i],
+                              first.entity_grads.entries[i] + second.entity_grads.entries[i])
 
 
 def test_local_train_near_zero_packet_at_flat_optimum():
@@ -138,8 +159,7 @@ def test_local_train_near_zero_packet_at_flat_optimum():
                          interactions={1, 4})
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)
     plan, msg, response = _serve(client, kg, params, dp)
-    for e in response.entity_vectors:
-        response.entity_vectors[e] = np.full(4, 50.0)
+    response.entity_rows[...] = 50.0
     graph = merge_graphs(plan, response, client.user_embedding)
     packet = local_train(client, graph, response.model, eta=0.1, epochs=1)
     norm = sum(float(np.abs(v).sum()) for v in packet.entity_grads.entries.values())

@@ -2,27 +2,65 @@ import numpy as np
 import pytest
 
 from fedkg.kg import (KgValidationError, Triple, build_kg, load_kg_file,
-                      sample_neighbors, sample_subgraph, save_kg_file)
+                      sample_subgraph, save_kg_file)
 from fedkg.rng import derive_rng
+
+
+def edges_of(kg, entity):
+    """Entity's (relation, neighbor) rows from the CSR store."""
+    lo, hi = kg.offsets[entity], kg.offsets[entity + 1]
+    return np.stack([kg.rel[lo:hi], kg.nbr[lo:hi]], axis=1)
+
+
+def has_edge(kg, center, relation, neighbor):
+    return any(r == relation and n == neighbor for r, n in edges_of(kg, center).tolist())
+
+
+def sampled_rows(sub, level):
+    """{center: (K, 2) array of (relation, neighbor)} for the non-isolated centers."""
+    layer = sub.layers[level]
+    centers = sub.ids[level][~layer.isolated]
+    return {int(c): np.stack([sub.relations[rel], sub.ids[level + 1][tail]], axis=1)
+            for c, rel, tail in zip(centers, layer.rel_rows, layer.tail_rows)}
+
+
+def reference_sample(kg, anchors, k, depth, rng):
+    """Per-center reference: sorted centers, K draws each, isolated centers skipped."""
+    frontier = sorted(set(anchors))
+    layers = []
+    for _ in range(depth):
+        layer, reached = {}, set()
+        for center in frontier:
+            lo, hi = kg.offsets[center], kg.offsets[center + 1]
+            if hi == lo:
+                continue
+            edges = lo + rng.integers(0, hi - lo, size=k)
+            layer[center] = np.stack([kg.rel[edges], kg.nbr[edges]], axis=1)
+            reached.update(kg.nbr[edges].tolist())
+        layers.append(layer)
+        frontier = sorted(reached)
+    return layers
 
 
 def test_build_single_triple_symmetry():
     kg = build_kg([Triple(0, 0, 1)], num_entities=2, num_relations=1)
-    assert kg.adjacency[0].tolist() == [[0, 1]]
-    assert kg.adjacency[1].tolist() == [[0, 0]]
+    assert edges_of(kg, 0).tolist() == [[0, 1]]
+    assert edges_of(kg, 1).tolist() == [[0, 0]]
 
 
 def test_build_empty_is_valid():
     kg = build_kg([], num_entities=3, num_relations=1)
     assert kg.num_triples == 0
-    assert all(len(adj) == 0 for adj in kg.adjacency)
+    assert kg.offsets.tolist() == [0, 0, 0, 0]
+    assert len(kg.rel) == len(kg.nbr) == 0
 
 
 def test_build_dedups_exact_duplicates():
     once = build_kg([Triple(0, 0, 1)], 2, 1)
     twice = build_kg([Triple(0, 0, 1), Triple(0, 0, 1)], 2, 1)
     assert twice.num_triples == 1
-    assert np.array_equal(once.adjacency[0], twice.adjacency[0])
+    for field in ("offsets", "rel", "nbr"):
+        assert np.array_equal(getattr(once, field), getattr(twice, field))
 
 
 def test_build_rejects_out_of_range_naming_triple():
@@ -32,25 +70,34 @@ def test_build_rejects_out_of_range_naming_triple():
         build_kg([Triple(0, 3, 1)], num_entities=2, num_relations=1)
 
 
+def test_build_keeps_reverse_and_self_loop_multiplicity_sorted():
+    kg = build_kg([Triple(0, 1, 1), Triple(1, 1, 0), Triple(2, 0, 2), Triple(0, 0, 2)], 3, 2)
+    assert edges_of(kg, 0).tolist() == [[0, 2], [1, 1], [1, 1]]
+    assert edges_of(kg, 2).tolist() == [[0, 0], [0, 2], [0, 2]]
+
+
 def test_adjacency_entry_count_is_twice_unique_triples():
     rng = derive_rng(11, 0)
     triples = [Triple(int(rng.integers(0, 20)), int(rng.integers(0, 4)),
                       int(rng.integers(0, 20))) for _ in range(60)]
     unique = len({(t.head, t.relation, t.tail) for t in triples})
     kg = build_kg(triples, 20, 4)
-    assert sum(len(adj) for adj in kg.adjacency) == 2 * unique
+    assert kg.offsets[-1] == len(kg.rel) == len(kg.nbr) == 2 * unique
+    for e in range(20):
+        rows = [tuple(r) for r in edges_of(kg, e).tolist()]
+        assert rows == sorted(rows)
 
 
 def test_sample_degree_one_forced_by_replacement():
     # entity 7 reachable only via relation 2 from entity 3
     kg = build_kg([Triple(3, 2, 7)], num_entities=8, num_relations=3)
-    out = sample_neighbors(kg, 7, 4, derive_rng(0, 0))
-    assert out.tolist() == [[2, 3]] * 4
+    sub = sample_subgraph(kg, [7], 4, 1, derive_rng(0, 0))
+    assert sampled_rows(sub, 0)[7].tolist() == [[2, 3]] * 4
 
 
 def test_sample_members_of_true_neighbor_set():
     kg = build_kg([Triple(0, 0, 1), Triple(0, 1, 2), Triple(0, 0, 3)], 4, 2)
-    out = sample_neighbors(kg, 0, 8, derive_rng(1, 0))
+    out = sampled_rows(sample_subgraph(kg, [0], 8, 1, derive_rng(1, 0)), 0)[0]
     assert out.shape == (8, 2)
     truth = {(0, 1), (1, 2), (0, 3)}
     for rel, ent in out.tolist():
@@ -59,24 +106,30 @@ def test_sample_members_of_true_neighbor_set():
 
 def test_sample_isolated_entity_empty():
     kg = build_kg([Triple(0, 0, 1)], num_entities=3, num_relations=1)
-    assert len(sample_neighbors(kg, 2, 4, derive_rng(2, 0))) == 0
+    rng = derive_rng(2, 0)
+    before = rng.bit_generator.state
+    sub = sample_subgraph(kg, [2], 4, 1, rng)
+    assert sub.layers[0].isolated.tolist() == [True]
+    assert sub.layers[0].rel_rows.shape == (0, 4)
+    assert len(sub.ids[1]) == 0
+    assert rng.bit_generator.state == before  # isolated centers draw nothing
 
 
 def test_subgraph_depth_zero():
     kg = build_kg([Triple(0, 0, 1)], 2, 1)
     sub = sample_subgraph(kg, [0], k=4, depth=0, rng=derive_rng(3, 0))
     assert sub.layers == []
-    assert sub.entities == {0}
-    assert sub.relations == set()
+    assert sub.entities.tolist() == [0]
+    assert len(sub.relations) == 0
 
 
 def test_subgraph_chain_layer_centers():
     # chain 0 - 1 - 2, single relation; depth-2 walk from 0
     kg = build_kg([Triple(0, 0, 1), Triple(1, 0, 2)], 3, 1)
     sub = sample_subgraph(kg, [0], k=1, depth=2, rng=derive_rng(4, 0))
-    assert set(sub.layers[0]) == {0}
-    assert set(sub.layers[1]) == {1}  # node 0's only neighbor
-    assert sub.layers[1][1][0, 1] in (0, 2)
+    assert sub.ids[0].tolist() == [0]
+    assert sub.ids[1].tolist() == [1]  # node 0's only neighbor
+    assert sub.ids[2][0] in (0, 2)
 
 
 def test_subgraph_lastfm_scale_layer_size():
@@ -84,7 +137,8 @@ def test_subgraph_lastfm_scale_layer_size():
     triples = [Triple(0, r % 3, t) for r, t in enumerate(range(1, 11))]
     kg = build_kg(triples, 11, 3)
     sub = sample_subgraph(kg, [0], k=8, depth=1, rng=derive_rng(5, 0))
-    assert sub.layers[0][0].shape == (8, 2)
+    assert sub.layers[0].rel_rows.shape == (1, 8)
+    assert sub.layers[0].tail_rows.shape == (1, 8)
 
 
 def test_subgraph_edges_are_true_kg_edges():
@@ -94,10 +148,10 @@ def test_subgraph_edges_are_true_kg_edges():
     kg = build_kg(triples, 15, 3)
     anchors = [1, 5, 9]
     sub = sample_subgraph(kg, anchors, k=3, depth=2, rng=rng)
-    for layer in sub.layers:
-        for center, samples in layer.items():
+    for level in range(sub.depth):
+        for center, samples in sampled_rows(sub, level).items():
             for rel, ent in samples.tolist():
-                assert kg.has_edge(center, rel, ent)
+                assert has_edge(kg, center, rel, ent)
 
 
 def test_subgraph_every_positive_degree_center_has_k_samples():
@@ -106,12 +160,12 @@ def test_subgraph_every_positive_degree_center_has_k_samples():
                for _ in range(30)]
     kg = build_kg(triples, 12, 1)
     sub = sample_subgraph(kg, [0, 3], k=5, depth=2, rng=rng)
-    for layer in sub.layers:
-        for center, samples in layer.items():
-            if kg.degree(center) >= 1:
-                assert samples.shape == (5, 2)
-            else:
-                assert len(samples) == 0
+    degree = np.diff(kg.offsets)
+    for level, layer in enumerate(sub.layers):
+        assert len(layer) == len(sub.ids[level])
+        assert np.array_equal(layer.isolated, degree[sub.ids[level]] == 0)
+        assert layer.rel_rows.shape == layer.tail_rows.shape == \
+            (int((~layer.isolated).sum()), 5)
 
 
 def test_subgraph_seed_determinism():
@@ -119,20 +173,47 @@ def test_subgraph_seed_determinism():
     a = sample_subgraph(kg, [0], 3, 2, derive_rng(8, 0))
     b = sample_subgraph(kg, [0], 3, 2, derive_rng(8, 0))
     c = sample_subgraph(kg, [0], 3, 2, derive_rng(9, 0))
-    for la, lb in zip(a.layers, b.layers):
-        assert set(la) == set(lb)
-        for center in la:
-            assert np.array_equal(la[center], lb[center])
-    assert any(not np.array_equal(a.layers[i][c], c_layer[c])
-               for i, c_layer in enumerate(c.layers) for c in a.layers[i]
-               if c in c_layer) or a.layers != c.layers
+
+    def flat(sub):
+        return [x.tolist() for x in sub.ids] + \
+            [(la.rel_rows.tolist(), la.tail_rows.tolist()) for la in sub.layers]
+    assert flat(a) == flat(b)
+    assert flat(a) != flat(c)
+
+
+def test_subgraph_matches_per_center_reference_stream():
+    # random graphs with isolated entities, self-loops and reverse pairs;
+    # anchors arrive unsorted, and the generator must end in the same state
+    for trial in range(60):
+        rng = derive_rng(12, trial)
+        n = int(rng.integers(2, 25))
+        triples = [(int(rng.integers(0, n)), int(rng.integers(0, 3)), int(rng.integers(0, n)))
+                   for _ in range(int(rng.integers(0, 40)))]
+        kg = build_kg(triples, n, 3)
+        anchors = [int(a) for a in rng.permutation(n)[:int(rng.integers(1, min(n, 6) + 1))]]
+        k, depth = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        ours, theirs = derive_rng(13, trial), derive_rng(13, trial)
+        sub = sample_subgraph(kg, anchors, k, depth, ours)
+        ref = reference_sample(kg, anchors, k, depth, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert sub.ids[0].tolist() == anchors
+        for level, layer in enumerate(ref):
+            got = sampled_rows(sub, level)
+            assert got.keys() == layer.keys()
+            for center, rows in layer.items():
+                assert np.array_equal(got[center], rows)
+            reached = sorted({int(t) for rows in layer.values() for t in rows[:, 1]})
+            assert sub.ids[level + 1].tolist() == reached
+        assert sub.entities.tolist() == sorted(set(np.concatenate(sub.ids).tolist()))
+        assert sub.relations.tolist() == sorted(
+            {int(r) for layer in ref for rows in layer.values() for r in rows[:, 0]})
 
 
 def test_sampling_uniformity_three_sigma():
     kg = build_kg([Triple(0, 0, 1), Triple(0, 0, 2), Triple(0, 0, 3)], 4, 1)
     rng = derive_rng(10, 0)
     n = 10_000
-    draws = sample_neighbors(kg, 0, n, rng)
+    draws = sampled_rows(sample_subgraph(kg, [0], n, 1, rng), 0)[0]
     p = 1.0 / 3.0
     sigma = np.sqrt(n * p * (1 - p))
     for ent in (1, 2, 3):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from fedkg.messages import (GradientUpload, RequestMessage, WireFormatError)
+from fedkg.messages import WIRE_VERSION, GradientUpload, RequestMessage, WireFormatError
 from fedkg.model import GradientPacket, SparseGrad
 from fedkg.privacy import DpConfig, ldp_encrypt
 from fedkg.rng import derive_rng
@@ -39,6 +41,32 @@ def test_upload_roundtrip_is_bitwise():
     for (wa, ba), (wb, bb) in zip(a.model_grads, b.model_grads):
         assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
     assert a.weight == b.weight and a.loss == b.loss and a.client_id == b.client_id
+
+
+def test_upload_holds_arrays_until_serialized():
+    packet = _stripped_packet()
+    upload = GradientUpload.from_packet(packet)
+    assert upload.entity_ids == [1, 4] and upload.relation_ids == [0]
+    assert upload.entity_rows.dtype == np.float64 and upload.entity_rows.shape == (2, 2)
+    assert np.array_equal(upload.entity_rows[1], packet.entity_grads.entries[4])
+    again = upload.to_packet()
+    assert again.entity_grads.ids() == [1, 4]
+    assert again.model_grads[0][0] is packet.model_grads[0][0]
+
+
+def test_upload_wire_has_no_counts():
+    payload = json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
+    assert payload["version"] == WIRE_VERSION == 2
+    assert set(payload["entities"]) == set(payload["relations"]) == {"ids", "vectors"}
+
+
+def test_messages_reject_other_wire_version():
+    payload = json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
+    payload["version"] = 1
+    with pytest.raises(WireFormatError, match="version"):
+        GradientUpload.from_json_bytes(json.dumps(payload).encode())
+    with pytest.raises(WireFormatError, match="version"):
+        RequestMessage.from_json_bytes(b'{"version":1,"type":"request","client_id":1,"items":[1]}')
 
 
 def test_upload_refuses_unstripped_packet():

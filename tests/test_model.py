@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedkg.gradcheck import max_relative_error, random_instance
-from fedkg.kg import Subgraph
+from fedkg.kg import Layer, Subgraph
 from fedkg.model import (LocalGraph, ModelParams, attention_weights, backward,
                          bce_loss, forward_loss, init_model_params, predict,
                          propagate, softmax)
@@ -12,21 +12,39 @@ from fedkg.rng import derive_rng
 
 
 def _graph(user, anchors, layers, ent_vecs, rel_vecs):
-    entities = set(a for a, _ in anchors)
-    relations = set()
+    """Build a LocalGraph from (item, label) anchors and per-layer samples.
+
+    layers[l] maps each center of depth l to its (relation, neighbor) rows;
+    an empty list marks an isolated center.
+    """
+    ids = [np.array([a for a, _ in anchors], dtype=np.int64)]
     for layer in layers:
-        for samples in layer.values():
-            for rel, ent in samples.tolist():
-                relations.add(rel)
-                entities.add(ent)
-    sub = Subgraph(anchor_items=[a for a, _ in anchors], layers=layers,
-                   entities=entities, relations=relations)
-    return LocalGraph(user=np.asarray(user, dtype=float), anchors=anchors,
+        ids.append(np.array(sorted({n for rows in layer.values() for _, n in rows}),
+                            dtype=np.int64))
+    relations = np.array(sorted({r for layer in layers for rows in layer.values()
+                                 for r, _ in rows}), dtype=np.int64)
+    built = []
+    for lvl, layer in enumerate(layers):
+        centers = ids[lvl].tolist()
+        assert sorted(layer) == sorted(centers)
+        live = [layer[c] for c in centers if len(layer[c])]
+        k = len(live[0]) if live else 0
+        built.append(Layer(
+            isolated=np.array([len(layer[c]) == 0 for c in centers]),
+            rel_rows=np.searchsorted(relations, [[r for r, _ in rows] for rows in live]
+                                     ).reshape(len(live), k),
+            tail_rows=np.searchsorted(ids[lvl + 1], [[n for _, n in rows] for rows in live]
+                                      ).reshape(len(live), k)))
+    entities = np.unique(np.concatenate(ids))
+    sub = Subgraph(ids=ids, layers=built, entities=entities, relations=relations)
+    d = len(user)
+    return LocalGraph(user=np.asarray(user, dtype=float),
+                      labels=np.array([y for _, y in anchors], dtype=float),
                       subgraph=sub,
-                      entity_vectors={k: np.asarray(v, dtype=float)
-                                      for k, v in ent_vecs.items()},
-                      relation_vectors={k: np.asarray(v, dtype=float)
-                                        for k, v in rel_vecs.items()})
+                      entity_rows=np.array([ent_vecs[e] for e in entities],
+                                           dtype=float).reshape(-1, d),
+                      relation_rows=np.array([rel_vecs[r] for r in relations],
+                                             dtype=float).reshape(-1, d))
 
 
 # --- attention -------------------------------------------------------------
@@ -135,7 +153,7 @@ def test_propagate_depth_zero_returns_raw_anchors():
 
 
 def test_propagate_replace_single_neighbor_copies_it():
-    layers = [{0: np.array([[0, 1]])}]
+    layers = [{0: [(0, 1)]}]
     g = _graph(user=[0.5, 0.5], anchors=[(0, 1)], layers=layers,
                ent_vecs={0: [9.0, 9.0], 1: [0.25, -0.75]}, rel_vecs={0: [1.0, 0.0]})
     params = init_model_params(2, 1, "replace", derive_rng(23, 0))
@@ -144,7 +162,7 @@ def test_propagate_replace_single_neighbor_copies_it():
 
 
 def test_propagate_replace_equal_relations_averages():
-    layers = [{0: np.array([[0, 1], [0, 2]])}]
+    layers = [{0: [(0, 1), (0, 2)]}]
     v1, v2 = np.array([0.4, -0.2]), np.array([0.0, 1.0])
     g = _graph(user=[1.0, 2.0], anchors=[(0, 1)], layers=layers,
                ent_vecs={0: [0.0, 0.0], 1: v1, 2: v2}, rel_vecs={0: [0.3, 0.3]})
@@ -159,7 +177,7 @@ def test_propagate_replace_is_convex_combination():
         d = 3
         vecs = {i: rng.normal(size=d) for i in range(1, 5)}
         rels = {i: rng.normal(size=d) for i in range(2)}
-        samples = np.array([[int(rng.integers(0, 2)), n] for n in range(1, 5)])
+        samples = [(int(rng.integers(0, 2)), n) for n in range(1, 5)]
         g = _graph(user=rng.normal(size=d), anchors=[(0, 1)],
                    layers=[{0: samples}], ent_vecs={0: np.zeros(d), **vecs},
                    rel_vecs=rels)
@@ -171,8 +189,7 @@ def test_propagate_replace_is_convex_combination():
 
 
 def test_propagate_isolated_anchor_keeps_raw_embedding():
-    layers = [{0: np.empty((0, 2), dtype=np.int64),
-               1: np.array([[0, 0]])}]
+    layers = [{0: [], 1: [(0, 0)]}]
     g = _graph(user=[1.0, 0.0], anchors=[(0, 1), (1, 0)], layers=layers,
                ent_vecs={0: [0.7, -0.7], 1: [0.1, 0.1]}, rel_vecs={0: [0.2, 0.2]})
     params = init_model_params(2, 1, "replace", derive_rng(26, 0))
@@ -182,7 +199,7 @@ def test_propagate_isolated_anchor_keeps_raw_embedding():
 
 
 def test_propagate_transform_matches_manual_two_node():
-    layers = [{0: np.array([[0, 1]])}]
+    layers = [{0: [(0, 1)]}]
     x0, x1, r0 = np.array([0.2, -0.1]), np.array([0.3, 0.5]), np.array([0.1, 0.4])
     u = np.array([0.6, -0.3])
     g = _graph(user=u, anchors=[(0, 1)], layers=layers,
@@ -242,4 +259,4 @@ def test_backward_matches_finite_differences_sample():
 def test_backward_weight_equals_anchor_count():
     graph, params, labels = random_instance(32, 13)
     packet = backward(graph, params, labels)
-    assert packet.weight == len(graph.anchors)
+    assert packet.weight == len(graph.subgraph.ids[0])

@@ -39,34 +39,43 @@ def test_init_rejects_bad_dims():
 
 def test_gather_empty():
     state = init_params(5, 2, 4, derive_rng(4, 0))
-    ents, rels = gather(state, set(), set())
-    assert ents == {} and rels == {}
+    ents, rels = gather(state, [], [])
+    assert ents.shape == (0, 4) and rels.shape == (0, 4)
 
 
 def test_gather_read_back_and_isolation():
     state = init_params(5, 2, 4, derive_rng(5, 0))
     state.entity_emb[3] = 1.0
-    ents, _ = gather(state, {3}, set())
-    assert np.array_equal(ents[3], np.ones(4))
-    ents[3][0] = 99.0
+    ents, _ = gather(state, [3], [])
+    assert np.array_equal(ents[0], np.ones(4))
+    ents[0][0] = 99.0
     assert state.entity_emb[3, 0] == 1.0
 
 
 def test_gather_invalid_id():
     state = init_params(5, 2, 4, derive_rng(6, 0))
     with pytest.raises(KeyError):
-        gather(state, {7}, set())
+        gather(state, [7], [])
     with pytest.raises(KeyError):
-        gather(state, set(), {5})
+        gather(state, [], [5])
+    with pytest.raises(KeyError):
+        gather(state, [-1], [])
 
 
 def test_gather_reflects_update():
     state = init_params(5, 2, 4, derive_rng(7, 0))
-    before, _ = gather(state, {1}, set())
+    before, _ = gather(state, [1], [])
     avg = AggregatedGradient(entity={1: np.full(4, 0.5)}, relation={}, model=[])
     apply_global_update(state, avg, eta=0.1)
-    after, _ = gather(state, {1}, set())
-    assert np.allclose(after[1], before[1] - 0.05)
+    after, _ = gather(state, [1], [])
+    assert np.allclose(after[0], before[0] - 0.05)
+
+
+def test_gather_rows_follow_id_order():
+    state = init_params(5, 3, 4, derive_rng(18, 0))
+    ents, rels = gather(state, np.array([4, 0, 2]), np.array([2, 1]))
+    assert np.array_equal(ents, state.entity_emb[[4, 0, 2]])
+    assert np.array_equal(rels, state.relation_emb[[2, 1]])
 
 
 def test_update_direct_arithmetic():
@@ -112,6 +121,28 @@ def test_update_rejects_nan_and_leaves_state_unchanged():
         apply_global_update(state, avg, eta=0.1)
     assert np.array_equal(state.entity_emb, snap_e)
     assert np.array_equal(state.relation_emb, snap_r)
+
+
+@pytest.mark.parametrize("avg, error", [
+    (AggregatedGradient(entity={0: np.ones(3), -1: np.ones(3)}), KeyError),
+    (AggregatedGradient(entity={0: np.ones(3), 4: np.ones(3)}), KeyError),
+    (AggregatedGradient(entity={0: np.ones(3)}, relation={2: np.ones(3)}), KeyError),
+    (AggregatedGradient(entity={0: np.ones(3), 1: np.ones(2)}), ValueError),
+    (AggregatedGradient(entity={0: np.ones(3)}, relation={1: np.ones(4)}), ValueError),
+    (AggregatedGradient(entity={0: np.ones(3)}, model=[(np.ones((2, 2)), np.ones(3))]),
+     ValueError),
+], ids=["negative-entity", "entity-past-end", "relation-past-end",
+        "narrow-entity-row", "wide-relation-row", "model-shape"])
+def test_update_rejects_malformed_and_leaves_state_unchanged(avg, error):
+    state = init_params(4, 2, 3, derive_rng(19, 0))
+    snap_e = state.entity_emb.copy()
+    snap_r = state.relation_emb.copy()
+    snap_w = state.model.weights[0].copy()
+    with pytest.raises(error):
+        apply_global_update(state, avg, eta=0.1)
+    assert np.array_equal(state.entity_emb, snap_e)
+    assert np.array_equal(state.relation_emb, snap_r)
+    assert np.array_equal(state.model.weights[0], snap_w)
 
 
 def test_update_linearity():

@@ -78,7 +78,7 @@ def test_serve_ships_at_most_anchor_plus_k_vectors():
     kg = build_kg(triples, 8, 1)
     params = init_params(8, 1, 4, derive_rng(5, 0), depth=1)
     resp = serve_request(RequestMessage(0, [0]), kg, params, 4, 1, derive_rng(6, 0))
-    assert len(resp.entity_vectors) <= 5
+    assert len(resp.entity_rows) == len(resp.subgraph.entities) <= 5
 
 
 def test_serve_only_subgraph_rows():
@@ -86,17 +86,18 @@ def test_serve_only_subgraph_rows():
     kg = build_kg(triples, 6, 1)
     params = init_params(6, 1, 4, derive_rng(7, 0), depth=1)
     resp = serve_request(RequestMessage(0, [0]), kg, params, 2, 1, derive_rng(8, 0))
-    assert set(resp.entity_vectors) == resp.subgraph.entities
-    assert set(resp.relation_vectors) == resp.subgraph.relations
-    assert 2 not in resp.entity_vectors and 3 not in resp.entity_vectors
+    assert np.array_equal(resp.entity_rows, params.entity_emb[resp.subgraph.entities])
+    assert np.array_equal(resp.relation_rows, params.relation_emb[resp.subgraph.relations])
+    assert 2 not in resp.subgraph.entities and 3 not in resp.subgraph.entities
 
 
 def test_serve_depth_zero_anchors_and_model_only():
     kg = build_kg([Triple(0, 0, 1)], 3, 1)
     params = init_params(3, 1, 4, derive_rng(9, 0), depth=0)
     resp = serve_request(RequestMessage(0, [0, 1]), kg, params, 4, 0, derive_rng(10, 0))
-    assert set(resp.entity_vectors) == {0, 1}
-    assert resp.relation_vectors == {}
+    assert resp.subgraph.entities.tolist() == [0, 1]
+    assert resp.entity_rows.shape == (2, 4)
+    assert resp.relation_rows.shape == (0, 4)
     assert resp.model.depth == 0
 
 
