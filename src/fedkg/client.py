@@ -66,20 +66,17 @@ def local_train(state: ClientState, graph: LocalGraph, model: ModelParams,
         if total is None:
             total = packet
         else:
-            for idx in packet.entity_grads.ids():
-                total.entity_grads.add(idx, packet.entity_grads.entries[idx])
-            for idx in packet.relation_grads.ids():
-                total.relation_grads.add(idx, packet.relation_grads.entries[idx])
+            # every epoch trains the same subgraph, so the id arrays match
+            total.entity_grads.rows()[...] += packet.entity_grads.rows()
+            total.relation_grads.rows()[...] += packet.relation_grads.rows()
             for (tw, tb), (dw, db) in zip(total.model_grads, packet.model_grads):
                 tw += dw
                 tb += db
             total.user_grad = total.user_grad + packet.user_grad
             total.loss = packet.loss  # most recent epoch's loss
         if epoch + 1 < epochs:
-            # backward returns one row per subgraph entity/relation, in id order
-            ent, rel = graph.entity_rows, graph.relation_rows
-            graph.entity_rows = ent - eta * packet.entity_grads.rows().reshape(ent.shape)
-            graph.relation_rows = rel - eta * packet.relation_grads.rows().reshape(rel.shape)
+            graph.entity_rows = graph.entity_rows - eta * packet.entity_grads.rows()
+            graph.relation_rows = graph.relation_rows - eta * packet.relation_grads.rows()
             if model.mode == "transform":
                 model = model.copy()
                 for layer, (dw, db) in enumerate(packet.model_grads):

@@ -62,7 +62,7 @@ def random_instance(seed: int, index: int = 0) -> tuple[LocalGraph, ModelParams,
 
 def _fd_vector(vec: np.ndarray, loss_fn, step: float) -> np.ndarray:
     grad = np.zeros_like(vec)
-    flat = vec.reshape(-1)
+    flat = vec.reshape(-1)  # a view, so perturbations reach loss_fn: vec is contiguous
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
@@ -81,12 +81,9 @@ def finite_difference(graph: LocalGraph, params: ModelParams,
     def loss_fn() -> float:
         return forward_loss(graph, params, labels)[0]
 
-    sub = graph.subgraph
     fd = {
-        "entities": {int(e): _fd_vector(row, loss_fn, step)
-                     for e, row in zip(sub.entities, graph.entity_rows)},
-        "relations": {int(r): _fd_vector(row, loss_fn, step)
-                      for r, row in zip(sub.relations, graph.relation_rows)},
+        "entities": _fd_vector(graph.entity_rows, loss_fn, step),
+        "relations": _fd_vector(graph.relation_rows, loss_fn, step),
         "user": _fd_vector(graph.user, loss_fn, step),
         "model": [(_fd_vector(w, loss_fn, step), _fd_vector(b, loss_fn, step))
                   for w, b in zip(params.weights, params.biases)],
@@ -107,10 +104,8 @@ def max_relative_error(graph: LocalGraph, params: ModelParams,
     packet = backward(graph, params, labels)
     fd = finite_difference(graph, params, labels, step)
     worst = _rel_err(packet.user_grad, fd["user"])
-    for e, fd_vec in fd["entities"].items():
-        worst = max(worst, _rel_err(packet.entity_grads.entries[e], fd_vec))
-    for r, fd_vec in fd["relations"].items():
-        worst = max(worst, _rel_err(packet.relation_grads.entries[r], fd_vec))
+    worst = max(worst, _rel_err(packet.entity_grads.rows(), fd["entities"]),
+                _rel_err(packet.relation_grads.rows(), fd["relations"]))
     for (adw, adb), (fdw, fdb) in zip(packet.model_grads, fd["model"]):
         worst = max(worst, _rel_err(adw, fdw), _rel_err(adb, fdb))
     return worst

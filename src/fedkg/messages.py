@@ -57,10 +57,8 @@ class GradientUpload:
     client_id: int
     weight: int
     loss: float
-    entity_ids: list[int]
-    entity_rows: np.ndarray  # (len(entity_ids), d) float64
-    relation_ids: list[int]
-    relation_rows: np.ndarray
+    entities: SparseGrad
+    relations: SparseGrad
     model: list[tuple[np.ndarray, np.ndarray]]  # per layer (dW, db)
     version: int = WIRE_VERSION
 
@@ -69,17 +67,12 @@ class GradientUpload:
         if packet.user_grad is not None:
             raise WireFormatError("refusing to build an upload from an unstripped packet")
         return cls(client_id=packet.client_id, weight=packet.weight,
-                   loss=float(packet.loss),
-                   entity_ids=packet.entity_grads.ids(),
-                   entity_rows=packet.entity_grads.rows(),
-                   relation_ids=packet.relation_grads.ids(),
-                   relation_rows=packet.relation_grads.rows(),
-                   model=list(packet.model_grads))
+                   loss=float(packet.loss), entities=packet.entity_grads,
+                   relations=packet.relation_grads, model=list(packet.model_grads))
 
     def to_packet(self) -> GradientPacket:
         return GradientPacket(
-            entity_grads=SparseGrad.from_rows(self.entity_ids, self.entity_rows),
-            relation_grads=SparseGrad.from_rows(self.relation_ids, self.relation_rows),
+            entity_grads=self.entities, relation_grads=self.relations,
             model_grads=list(self.model), user_grad=None, weight=self.weight,
             loss=self.loss, client_id=self.client_id)
 
@@ -87,10 +80,10 @@ class GradientUpload:
         payload = {"version": self.version, "type": "gradient_upload",
                    "client_id": self.client_id, "weight": self.weight,
                    "loss": self.loss,
-                   "entities": {"ids": self.entity_ids,
-                                "vectors": self.entity_rows.tolist()},
-                   "relations": {"ids": self.relation_ids,
-                                 "vectors": self.relation_rows.tolist()},
+                   "entities": {"ids": self.entities.ids().tolist(),
+                                "vectors": self.entities.rows().tolist()},
+                   "relations": {"ids": self.relations.ids().tolist(),
+                                 "vectors": self.relations.rows().tolist()},
                    "model": [{"w": dw.tolist(), "b": db.tolist()} for dw, db in self.model]}
         return json.dumps(payload, separators=(",", ":")).encode()
 
@@ -101,17 +94,34 @@ class GradientUpload:
         for part in ("entities", "relations"):
             _check_keys(payload[part], _SPARSE_KEYS, part)
         _check_version(payload)
-        ent, rel = payload["entities"], payload["relations"]
-        return cls(client_id=int(payload["client_id"]), weight=int(payload["weight"]),
+        weight = int(payload["weight"])
+        if weight < 1:
+            raise WireFormatError(f"upload weight {weight} is below 1")
+        return cls(client_id=int(payload["client_id"]), weight=weight,
                    loss=float(payload["loss"]),
-                   entity_ids=[int(i) for i in ent["ids"]],
-                   entity_rows=np.array(ent["vectors"], dtype=np.float64),
-                   relation_ids=[int(i) for i in rel["ids"]],
-                   relation_rows=np.array(rel["vectors"], dtype=np.float64),
+                   entities=_sparse_grad(payload["entities"], "entities"),
+                   relations=_sparse_grad(payload["relations"], "relations"),
                    model=[(np.array(layer["w"], dtype=np.float64),
                            np.array(layer["b"], dtype=np.float64))
                           for layer in payload["model"]],
                    version=int(payload["version"]))
+
+
+def _sparse_grad(part: dict, kind: str) -> SparseGrad:
+    """Decode one sparse gradient, rejecting anything SparseGrad cannot hold."""
+    try:
+        ids = np.array(part["ids"], dtype=np.int64)
+        rows = np.array(part["vectors"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or non-numeric
+        raise WireFormatError(f"{kind}: {exc}") from exc
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 0)
+    if ids.ndim != 1 or rows.ndim != 2 or len(rows) != len(ids):
+        raise WireFormatError(
+            f"{kind}: ids of shape {ids.shape} do not match vectors of shape {rows.shape}")
+    if np.any(ids < 0) or np.any(ids[1:] <= ids[:-1]):
+        raise WireFormatError(f"{kind} ids are not non-negative and strictly increasing")
+    return SparseGrad(ids, rows)
 
 
 @dataclass

@@ -22,6 +22,7 @@ adjoints accumulate over hops before the softmax backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,34 +68,41 @@ def init_model_params(dim: int, depth: int, mode: str,
 
 
 class SparseGrad:
-    """Sparse per-id gradient vectors."""
+    """Sparse per-id gradient: ids() is a sorted, distinct int64 array and
+    rows() the float64 (n, d) matrix whose row i belongs to ids()[i].
 
-    def __init__(self):
-        self.entries: dict[int, np.ndarray] = {}
+    The constructor wraps the arrays as they are; apply_global_update and
+    the wire decoder check the invariant. add() and the read-only
+    `entries` {id: row} view derived from the arrays exist for the
+    acceptance gate and perfbench; nothing in the package uses them.
+    """
 
-    @classmethod
-    def from_rows(cls, ids, rows: np.ndarray) -> "SparseGrad":
-        """One entry per id, holding the matching row of `rows`."""
-        out = cls()
-        out.entries = {int(i): row for i, row in zip(ids, rows)}
-        return out
+    def __init__(self, ids=(), rows=None):
+        self._ids = np.asarray(ids, dtype=np.int64)
+        self._rows = np.empty((0, 0)) if rows is None else np.asarray(rows, dtype=np.float64)
 
-    def add(self, idx: int, vec: np.ndarray) -> None:
-        idx = int(idx)
-        if idx in self.entries:
-            self.entries[idx] = self.entries[idx] + vec
-        else:
-            self.entries[idx] = np.array(vec, dtype=np.float64)
-
-    def ids(self) -> list[int]:
-        return sorted(self.entries)
+    def ids(self) -> np.ndarray:
+        return self._ids
 
     def rows(self) -> np.ndarray:
-        """The vectors stacked in ids() order."""
-        return np.array([self.entries[i] for i in self.ids()], dtype=np.float64)
+        return self._rows
+
+    @property
+    def entries(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self._ids.tolist(), self._rows)))
+
+    def add(self, idx: int, vec: np.ndarray) -> None:
+        """Add vec to the row of idx, inserting the id when it is new."""
+        rows, idx = dict(self.entries), int(idx)
+        rows[idx] = rows[idx] + vec if idx in rows else np.asarray(vec, dtype=np.float64)
+        self._ids = np.array(sorted(rows), dtype=np.int64)
+        self._rows = np.array([rows[i] for i in self._ids.tolist()], dtype=np.float64)
+
+    def __getitem__(self, idx: int) -> np.ndarray:
+        return self.entries[int(idx)]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ids)
 
     def __contains__(self, idx: int) -> bool:
         return int(idx) in self.entries
@@ -114,18 +122,6 @@ class GradientPacket:
     weight: int
     loss: float
     client_id: int = -1
-
-    def all_finite(self) -> bool:
-        for grads in (self.entity_grads, self.relation_grads):
-            for vec in grads.entries.values():
-                if not np.all(np.isfinite(vec)):
-                    return False
-        for dw, db in self.model_grads:
-            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-                return False
-        if self.user_grad is not None and not np.all(np.isfinite(self.user_grad)):
-            return False
-        return np.isfinite(self.loss)
 
 
 @dataclass
@@ -336,7 +332,7 @@ def backward(graph: LocalGraph, params: ModelParams,
     ent_grad = np.full((len(sub.entities), d), -0.0)
     np.add.at(ent_grad, np.concatenate(state.ent_rows), np.concatenate(adj[0]))
 
-    return GradientPacket(entity_grads=SparseGrad.from_rows(sub.entities, ent_grad),
-                          relation_grads=SparseGrad.from_rows(sub.relations, rel_grad),
+    return GradientPacket(entity_grads=SparseGrad(sub.entities, ent_grad),
+                          relation_grads=SparseGrad(sub.relations, rel_grad),
                           model_grads=model_grads, user_grad=user_grad,
                           weight=m, loss=loss)

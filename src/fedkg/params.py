@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams, init_model_params
+from .model import ModelParams, SparseGrad, init_model_params
 
 if TYPE_CHECKING:
     from .server import AggregatedGradient
@@ -67,25 +67,27 @@ def _checked_ids(ids, size: int, kind: str) -> np.ndarray:
     return ids
 
 
-def _update_rows(grads: dict[int, np.ndarray], table: np.ndarray,
+def _update_rows(grad: SparseGrad, table: np.ndarray,
                  kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a sparse {id: row} update against a table; return (ids, rows)."""
-    ids = _checked_ids(sorted(grads), len(table), kind)
-    rows = [np.asarray(grads[i]) for i in ids]
-    if any(row.shape != table.shape[1:] for row in rows):
-        raise ValueError(f"{kind} gradient row width differs from {table.shape[1]}")
-    stacked = np.array(rows, dtype=np.float64).reshape(len(ids), table.shape[1])
-    if not np.all(np.isfinite(stacked)):
+    """Validate a sparse update against a table; return its (ids, rows)."""
+    ids, rows = _checked_ids(grad.ids(), len(table), kind), grad.rows()
+    if np.any(ids[1:] <= ids[:-1]):  # fancy-index -= would drop all but one repeat
+        raise ValueError(f"{kind} gradient ids are not sorted and distinct")
+    width = table.shape[1]
+    if rows.shape != (len(ids), width) and (len(ids) or rows.size):
+        raise ValueError(
+            f"{kind} gradient rows have shape {rows.shape}, expected ({len(ids)}, {width})")
+    if not np.all(np.isfinite(rows)):
         raise ValueError(f"non-finite {kind} gradient in aggregated update")
-    return ids, stacked
+    return ids, rows.reshape(len(ids), width)
 
 
 def apply_global_update(state: ParameterState, avg: "AggregatedGradient",
                         eta: float) -> None:
     """Plain gradient descent: p <- p - eta * avg_p on every touched parameter.
 
-    Checks every id range, row width and value before the first write, so
-    a bad round leaves the state bitwise unchanged.
+    Checks every id range and order, row width and value before the first
+    write, so a bad round leaves the state bitwise unchanged.
     """
     ent_ids, ent_rows = _update_rows(avg.entity, state.entity_emb, "entity")
     rel_ids, rel_rows = _update_rows(avg.relation, state.relation_emb, "relation")

@@ -5,6 +5,11 @@ mixing plus randomized response on the 0/1 interaction labels, keep
 probability e^eps / (e^eps + 1)), and gradient protection (per-element
 clip to [-delta, +delta] plus i.i.d. Laplace(0, lambda) noise, budget
 eps = 2*delta/lambda).
+
+Gradient protection clips one buffer of every uploaded element and adds
+one Laplace draw of its size. Buffer order: entity rows (ids ascending,
+row-major), relation rows, then each layer's dW followed by its db; the
+generator draws element by element, so this equals a per-row loop.
 """
 
 from __future__ import annotations
@@ -84,20 +89,16 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
 
     user_grad is dropped entirely: it never leaves the client.
     """
-    def protect(vec: np.ndarray) -> np.ndarray:
-        out = np.clip(vec, -config.delta, config.delta)
-        if config.lam > 0:
-            out = out + rng.laplace(0.0, config.lam, size=out.shape)
-        return out
-
-    ent = SparseGrad()
-    for idx in packet.entity_grads.ids():
-        ent.entries[idx] = protect(packet.entity_grads.entries[idx])
-    rel = SparseGrad()
-    for idx in packet.relation_grads.ids():
-        rel.entries[idx] = protect(packet.relation_grads.entries[idx])
-    model = [(protect(dw), protect(db)) for dw, db in packet.model_grads]
-    return GradientPacket(entity_grads=ent, relation_grads=rel, model_grads=model,
+    parts = [packet.entity_grads.rows(), packet.relation_grads.rows(),
+             *(a for pair in packet.model_grads for a in pair)]
+    buf = np.clip(np.concatenate([np.ravel(a) for a in parts]), -config.delta, config.delta)
+    if config.lam > 0:
+        buf += rng.laplace(0.0, config.lam, size=buf.size)
+    ent, rel, *model = [piece.reshape(a.shape) for piece, a in
+                        zip(np.split(buf, np.cumsum([a.size for a in parts[:-1]])), parts)]
+    return GradientPacket(entity_grads=SparseGrad(packet.entity_grads.ids(), ent),
+                          relation_grads=SparseGrad(packet.relation_grads.ids(), rel),
+                          model_grads=list(zip(model[::2], model[1::2])),
                           user_grad=None, weight=packet.weight, loss=packet.loss,
                           client_id=packet.client_id)
 

@@ -5,6 +5,12 @@ coordinates divide only by the weights of packets that touched them, so
 rarely-seen entities are not shrunk by absent clients. Packets are always
 reduced in client-id order, which makes parallel rounds bitwise
 reproducible.
+
+The sparse parts are a segment reduction: np.unique maps the client-order
+concatenation of the packets' ids to output rows, and np.add.at sums the
+weighted rows into a -0.0 matrix and the weights into a 0.0 vector. It
+adds repeated indices in order and -0.0 + x == x, so it is bitwise the
+sequential per-id sum.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from .client import ClientState, build_request, local_train, merge_graphs
 from .kg import KnowledgeGraph, sample_subgraph
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
-from .model import GradientPacket
+from .model import GradientPacket, SparseGrad
 from .params import ParameterState, apply_global_update, gather
 from .privacy import DpConfig, ldp_encrypt
 from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
@@ -46,8 +52,8 @@ class RoundConfig:
 
 @dataclass
 class AggregatedGradient:
-    entity: dict[int, np.ndarray] = field(default_factory=dict)
-    relation: dict[int, np.ndarray] = field(default_factory=dict)
+    entity: SparseGrad = field(default_factory=SparseGrad)
+    relation: SparseGrad = field(default_factory=SparseGrad)
     model: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
@@ -94,41 +100,33 @@ def aggregate(packets: list[GradientPacket]) -> AggregatedGradient:
     if not packets:
         raise ValueError("aggregate over zero packets")
     ordered = sorted(packets, key=lambda p: p.client_id)
-
-    ent_num: dict[int, np.ndarray] = {}
-    ent_den: dict[int, float] = {}
-    rel_num: dict[int, np.ndarray] = {}
-    rel_den: dict[int, float] = {}
-    total_weight = 0.0
+    weights = [float(p.weight) for p in ordered]
+    total_weight = sum(weights)
     model_num = [(np.zeros_like(dw), np.zeros_like(db))
                  for dw, db in ordered[0].model_grads]
-    for p in ordered:
-        w = float(p.weight)
-        total_weight += w
-        for idx in p.entity_grads.ids():
-            vec = w * p.entity_grads.entries[idx]
-            if idx in ent_num:
-                ent_num[idx] = ent_num[idx] + vec
-                ent_den[idx] += w
-            else:
-                ent_num[idx] = vec
-                ent_den[idx] = w
-        for idx in p.relation_grads.ids():
-            vec = w * p.relation_grads.entries[idx]
-            if idx in rel_num:
-                rel_num[idx] = rel_num[idx] + vec
-                rel_den[idx] += w
-            else:
-                rel_num[idx] = vec
-                rel_den[idx] = w
+    for w, p in zip(weights, ordered):
         for (nw, nb), (dw, db) in zip(model_num, p.model_grads):
             nw += w * dw
             nb += w * db
 
     return AggregatedGradient(
-        entity={i: ent_num[i] / ent_den[i] for i in sorted(ent_num)},
-        relation={i: rel_num[i] / rel_den[i] for i in sorted(rel_num)},
+        entity=_segment_mean(weights, [p.entity_grads for p in ordered]),
+        relation=_segment_mean(weights, [p.relation_grads for p in ordered]),
         model=[(nw / total_weight, nb / total_weight) for nw, nb in model_num])
+
+
+def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:
+    """Per-id weighted mean over the packets that carry each id, in list order."""
+    touched = [(w, g) for w, g in zip(weights, grads) if len(g)]
+    if not touched:
+        return SparseGrad()
+    ids, segment = np.unique(np.concatenate([g.ids() for _, g in touched]),
+                             return_inverse=True)
+    num = np.full((len(ids), touched[0][1].rows().shape[1]), -0.0)
+    den = np.zeros(len(ids))
+    np.add.at(num, segment, np.concatenate([w * g.rows() for w, g in touched]))
+    np.add.at(den, segment, np.repeat([w for w, _ in touched], [len(g) for _, g in touched]))
+    return SparseGrad(ids, num / den[:, None])
 
 
 def _client_round(client: ClientState, kg: KnowledgeGraph, params: ParameterState,

@@ -146,10 +146,9 @@ def test_local_train_epochs_differ():
         model.weights[layer] -= 0.2 * dw
         model.biases[layer] -= 0.2 * db
     second = backward(graph, model)
-    assert two.entity_grads.ids() == graph.subgraph.entities.tolist()
-    for i in two.entity_grads.ids():
-        assert np.array_equal(two.entity_grads.entries[i],
-                              first.entity_grads.entries[i] + second.entity_grads.entries[i])
+    assert np.array_equal(two.entity_grads.ids(), graph.subgraph.entities)
+    assert np.array_equal(two.entity_grads.rows(),
+                          first.entity_grads.rows() + second.entity_grads.rows())
 
 
 def test_local_train_near_zero_packet_at_flat_optimum():

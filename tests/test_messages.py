@@ -46,11 +46,12 @@ def test_upload_roundtrip_is_bitwise():
 def test_upload_holds_arrays_until_serialized():
     packet = _stripped_packet()
     upload = GradientUpload.from_packet(packet)
-    assert upload.entity_ids == [1, 4] and upload.relation_ids == [0]
-    assert upload.entity_rows.dtype == np.float64 and upload.entity_rows.shape == (2, 2)
-    assert np.array_equal(upload.entity_rows[1], packet.entity_grads.entries[4])
+    assert upload.entities.ids().tolist() == [1, 4] and upload.relations.ids().tolist() == [0]
+    rows = upload.entities.rows()
+    assert rows.dtype == np.float64 and rows.shape == (2, 2)
+    assert np.array_equal(rows[1], packet.entity_grads.entries[4])
     again = upload.to_packet()
-    assert again.entity_grads.ids() == [1, 4]
+    assert again.entity_grads.ids().tolist() == [1, 4]
     assert again.model_grads[0][0] is packet.model_grads[0][0]
 
 
@@ -67,6 +68,23 @@ def test_messages_reject_other_wire_version():
         GradientUpload.from_json_bytes(json.dumps(payload).encode())
     with pytest.raises(WireFormatError, match="version"):
         RequestMessage.from_json_bytes(b'{"version":1,"type":"request","client_id":1,"items":[1]}')
+
+
+@pytest.mark.parametrize("part, key, value", [
+    ("entities", "ids", [1, 4, 7]),
+    ("entities", "ids", [4, 4]),
+    ("entities", "ids", [4, 1]),
+    ("entities", "ids", [-1, 4]),
+    ("entities", "vectors", [[0.3, 0.7], [0.125]]),
+    ("entities", "vectors", [0.3, 0.125]),
+    (None, "weight", 0),
+], ids=["truncation", "duplicate-ids", "unsorted-ids", "negative-id",
+        "ragged-vectors", "flat-vectors", "zero-weight"])
+def test_upload_decode_rejects_malformed(part, key, value):
+    payload = json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
+    (payload[part] if part else payload)[key] = value
+    with pytest.raises(WireFormatError):
+        GradientUpload.from_json_bytes(json.dumps(payload).encode())
 
 
 def test_upload_refuses_unstripped_packet():

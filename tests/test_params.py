@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedkg.model import SparseGrad
 from fedkg.params import (apply_global_update, gather, init_params,
                           load_checkpoint, save_checkpoint)
 from fedkg.rng import derive_rng
@@ -65,7 +66,7 @@ def test_gather_invalid_id():
 def test_gather_reflects_update():
     state = init_params(5, 2, 4, derive_rng(7, 0))
     before, _ = gather(state, [1], [])
-    avg = AggregatedGradient(entity={1: np.full(4, 0.5)}, relation={}, model=[])
+    avg = AggregatedGradient(entity=SparseGrad([1], np.full((1, 4), 0.5)))
     apply_global_update(state, avg, eta=0.1)
     after, _ = gather(state, [1], [])
     assert np.allclose(after[0], before[0] - 0.05)
@@ -81,7 +82,7 @@ def test_gather_rows_follow_id_order():
 def test_update_direct_arithmetic():
     state = init_params(2, 1, 2, derive_rng(8, 0))
     state.entity_emb[0] = [1.0, 1.0]
-    avg = AggregatedGradient(entity={0: np.array([0.5, 0.5])}, relation={}, model=[])
+    avg = AggregatedGradient(entity=SparseGrad([0], [[0.5, 0.5]]))
     apply_global_update(state, avg, eta=0.02)
     assert np.allclose(state.entity_emb[0], [0.99, 0.99])
 
@@ -90,7 +91,7 @@ def test_update_lastfm_eta():
     # Last.FM learning rate 5e-4: theta=1, g=1 -> 0.9995
     state = init_params(1, 1, 1, derive_rng(9, 0))
     state.entity_emb[0, 0] = 1.0
-    avg = AggregatedGradient(entity={0: np.array([1.0])}, relation={}, model=[])
+    avg = AggregatedGradient(entity=SparseGrad([0], [[1.0]]))
     apply_global_update(state, avg, eta=5e-4)
     assert np.isclose(state.entity_emb[0, 0], 0.9995)
 
@@ -105,8 +106,7 @@ def test_update_empty_gradient_is_identity():
 def test_update_zero_gradient_is_identity():
     state = init_params(4, 2, 3, derive_rng(11, 0))
     snapshot = state.entity_emb.copy()
-    avg = AggregatedGradient(entity={i: np.zeros(3) for i in range(4)},
-                             relation={}, model=[])
+    avg = AggregatedGradient(entity=SparseGrad(np.arange(4), np.zeros((4, 3))))
     apply_global_update(state, avg, eta=0.5)
     assert np.array_equal(state.entity_emb, snapshot)
 
@@ -115,24 +115,30 @@ def test_update_rejects_nan_and_leaves_state_unchanged():
     state = init_params(4, 2, 3, derive_rng(12, 0))
     snap_e = state.entity_emb.copy()
     snap_r = state.relation_emb.copy()
-    avg = AggregatedGradient(entity={0: np.array([0.1, np.nan, 0.0]),
-                                     2: np.ones(3)}, relation={}, model=[])
+    avg = AggregatedGradient(entity=SparseGrad([0, 2], [[0.1, np.nan, 0.0], [1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError):
         apply_global_update(state, avg, eta=0.1)
     assert np.array_equal(state.entity_emb, snap_e)
     assert np.array_equal(state.relation_emb, snap_r)
 
 
+def _grad(ids, width=3):
+    return SparseGrad(ids, np.ones((len(ids), width)))
+
+
 @pytest.mark.parametrize("avg, error", [
-    (AggregatedGradient(entity={0: np.ones(3), -1: np.ones(3)}), KeyError),
-    (AggregatedGradient(entity={0: np.ones(3), 4: np.ones(3)}), KeyError),
-    (AggregatedGradient(entity={0: np.ones(3)}, relation={2: np.ones(3)}), KeyError),
-    (AggregatedGradient(entity={0: np.ones(3), 1: np.ones(2)}), ValueError),
-    (AggregatedGradient(entity={0: np.ones(3)}, relation={1: np.ones(4)}), ValueError),
-    (AggregatedGradient(entity={0: np.ones(3)}, model=[(np.ones((2, 2)), np.ones(3))]),
+    (AggregatedGradient(entity=_grad([-1, 0])), KeyError),
+    (AggregatedGradient(entity=_grad([0, 4])), KeyError),
+    (AggregatedGradient(entity=_grad([0]), relation=_grad([2])), KeyError),
+    (AggregatedGradient(entity=_grad([0, 1], width=2)), ValueError),
+    (AggregatedGradient(entity=_grad([0]), relation=_grad([1], width=4)), ValueError),
+    (AggregatedGradient(entity=_grad([0]), model=[(np.ones((2, 2)), np.ones(3))]),
      ValueError),
+    (AggregatedGradient(entity=_grad([2, 0])), ValueError),
+    (AggregatedGradient(entity=_grad([1, 1])), ValueError),
 ], ids=["negative-entity", "entity-past-end", "relation-past-end",
-        "narrow-entity-row", "wide-relation-row", "model-shape"])
+        "narrow-entity-row", "wide-relation-row", "model-shape",
+        "unsorted-entity-ids", "repeated-entity-ids"])
 def test_update_rejects_malformed_and_leaves_state_unchanged(avg, error):
     state = init_params(4, 2, 3, derive_rng(19, 0))
     snap_e = state.entity_emb.copy()
@@ -148,22 +154,23 @@ def test_update_rejects_malformed_and_leaves_state_unchanged(avg, error):
 def test_update_linearity():
     rng = derive_rng(13, 0)
     base = init_params(6, 3, 4, derive_rng(14, 0))
-    g1 = {i: rng.normal(size=4) for i in range(6)}
-    g2 = {i: rng.normal(size=4) for i in range(3, 6)}
+    g1 = SparseGrad(np.arange(6), rng.normal(size=(6, 4)))
+    g2 = SparseGrad(np.arange(3, 6), rng.normal(size=(3, 4)))
     seq = base.copy()
     apply_global_update(seq, AggregatedGradient(entity=g1), eta=0.3)
     apply_global_update(seq, AggregatedGradient(entity=g2), eta=0.3)
-    combined = {i: g1.get(i, 0) + g2.get(i, 0) for i in range(6)}
+    combined = g1.rows().copy()
+    combined[3:] += g2.rows()
     once = base.copy()
-    apply_global_update(once, AggregatedGradient(
-        entity={i: np.asarray(v, dtype=float) for i, v in combined.items()}), eta=0.3)
+    apply_global_update(once, AggregatedGradient(entity=SparseGrad(np.arange(6), combined)),
+                        eta=0.3)
     assert np.allclose(seq.entity_emb, once.entity_emb, rtol=1e-10, atol=1e-14)
 
 
 def test_untouched_rows_unchanged():
     state = init_params(6, 3, 4, derive_rng(15, 0))
     snapshot = state.entity_emb.copy()
-    avg = AggregatedGradient(entity={2: np.ones(4)}, relation={}, model=[])
+    avg = AggregatedGradient(entity=SparseGrad([2], np.ones((1, 4))))
     apply_global_update(state, avg, eta=0.1)
     for row in (0, 1, 3, 4, 5):
         assert np.array_equal(state.entity_emb[row], snapshot[row])

@@ -145,6 +145,48 @@ def test_laplace_noise_statistics():
     assert abs(mle_scale - lam) / lam < 0.05
 
 
+def reference_ldp(packet, cfg, rng):
+    """Clip and draw row by row: entity rows, relation rows, then dW, db per layer."""
+    def protect(vec):
+        return np.clip(vec, -cfg.delta, cfg.delta) + rng.laplace(0.0, cfg.lam, size=vec.shape)
+
+    return ([protect(row) for row in packet.entity_grads.rows()],
+            [protect(row) for row in packet.relation_grads.rows()],
+            [(protect(dw), protect(db)) for dw, db in packet.model_grads])
+
+
+def test_ldp_encrypt_matches_per_row_reference_stream():
+    cfg = DpConfig(delta=0.5, lam=1e-2, flip_rate=0.0, pseudo_count=0)
+    clipped = 0
+    for trial in range(30):
+        rng = derive_rng(11, trial)
+        d = int(rng.integers(1, 5))
+        packet = _packet(
+            entity={int(i): rng.normal(size=d)
+                    for i in rng.choice(20, size=int(rng.integers(1, 8)), replace=False)},
+            relation={int(i): rng.normal(size=d)
+                      for i in rng.choice(4, size=int(rng.integers(0, 3)), replace=False)},
+            model=[(rng.normal(size=(d, d)), rng.normal(size=d))
+                   for _ in range(int(rng.integers(0, 3)))],
+            user=rng.normal(size=d))
+        clipped += sum(int(np.sum(np.abs(a) > cfg.delta)) for a in
+                       [packet.entity_grads.rows(), *(a for p in packet.model_grads for a in p)])
+        ours, theirs = derive_rng(12, trial), derive_rng(12, trial)
+        out = ldp_encrypt(packet, cfg, ours)
+        ent, rel, model = reference_ldp(packet, cfg, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(out.entity_grads.ids(), packet.entity_grads.ids())
+        assert np.array_equal(out.relation_grads.ids(), packet.relation_grads.ids())
+        assert np.array_equal(out.entity_grads.rows(),
+                              np.reshape(ent, packet.entity_grads.rows().shape))
+        assert np.array_equal(out.relation_grads.rows(),
+                              np.reshape(rel, packet.relation_grads.rows().shape))
+        assert len(out.model_grads) == len(model)
+        for (dw, db), (rw, rb) in zip(out.model_grads, model):
+            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+    assert clipped > 0
+
+
 def test_privacy_budget_formula():
     assert privacy_budget(0.1, 1e-4) == 2 * 0.1 / 1e-4
     assert abs(privacy_budget(0.1, 1e-4) - 2000.0) < 1e-9

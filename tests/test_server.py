@@ -162,10 +162,42 @@ def test_aggregate_permutation_invariant_bitwise():
     rev = aggregate(packets[::-1])
     mid = aggregate([packets[2], packets[0], packets[4], packets[1], packets[3]])
     for other in (rev, mid):
-        for idx in fwd.entity:
-            assert np.array_equal(fwd.entity[idx], other.entity[idx])
-        for idx in fwd.relation:
-            assert np.array_equal(fwd.relation[idx], other.relation[idx])
+        for part in ("entity", "relation"):
+            ours, theirs = getattr(fwd, part), getattr(other, part)
+            assert np.array_equal(ours.ids(), theirs.ids())
+            assert np.array_equal(ours.rows(), theirs.rows())
+
+
+def sequential_mean(packets, attr):
+    """Per-id accumulation in client-id order, one id at a time."""
+    num, den = {}, {}
+    for p in sorted(packets, key=lambda p: p.client_id):
+        w = float(p.weight)
+        grads = getattr(p, attr)
+        for idx, row in zip(grads.ids().tolist(), grads.rows()):
+            if idx in num:
+                num[idx] = num[idx] + w * row
+                den[idx] += w
+            else:
+                num[idx] = w * row
+                den[idx] = w
+    return {idx: num[idx] / den[idx] for idx in sorted(num)}
+
+
+def test_aggregate_matches_sequential_reference_bitwise():
+    rng = derive_rng(17, 0)
+    for trial in range(25):
+        packets = [_random_packet(rng, client_id=c) for c in range(int(rng.integers(2, 7)))]
+        packets[0].entity_grads.add(50, np.full(3, -0.0))  # touched by one client only
+        packets[-1].relation_grads = SparseGrad()
+        order = rng.permutation(len(packets))
+        avg = aggregate([packets[i] for i in order])
+        for part, attr in (("entity", "entity_grads"), ("relation", "relation_grads")):
+            want = sequential_mean(packets, attr)
+            got = getattr(avg, part)
+            assert got.ids().tolist() == list(want)
+            assert got.rows().tobytes() == np.array(list(want.values())).tobytes()
+        assert 50 in avg.entity
 
 
 def test_aggregate_equal_weights_is_plain_mean():
