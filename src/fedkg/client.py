@@ -27,8 +27,8 @@ class ClientState:
     interactions: set[int]  # training-split positives only
 
 
-def build_request(state: ClientState, negatives_pool: list[int], dp: DpConfig,
-                  rng: np.random.Generator) -> tuple[RequestPlan, RequestMessage]:
+def build_request(state: ClientState, negatives_pool: list[int] | np.ndarray,
+                  dp: DpConfig, rng: np.random.Generator) -> tuple[RequestPlan, RequestMessage]:
     """Obfuscate the interaction set into a request; labels stay local."""
     plan = generate_request_items(state.interactions, negatives_pool, dp, rng)
     msg = RequestMessage(client_id=state.user_id, items=list(plan.request_items))

@@ -101,9 +101,7 @@ class GradientUpload:
                    loss=float(payload["loss"]),
                    entities=_sparse_grad(payload["entities"], "entities"),
                    relations=_sparse_grad(payload["relations"], "relations"),
-                   model=[(np.array(layer["w"], dtype=np.float64),
-                           np.array(layer["b"], dtype=np.float64))
-                          for layer in payload["model"]],
+                   model=[_model_layer(layer) for layer in payload["model"]],
                    version=int(payload["version"]))
 
 
@@ -122,6 +120,22 @@ def _sparse_grad(part: dict, kind: str) -> SparseGrad:
     if np.any(ids < 0) or np.any(ids[1:] <= ids[:-1]):
         raise WireFormatError(f"{kind} ids are not non-negative and strictly increasing")
     return SparseGrad(ids, rows)
+
+
+def _model_layer(layer: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one (dW, db) pair: a 2-D dW and a 1-D db with one entry per dW row."""
+    if not isinstance(layer, dict):
+        raise WireFormatError(f"model layer is a {type(layer).__name__}, not an object")
+    _check_keys(layer, ("w", "b"), "model layer")
+    try:
+        dw = np.array(layer["w"], dtype=np.float64)
+        db = np.array(layer["b"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or non-numeric
+        raise WireFormatError(f"model layer: {exc}") from exc
+    if dw.ndim != 2 or db.shape != dw.shape[:1]:
+        raise WireFormatError(
+            f"model layer: w of shape {dw.shape} does not match b of shape {db.shape}")
+    return dw, db
 
 
 @dataclass

@@ -45,16 +45,10 @@ def auc(scores, labels) -> float | None:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = float(np.sum(ranks[np.asarray(y) == 1]))
+    # a group of tied scores spans ranks end-count+1..end; all get its midpoint
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
+    rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -75,20 +69,17 @@ def f1(scores, labels, threshold: float = 0.5) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def recall_from_scores(scores: np.ndarray, candidates: list[int],
+def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
                        positives: set[int], ks: list[int]) -> dict[int, float]:
     """Top-K recall given precomputed candidate scores; ties break by item id."""
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i]))
-    ranked = [candidates[i] for i in order]
-    out = {}
-    for k in ks:
-        hits = sum(1 for item in ranked[:k] if item in positives)
-        out[k] = hits / len(positives)
-    return out
+    candidates = np.asarray(candidates, dtype=np.int64)
+    order = np.lexsort((candidates, -np.asarray(scores)))
+    hits = np.isin(candidates[order], list(positives))
+    return {k: int(np.sum(hits[:k])) / len(positives) for k in ks}
 
 
 def score_items(params: ParameterState, kg: KnowledgeGraph, user_emb: np.ndarray,
-                items: list[int], sample_size: int, depth: int,
+                items: list[int] | np.ndarray, sample_size: int, depth: int,
                 rng: np.random.Generator) -> np.ndarray:
     """Run the trained model for one user over candidate items."""
     subgraph = sample_subgraph(kg, items, sample_size, depth, rng)
@@ -135,8 +126,9 @@ def recall_at_k(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     positives = set(dataset.test[user])
     if not positives:
         return None
-    excluded = set(dataset.train[user]) | set(dataset.valid[user])
-    candidates = [i for i in range(dataset.num_items) if i not in excluded]
+    keep = np.ones(dataset.num_items, dtype=bool)
+    keep[dataset.train[user] + dataset.valid[user]] = False
+    candidates = np.flatnonzero(keep)
     scores = score_items(params, dataset.kg, user_emb[user], candidates,
                          sample_size, depth, rng)
     return recall_from_scores(scores, candidates, positives, ks)

@@ -11,8 +11,11 @@ mean binary cross-entropy.
 The model reads the subgraph's arrays directly (see `kg`): hop values are
 one (n_depth, d) matrix per depth, gathered from the graph's entity rows;
 layer l combines the rows of depth l that are not isolated with their
-tail rows in depth l+1. Entity gradients come back as one row per id in
-`subgraph.entities`, summed over depths in depth order.
+tail rows in depth l+1. As in KGCN's receptive field, hop h updates only
+depths 0..H-h, the ones a later hop or the readout reads: the hop states
+form a triangle from H+1 depths down to the anchors alone. Entity
+gradients come back as one row per id in `subgraph.entities`, summed over
+depths in depth order.
 
 The backward pass is hand-derived and exact (checked against central
 finite differences); attention weights are shared across hops, so their
@@ -190,9 +193,8 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
 class _ForwardState:
     ent_rows: list[np.ndarray]  # per depth, rows into graph.entity_rows
     alphas: list[np.ndarray]  # per layer (n_sampled, K)
-    hops: list[list[np.ndarray]]  # hops[i][depth] -> (n_depth, d) values after hop i
+    hops: list[list[np.ndarray]]  # hops[i][depth], depth <= H-i -> (n_depth, d) after hop i
     aggs: list[list[np.ndarray]]  # aggregated neighbor sums per hop/layer
-    logits: np.ndarray
     predictions: np.ndarray
 
 
@@ -212,9 +214,9 @@ def _forward(graph: LocalGraph, params: ModelParams) -> _ForwardState:
     aggs: list[list[np.ndarray]] = []
     for hop in range(1, sub.depth + 1):
         prev = hops[-1]
-        cur = [v.copy() for v in prev]
+        cur = [v.copy() for v in prev[:-1]]  # depths 0..H-hop
         hop_aggs: list[np.ndarray] = []
-        for lvl, layer in enumerate(sub.layers):
+        for lvl, layer in enumerate(sub.layers[:len(cur)]):
             sampled = layer.sampled
             nbr = prev[lvl + 1][layer.tail_rows]  # (n_sampled, K, d)
             agg = np.einsum("nk,nkd->nd", alphas[lvl], nbr)
@@ -228,11 +230,8 @@ def _forward(graph: LocalGraph, params: ModelParams) -> _ForwardState:
         hops.append(cur)
         aggs.append(hop_aggs)
 
-    final_anchor = hops[-1][0]
-    logits = final_anchor @ u if len(final_anchor) else np.empty(0)
-    preds = sigmoid(logits) if logits.size else np.empty(0)
     return _ForwardState(ent_rows=ent_rows, alphas=alphas, hops=hops, aggs=aggs,
-                         logits=logits, predictions=np.atleast_1d(preds))
+                         predictions=sigmoid(hops[-1][0] @ u))
 
 
 def propagate(graph: LocalGraph, params: ModelParams, depth: int) -> np.ndarray:
@@ -275,7 +274,7 @@ def backward(graph: LocalGraph, params: ModelParams,
     clamped = (preds <= PROB_CLAMP) | (preds >= 1.0 - PROB_CLAMP)
     dz[clamped] = 0.0
 
-    user_grad = state.hops[-1][0].T @ dz if m else np.zeros(d)
+    user_grad = state.hops[-1][0].T @ dz
 
     # Adjoints per hop state; only the final anchors receive loss gradient.
     adj = [[np.zeros_like(v) for v in hop] for hop in state.hops]
@@ -286,7 +285,7 @@ def backward(graph: LocalGraph, params: ModelParams,
 
     for hop in range(sub.depth, 0, -1):
         prev = state.hops[hop - 1]
-        for lvl, layer in enumerate(sub.layers):
+        for lvl, layer in enumerate(sub.layers[:len(state.hops[hop])]):
             g_full = adj[hop][lvl]
             adj[hop - 1][lvl][layer.isolated] += g_full[layer.isolated]
             if len(layer.rel_rows) == 0:
@@ -310,9 +309,6 @@ def backward(graph: LocalGraph, params: ModelParams,
             contrib = state.alphas[lvl][:, :, None] * dagg[:, None, :]
             np.add.at(adj[hop - 1][lvl + 1], layer.tail_rows.reshape(-1),
                       contrib.reshape(-1, d))
-        # Depths deeper than any center layer (the leaves) carry raw values
-        # through every hop; pass their adjoint straight through.
-        adj[hop - 1][sub.depth] += adj[hop][sub.depth]
 
     # Softmax backward, once per layer (weights are shared across hops).
     rel_grad = np.zeros_like(graph.relation_rows)

@@ -55,23 +55,25 @@ class NegativePoolError(ValueError):
     """Not enough non-interacted items to mix in the configured pseudo count."""
 
 
-def generate_request_items(interactions: set[int], negatives: list[int],
+def generate_request_items(interactions: set[int], negatives: list[int] | np.ndarray,
                            config: DpConfig, rng: np.random.Generator) -> RequestPlan:
     """Mix pseudo items into the interaction set and flip labels independently.
 
     Candidates are the interactions (label 1) plus the first pseudo_count
-    negatives (label 0); each label flips with probability flip_rate, and
-    the combined list is shuffled so order leaks nothing.
+    negatives (label 0), a list or an id array; each label flips with
+    probability flip_rate, and the combined list is shuffled so order leaks
+    nothing.
     """
     pseudo = len(interactions) if config.pseudo_count is None else config.pseudo_count
     if len(negatives) < pseudo:
         raise NegativePoolError(
             f"need {pseudo} pseudo items but only {len(negatives)} negatives available")
-    overlap = set(negatives[:pseudo]) & interactions
+    pseudo_ids = [int(i) for i in negatives[:pseudo]]
+    overlap = set(pseudo_ids) & interactions
     if overlap:
         raise NegativePoolError(f"negatives overlap interactions: {sorted(overlap)[:5]}")
 
-    items = sorted(interactions) + list(negatives[:pseudo])
+    items = sorted(interactions) + pseudo_ids
     labels = np.array([1] * len(interactions) + [0] * pseudo, dtype=np.int64)
     if config.flip_rate > 0 and len(items):
         flips = rng.random(len(items)) < config.flip_rate

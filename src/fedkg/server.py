@@ -95,11 +95,17 @@ def aggregate(packets: list[GradientPacket]) -> AggregatedGradient:
     """Request-size weighted mean (per coordinate for the sparse parts).
 
     Packets are reduced in client-id order regardless of input order, so the
-    result is bitwise permutation-invariant.
+    result is bitwise permutation-invariant. Every packet must carry the
+    first packet's model-gradient layer count and shapes.
     """
     if not packets:
         raise ValueError("aggregate over zero packets")
     ordered = sorted(packets, key=lambda p: p.client_id)
+    shapes = [(dw.shape, db.shape) for dw, db in ordered[0].model_grads]
+    for p in ordered[1:]:
+        if [(dw.shape, db.shape) for dw, db in p.model_grads] != shapes:
+            raise ValueError(f"client {p.client_id} model gradients do not match "
+                             f"client {ordered[0].client_id}'s layers {shapes}")
     weights = [float(p.weight) for p in ordered]
     total_weight = sum(weights)
     model_num = [(np.zeros_like(dw), np.zeros_like(db))
@@ -138,9 +144,7 @@ def _client_round(client: ClientState, kg: KnowledgeGraph, params: ParameterStat
 
     pool = np.setdiff1d(np.arange(cfg.num_items),
                         np.array(sorted(client.interactions), dtype=np.int64))
-    negatives = [int(i) for i in crng.permutation(pool)]
-
-    plan, msg = build_request(client, negatives, cfg.dp, crng)
+    plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
     if cfg.transport == "json":
         raw = msg.to_json_bytes()
         captured.append(raw)
@@ -166,8 +170,9 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
 
     Clients run against the immutable pre-round snapshot (their gathers are
     copies) and may execute in parallel; uploads funnel into a sorted
-    reduction. Any client failure rolls back the selected clients' user
-    embeddings and leaves the global state untouched.
+    reduction. Any failure, in a client leg, the aggregation or the global
+    update, rolls back the selected clients' user embeddings and leaves the
+    global state untouched (apply_global_update checks before it writes).
     """
     start = time.perf_counter()
     rng = derive_rng(cfg.seed, ROLE_SELECT, round_index)
@@ -183,20 +188,17 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
         else:
             results = [_client_round(clients[cid], kg, params, cfg, round_index)
                        for cid in selected]
+        uploads = [r[0] for r in results]
+        apply_global_update(params, aggregate([u.to_packet() for u in uploads]), cfg.eta)
     except Exception:
         for cid, emb in saved_users.items():
             clients[cid].user_embedding[...] = emb
         raise
 
-    uploads = [r[0] for r in results]
     if wire_sink is not None:
         for _, captured in sorted(zip(selected, [r[1] for r in results])):
             for raw in captured:
                 wire_sink(raw)
-
-    packets = [u.to_packet() for u in uploads]
-    avg = aggregate(packets)
-    apply_global_update(params, avg, cfg.eta)
 
     mean_loss = float(np.mean([u.loss for u in sorted(uploads, key=lambda u: u.client_id)]))
     return RoundReport(round_index=round_index, mean_loss=mean_loss,

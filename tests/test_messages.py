@@ -78,8 +78,18 @@ def test_messages_reject_other_wire_version():
     ("entities", "vectors", [[0.3, 0.7], [0.125]]),
     ("entities", "vectors", [0.3, 0.125]),
     (None, "weight", 0),
+    ("model", 0, {"w": [[1.0, 2.0], [3.0]], "b": [0.0, 0.0]}),
+    ("model", 0, {"w": [["x", 2.0], [3.0, 4.0]], "b": [0.0, 0.0]}),
+    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.0], 1.0]}),
+    ("model", 0, {"w": [1.0, 2.0], "b": [0.0, 0.0]}),
+    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.0], [1.0]]}),
+    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 1.0, 2.0]}),
+    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("model", 0, [[1.0, 0.0], [0.0, 1.0]]),
 ], ids=["truncation", "duplicate-ids", "unsorted-ids", "negative-id",
-        "ragged-vectors", "flat-vectors", "zero-weight"])
+        "ragged-vectors", "flat-vectors", "zero-weight", "ragged-w", "non-numeric-w",
+        "ragged-b", "flat-w", "2d-b", "bias-length", "missing-b",
+        "layer-not-object"])
 def test_upload_decode_rejects_malformed(part, key, value):
     payload = json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
     (payload[part] if part else payload)[key] = value

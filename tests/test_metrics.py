@@ -126,6 +126,48 @@ def test_recall_tie_break_is_deterministic_by_item_id():
     assert rec[1] == 1.0  # lowest item id wins the tie
 
 
+def loop_rank_auc(scores, labels):
+    """Reference: average ranks of tied runs walked in a Python loop."""
+    s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    n_pos = int(np.sum(y == 1))
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(np.sum(ranks[y == 1]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (len(y) - n_pos))
+
+
+def loop_recall(scores, candidates, positives, ks):
+    """Reference: Python sort by (-score, item id), hits counted one by one."""
+    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i]))
+    ranked = [candidates[i] for i in order]
+    return {k: sum(1 for item in ranked[:k] if item in positives) / len(positives)
+            for k in ks}
+
+
+def test_ranking_matches_loop_reference_bitwise():
+    rng = derive_rng(5, 0)
+    for trial in range(300):
+        n = int(rng.integers(2, 60))
+        scores = rng.integers(0, int(rng.integers(1, 8)), n) / 7.0 if trial % 2 \
+            else rng.random(n)  # odd trials: few distinct values, many ties
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        assert auc(scores, labels) == loop_rank_auc(scores, labels)
+        candidates = [int(c) for c in rng.permutation(200)[:n]]
+        positives = {int(p) for p in rng.choice(200, int(rng.integers(1, 20)), replace=False)}
+        ks = [1, 5, 10, 50]
+        expected = loop_recall(scores, candidates, positives, ks)
+        assert recall_from_scores(scores, candidates, positives, ks) == expected
+        assert recall_from_scores(scores, np.array(candidates), positives, ks) == expected
+
+
 # --- model-driven evaluation ---------------------------------------------------
 
 def test_evaluate_ctr_untrained_near_chance():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedkg.gradcheck import max_relative_error, random_instance
-from fedkg.kg import Layer, Subgraph
+from fedkg.kg import Layer, Subgraph, Triple, build_kg, sample_subgraph
 from fedkg.model import (LocalGraph, ModelParams, attention_weights, backward,
                          bce_loss, forward_loss, init_model_params, predict,
                          propagate, softmax)
@@ -254,6 +254,25 @@ def test_backward_matches_finite_differences_sample():
         graph, params, labels = random_instance(31, idx)
         err = max_relative_error(graph, params, labels, step=1e-5)
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["replace", "transform"])
+def test_backward_matches_finite_differences_depth_three(mode):
+    # H=3: hop 1 updates depths 0-2, hop 2 depths 0-1, hop 3 the anchors only
+    for index in range(4):
+        rng = derive_rng(34, index)
+        ends = rng.integers(0, 11, size=(18, 2))  # entity 11 stays isolated
+        triples = [Triple(int(h), int(r), int(t))
+                   for (h, t), r in zip(ends, rng.integers(0, 3, size=18))]
+        sub = sample_subgraph(build_kg(triples, 12, 3), [11, 0, 5], 2, 3, rng)
+        assert len(sub.layers[2].rel_rows) > 0
+        d = 3
+        graph = LocalGraph(user=rng.uniform(-0.6, 0.6, d), labels=np.array([1.0, 0.0, 1.0]),
+                           subgraph=sub,
+                           entity_rows=rng.uniform(-0.6, 0.6, (len(sub.entities), d)),
+                           relation_rows=rng.uniform(-0.6, 0.6, (len(sub.relations), d)))
+        params = init_model_params(d, 3, mode, rng)
+        assert max_relative_error(graph, params, graph.labels, step=1e-5) < 1e-4
 
 
 def test_backward_weight_equals_anchor_count():

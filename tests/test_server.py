@@ -7,6 +7,7 @@ from fedkg.kg import Triple, build_kg
 from fedkg.messages import RequestMessage
 from fedkg.model import GradientPacket, SparseGrad
 from fedkg.params import init_params
+from fedkg.privacy import ldp_encrypt
 from fedkg.rng import derive_rng
 from fedkg.server import (RequestError, aggregate, run_round, select_clients,
                           serve_request, train)
@@ -217,6 +218,21 @@ def test_aggregate_empty_is_contract_violation():
         aggregate([])
 
 
+def test_aggregate_rejects_mismatched_model_layers():
+    def packet(client_id, weight, shapes):
+        return GradientPacket(SparseGrad(), SparseGrad(),
+                              [(np.ones((r, c)), np.ones(r)) for r, c in shapes],
+                              None, weight, 0.0, client_id=client_id)
+
+    for first, second in (((2, 2), (2, 2)), ((2, 2),)), (((2, 2),), ((2, 2), (2, 2))):
+        for order in ((0, 1), (1, 0)):  # either packet may come first
+            packets = [packet(0, 1, first), packet(1, 3, second)]
+            with pytest.raises(ValueError, match="model gradients"):
+                aggregate([packets[i] for i in order])
+    with pytest.raises(ValueError, match="model gradients"):
+        aggregate([packet(0, 1, [(2, 2)]), packet(1, 3, [(2, 3)])])
+
+
 # --- rounds ------------------------------------------------------------------
 
 def _small_federation(**overrides):
@@ -250,20 +266,35 @@ def test_round_updates_state():
     assert not np.array_equal(params.entity_emb, snap)
 
 
-def test_round_failure_is_atomic():
+def test_round_failure_is_atomic(monkeypatch):
+    from fedkg import server
     from fedkg.rng import ROLE_SELECT
 
-    cfg, dataset, params, user_emb, clients = _small_federation()
-    rcfg = round_config(cfg, dataset)
-    selected = select_clients(len(clients), rcfg.clients_per_round,
-                              derive_rng(rcfg.seed, ROLE_SELECT, 0))
-    clients[selected[2]].interactions.add(dataset.num_entities + 40)
-    snap_e = params.entity_emb.copy()
-    snap_users = user_emb.copy()
-    with pytest.raises(RequestError):
-        run_round(params, dataset.kg, clients, rcfg, 0)
-    assert np.array_equal(params.entity_emb, snap_e)
-    assert np.array_equal(user_emb, snap_users)
+    def nan_upload(target):
+        def encrypt(packet, config, rng):
+            protected = ldp_encrypt(packet, config, rng)
+            if packet.client_id == target:
+                protected.entity_grads.rows()[0] = np.nan
+            return protected
+        return encrypt
+
+    for failure in ("client-leg", "global-update"):
+        cfg, dataset, params, user_emb, clients = _small_federation()
+        rcfg = round_config(cfg, dataset)
+        selected = select_clients(len(clients), rcfg.clients_per_round,
+                                  derive_rng(rcfg.seed, ROLE_SELECT, 0))
+        if failure == "client-leg":  # the server rejects the request
+            clients[selected[2]].interactions.add(dataset.num_entities + 40)
+            error, match = RequestError, "unknown item"
+        else:  # every leg succeeds; apply_global_update rejects the NaN row
+            monkeypatch.setattr(server, "ldp_encrypt", nan_upload(selected[2]))
+            error, match = ValueError, "non-finite"
+        snap_e = params.entity_emb.copy()
+        snap_users = user_emb.copy()
+        with pytest.raises(error, match=match):
+            run_round(params, dataset.kg, clients, rcfg, 0)
+        assert np.array_equal(params.entity_emb, snap_e), failure
+        assert np.array_equal(user_emb, snap_users), failure
 
 
 def test_round_parallel_matches_sequential_bitwise():
