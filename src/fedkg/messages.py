@@ -2,14 +2,32 @@
 
 RequestMessage and GradientUpload are the only payloads a client ever
 sends; both are versioned with fixed field order and carry no user
-embedding, no labels, and no raw interaction set. JSON float encoding
-round-trips exactly, so replaying serialized messages is bitwise
-equivalent to the in-process path.
+embedding, no labels, and no raw interaction set.
+
+Both are JSON objects. Ids, counts and scalars are plain JSON: `version`,
+`client_id`, `weight`, request `items` and gradient `ids` are JSON
+integers (never booleans or floats) and `loss` is a JSON number. Every
+float array of an upload (the entity and relation `vectors`, each model
+layer's `w` and `b`) is a packed array object
+
+    {"shape": [n, d], "f64": "<base64 of the array's float64 bytes>"}
+
+whose bytes are the IEEE 754 float64 elements in C (row-major) order and
+little-endian byte order, 8 * prod(shape) of them, base64-encoded with
+the standard alphabet and padding. Vectors and `w` have rank 2, `b` rank
+1. The bytes are the array's own, so a decoded array is bitwise the
+encoded one (-0.0, subnormals, NaN and inf included) and replaying
+serialized messages is bitwise equivalent to the in-process path.
+
+Wire version 3 introduced the packed arrays; version 2 carried the same
+fields as nested JSON lists of decimal floats and is rejected.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +35,13 @@ import numpy as np
 from .kg import Subgraph
 from .model import GradientPacket, ModelParams, SparseGrad
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 _REQUEST_KEYS = ("version", "type", "client_id", "items")
 _UPLOAD_KEYS = ("version", "type", "client_id", "weight", "loss",
                 "entities", "relations", "model")
 _SPARSE_KEYS = ("ids", "vectors")
+_PACKED_KEYS = ("shape", "f64")
 
 
 class WireFormatError(ValueError):
@@ -42,12 +61,10 @@ class RequestMessage:
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "RequestMessage":
-        payload = json.loads(raw.decode())
-        _check_keys(payload, _REQUEST_KEYS, "request")
-        _check_version(payload)
-        return cls(client_id=int(payload["client_id"]),
-                   items=[int(i) for i in payload["items"]],
-                   version=int(payload["version"]))
+        payload = _load(raw, _REQUEST_KEYS, "request")
+        return cls(client_id=_int(payload["client_id"], "client_id"),
+                   items=_int_list(payload["items"], "items"),
+                   version=payload["version"])
 
 
 @dataclass
@@ -81,58 +98,80 @@ class GradientUpload:
                    "client_id": self.client_id, "weight": self.weight,
                    "loss": self.loss,
                    "entities": {"ids": self.entities.ids().tolist(),
-                                "vectors": self.entities.rows().tolist()},
+                                "vectors": _pack(self.entities.rows())},
                    "relations": {"ids": self.relations.ids().tolist(),
-                                 "vectors": self.relations.rows().tolist()},
-                   "model": [{"w": dw.tolist(), "b": db.tolist()} for dw, db in self.model]}
+                                 "vectors": _pack(self.relations.rows())},
+                   "model": [{"w": _pack(dw), "b": _pack(db)} for dw, db in self.model]}
         return json.dumps(payload, separators=(",", ":")).encode()
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "GradientUpload":
-        payload = json.loads(raw.decode())
-        _check_keys(payload, _UPLOAD_KEYS, "gradient_upload")
-        for part in ("entities", "relations"):
-            _check_keys(payload[part], _SPARSE_KEYS, part)
-        _check_version(payload)
-        weight = int(payload["weight"])
+        payload = _load(raw, _UPLOAD_KEYS, "gradient_upload")
+        weight = _int(payload["weight"], "weight")
         if weight < 1:
             raise WireFormatError(f"upload weight {weight} is below 1")
-        return cls(client_id=int(payload["client_id"]), weight=weight,
-                   loss=float(payload["loss"]),
+        loss = payload["loss"]
+        if isinstance(loss, bool) or not isinstance(loss, (int, float)):
+            raise WireFormatError(f"loss is a {type(loss).__name__}, not a JSON number")
+        if not isinstance(payload["model"], list):
+            raise WireFormatError(f"model is a {type(payload['model']).__name__}, not a list")
+        return cls(client_id=_int(payload["client_id"], "client_id"), weight=weight,
+                   loss=float(loss),
                    entities=_sparse_grad(payload["entities"], "entities"),
                    relations=_sparse_grad(payload["relations"], "relations"),
                    model=[_model_layer(layer) for layer in payload["model"]],
-                   version=int(payload["version"]))
+                   version=payload["version"])
 
 
-def _sparse_grad(part: dict, kind: str) -> SparseGrad:
-    """Decode one sparse gradient, rejecting anything SparseGrad cannot hold."""
+def _pack(a: np.ndarray) -> dict:
+    """Packed array object of a float64 array (see the module docstring)."""
+    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
+
+
+def _unpack(obj, rank: int, kind: str) -> np.ndarray:
+    """Decode a packed array of the given rank into an owned native float64 array."""
+    _check_keys(obj, _PACKED_KEYS, kind)
+    shape, data = obj["shape"], obj["f64"]
+    if not (isinstance(shape, list) and len(shape) == rank
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise WireFormatError(f"{kind} shape {shape!r} is not {rank} non-negative ints")
+    if not isinstance(data, str):
+        raise WireFormatError(f"{kind} f64 payload is a {type(data).__name__}, not a string")
     try:
-        ids = np.array(part["ids"], dtype=np.int64)
-        rows = np.array(part["vectors"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged or non-numeric
-        raise WireFormatError(f"{kind}: {exc}") from exc
-    if rows.shape == (0,):
-        rows = rows.reshape(0, 0)
-    if ids.ndim != 1 or rows.ndim != 2 or len(rows) != len(ids):
+        buf = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error (alphabet, padding) or non-ASCII text
+        raise WireFormatError(f"{kind} f64 payload is not base64: {exc}") from exc
+    if len(buf) % 8:
+        raise WireFormatError(f"{kind} f64 payload of {len(buf)} bytes is not a multiple of 8")
+    if len(buf) != 8 * math.prod(shape):
         raise WireFormatError(
-            f"{kind}: ids of shape {ids.shape} do not match vectors of shape {rows.shape}")
+            f"{kind} f64 payload of {len(buf)} bytes does not fill shape {shape}")
+    return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _sparse_grad(part, kind: str) -> SparseGrad:
+    """Decode one sparse gradient, rejecting anything SparseGrad cannot hold."""
+    _check_keys(part, _SPARSE_KEYS, kind)
+    try:
+        ids = np.array(_int_list(part["ids"], f"{kind} ids"), dtype=np.int64)
+    except OverflowError as exc:
+        raise WireFormatError(f"{kind} ids: {exc}") from exc
+    rows = _unpack(part["vectors"], 2, f"{kind} vectors")
+    if len(rows) != len(ids):
+        raise WireFormatError(
+            f"{kind}: {len(ids)} ids do not match vectors of shape {rows.shape}")
     if np.any(ids < 0) or np.any(ids[1:] <= ids[:-1]):
         raise WireFormatError(f"{kind} ids are not non-negative and strictly increasing")
     return SparseGrad(ids, rows)
 
 
-def _model_layer(layer: dict) -> tuple[np.ndarray, np.ndarray]:
+def _model_layer(layer) -> tuple[np.ndarray, np.ndarray]:
     """Decode one (dW, db) pair: a 2-D dW and a 1-D db with one entry per dW row."""
-    if not isinstance(layer, dict):
-        raise WireFormatError(f"model layer is a {type(layer).__name__}, not an object")
     _check_keys(layer, ("w", "b"), "model layer")
-    try:
-        dw = np.array(layer["w"], dtype=np.float64)
-        db = np.array(layer["b"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged or non-numeric
-        raise WireFormatError(f"model layer: {exc}") from exc
-    if dw.ndim != 2 or db.shape != dw.shape[:1]:
+    dw = _unpack(layer["w"], 2, "model layer w")
+    db = _unpack(layer["b"], 1, "model layer b")
+    if db.shape != dw.shape[:1]:
         raise WireFormatError(
             f"model layer: w of shape {dw.shape} does not match b of shape {db.shape}")
     return dw, db
@@ -152,13 +191,37 @@ class SubgraphResponse:
     model: ModelParams
 
 
-def _check_version(payload: dict) -> None:
-    if payload["version"] != WIRE_VERSION:
+def _load(raw: bytes, expected: tuple[str, ...], kind: str) -> dict:
+    """Parse a message object of type `kind` with exactly the expected keys
+    and this wire version."""
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise WireFormatError(f"{kind} is not JSON: {exc}") from exc
+    _check_keys(payload, expected, kind)
+    if _int(payload["version"], "version") != WIRE_VERSION:
         raise WireFormatError(
             f"unsupported wire version {payload['version']} (expected {WIRE_VERSION})")
+    if payload["type"] != kind:
+        raise WireFormatError(f"message type {payload['type']!r} is not {kind!r}")
+    return payload
 
 
-def _check_keys(payload: dict, expected: tuple[str, ...], kind: str) -> None:
+def _int(value, name: str) -> int:
+    if type(value) is not int:
+        raise WireFormatError(f"{name} is a {type(value).__name__}, not a JSON integer")
+    return value
+
+
+def _int_list(values, name: str) -> list[int]:
+    if not (isinstance(values, list) and all(type(v) is int for v in values)):
+        raise WireFormatError(f"{name} is not a list of JSON integers")
+    return values
+
+
+def _check_keys(payload, expected: tuple[str, ...], kind: str) -> None:
+    if not isinstance(payload, dict):
+        raise WireFormatError(f"{kind} is a {type(payload).__name__}, not an object")
     if set(payload) != set(expected):
         extra = set(payload) - set(expected)
         missing = set(expected) - set(payload)

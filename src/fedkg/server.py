@@ -135,6 +135,18 @@ def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:
     return SparseGrad(ids, num / den[:, None])
 
 
+def _negative_pool(interactions: set[int], num_items: int) -> np.ndarray:
+    """Sorted int64 array of the items in [0, num_items) not in interactions.
+
+    Ids outside that range are ignored here, so that they reach
+    serve_request in the request and fail there with RequestError.
+    """
+    inter = np.fromiter(interactions, dtype=np.int64, count=len(interactions))
+    keep = np.ones(num_items, dtype=bool)
+    keep[inter[(inter >= 0) & (inter < num_items)]] = False
+    return np.flatnonzero(keep)
+
+
 def _client_round(client: ClientState, kg: KnowledgeGraph, params: ParameterState,
                   cfg: RoundConfig, round_index: int) -> tuple[GradientUpload, list[bytes]]:
     """One client's leg of the round; returns the upload and any wire bytes."""
@@ -142,8 +154,7 @@ def _client_round(client: ClientState, kg: KnowledgeGraph, params: ParameterStat
     srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
     captured: list[bytes] = []
 
-    pool = np.setdiff1d(np.arange(cfg.num_items),
-                        np.array(sorted(client.interactions), dtype=np.int64))
+    pool = _negative_pool(client.interactions, cfg.num_items)
     plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
     if cfg.transport == "json":
         raw = msg.to_json_bytes()

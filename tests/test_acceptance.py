@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The top-K/figure-free CLI artifacts are exercised end to end.
 """
 
+import base64
 import json
 import math
 import os
@@ -242,6 +243,21 @@ def test_criterion_7_end_to_end_synthetic_convergence(tmp_path):
             f"{elapsed:.0f}s < 300s")
 
 
+def _wire_numbers(node):
+    """Yield (packed, values) for every number in a decoded wire message.
+
+    A packed float64 array object yields its decoded elements, so a scan of
+    the values still sees what base64 text hides from a byte scan.
+    """
+    if isinstance(node, dict) and set(node) == {"shape", "f64"}:
+        yield True, np.frombuffer(base64.b64decode(node["f64"]), dtype="<f8")
+    elif isinstance(node, (dict, list)):
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _wire_numbers(child)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield False, np.array([node], dtype=np.float64)
+
+
 def test_criterion_8_privacy_structural_suite():
     sentinel = 7777.25  # exactly representable; prefix survives tiny updates
     cfg = ExperimentConfig(users=40, items=30, attributes=5,
@@ -266,9 +282,15 @@ def test_criterion_8_privacy_structural_suite():
     obfuscated = all(set(req["items"]) != clients[req["client_id"]].interactions
                      and set(req["items"]) - clients[req["client_id"]].interactions
                      for req in requests)
-    ok = not leak and obfuscated
+    numbers = [entry for raw in captured for entry in _wire_numbers(json.loads(raw))]
+    packed_elements = sum(values.size for packed, values in numbers if packed)
+    sentinel_values = sum(int(np.count_nonzero((values >= 7777) & (values <= 7778)))
+                          for _, values in numbers)
+    ok = not leak and obfuscated and packed_elements > 0 and sentinel_values == 0
     _report(8, "privacy structural suite", ok,
-            f"{len(captured)} wire messages scanned, leaks={leak}, request sets "
+            f"{len(captured)} wire messages scanned, leaks={leak}, "
+            f"{sentinel_values} values in [7777, 7778] among {packed_elements} packed "
+            f"elements and the JSON numbers, request sets "
             f"{'always differ from' if obfuscated else 'sometimes equal'} interactions")
 
 

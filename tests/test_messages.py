@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -18,6 +19,25 @@ def _stripped_packet():
     return GradientPacket(entity_grads=ent, relation_grads=rel,
                           model_grads=[(np.eye(2) * 0.1, np.array([0.0, -1.0]))],
                           user_grad=None, weight=3, loss=0.6931, client_id=12)
+
+
+def _valid_upload() -> dict:
+    return json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
+
+
+def _packed(values, shape) -> dict:
+    data = np.asarray(values, dtype="<f8").tobytes()
+    return {"shape": shape, "f64": base64.b64encode(data).decode()}
+
+
+# v3 bytes of _stripped_packet()'s upload; a change to the wire format must edit this
+GOLDEN_UPLOAD = (
+    b'{"version":3,"type":"gradient_upload","client_id":12,"weight":3,"loss":0.6931,'
+    b'"entities":{"ids":[1,4],"vectors":{"shape":[2,2],'
+    b'"f64":"MzMzMzMz0z9nZmZmZmbmPwAAAAAAAMA/AAAAAAAA4L8="}},'
+    b'"relations":{"ids":[0],"vectors":{"shape":[1,2],"f64":"l9RGRvUOZzwAAAAAAAAAQA=="}},'
+    b'"model":[{"w":{"shape":[2,2],"f64":"mpmZmZmZuT8AAAAAAAAAAAAAAAAAAAAAmpmZmZmZuT8="},'
+    b'"b":{"shape":[2],"f64":"AAAAAAAAAAAAAAAAAADwvw=="}}]}')
 
 
 def test_request_roundtrip():
@@ -43,6 +63,62 @@ def test_upload_roundtrip_is_bitwise():
     assert a.weight == b.weight and a.loss == b.loss and a.client_id == b.client_id
 
 
+def _special_rows(rng, n, d):
+    """Random float64 (n, d) rows, about a third of them -0.0, subnormal, inf or NaN."""
+    specials = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
+                         np.array(0x7FF0_0000_0000_0123, np.uint64).view(np.float64),
+                         1.7976931348623157e308])
+    rows = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    mask = rng.random((n, d)) < 0.3
+    rows[mask] = rng.choice(specials, size=int(mask.sum()))
+    return rows
+
+
+def test_upload_roundtrip_random_is_bitwise_and_owned():
+    rng = np.random.default_rng(5)
+    for case in range(40):
+        d = int(rng.integers(0, 5))
+        parts = []
+        for _ in range(2):  # case % 4: 0 -> (0, 0) parts, 1 -> (0, d) parts, else rows
+            n = 0 if case % 4 < 2 else int(rng.integers(1, 7))
+            ids = np.sort(rng.choice(1000, size=n, replace=False)).astype(np.int64)
+            parts.append(SparseGrad(ids, _special_rows(rng, n, d)) if case % 4 else SparseGrad())
+        model = [(_special_rows(rng, d, d), _special_rows(rng, 1, d)[0])
+                 for _ in range(int(rng.integers(0, 3)))]
+        upload = GradientUpload(client_id=case, weight=int(rng.integers(1, 50)),
+                                loss=float(rng.random()), entities=parts[0],
+                                relations=parts[1], model=model)
+        raw = upload.to_json_bytes()
+        again = GradientUpload.from_json_bytes(raw)
+        wire = np.frombuffer(raw, dtype=np.uint8)
+        sent = [upload.entities.rows(), upload.relations.rows(),
+                *[a for layer in model for a in layer]]
+        got = [again.entities.rows(), again.relations.rows(),
+               *[a for layer in again.model for a in layer]]
+        assert len(got) == len(sent)
+        for a, b in zip(sent, got):
+            assert b.dtype == np.float64 and b.dtype.isnative and b.shape == a.shape
+            assert b.tobytes() == a.tobytes()
+            assert b.flags.writeable and not np.shares_memory(b, wire)
+        for a, b in ((upload.entities, again.entities), (upload.relations, again.relations)):
+            assert b.ids().dtype == np.int64 and b.ids().tobytes() == a.ids().tobytes()
+        assert (again.client_id, again.weight, again.loss) == \
+            (upload.client_id, upload.weight, upload.loss)
+
+
+def test_upload_golden_bytes():
+    packet = _stripped_packet()
+    assert GradientUpload.from_packet(packet).to_json_bytes() == GOLDEN_UPLOAD
+    again = GradientUpload.from_json_bytes(GOLDEN_UPLOAD)
+    for sent, got in ((packet.entity_grads, again.entities),
+                      (packet.relation_grads, again.relations)):
+        assert got.ids().tobytes() == sent.ids().tobytes()
+        assert got.rows().tobytes() == sent.rows().tobytes()
+    for (wa, ba), (wb, bb) in zip(packet.model_grads, again.model, strict=True):
+        assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+    assert (again.client_id, again.weight, again.loss) == (12, 3, 0.6931)
+
+
 def test_upload_holds_arrays_until_serialized():
     packet = _stripped_packet()
     upload = GradientUpload.from_packet(packet)
@@ -56,45 +132,92 @@ def test_upload_holds_arrays_until_serialized():
 
 
 def test_upload_wire_has_no_counts():
-    payload = json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
-    assert payload["version"] == WIRE_VERSION == 2
+    payload = _valid_upload()
+    assert payload["version"] == WIRE_VERSION == 3
     assert set(payload["entities"]) == set(payload["relations"]) == {"ids", "vectors"}
 
 
 def test_messages_reject_other_wire_version():
-    payload = json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
-    payload["version"] = 1
-    with pytest.raises(WireFormatError, match="version"):
-        GradientUpload.from_json_bytes(json.dumps(payload).encode())
-    with pytest.raises(WireFormatError, match="version"):
-        RequestMessage.from_json_bytes(b'{"version":1,"type":"request","client_id":1,"items":[1]}')
+    for version in (1, 2):
+        payload = _valid_upload()
+        payload["version"] = version
+        with pytest.raises(WireFormatError, match="version"):
+            GradientUpload.from_json_bytes(json.dumps(payload).encode())
+        request = {"version": version, "type": "request", "client_id": 1, "items": [1]}
+        with pytest.raises(WireFormatError, match="version"):
+            RequestMessage.from_json_bytes(json.dumps(request).encode())
 
 
-@pytest.mark.parametrize("part, key, value", [
-    ("entities", "ids", [1, 4, 7]),
-    ("entities", "ids", [4, 4]),
-    ("entities", "ids", [4, 1]),
-    ("entities", "ids", [-1, 4]),
-    ("entities", "vectors", [[0.3, 0.7], [0.125]]),
-    ("entities", "vectors", [0.3, 0.125]),
-    (None, "weight", 0),
-    ("model", 0, {"w": [[1.0, 2.0], [3.0]], "b": [0.0, 0.0]}),
-    ("model", 0, {"w": [["x", 2.0], [3.0, 4.0]], "b": [0.0, 0.0]}),
-    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.0], 1.0]}),
-    ("model", 0, {"w": [1.0, 2.0], "b": [0.0, 0.0]}),
-    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.0], [1.0]]}),
-    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 1.0, 2.0]}),
-    ("model", 0, {"w": [[1.0, 0.0], [0.0, 1.0]]}),
-    ("model", 0, [[1.0, 0.0], [0.0, 1.0]]),
+_ROWS = [0.3, 0.7000000000000001, 0.125, -0.5]  # _stripped_packet's entity rows
+_W = [0.1, 0.0, 0.0, 0.1]  # and its layer's w
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("entities", "ids"), [1, 4, 7], "3 ids do not match"),
+    (("entities", "ids"), [4, 4], "strictly increasing"),
+    (("entities", "ids"), [4, 1], "strictly increasing"),
+    (("entities", "ids"), [-1, 4], "strictly increasing"),
+    (("entities", "vectors"), _packed(_ROWS[:3], [2, 2]), "24 bytes does not fill"),
+    (("entities", "vectors"), _packed(_ROWS, [4]), r"vectors shape \[4\] is not 2"),
+    (("weight",), 0, "below 1"),
+    (("model", 0, "w"), _packed(_W[:3], [2, 2]), "w f64 payload of 24 bytes does not fill"),
+    (("model", 0, "w", "f64"), ["x", 0.0, 0.0, 0.1], "w f64 payload is a list"),
+    (("model", 0, "b"), _packed([0.0], [2]), "b f64 payload of 8 bytes does not fill"),
+    (("model", 0, "w"), _packed(_W, [4]), r"w shape \[4\] is not 2"),
+    (("model", 0, "b"), _packed([0.0, 1.0], [2, 1]), r"b shape \[2, 1\] is not 1"),
+    (("model", 0, "b"), _packed([0.0, 1.0, 2.0], [3]), "does not match b of shape"),
+    (("model", 0), {"w": _packed(_W, [2, 2])}, r"missing=\['b'\]"),
+    (("model", 0), [[1.0, 0.0], [0.0, 1.0]], "layer is a list, not an object"),
+    (("entities", "vectors"), [[0.3, 0.7], [0.125, -0.5]], "vectors is a list, not an object"),
+    (("relations", "vectors", "f64"), "l9RGRvUO*ZzwAAAAAAAAAQA==", "not base64"),
+    (("entities", "vectors", "f64"), "AAAAAAAAAAAAAAAA", "12 bytes is not a multiple of 8"),
+    (("relations", "vectors"), _packed([1e-17, 2.0], [1, 3]), "16 bytes does not fill"),
+    (("entities", "vectors", "shape"), [-2, -2], r"shape \[-2, -2\] is not 2"),
+    (("relations", "vectors", "shape"), [1.0, 2], r"shape \[1.0, 2\] is not 2"),
+    (("relations", "vectors", "shape"), [True, 2], r"shape \[True, 2\] is not 2"),
+    (("model", 0, "b"), _packed([0.0], []), r"b shape \[\] is not 1"),
+    (("model", 0, "w", "dtype"), "<f8", r"extra=\['dtype'\]"),
 ], ids=["truncation", "duplicate-ids", "unsorted-ids", "negative-id",
         "ragged-vectors", "flat-vectors", "zero-weight", "ragged-w", "non-numeric-w",
         "ragged-b", "flat-w", "2d-b", "bias-length", "missing-b",
-        "layer-not-object"])
-def test_upload_decode_rejects_malformed(part, key, value):
-    payload = json.loads(GradientUpload.from_packet(_stripped_packet()).to_json_bytes())
-    (payload[part] if part else payload)[key] = value
-    with pytest.raises(WireFormatError):
+        "layer-not-object", "legacy-list-vectors", "bad-base64",
+        "length-not-multiple-of-8", "shape-bytes-mismatch", "negative-shape",
+        "float-shape", "bool-shape", "wrong-rank-b", "extra-array-key"])
+def test_upload_decode_rejects_malformed(path, value, match):
+    """Each case breaks one thing in an otherwise valid payload and must fail for it."""
+    payload = _valid_upload()
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(WireFormatError, match=match):
         GradientUpload.from_json_bytes(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize("part, key, value", [
+    (None, "weight", 2.7), (None, "weight", True), (None, "client_id", 4.9),
+    (None, "loss", "x"), (None, "loss", True), (None, "model", 5),
+    (None, "version", float(WIRE_VERSION)), ("entities", "ids", [1.0, 4]),
+    (None, "type", "request"),
+], ids=["float-weight", "bool-weight", "float-client-id", "string-loss",
+        "bool-loss", "model-not-list", "float-version", "float-ids", "request-type"])
+def test_upload_decode_rejects_non_strict_scalars(part, key, value):
+    payload = _valid_upload()
+    (payload[part] if part else payload)[key] = value
+    with pytest.raises(WireFormatError, match=key):
+        GradientUpload.from_json_bytes(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("client_id", 4.9), ("client_id", True), ("items", [9, 1.9]), ("items", [True]),
+    ("items", 5), ("version", float(WIRE_VERSION)), ("type", "gradient_upload"),
+], ids=["float-client-id", "bool-client-id", "float-item", "bool-item",
+        "items-not-list", "float-version", "upload-type"])
+def test_request_decode_rejects_non_strict_scalars(key, value):
+    payload = json.loads(RequestMessage(client_id=5, items=[9, 2]).to_json_bytes())
+    payload[key] = value
+    with pytest.raises(WireFormatError, match=key):
+        RequestMessage.from_json_bytes(json.dumps(payload).encode())
 
 
 def test_upload_refuses_unstripped_packet():

@@ -9,8 +9,8 @@ from fedkg.model import GradientPacket, SparseGrad
 from fedkg.params import init_params
 from fedkg.privacy import ldp_encrypt
 from fedkg.rng import derive_rng
-from fedkg.server import (RequestError, aggregate, run_round, select_clients,
-                          serve_request, train)
+from fedkg.server import (RequestError, _negative_pool, aggregate, run_round,
+                          select_clients, serve_request, train)
 
 
 def _random_packet(rng, client_id, d=3, n_layers=1, id_pool=range(10)):
@@ -295,6 +295,20 @@ def test_round_failure_is_atomic(monkeypatch):
             run_round(params, dataset.kg, clients, rcfg, 0)
         assert np.array_equal(params.entity_emb, snap_e), failure
         assert np.array_equal(user_emb, snap_users), failure
+
+
+def test_negative_pool_matches_setdiff1d_reference():
+    rng = np.random.default_rng(3)
+    for case in range(200):
+        num_items = int(rng.integers(0, 60))
+        ids = rng.integers(-20, num_items + 20, size=int(rng.integers(0, 30)))
+        interactions = {int(i) for i in ids}
+        want = np.setdiff1d(np.arange(num_items),
+                            np.array(sorted(interactions), dtype=np.int64))
+        got = _negative_pool(interactions, num_items)
+        assert got.dtype == want.dtype and np.array_equal(got, want), case
+        crng_a, crng_b = np.random.default_rng(case), np.random.default_rng(case)
+        assert np.array_equal(crng_a.permutation(got), crng_b.permutation(want))
 
 
 def test_round_parallel_matches_sequential_bitwise():
