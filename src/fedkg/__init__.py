@@ -7,7 +7,7 @@ from .kg import KnowledgeGraph, Layer, Subgraph, Triple, build_kg, sample_subgra
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
 from .metrics import MetricReport, auc, evaluate_ctr, evaluate_report, f1
 from .model import (GradientPacket, LocalGraph, ModelParams, SparseGrad,
-                    attention_weights, backward, bce_loss, predict, propagate)
+                    attention_weights, backward, bce_loss, propagate)
 from .params import (ParameterState, apply_global_update, gather, init_params,
                      load_checkpoint, save_checkpoint)
 from .privacy import (DpConfig, RequestPlan, generate_request_items,

@@ -181,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             return run_experiment(_config_from_args(args))
         if args.command == "evaluate":
             ks = [int(p) for p in args.recall_ks.replace(",", " ").split()]
+            if any(k < 1 for k in ks):
+                raise ConfigError("--recall-ks values (K) must all be >= 1")
             return run_evaluate(args.checkpoint, args.split, ks, args.out)
         if args.command == "synth":
             cfg = _config_from_args(args)

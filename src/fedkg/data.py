@@ -89,6 +89,8 @@ def load_ratings(path: str, positive_threshold: float = 0.0
                 rating = float(parts[2])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad field in {line!r}") from exc
+            if item < 0:
+                raise DataFormatError(f"{path}:{lineno}: negative item id in {line!r}")
             max_item = max(max_item, item)
             if rating >= positive_threshold:
                 by_user.setdefault(user, set()).add(item)
@@ -127,13 +129,25 @@ def split(positives: list[list[int]], ratios: tuple[float, float, float],
     return train, valid, test
 
 
+def unobserved_items(items: set[int] | list[int], num_items: int) -> np.ndarray:
+    """Sorted int64 array of the ids in [0, num_items) that are not in `items`.
+
+    Ids outside that range are ignored, so a bad id in a client's
+    interactions still reaches serve_request and fails there.
+    """
+    ids = np.fromiter(items, dtype=np.int64, count=len(items))
+    keep = np.ones(num_items, dtype=bool)
+    keep[ids[(ids >= 0) & (ids < num_items)]] = False
+    return np.flatnonzero(keep)
+
+
 def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
                           split_positives: list[list[int]],
                           rng: np.random.Generator) -> list[list[int]]:
     """Per user: unobserved items, one per split positive, clamped to the pool."""
     out = []
     for pos_all, pos_split in zip(all_positives, split_positives):
-        pool = np.setdiff1d(np.arange(num_items), np.array(pos_all, dtype=np.int64))
+        pool = unobserved_items(pos_all, num_items)
         want = min(len(pos_split), len(pool))
         if want == 0:
             out.append([])
@@ -167,11 +181,8 @@ def load_dataset(ratings_path: str, kg_path: str, positive_threshold: float,
                  ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> Dataset:
     positives, id_map, num_items = load_ratings(ratings_path, positive_threshold)
     triples, kg_entities, kg_relations = load_kg_file(kg_path)
-    num_entities = max(kg_entities, num_items)
+    num_entities = max(kg_entities, num_items)  # so every item id is an entity
     kg = build_kg(triples, num_entities, max(kg_relations, 1))
-    bad = [(u, i) for u, pos in enumerate(positives) for i in pos if i >= num_entities]
-    if bad:
-        raise DataFormatError(f"items outside the entity space: {bad[:5]}")
     return attach_splits(positives, num_items, kg, triples, rng, ratios, id_map)
 
 

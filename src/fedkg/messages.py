@@ -52,10 +52,9 @@ class WireFormatError(ValueError):
 class RequestMessage:
     client_id: int
     items: list[int]
-    version: int = WIRE_VERSION
 
     def to_json_bytes(self) -> bytes:
-        payload = {"version": self.version, "type": "request",
+        payload = {"version": WIRE_VERSION, "type": "request",
                    "client_id": self.client_id, "items": list(self.items)}
         return json.dumps(payload, separators=(",", ":")).encode()
 
@@ -63,8 +62,7 @@ class RequestMessage:
     def from_json_bytes(cls, raw: bytes) -> "RequestMessage":
         payload = _load(raw, _REQUEST_KEYS, "request")
         return cls(client_id=_int(payload["client_id"], "client_id"),
-                   items=_int_list(payload["items"], "items"),
-                   version=payload["version"])
+                   items=_int_list(payload["items"], "items"))
 
 
 @dataclass
@@ -77,7 +75,6 @@ class GradientUpload:
     entities: SparseGrad
     relations: SparseGrad
     model: list[tuple[np.ndarray, np.ndarray]]  # per layer (dW, db)
-    version: int = WIRE_VERSION
 
     @classmethod
     def from_packet(cls, packet: GradientPacket) -> "GradientUpload":
@@ -94,7 +91,7 @@ class GradientUpload:
             loss=self.loss, client_id=self.client_id)
 
     def to_json_bytes(self) -> bytes:
-        payload = {"version": self.version, "type": "gradient_upload",
+        payload = {"version": WIRE_VERSION, "type": "gradient_upload",
                    "client_id": self.client_id, "weight": self.weight,
                    "loss": self.loss,
                    "entities": {"ids": self.entities.ids().tolist(),
@@ -119,8 +116,7 @@ class GradientUpload:
                    loss=float(loss),
                    entities=_sparse_grad(payload["entities"], "entities"),
                    relations=_sparse_grad(payload["relations"], "relations"),
-                   model=[_model_layer(layer) for layer in payload["model"]],
-                   version=payload["version"])
+                   model=[_model_layer(layer) for layer in payload["model"]])
 
 
 def _pack(a: np.ndarray) -> dict:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph
 from .model import LocalGraph, propagate, sigmoid
 from .params import ParameterState, gather
@@ -86,7 +86,7 @@ def score_items(params: ParameterState, kg: KnowledgeGraph, user_emb: np.ndarray
     ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
     graph = LocalGraph(user=user_emb, labels=np.zeros(len(items)), subgraph=subgraph,
                        entity_rows=ent_rows, relation_rows=rel_rows)
-    final = propagate(graph, params.model, depth)
+    final = propagate(graph, params.model)
     return np.asarray(sigmoid(final @ user_emb))
 
 
@@ -126,9 +126,7 @@ def recall_at_k(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     positives = set(dataset.test[user])
     if not positives:
         return None
-    keep = np.ones(dataset.num_items, dtype=bool)
-    keep[dataset.train[user] + dataset.valid[user]] = False
-    candidates = np.flatnonzero(keep)
+    candidates = unobserved_items(dataset.train[user] + dataset.valid[user], dataset.num_items)
     scores = score_items(params, dataset.kg, user_emb[user], candidates,
                          sample_size, depth, rng)
     return recall_from_scores(scores, candidates, positives, ks)

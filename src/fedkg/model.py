@@ -52,10 +52,6 @@ class ModelParams:
     def depth(self) -> int:
         return len(self.weights)
 
-    @property
-    def dim(self) -> int:
-        return self.weights[0].shape[0] if self.weights else 0
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.mode, [w.copy() for w in self.weights],
                            [b.copy() for b in self.biases])
@@ -168,11 +164,6 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def predict(user: np.ndarray, item_final: np.ndarray) -> float:
-    """Readout: sigmoid of the user/item inner product."""
-    return float(sigmoid(float(np.dot(user, item_final))))
-
-
 def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy with predictions clamped to [1e-7, 1-1e-7]."""
     p = np.asarray(predictions, dtype=np.float64)
@@ -234,23 +225,18 @@ def _forward(graph: LocalGraph, params: ModelParams) -> _ForwardState:
                          predictions=sigmoid(hops[-1][0] @ u))
 
 
-def propagate(graph: LocalGraph, params: ModelParams, depth: int) -> np.ndarray:
-    """Return the (n_anchors, d) matrix of final anchor vectors after `depth` hops."""
-    if depth != graph.subgraph.depth:
-        raise ValueError(f"requested depth {depth} != subgraph depth {graph.subgraph.depth}")
+def propagate(graph: LocalGraph, params: ModelParams) -> np.ndarray:
+    """The (n_anchors, d) final anchor vectors after the subgraph's `depth` hops."""
     return _forward(graph, params).hops[-1][0]
 
 
-def forward_loss(graph: LocalGraph, params: ModelParams,
-                 labels: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def forward_loss(graph: LocalGraph, params: ModelParams) -> tuple[float, np.ndarray]:
     """Convenience: run the forward pass, return (mean BCE loss, predictions)."""
     state = _forward(graph, params)
-    y = graph.labels if labels is None else np.asarray(labels, dtype=np.float64)
-    return bce_loss(state.predictions, y), state.predictions
+    return bce_loss(state.predictions, graph.labels), state.predictions
 
 
-def backward(graph: LocalGraph, params: ModelParams,
-             labels: np.ndarray | None = None) -> GradientPacket:
+def backward(graph: LocalGraph, params: ModelParams) -> GradientPacket:
     """Exact gradients of the mean BCE loss w.r.t. every touched parameter.
 
     Covers all gathered entity vectors, relation vectors (through the
@@ -260,7 +246,7 @@ def backward(graph: LocalGraph, params: ModelParams,
     """
     state = _forward(graph, params)
     sub = graph.subgraph
-    y = graph.labels if labels is None else np.asarray(labels, dtype=np.float64)
+    y = graph.labels
     m = len(y)
     if m == 0:
         raise ValueError("backward over empty anchor list")

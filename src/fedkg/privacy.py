@@ -48,7 +48,6 @@ class RequestPlan:
 
     request_items: list[int]
     local_labels: list[int]
-    true_positive_count: int
 
 
 class NegativePoolError(ValueError):
@@ -81,8 +80,7 @@ def generate_request_items(interactions: set[int], negatives: list[int] | np.nda
     order = rng.permutation(len(items))
     return RequestPlan(
         request_items=[items[i] for i in order],
-        local_labels=[int(labels[i]) for i in order],
-        true_positive_count=len(interactions))
+        local_labels=[int(labels[i]) for i in order])
 
 
 def ldp_encrypt(packet: GradientPacket, config: DpConfig,

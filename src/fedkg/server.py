@@ -15,13 +15,13 @@ sequential per-id sum.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .client import ClientState, build_request, local_train, merge_graphs
+from .data import unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
 from .model import GradientPacket, SparseGrad
@@ -32,6 +32,10 @@ from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
 
 class RequestError(ValueError):
     """Request references an unknown entity id."""
+
+
+class UploadError(ValueError):
+    """Upload does not match the client, request and subgraph the server served."""
 
 
 @dataclass
@@ -62,11 +66,8 @@ class RoundReport:
     round_index: int
     mean_loss: float
     participants: int
-    duration: float
 
     def to_json_record(self) -> dict:
-        # duration is wall-clock and would break bitwise-reproducible metrics
-        # files, so it stays off the serialized record.
         return {"type": "round", "round": self.round_index,
                 "mean_loss": self.mean_loss, "participants": self.participants}
 
@@ -135,26 +136,14 @@ def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:
     return SparseGrad(ids, num / den[:, None])
 
 
-def _negative_pool(interactions: set[int], num_items: int) -> np.ndarray:
-    """Sorted int64 array of the items in [0, num_items) not in interactions.
-
-    Ids outside that range are ignored here, so that they reach
-    serve_request in the request and fail there with RequestError.
-    """
-    inter = np.fromiter(interactions, dtype=np.int64, count=len(interactions))
-    keep = np.ones(num_items, dtype=bool)
-    keep[inter[(inter >= 0) & (inter < num_items)]] = False
-    return np.flatnonzero(keep)
-
-
 def _client_round(client: ClientState, kg: KnowledgeGraph, params: ParameterState,
                   cfg: RoundConfig, round_index: int) -> tuple[GradientUpload, list[bytes]]:
-    """One client's leg of the round; returns the upload and any wire bytes."""
+    """One client's leg; returns the upload, bound to what was served, and any wire bytes."""
     crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
     srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
     captured: list[bytes] = []
 
-    pool = _negative_pool(client.interactions, cfg.num_items)
+    pool = unobserved_items(client.interactions, cfg.num_items)
     plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
     if cfg.transport == "json":
         raw = msg.to_json_bytes()
@@ -171,6 +160,12 @@ def _client_round(client: ClientState, kg: KnowledgeGraph, params: ParameterStat
         raw = upload.to_json_bytes()
         captured.append(raw)
         upload = GradientUpload.from_json_bytes(raw)
+    served = response.subgraph
+    if upload.client_id != client.user_id or upload.weight != len(msg.items) or \
+            not np.array_equal(upload.entities.ids(), served.entities) or \
+            not np.array_equal(upload.relations.ids(), served.relations):
+        raise UploadError(f"upload from client {client.user_id} does not match its "
+                          f"{len(msg.items)} request items and served subgraph")
     return upload, captured
 
 
@@ -185,7 +180,6 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
     update, rolls back the selected clients' user embeddings and leaves the
     global state untouched (apply_global_update checks before it writes).
     """
-    start = time.perf_counter()
     rng = derive_rng(cfg.seed, ROLE_SELECT, round_index)
     selected = select_clients(len(clients), cfg.clients_per_round, rng)
     saved_users = {cid: clients[cid].user_embedding.copy() for cid in selected}
@@ -206,22 +200,20 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
             clients[cid].user_embedding[...] = emb
         raise
 
-    if wire_sink is not None:
-        for _, captured in sorted(zip(selected, [r[1] for r in results])):
+    if wire_sink is not None:  # results follow select_clients' sorted order
+        for _, captured in results:
             for raw in captured:
                 wire_sink(raw)
 
-    mean_loss = float(np.mean([u.loss for u in sorted(uploads, key=lambda u: u.client_id)]))
-    return RoundReport(round_index=round_index, mean_loss=mean_loss,
-                       participants=len(selected),
-                       duration=time.perf_counter() - start)
+    return RoundReport(round_index=round_index,
+                       mean_loss=float(np.mean([u.loss for u in uploads])),
+                       participants=len(selected))
 
 
 def train(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],
           user_emb: np.ndarray, dataset, cfg: RoundConfig, max_rounds: int,
           eval_every: int = 10, patience: int = 10, record_sink=None,
-          wire_sink=None, checkpoint_cb=None, checkpoint_every: int = 0
-          ) -> list[dict]:
+          checkpoint_cb=None, checkpoint_every: int = 0) -> list[dict]:
     """Run rounds until max_rounds or the validation AUC stops improving.
 
     Evaluates every eval_every rounds; stops after `patience` evaluations
@@ -234,7 +226,7 @@ def train(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState]
     best_auc = -np.inf
     stale = 0
     for round_index in range(max_rounds):
-        report = run_round(params, kg, clients, cfg, round_index, wire_sink=wire_sink)
+        report = run_round(params, kg, clients, cfg, round_index)
         if record_sink is not None:
             record_sink(report.to_json_record())
         if checkpoint_cb is not None and checkpoint_every and \

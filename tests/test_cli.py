@@ -1,7 +1,11 @@
+import hashlib
 import json
 import os
 
-from fedkg.cli import main
+import pytest
+
+from fedkg.cli import main, run_experiment
+from fedkg.config import ConfigError, ExperimentConfig
 
 
 def _tiny_train_args(out_dir, **extra):
@@ -64,6 +68,34 @@ def test_train_invalid_config_rejected(tmp_path):
     assert code == 2
 
 
+def test_train_rejects_recall_k_below_one(tmp_path):
+    for ks in ("0", "5,-1"):
+        out = tmp_path / f"run{ks}"
+        assert main(_tiny_train_args(out, recall_ks=ks)) == 2
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="recall_ks"):
+        ExperimentConfig(recall_ks=(10, 0)).validate()
+
+
+# sha256 of the criterion-9 config's metrics.jsonl at depth=2, epochs=2. A
+# change that moves the stream must update this digest and say why.
+PINNED_METRICS_SHA256 = "7baef4f5982b5e1be29f9d1ecdff335afd929df5aa08f566636c75703166f673"
+
+
+def test_metrics_stream_pinned_across_transports(tmp_path):
+    streams = {}
+    for transport in ("memory", "json"):
+        cfg = ExperimentConfig(users=60, items=40, attributes=6,
+                               interactions_per_user=10, clients_per_round=12,
+                               max_rounds=12, eval_every=4, seed=31337, depth=2,
+                               epochs=2, transport=transport,
+                               out_dir=str(tmp_path / transport))
+        assert run_experiment(cfg) == 0
+        streams[transport] = (tmp_path / transport / "metrics.jsonl").read_bytes()
+    assert streams["memory"] == streams["json"]
+    assert hashlib.sha256(streams["memory"]).hexdigest() == PINNED_METRICS_SHA256
+
+
 def test_synth_emits_three_files(tmp_path):
     out = tmp_path / "data"
     code = main(["synth", "--users", "30", "--items", "25", "--attributes", "5",
@@ -102,6 +134,18 @@ def test_evaluate_fresh_checkpoint_near_chance(tmp_path):
     assert code == 0
     payload = json.loads(result.read_text())
     assert 0.45 < payload["auc"] < 0.55
+
+
+def test_evaluate_rejects_recall_k_below_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = _tiny_train_args(out)
+    args[args.index("--max-rounds") + 1] = "0"
+    assert main(args) == 0
+    for ks in ("-1", "0,5"):
+        code = main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--recall-ks", ks])
+        assert code == 2
+        assert "recall-ks" in capsys.readouterr().err
 
 
 def test_gradcheck_passes(capsys):

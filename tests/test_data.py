@@ -47,6 +47,13 @@ def test_load_ratings_malformed_reports_line(tmp_path):
         load_ratings(str(path))
 
 
+def test_load_ratings_negative_item_reports_line(tmp_path):
+    path = tmp_path / "ratings.txt"
+    path.write_text("0 0 1\n0 2 1\n0 -3 1\n")
+    with pytest.raises(DataFormatError, match=r"ratings\.txt:3: negative item id"):
+        load_ratings(str(path))
+
+
 def test_split_ten_positives_622():
     train, valid, test = split([list(range(10))], (0.6, 0.2, 0.2), derive_rng(0, 0))
     assert (len(train[0]), len(valid[0]), len(test[0])) == (6, 2, 2)
@@ -94,6 +101,29 @@ def test_eval_negatives_determinism():
     a = sample_eval_negatives(50, [[1, 2]], [[1, 2]], derive_rng(6, 0))
     b = sample_eval_negatives(50, [[1, 2]], [[1, 2]], derive_rng(6, 0))
     assert a == b
+
+
+def test_eval_negatives_match_setdiff1d_reference():
+    """Same pools as per-user np.setdiff1d, so rng.choice draws the same lists."""
+    def reference(num_items, all_positives, split_positives, rng):
+        out = []
+        for pos_all, pos_split in zip(all_positives, split_positives):
+            pool = np.setdiff1d(np.arange(num_items), np.array(pos_all, dtype=np.int64))
+            want = min(len(pos_split), len(pool))
+            out.append(sorted(int(i) for i in rng.choice(pool, size=want, replace=False))
+                       if want else [])
+        return out
+
+    gen = np.random.default_rng(8)
+    for case in range(50):
+        num_items = int(gen.integers(1, 40))
+        all_pos = [sorted({int(i) for i in gen.integers(0, num_items, size=gen.integers(0, 12))})
+                   for _ in range(6)]
+        split_pos = [p[:int(gen.integers(0, len(p) + 1))] for p in all_pos]
+        rng_a, rng_b = derive_rng(case, 0), derive_rng(case, 0)
+        assert sample_eval_negatives(num_items, all_pos, split_pos, rng_a) == \
+            reference(num_items, all_pos, split_pos, rng_b), case
+        assert rng_a.random() == rng_b.random(), case
 
 
 def test_synthetic_structure_and_planted_signal():

@@ -6,8 +6,8 @@ import pytest
 from fedkg.gradcheck import max_relative_error, random_instance
 from fedkg.kg import Layer, Subgraph, Triple, build_kg, sample_subgraph
 from fedkg.model import (LocalGraph, ModelParams, attention_weights, backward,
-                         bce_loss, forward_loss, init_model_params, predict,
-                         propagate, softmax)
+                         bce_loss, forward_loss, init_model_params, propagate,
+                         sigmoid, softmax)
 from fedkg.rng import derive_rng
 
 
@@ -99,28 +99,30 @@ def test_softmax_shift_invariance_bitwise_on_exact_inputs():
 
 # --- readout / loss ---------------------------------------------------------
 
+# the readout is sigmoid(<user, item>), as in model._forward
+
 def test_predict_orthogonal_is_half():
-    assert predict(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == 0.5
+    assert sigmoid(np.dot([1.0, 0.0], [0.0, 3.0])) == 0.5
 
 
 def test_predict_inverts_sigmoid_at_point_nine():
     # <u, v> = ln 9 = 2.1972... -> 0.9
     z = math.log(9.0)
-    assert abs(predict(np.array([z, 0.0]), np.array([1.0, 0.0])) - 0.9) < 1e-12
+    assert abs(sigmoid(np.dot([z, 0.0], [1.0, 0.0])) - 0.9) < 1e-12
 
 
 def test_predict_saturation_stays_finite():
-    p = predict(np.array([1e4]), np.array([-1e4]))
+    p = sigmoid(np.dot([1e4], [-1e4]))
     assert p == 0.0 or (0.0 < p < 1e-300)
     assert math.isfinite(p)
-    assert predict(np.array([1e4]), np.array([1e4])) == 1.0
+    assert sigmoid(np.dot([1e4], [1e4])) == 1.0
 
 
 def test_predict_monotone_in_inner_product():
     rng = derive_rng(22, 0)
     u = rng.normal(size=3)
     scales = np.linspace(-4, 4, 21)
-    probs = [predict(u, s * u) for s in scales]
+    probs = [sigmoid(np.dot(u, s * u)) for s in scales]
     assert all(a < b for a, b in zip(probs, probs[1:]))
 
 
@@ -148,7 +150,7 @@ def test_propagate_depth_zero_returns_raw_anchors():
     g = _graph(user=[1.0, 0.0], anchors=[(0, 1), (1, 0)], layers=[],
                ent_vecs={0: [0.2, 0.3], 1: [-0.1, 0.4]}, rel_vecs={})
     params = ModelParams("transform", [], [])
-    out = propagate(g, params, 0)
+    out = propagate(g, params)
     assert np.array_equal(out, [[0.2, 0.3], [-0.1, 0.4]])
 
 
@@ -157,7 +159,7 @@ def test_propagate_replace_single_neighbor_copies_it():
     g = _graph(user=[0.5, 0.5], anchors=[(0, 1)], layers=layers,
                ent_vecs={0: [9.0, 9.0], 1: [0.25, -0.75]}, rel_vecs={0: [1.0, 0.0]})
     params = init_model_params(2, 1, "replace", derive_rng(23, 0))
-    out = propagate(g, params, 1)
+    out = propagate(g, params)
     assert np.array_equal(out[0], [0.25, -0.75])
 
 
@@ -167,7 +169,7 @@ def test_propagate_replace_equal_relations_averages():
     g = _graph(user=[1.0, 2.0], anchors=[(0, 1)], layers=layers,
                ent_vecs={0: [0.0, 0.0], 1: v1, 2: v2}, rel_vecs={0: [0.3, 0.3]})
     params = init_model_params(2, 1, "replace", derive_rng(24, 0))
-    out = propagate(g, params, 1)
+    out = propagate(g, params)
     assert np.allclose(out[0], 0.5 * v1 + 0.5 * v2, atol=1e-15)
 
 
@@ -182,7 +184,7 @@ def test_propagate_replace_is_convex_combination():
                    layers=[{0: samples}], ent_vecs={0: np.zeros(d), **vecs},
                    rel_vecs=rels)
         params = init_model_params(d, 1, "replace", rng)
-        out = propagate(g, params, 1)[0]
+        out = propagate(g, params)[0]
         stacked = np.stack([vecs[n] for n in range(1, 5)])
         assert np.all(out >= stacked.min(axis=0) - 1e-12)
         assert np.all(out <= stacked.max(axis=0) + 1e-12)
@@ -193,7 +195,7 @@ def test_propagate_isolated_anchor_keeps_raw_embedding():
     g = _graph(user=[1.0, 0.0], anchors=[(0, 1), (1, 0)], layers=layers,
                ent_vecs={0: [0.7, -0.7], 1: [0.1, 0.1]}, rel_vecs={0: [0.2, 0.2]})
     params = init_model_params(2, 1, "replace", derive_rng(26, 0))
-    out = propagate(g, params, 1)
+    out = propagate(g, params)
     assert np.array_equal(out[0], [0.7, -0.7])  # degree-0 anchor untouched
     assert np.array_equal(out[1], [0.7, -0.7])  # copied its single neighbor
 
@@ -205,7 +207,7 @@ def test_propagate_transform_matches_manual_two_node():
     g = _graph(user=u, anchors=[(0, 1)], layers=layers,
                ent_vecs={0: x0, 1: x1}, rel_vecs={0: r0})
     params = init_model_params(2, 1, "transform", derive_rng(27, 0))
-    out = propagate(g, params, 1)
+    out = propagate(g, params)
     expected = np.tanh(params.weights[0] @ (x0 + x1) + params.biases[0])
     assert np.allclose(out[0], expected, atol=1e-15)
 
@@ -243,16 +245,16 @@ def test_backward_clamped_predictions_give_zero_gradients():
 
 
 def test_backward_loss_matches_forward():
-    graph, params, labels = random_instance(77, 14)
-    packet = backward(graph, params, labels)
-    loss, _ = forward_loss(graph, params, labels)
+    graph, params = random_instance(77, 14)
+    packet = backward(graph, params)
+    loss, _ = forward_loss(graph, params)
     assert packet.loss == loss
 
 
 def test_backward_matches_finite_differences_sample():
     for idx in range(0, 24, 5):
-        graph, params, labels = random_instance(31, idx)
-        err = max_relative_error(graph, params, labels, step=1e-5)
+        graph, params = random_instance(31, idx)
+        err = max_relative_error(graph, params, step=1e-5)
         assert err < 1e-4
 
 
@@ -272,10 +274,10 @@ def test_backward_matches_finite_differences_depth_three(mode):
                            entity_rows=rng.uniform(-0.6, 0.6, (len(sub.entities), d)),
                            relation_rows=rng.uniform(-0.6, 0.6, (len(sub.relations), d)))
         params = init_model_params(d, 3, mode, rng)
-        assert max_relative_error(graph, params, graph.labels, step=1e-5) < 1e-4
+        assert max_relative_error(graph, params, step=1e-5) < 1e-4
 
 
 def test_backward_weight_equals_anchor_count():
-    graph, params, labels = random_instance(32, 13)
-    packet = backward(graph, params, labels)
+    graph, params = random_instance(32, 13)
+    packet = backward(graph, params)
     assert packet.weight == len(graph.subgraph.ids[0])

@@ -29,7 +29,7 @@ def test_no_obfuscation_passthrough():
     plan = generate_request_items({4, 9}, [1, 2, 3], cfg, derive_rng(0, 0))
     assert sorted(plan.request_items) == [4, 9]
     assert plan.local_labels == [1, 1]
-    assert plan.true_positive_count == 2
+    assert sum(plan.local_labels) == 2  # no flips: one positive per interaction
 
 
 def test_request_has_no_duplicates_and_aligned_labels():

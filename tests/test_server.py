@@ -3,13 +3,14 @@ import pytest
 
 from fedkg.cli import build_dataset, round_config, setup_state
 from fedkg.config import ExperimentConfig
+from fedkg.data import unobserved_items
 from fedkg.kg import Triple, build_kg
 from fedkg.messages import RequestMessage
 from fedkg.model import GradientPacket, SparseGrad
 from fedkg.params import init_params
 from fedkg.privacy import ldp_encrypt
 from fedkg.rng import derive_rng
-from fedkg.server import (RequestError, _negative_pool, aggregate, run_round,
+from fedkg.server import (RequestError, UploadError, aggregate, run_round,
                           select_clients, serve_request, train)
 
 
@@ -297,6 +298,52 @@ def test_round_failure_is_atomic(monkeypatch):
         assert np.array_equal(user_emb, snap_users), failure
 
 
+def _unbound(case, target, num_entities):
+    """ldp_encrypt stand-in that breaks one binding of `target`'s upload."""
+    def encrypt(packet, config, rng):
+        protected = ldp_encrypt(packet, config, rng)
+        if packet.client_id != target:
+            return protected
+        if case == "unserved-entity":  # in range, finite, never served
+            ent = protected.entity_grads
+            extra = int(np.setdiff1d(np.arange(num_entities), ent.ids())[0])
+            ids = np.sort(np.append(ent.ids(), extra))
+            rows = np.insert(ent.rows(), np.searchsorted(ids, extra), 0.25, axis=0)
+            protected.entity_grads = SparseGrad(ids, rows)
+        elif case == "dropped-relation":
+            rel = protected.relation_grads
+            protected.relation_grads = SparseGrad(rel.ids()[1:], rel.rows()[1:])
+        elif case == "inflated-weight":
+            protected.weight += 5
+        else:  # "other-client"
+            protected.client_id = target + 1000
+        return protected
+    return encrypt
+
+
+@pytest.mark.parametrize("case", ["unserved-entity", "dropped-relation",
+                                  "inflated-weight", "other-client"])
+def test_round_rejects_upload_not_bound_to_what_was_served(monkeypatch, case):
+    from fedkg import server
+    from fedkg.rng import ROLE_SELECT
+
+    cfg, dataset, params, user_emb, clients = _small_federation()
+    rcfg = round_config(cfg, dataset)
+    target = select_clients(len(clients), rcfg.clients_per_round,
+                            derive_rng(rcfg.seed, ROLE_SELECT, 0))[3]
+    monkeypatch.setattr(server, "ldp_encrypt", _unbound(case, target, dataset.num_entities))
+    before = params.copy()
+    snap_users = user_emb.copy()
+    with pytest.raises(UploadError, match=f"client {target}"):
+        run_round(params, dataset.kg, clients, rcfg, 0)
+    assert np.array_equal(params.entity_emb, before.entity_emb)
+    assert np.array_equal(params.relation_emb, before.relation_emb)
+    for w, b, w0, b0 in zip(params.model.weights, params.model.biases,
+                            before.model.weights, before.model.biases):
+        assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    assert np.array_equal(user_emb, snap_users)
+
+
 def test_negative_pool_matches_setdiff1d_reference():
     rng = np.random.default_rng(3)
     for case in range(200):
@@ -305,7 +352,7 @@ def test_negative_pool_matches_setdiff1d_reference():
         interactions = {int(i) for i in ids}
         want = np.setdiff1d(np.arange(num_items),
                             np.array(sorted(interactions), dtype=np.int64))
-        got = _negative_pool(interactions, num_items)
+        got = unobserved_items(interactions, num_items)
         assert got.dtype == want.dtype and np.array_equal(got, want), case
         crng_a, crng_b = np.random.default_rng(case), np.random.default_rng(case)
         assert np.array_equal(crng_a.permutation(got), crng_b.permutation(want))
