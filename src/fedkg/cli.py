@@ -36,7 +36,7 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
 
 def setup_state(cfg: ExperimentConfig, dataset: data_mod.Dataset):
     """Initialize global parameters, the user-embedding fleet, and clients."""
-    params = init_params(dataset.num_entities, dataset.num_relations, cfg.embed_dim,
+    params = init_params(dataset.kg.num_entities, dataset.kg.num_relations, cfg.embed_dim,
                          derive_rng(cfg.seed, ROLE_PARAMS),
                          depth=cfg.depth, mode=cfg.mode)
     bound = 1.0 / np.sqrt(cfg.embed_dim)
@@ -68,18 +68,19 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.npz")
 
-    def save_state(_round_index=None):
+    def save_state():
         save_checkpoint(checkpoint_path, params, user_emb, extra=cfg.to_dict())
 
     with open(metrics_path, "w") as fh:
         def sink(record: dict) -> None:
             fh.write(json.dumps(record) + "\n")
+            if record["type"] == "round" and cfg.checkpoint_every and \
+                    (record["round"] + 1) % cfg.checkpoint_every == 0:
+                save_state()
 
         train(params, dataset.kg, clients, user_emb, dataset, rcfg,
               max_rounds=cfg.max_rounds, eval_every=cfg.eval_every,
-              patience=cfg.patience, record_sink=sink,
-              checkpoint_cb=save_state if cfg.checkpoint_every else None,
-              checkpoint_every=cfg.checkpoint_every)
+              patience=cfg.patience, record_sink=sink)
 
         final = evaluate_report(dataset, params, user_emb, cfg.sample_size,
                                 cfg.depth, cfg.seed, cfg.max_rounds,

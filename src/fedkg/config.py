@@ -66,6 +66,9 @@ class ExperimentConfig:
             (self.noise_scale >= 0, "noise_scale (lambda) must be >= 0"),
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.max_rounds >= 0, "max_rounds must be >= 0"),
+            (self.eval_every >= 0, "eval_every must be >= 0 (0: no validation)"),
+            (self.patience >= 1, "patience must be >= 1"),
+            (self.checkpoint_every >= 0, "checkpoint_every must be >= 0 (0: only at the end)"),
             (all(k >= 1 for k in self.recall_ks), "recall_ks (K) must all be >= 1"),
             (self.workers >= 1, "workers must be >= 1"),
             (self.mode in ("replace", "transform"), "mode must be replace or transform"),

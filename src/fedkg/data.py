@@ -8,11 +8,11 @@ are `user item rating` lines; KG files are `head relation tail` lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple, build_kg, load_kg_file
+from .kg import KnowledgeGraph, build_kg, load_kg_file, read_rows
 
 
 class DataFormatError(ValueError):
@@ -23,8 +23,6 @@ class DataFormatError(ValueError):
 class Dataset:
     num_users: int
     num_items: int
-    num_entities: int
-    num_relations: int
     train: list[list[int]]  # per-user positive items
     valid: list[list[int]]
     test: list[list[int]]
@@ -32,7 +30,7 @@ class Dataset:
     valid_neg: list[list[int]]
     test_neg: list[list[int]]
     kg: KnowledgeGraph
-    triples: list[Triple] = field(default_factory=list)
+    triples: np.ndarray  # (n, 3) int64 (head, relation, tail) rows kg was built from
     user_id_map: dict[int, int] | None = None  # original -> dense
     truth_prefs: np.ndarray | None = None  # synthetic diagnostics only
 
@@ -74,26 +72,13 @@ def load_ratings(path: str, positive_threshold: float = 0.0
     """
     by_user: dict[int, set[int]] = {}
     max_item = -1
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected `user item rating`, got {line!r}")
-            try:
-                user = int(parts[0])
-                item = int(parts[1])
-                rating = float(parts[2])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad field in {line!r}") from exc
-            if item < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative item id in {line!r}")
-            max_item = max(max_item, item)
-            if rating >= positive_threshold:
-                by_user.setdefault(user, set()).add(item)
+    for where, (user, item, rating) in read_rows(
+            path, {"user": int, "item": int, "rating": float}, DataFormatError):
+        if item < 0:
+            raise DataFormatError(f"{where}: negative item id {item}")
+        max_item = max(max_item, item)
+        if rating >= positive_threshold:
+            by_user.setdefault(user, set()).add(item)
     if not by_user:
         raise DataFormatError(f"{path}: no users with positive feedback")
     id_map = {orig: dense for dense, orig in enumerate(sorted(by_user))}
@@ -157,7 +142,7 @@ def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
 
 
 def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph,
-                  triples: list[Triple], rng: np.random.Generator,
+                  triples: np.ndarray, rng: np.random.Generator,
                   ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
                   user_id_map: dict[int, int] | None = None,
                   truth_prefs: np.ndarray | None = None) -> Dataset:
@@ -169,7 +154,6 @@ def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph
     valid_neg = sample_eval_negatives(num_items, union, valid, rng)
     test_neg = sample_eval_negatives(num_items, union, test, rng)
     return Dataset(num_users=len(positives), num_items=num_items,
-                   num_entities=kg.num_entities, num_relations=kg.num_relations,
                    train=train, valid=valid, test=test,
                    train_neg=train_neg, valid_neg=valid_neg, test_neg=test_neg,
                    kg=kg, triples=triples, user_id_map=user_id_map,
@@ -197,8 +181,7 @@ def generate_synthetic(cfg: SyntheticConfig, rng: np.random.Generator) -> Datase
     m, a = cfg.items, cfg.attributes
     item_attr = rng.integers(0, a, size=m)
     attr_rel = rng.integers(0, cfg.relations, size=a)
-    triples = [Triple(head=i, relation=int(attr_rel[item_attr[i]]),
-                      tail=m + int(item_attr[i])) for i in range(m)]
+    triples = np.column_stack([np.arange(m), attr_rel[item_attr], m + item_attr])
     kg = build_kg(triples, num_entities=m + a, num_relations=cfg.relations)
 
     items_by_attr = [np.flatnonzero(item_attr == x) for x in range(a)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import Triple, build_kg, sample_subgraph
+from .kg import build_kg, sample_subgraph
 from .model import LocalGraph, ModelParams, backward, forward_loss, init_model_params
 from .rng import derive_rng
 
@@ -39,9 +39,9 @@ def random_instance(seed: int, index: int = 0) -> tuple[LocalGraph, ModelParams]
     num_entities = 10
     num_relations = 3
     n_triples = int(rng.integers(8, 16))
-    triples = [Triple(int(rng.integers(0, num_entities)),
-                      int(rng.integers(0, num_relations)),
-                      int(rng.integers(0, num_entities))) for _ in range(n_triples)]
+    triples = [(int(rng.integers(0, num_entities)),
+                 int(rng.integers(0, num_relations)),
+                 int(rng.integers(0, num_entities))) for _ in range(n_triples)]
     kg = build_kg(triples, num_entities, num_relations)
 
     n_anchors = int(rng.integers(1, 3))

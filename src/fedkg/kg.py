@@ -16,20 +16,14 @@ the rows a server ships.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class KgValidationError(ValueError):
-    """Raised when triples reference entities/relations outside declared counts."""
-
-
-@dataclass(frozen=True)
-class Triple:
-    head: int
-    relation: int
-    tail: int
+    """Malformed KG file line, or a triple with an id outside the declared counts."""
 
 
 @dataclass
@@ -45,7 +39,10 @@ class KnowledgeGraph:
     offsets: np.ndarray  # (num_entities + 1,) edge range per entity
     rel: np.ndarray  # (2 * num_triples,) relation id per edge
     nbr: np.ndarray  # (2 * num_triples,) neighbor entity per edge
-    num_triples: int
+
+    @property
+    def num_triples(self) -> int:
+        return len(self.rel) // 2
 
 
 @dataclass
@@ -79,14 +76,13 @@ class Subgraph:
         return len(self.layers)
 
 
-def build_kg(triples: list[Triple] | list[tuple[int, int, int]],
-             num_entities: int, num_relations: int) -> KnowledgeGraph:
-    """Index triples into an undirected CSR store, dropping exact duplicates.
+def build_kg(triples: np.ndarray, num_entities: int, num_relations: int) -> KnowledgeGraph:
+    """Index (n, 3) array-like (head, relation, tail) rows into an undirected CSR store.
 
-    Raises KgValidationError naming the first out-of-range triple.
+    Exact duplicates are dropped. Raises KgValidationError naming the first
+    out-of-range triple.
     """
-    hrt = np.array([(t.head, t.relation, t.tail) if isinstance(t, Triple) else t
-                    for t in triples], dtype=np.int64).reshape(-1, 3)
+    hrt = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = hrt.T
     ent_bad = (h < 0) | (h >= num_entities) | (t < 0) | (t >= num_entities)
     rel_bad = (r < 0) | (r >= num_relations)
@@ -107,8 +103,7 @@ def build_kg(triples: list[Triple] | list[tuple[int, int, int]],
     offsets = np.zeros(num_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(center, minlength=num_entities), out=offsets[1:])
     return KnowledgeGraph(num_entities=num_entities, num_relations=num_relations,
-                          offsets=offsets, rel=rel[order], nbr=nbr[order],
-                          num_triples=len(h))
+                          offsets=offsets, rel=rel[order], nbr=nbr[order])
 
 
 def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int] | np.ndarray, k: int,
@@ -141,30 +136,48 @@ def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int] | np.ndarray, k:
                     relations=relations)
 
 
-def load_kg_file(path: str) -> tuple[list[Triple], int, int]:
-    """Read `head relation tail` lines; returns (triples, num_entities, num_relations)."""
-    triples = []
-    max_ent = -1
-    max_rel = -1
+def read_rows(path: str, columns: dict[str, type],
+              error: type[ValueError]) -> Iterator[tuple[str, tuple]]:
+    """Yield (`path:line`, converted fields) for each data line of a text table.
+
+    Lines hold the whitespace-separated `columns`, converted by their types;
+    blank and `#` lines are skipped. A wrong field count or an unconvertible
+    field raises `error` naming `path:line`.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
-            if len(parts) != 3:
-                raise KgValidationError(f"{path}:{lineno}: expected `head relation tail`, got {line!r}")
+            if len(parts) != len(columns):
+                raise error(f"{where}: expected `{' '.join(columns)}`, got {line!r}")
             try:
-                h, r, t = (int(p) for p in parts)
+                values = tuple(kind(p) for kind, p in zip(columns.values(), parts))
             except ValueError as exc:
-                raise KgValidationError(f"{path}:{lineno}: non-integer field in {line!r}") from exc
-            triples.append(Triple(h, r, t))
-            max_ent = max(max_ent, h, t)
-            max_rel = max(max_rel, r)
-    return triples, max_ent + 1, max_rel + 1
+                raise error(f"{where}: bad field in {line!r}") from exc
+            yield where, values
 
 
-def save_kg_file(path: str, triples: list[Triple]) -> None:
-    with open(path, "w") as fh:
-        for tr in triples:
-            fh.write(f"{tr.head}\t{tr.relation}\t{tr.tail}\n")
+def load_kg_file(path: str) -> tuple[np.ndarray, int, int]:
+    """Read `head relation tail` lines into (n, 3) int64 triples.
+
+    The counts returned, (num_entities, num_relations), are one past the
+    largest ids read, so (0, 0) for a file without triples.
+    """
+    rows = []
+    for where, hrt in read_rows(path, {"head": int, "relation": int, "tail": int},
+                                KgValidationError):
+        if min(hrt) < 0:
+            raise KgValidationError(f"{where}: negative id in triple {hrt}")
+        rows.append(hrt)
+    triples = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    head, rel, tail = triples.max(axis=0, initial=-1) + 1
+    return triples, int(max(head, tail)), int(rel)
+
+
+def save_kg_file(path: str, triples: np.ndarray) -> None:
+    """Write (head, relation, tail) rows as tab-separated `head relation tail` lines."""
+    np.savetxt(path, np.asarray(triples, dtype=np.int64).reshape(-1, 3),
+               fmt="%d", delimiter="\t")

@@ -139,19 +139,19 @@ class LocalGraph:
     relation_rows: np.ndarray
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction)."""
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis (max-subtraction)."""
+    shifted = scores - np.max(scores, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def attention_weights(user: np.ndarray, relations: list[np.ndarray]) -> np.ndarray:
-    """Softmax over inner-product scores between the user and each relation."""
-    if len(relations) == 0:
+def attention_weights(user: np.ndarray, relations: np.ndarray) -> np.ndarray:
+    """Softmax over the n user-relation inner products: (..., n, d) -> (..., n)."""
+    relations = np.asarray(relations, dtype=np.float64)
+    if relations.ndim < 2 or relations.shape[-2] == 0:
         raise ValueError("attention over an empty neighbor list")
-    scores = np.array([float(np.dot(user, r)) for r in relations])
-    return softmax(scores)
+    return softmax(relations @ user)
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -197,7 +197,7 @@ def _forward(graph: LocalGraph, params: ModelParams) -> _ForwardState:
     u = graph.user
 
     # Attention is user/relation only, so it is fixed across hops.
-    alphas = [softmax(graph.relation_rows[layer.rel_rows] @ u, axis=1)
+    alphas = [attention_weights(u, graph.relation_rows[layer.rel_rows])
               for layer in sub.layers]
 
     ent_rows = [np.searchsorted(sub.entities, ids) for ids in sub.ids]

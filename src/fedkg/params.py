@@ -21,7 +21,6 @@ class ParameterState:
     entity_emb: np.ndarray  # (num_entities, d)
     relation_emb: np.ndarray  # (num_relations, d)
     model: ModelParams
-    dim: int
 
     @property
     def num_entities(self) -> int:
@@ -33,7 +32,7 @@ class ParameterState:
 
     def copy(self) -> "ParameterState":
         return ParameterState(self.entity_emb.copy(), self.relation_emb.copy(),
-                              self.model.copy(), self.dim)
+                              self.model.copy())
 
 
 def init_params(num_entities: int, num_relations: int, dim: int,
@@ -46,7 +45,7 @@ def init_params(num_entities: int, num_relations: int, dim: int,
     entity = rng.uniform(-bound, bound, size=(num_entities, dim))
     relation = rng.uniform(-bound, bound, size=(num_relations, dim))
     model = init_model_params(dim, depth, mode, rng)
-    return ParameterState(entity_emb=entity, relation_emb=relation, model=model, dim=dim)
+    return ParameterState(entity_emb=entity, relation_emb=relation, model=model)
 
 
 def gather(state: ParameterState, entities: np.ndarray,
@@ -113,7 +112,6 @@ def save_checkpoint(path: str, state: ParameterState,
     arrays = {
         "entity_emb": state.entity_emb,
         "relation_emb": state.relation_emb,
-        "dim": np.array(state.dim),
         "mode": np.array(state.model.mode),
         "depth": np.array(state.model.depth),
     }
@@ -135,7 +133,7 @@ def load_checkpoint(path: str) -> tuple[ParameterState, np.ndarray | None, dict 
                         biases=[data[f"b{i}"] for i in range(depth)])
     state = ParameterState(entity_emb=data["entity_emb"],
                            relation_emb=data["relation_emb"],
-                           model=model, dim=int(data["dim"]))
+                           model=model)
     user_emb = data["user_emb"] if "user_emb" in data else None
     extra = json.loads(str(data["extra_json"])) if "extra_json" in data else None
     return state, user_emb, extra

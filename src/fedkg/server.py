@@ -212,13 +212,13 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
 
 def train(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],
           user_emb: np.ndarray, dataset, cfg: RoundConfig, max_rounds: int,
-          eval_every: int = 10, patience: int = 10, record_sink=None,
-          checkpoint_cb=None, checkpoint_every: int = 0) -> list[dict]:
+          eval_every: int = 10, patience: int = 10, record_sink=None) -> list[dict]:
     """Run rounds until max_rounds or the validation AUC stops improving.
 
     Evaluates every eval_every rounds; stops after `patience` evaluations
     without a new best. Returns the evaluation history; every round and
-    evaluation record also goes to record_sink when given.
+    evaluation record also goes to record_sink when given, the round record
+    before its evaluation, so a sink can act at the end of any round.
     """
     from .metrics import evaluate_ctr  # local import: metrics layers on top
 
@@ -229,9 +229,6 @@ def train(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState]
         report = run_round(params, kg, clients, cfg, round_index)
         if record_sink is not None:
             record_sink(report.to_json_record())
-        if checkpoint_cb is not None and checkpoint_every and \
-                (round_index + 1) % checkpoint_every == 0:
-            checkpoint_cb(round_index)
         if eval_every and (round_index + 1) % eval_every == 0:
             rep = evaluate_ctr(dataset, params, user_emb, cfg.sample_size,
                                cfg.depth, cfg.seed, round_index, split="valid")

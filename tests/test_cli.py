@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from fedkg import cli
 from fedkg.cli import main, run_experiment
-from fedkg.config import ConfigError, ExperimentConfig
+from fedkg.config import ConfigError, ExperimentConfig, parse_config_file
 
 
 def _tiny_train_args(out_dir, **extra):
@@ -68,6 +72,32 @@ def test_train_invalid_config_rejected(tmp_path):
     assert code == 2
 
 
+def test_train_counts_checkpoints(tmp_path, monkeypatch):
+    saved = []
+    real_save = cli.save_checkpoint
+
+    def counting_save(*args, **kwargs):
+        saved.append(1)
+        real_save(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "save_checkpoint", counting_save)
+    assert main(_tiny_train_args(tmp_path / "every2", checkpoint_every=2)) == 0
+    assert len(saved) == 3 + 1  # after rounds 2, 4 and 6, then the final save
+    saved.clear()
+    assert main(_tiny_train_args(tmp_path / "end")) == 0
+    assert len(saved) == 1
+
+
+def test_negative_schedules_rejected(tmp_path):
+    for key, value in (("eval_every", -3), ("checkpoint_every", -1),
+                       ("patience", 0), ("patience", -2)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: value}).validate()
+        out = tmp_path / f"{key}{value}"
+        assert main(_tiny_train_args(out, **{key: value})) == 2
+        assert not out.exists()
+
+
 def test_train_rejects_recall_k_below_one(tmp_path):
     for ks in ("0", "5,-1"):
         out = tmp_path / f"run{ks}"
@@ -103,6 +133,31 @@ def test_synth_emits_three_files(tmp_path):
     assert code == 0
     names = sorted(os.listdir(out))
     assert names == ["kg.txt", "ratings.txt", "synth_config.txt"]
+
+
+# sha256 of `fedkg synth --seed 7` at the default config. A change that
+# moves these bytes must update the digests and say why.
+PINNED_SYNTH_SHA256 = {
+    "kg.txt": "3351cc0336522b814186c3d138c89840043179fe100d814aab56b8af0f3d6649",
+    "ratings.txt": "6becbe2230c63aa1c19706de186e4d41707d59e9034623da80832a00aabebcc8",
+}
+
+
+def test_synth_outputs_pinned(tmp_path):
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "7", "--dataset-dir", str(out)]) == 0
+    for name, digest in PINNED_SYNTH_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_readme_config_template_covers_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```", 2)[1]
+    # commented-out `# key = value` lines are template keys too
+    text = re.sub(r"^# (?=\w+ =)", "", block, flags=re.MULTILINE)
+    path = tmp_path / "template.cfg"
+    path.write_text(text)
+    assert sorted(parse_config_file(str(path))) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_synth_files_are_loadable_for_training(tmp_path):

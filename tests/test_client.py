@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedkg.client import ClientState, ProtocolError, build_request, local_train, merge_graphs
-from fedkg.kg import Triple, build_kg
+from fedkg.kg import build_kg
 from fedkg.model import backward, forward_loss
 from fedkg.params import init_params
 from fedkg.privacy import DpConfig
@@ -12,7 +12,7 @@ from fedkg.server import serve_request
 
 def _setup(num_entities=12, num_items=8, depth=1, k=2, seed=0, mode="transform"):
     rng = derive_rng(seed, 50)
-    triples = [Triple(i, i % 2, num_items + (i % 3)) for i in range(num_items)]
+    triples = [(i, i % 2, num_items + (i % 3)) for i in range(num_items)]
     kg = build_kg(triples, num_entities, 2)
     params = init_params(num_entities, 2, 4, rng, depth=depth, mode=mode)
     client = ClientState(user_id=3, user_embedding=rng.uniform(-0.5, 0.5, 4),
@@ -75,7 +75,7 @@ def test_merge_entity_count_bound():
 
 def test_merge_shared_anchor_neighbor_single_vector():
     # anchors 0 and 1 are linked, so 1 appears in 0's receptive field too
-    kg = build_kg([Triple(0, 0, 1)], 2, 1)
+    kg = build_kg([(0, 0, 1)], 2, 1)
     params = init_params(2, 1, 4, derive_rng(4, 0), depth=1)
     client = ClientState(user_id=0, user_embedding=np.zeros(4), interactions={0, 1})
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)

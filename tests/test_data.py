@@ -130,7 +130,7 @@ def test_synthetic_structure_and_planted_signal():
     cfg = SyntheticConfig()
     ds = generate_synthetic(cfg, derive_rng(7, 0))
     assert ds.num_users == 500 and ds.num_items == 200
-    assert ds.num_entities == 220  # items + attributes
+    assert ds.kg.num_entities == 220  # items + attributes
     assert len(ds.triples) == 200  # one attribute triple per item
     assert ds.kg.num_triples == 200
     for user in range(ds.num_users):
@@ -143,7 +143,7 @@ def test_synthetic_structure_and_planted_signal():
 def test_synthetic_noise_zero_positives_match_preferences():
     cfg = SyntheticConfig(users=50, noise=0.0)
     ds = generate_synthetic(cfg, derive_rng(8, 0))
-    item_attr = {t.head: t.tail - ds.num_items for t in ds.triples}
+    item_attr = {int(h): int(t) - ds.num_items for h, _, t in ds.triples}
     for user in range(ds.num_users):
         for item in ds.positives(user):
             assert ds.truth_prefs[user, item_attr[item]]
@@ -155,7 +155,7 @@ def test_synthetic_noise_zero_admits_perfect_predictor():
     cfg = SyntheticConfig(users=80, items=100, attributes=10,
                           interactions_per_user=100, noise=0.0)
     ds = generate_synthetic(cfg, derive_rng(9, 0))
-    item_attr = {t.head: t.tail - ds.num_items for t in ds.triples}
+    item_attr = {int(h): int(t) - ds.num_items for h, _, t in ds.triples}
     scores, labels = [], []
     for user in range(ds.num_users):
         for item, label in [(i, 1) for i in ds.test[user]] + \
@@ -175,7 +175,7 @@ def test_ratings_roundtrip(tmp_path):
     reloaded = load_dataset(str(ratings_path), str(kg_path), 0.0, derive_rng(11, 0))
     for user in range(ds.num_users):
         assert reloaded.positives(user) == ds.positives(user)
-    assert reloaded.num_entities == ds.num_entities
+    assert reloaded.kg.num_entities == ds.kg.num_entities
     assert reloaded.kg.num_triples == ds.kg.num_triples
 
 

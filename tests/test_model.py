@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedkg.gradcheck import max_relative_error, random_instance
-from fedkg.kg import Layer, Subgraph, Triple, build_kg, sample_subgraph
+from fedkg.kg import Layer, Subgraph, build_kg, sample_subgraph
 from fedkg.model import (LocalGraph, ModelParams, attention_weights, backward,
                          bce_loss, forward_loss, init_model_params, propagate,
                          sigmoid, softmax)
@@ -264,7 +264,7 @@ def test_backward_matches_finite_differences_depth_three(mode):
     for index in range(4):
         rng = derive_rng(34, index)
         ends = rng.integers(0, 11, size=(18, 2))  # entity 11 stays isolated
-        triples = [Triple(int(h), int(r), int(t))
+        triples = [(int(h), int(r), int(t))
                    for (h, t), r in zip(ends, rng.integers(0, 3, size=18))]
         sub = sample_subgraph(build_kg(triples, 12, 3), [11, 0, 5], 2, 3, rng)
         assert len(sub.layers[2].rel_rows) > 0

@@ -192,3 +192,20 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(ba, bb)
     assert np.array_equal(loaded_users, users)
     assert extra == {"seed": 3}
+
+
+def test_checkpoint_with_legacy_dim_key_loads(tmp_path):
+    # checkpoints written before the embedding width was read from the
+    # arrays carried a redundant `dim` entry
+    state = init_params(5, 2, 3, derive_rng(18, 0), depth=1)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, state)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert "dim" not in arrays
+    np.savez(path, dim=np.array(3), **arrays)
+    loaded, user_emb, extra = load_checkpoint(path)
+    assert np.array_equal(loaded.entity_emb, state.entity_emb)
+    assert np.array_equal(loaded.relation_emb, state.relation_emb)
+    assert np.array_equal(loaded.model.weights[0], state.model.weights[0])
+    assert user_emb is None and extra is None

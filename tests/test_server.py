@@ -4,7 +4,7 @@ import pytest
 from fedkg.cli import build_dataset, round_config, setup_state
 from fedkg.config import ExperimentConfig
 from fedkg.data import unobserved_items
-from fedkg.kg import Triple, build_kg
+from fedkg.kg import build_kg
 from fedkg.messages import RequestMessage
 from fedkg.model import GradientPacket, SparseGrad
 from fedkg.params import init_params
@@ -76,7 +76,7 @@ def test_select_too_many_is_error():
 # --- request serving ---------------------------------------------------------
 
 def test_serve_ships_at_most_anchor_plus_k_vectors():
-    triples = [Triple(0, 0, t) for t in range(1, 8)]
+    triples = [(0, 0, t) for t in range(1, 8)]
     kg = build_kg(triples, 8, 1)
     params = init_params(8, 1, 4, derive_rng(5, 0), depth=1)
     resp = serve_request(RequestMessage(0, [0]), kg, params, 4, 1, derive_rng(6, 0))
@@ -84,7 +84,7 @@ def test_serve_ships_at_most_anchor_plus_k_vectors():
 
 
 def test_serve_only_subgraph_rows():
-    triples = [Triple(0, 0, 1), Triple(2, 0, 3)]
+    triples = [(0, 0, 1), (2, 0, 3)]
     kg = build_kg(triples, 6, 1)
     params = init_params(6, 1, 4, derive_rng(7, 0), depth=1)
     resp = serve_request(RequestMessage(0, [0]), kg, params, 2, 1, derive_rng(8, 0))
@@ -94,7 +94,7 @@ def test_serve_only_subgraph_rows():
 
 
 def test_serve_depth_zero_anchors_and_model_only():
-    kg = build_kg([Triple(0, 0, 1)], 3, 1)
+    kg = build_kg([(0, 0, 1)], 3, 1)
     params = init_params(3, 1, 4, derive_rng(9, 0), depth=0)
     resp = serve_request(RequestMessage(0, [0, 1]), kg, params, 4, 0, derive_rng(10, 0))
     assert resp.subgraph.entities.tolist() == [0, 1]
@@ -104,7 +104,7 @@ def test_serve_depth_zero_anchors_and_model_only():
 
 
 def test_serve_unknown_item_names_id():
-    kg = build_kg([Triple(0, 0, 1)], 2, 1)
+    kg = build_kg([(0, 0, 1)], 2, 1)
     params = init_params(2, 1, 4, derive_rng(11, 0), depth=1)
     with pytest.raises(RequestError, match="7"):
         serve_request(RequestMessage(0, [7]), kg, params, 2, 1, derive_rng(12, 0))
@@ -285,7 +285,7 @@ def test_round_failure_is_atomic(monkeypatch):
         selected = select_clients(len(clients), rcfg.clients_per_round,
                                   derive_rng(rcfg.seed, ROLE_SELECT, 0))
         if failure == "client-leg":  # the server rejects the request
-            clients[selected[2]].interactions.add(dataset.num_entities + 40)
+            clients[selected[2]].interactions.add(dataset.kg.num_entities + 40)
             error, match = RequestError, "unknown item"
         else:  # every leg succeeds; apply_global_update rejects the NaN row
             monkeypatch.setattr(server, "ldp_encrypt", nan_upload(selected[2]))
@@ -331,7 +331,7 @@ def test_round_rejects_upload_not_bound_to_what_was_served(monkeypatch, case):
     rcfg = round_config(cfg, dataset)
     target = select_clients(len(clients), rcfg.clients_per_round,
                             derive_rng(rcfg.seed, ROLE_SELECT, 0))[3]
-    monkeypatch.setattr(server, "ldp_encrypt", _unbound(case, target, dataset.num_entities))
+    monkeypatch.setattr(server, "ldp_encrypt", _unbound(case, target, dataset.kg.num_entities))
     before = params.copy()
     snap_users = user_emb.copy()
     with pytest.raises(UploadError, match=f"client {target}"):
