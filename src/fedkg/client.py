@@ -7,12 +7,12 @@ nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .messages import RequestMessage, SubgraphResponse
-from .model import GradientPacket, LocalGraph, ModelParams, backward
+from .model import BatchGradient, LocalGraph, ModelParams, as_batch, backward
 from .privacy import DpConfig, RequestPlan, generate_request_items
 
 
@@ -50,39 +50,49 @@ def merge_graphs(plan: RequestPlan, response: SubgraphResponse,
                       relation_rows=response.relation_rows)
 
 
-def local_train(state: ClientState, graph: LocalGraph, model: ModelParams,
-                eta: float, epochs: int = 1) -> GradientPacket:
+def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
     """Run forward/backward `epochs` times, stepping local copies in between.
 
     The uploaded gradient is the sum over epochs; the client's own user
     embedding takes a step of size eta after every epoch. The gathered
     rows and a model copy are stepped locally so later epochs see updated
     values; the global state is untouched.
+
+    One client trains as a batch of one (`as_batch`). A batch is the
+    clients' states, their GraphBatch (`stack_graphs`) and their stacked
+    models (`stack_models`): one backward per epoch covers every client,
+    each stepping its own user, rows and model, and the result is one
+    packet per client in batch order.
     """
-    total: GradientPacket | None = None
+    if isinstance(graph, LocalGraph):
+        return local_train([state], *as_batch(graph, model), eta, epochs)[0]
+    states, batch = state, graph
+    total: BatchGradient | None = None
     for epoch in range(epochs):
-        packet = backward(graph, model)
-        state.user_embedding -= eta * packet.user_grad
+        grad = backward(batch, model)
+        for client, user_grad in zip(states, grad.user):
+            client.user_embedding -= eta * user_grad
         if total is None:
-            total = packet
+            total = grad
         else:
-            # every epoch trains the same subgraph, so the id arrays match
-            total.entity_grads.rows()[...] += packet.entity_grads.rows()
-            total.relation_grads.rows()[...] += packet.relation_grads.rows()
-            for (tw, tb), (dw, db) in zip(total.model_grads, packet.model_grads):
+            # every epoch trains the same subgraphs, so the rows line up
+            total.entity += grad.entity
+            total.relation += grad.relation
+            for (tw, tb), (dw, db) in zip(total.model, grad.model):
                 tw += dw
                 tb += db
-            total.user_grad = total.user_grad + packet.user_grad
-            total.loss = packet.loss  # most recent epoch's loss
+            total.user = total.user + grad.user
+            total.losses = grad.losses  # most recent epoch's loss
         if epoch + 1 < epochs:
-            graph.entity_rows = graph.entity_rows - eta * packet.entity_grads.rows()
-            graph.relation_rows = graph.relation_rows - eta * packet.relation_grads.rows()
+            batch = replace(batch, users=np.array([c.user_embedding for c in states]),
+                            entity_rows=batch.entity_rows - eta * grad.entity,
+                            relation_rows=batch.relation_rows - eta * grad.relation)
             if model.mode == "transform":
-                model = model.copy()
-                for layer, (dw, db) in enumerate(packet.model_grads):
-                    model.weights[layer] -= eta * dw
-                    model.biases[layer] -= eta * db
+                model = ModelParams(model.mode,
+                                    [w - eta * g for w, (g, _) in zip(model.weights, grad.model)],
+                                    [b - eta * g for b, (_, g) in zip(model.biases, grad.model)])
     assert total is not None
-    total.client_id = state.user_id
-    total.weight = len(graph.labels)
-    return total
+    packets = batch.packets(total)
+    for client, packet in zip(states, packets):
+        packet.client_id = client.user_id
+    return packets

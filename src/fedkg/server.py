@@ -1,16 +1,24 @@
 """Round orchestration: select, serve, collect, aggregate, update.
 
+A round splits the selected clients, in id order, into `workers`
+contiguous batches. Within a batch every step that draws randomness stays
+per client, on that client's own streams and in the same order: request
+and randomized response (crng), serving (srng), merging, then after
+training the LDP step (crng) and the upload. Training is one local_train
+over the batch's stacked graphs (see `model`), and each upload is bound
+to what its client was served through the batch's row offsets.
+
 Aggregation is the request-size weighted mean of client gradients; sparse
 coordinates divide only by the weights of packets that touched them, so
 rarely-seen entities are not shrunk by absent clients. Packets are always
-reduced in client-id order, which makes parallel rounds bitwise
-reproducible.
+reduced in client-id order, so a round's result does not depend on how
+its clients are batched.
 
 The sparse parts are a segment reduction: np.unique maps the client-order
-concatenation of the packets' ids to output rows, and np.add.at sums the
-weighted rows into a -0.0 matrix and the weights into a 0.0 vector. It
-adds repeated indices in order and -0.0 + x == x, so it is bitwise the
-sequential per-id sum.
+concatenation of the packets' ids to output rows, and model.segment_sum
+adds the weighted rows to -0.0 and the weights to 0.0. It adds repeated
+indices in order and -0.0 + x == x, so it is bitwise the sequential
+per-id sum.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from .client import ClientState, build_request, local_train, merge_graphs
 from .data import unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
-from .model import GradientPacket, SparseGrad
+from .model import (GradientPacket, GraphBatch, ModelParams, SparseGrad, segment_sum,
+                    stack_graphs, stack_models)
 from .params import ParameterState, apply_global_update, gather
 from .privacy import DpConfig, ldp_encrypt
 from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
@@ -50,7 +59,7 @@ class RoundConfig:
     num_items: int
     epochs: int = 1
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # contiguous batches the selected clients are split into
     transport: str = "memory"  # "memory" | "json" (serialize server-bound messages)
 
 
@@ -129,44 +138,78 @@ def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:
         return SparseGrad()
     ids, segment = np.unique(np.concatenate([g.ids() for _, g in touched]),
                              return_inverse=True)
-    num = np.full((len(ids), touched[0][1].rows().shape[1]), -0.0)
-    den = np.zeros(len(ids))
-    np.add.at(num, segment, np.concatenate([w * g.rows() for w, g in touched]))
-    np.add.at(den, segment, np.repeat([w for w, _ in touched], [len(g) for _, g in touched]))
+    num = segment_sum(segment, np.concatenate([w * g.rows() for w, g in touched]).T, len(ids),
+                      start=-0.0)
+    den = segment_sum(segment, [np.repeat([w for w, _ in touched], [len(g) for _, g in touched])],
+                      len(ids))[:, 0]
     return SparseGrad(ids, num / den[:, None])
 
 
-def _client_round(client: ClientState, kg: KnowledgeGraph, params: ParameterState,
-                  cfg: RoundConfig, round_index: int) -> tuple[GradientUpload, list[bytes]]:
-    """One client's leg; returns the upload, bound to what was served, and any wire bytes."""
-    crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
-    srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
-    captured: list[bytes] = []
+def _serve_batch(members: list[ClientState], kg: KnowledgeGraph, params: ParameterState,
+                 cfg: RoundConfig, round_index: int):
+    """Request, serve and merge per client, in its own streams; return them stacked.
 
-    pool = unobserved_items(client.interactions, cfg.num_items)
-    plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
-    if cfg.transport == "json":
-        raw = msg.to_json_bytes()
-        captured.append(raw)
-        msg = RequestMessage.from_json_bytes(raw)
+    Returns the GraphBatch, the stacked served models, each client's crng
+    (its LDP step draws next) and each client's wire bytes so far.
+    """
+    crngs, graphs, models, wires = [], [], [], []
+    for client in members:
+        crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
+        srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
+        wire: list[bytes] = []
+        pool = unobserved_items(client.interactions, cfg.num_items)
+        plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
+        if cfg.transport == "json":
+            wire.append(msg.to_json_bytes())
+            msg = RequestMessage.from_json_bytes(wire[-1])
+        response = serve_request(msg, kg, params, cfg.sample_size, cfg.depth, srng)
+        graphs.append(merge_graphs(plan, response, client.user_embedding))
+        models.append(response.model)
+        crngs.append(crng)
+        wires.append(wire)
+    return stack_graphs(graphs), stack_models(models), crngs, wires
 
-    response = serve_request(msg, kg, params, cfg.sample_size, cfg.depth, srng)
-    graph = merge_graphs(plan, response, client.user_embedding)
-    packet = local_train(client, graph, response.model, cfg.eta, cfg.epochs)
-    protected = ldp_encrypt(packet, cfg.dp, crng)
 
-    upload = GradientUpload.from_packet(protected)
-    if cfg.transport == "json":
-        raw = upload.to_json_bytes()
-        captured.append(raw)
-        upload = GradientUpload.from_json_bytes(raw)
-    served = response.subgraph
-    if upload.client_id != client.user_id or upload.weight != len(msg.items) or \
-            not np.array_equal(upload.entities.ids(), served.entities) or \
-            not np.array_equal(upload.relations.ids(), served.relations):
-        raise UploadError(f"upload from client {client.user_id} does not match its "
-                          f"{len(msg.items)} request items and served subgraph")
-    return upload, captured
+def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: ParameterState,
+                 cfg: RoundConfig, round_index: int) -> tuple[list[GradientUpload], list[bytes]]:
+    """One batch of client legs; returns the bound uploads and the wire bytes, in client order.
+
+    Serving is per client (`_serve_batch`), training one local_train over
+    the stacked batch, and the LDP step (crng) and the upload per client.
+    """
+    batch, model, crngs, wires = _serve_batch(members, kg, params, cfg, round_index)
+    packets = local_train(members, batch, model, cfg.eta, cfg.epochs)
+    uploads = []
+    for packet, crng, wire in zip(packets, crngs, wires):
+        upload = GradientUpload.from_packet(ldp_encrypt(packet, cfg.dp, crng))
+        if cfg.transport == "json":
+            wire.append(upload.to_json_bytes())
+            upload = GradientUpload.from_json_bytes(wire[-1])
+        uploads.append(upload)
+    _bind_uploads(uploads, members, batch, params.model)
+    return uploads, [raw for wire in wires for raw in wire]
+
+
+def _bind_uploads(uploads: list[GradientUpload], members: list[ClientState],
+                  batch: GraphBatch, model: ModelParams) -> None:
+    """Raise UploadError unless each upload matches what its client was served.
+
+    Client b of the batch was served the entity and relation blocks b of
+    the batch and as many anchors as it requested, and every upload must
+    carry one (dW, db) per layer of the global model, of its shapes.
+    """
+    ent, rel, anchors = batch.entity_offsets, batch.relation_offsets, batch.anchor_offsets
+    layers = [(w.shape, bias.shape) for w, bias in zip(model.weights, model.biases)]
+    for b, (upload, client) in enumerate(zip(uploads, members)):
+        if upload.client_id != client.user_id or \
+                upload.weight != anchors[b + 1] - anchors[b] or \
+                not np.array_equal(upload.entities.ids(), batch.entities[ent[b]:ent[b + 1]]) or \
+                not np.array_equal(upload.relations.ids(),
+                                   batch.relations[rel[b]:rel[b + 1]]) or \
+                [(dw.shape, db.shape) for dw, db in upload.model] != layers:
+            raise UploadError(f"upload from client {client.user_id} does not match its "
+                              f"{anchors[b + 1] - anchors[b]} request items, served "
+                              f"subgraph and the model's layers {layers}")
 
 
 def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],
@@ -174,26 +217,32 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
               wire_sink=None) -> RoundReport:
     """Execute one full federated round; atomic on failure.
 
-    Clients run against the immutable pre-round snapshot (their gathers are
-    copies) and may execute in parallel; uploads funnel into a sorted
-    reduction. Any failure, in a client leg, the aggregation or the global
-    update, rolls back the selected clients' user embeddings and leaves the
-    global state untouched (apply_global_update checks before it writes).
+    The selected clients, in id order, are split into `cfg.workers`
+    contiguous batches, each trained in one stacked pass; more than one
+    batch run on that many threads. Every batch reads the immutable
+    pre-round snapshot (its gathers are copies) and every client draws
+    only from its own streams, so the split does not change any result.
+    Uploads funnel into a sorted reduction. Any failure, in a client
+    leg, the aggregation or the global update, rolls back the selected
+    clients' user embeddings and leaves the global state untouched
+    (apply_global_update checks before it writes).
     """
     rng = derive_rng(cfg.seed, ROLE_SELECT, round_index)
     selected = select_clients(len(clients), cfg.clients_per_round, rng)
     saved_users = {cid: clients[cid].user_embedding.copy() for cid in selected}
 
+    parts = [part.tolist() for part in np.array_split(selected, cfg.workers) if len(part)]
+
+    def run(part: list[int]):
+        return _batch_round([clients[cid] for cid in part], kg, params, cfg, round_index)
+
     try:
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(
-                    lambda cid: _client_round(clients[cid], kg, params, cfg, round_index),
-                    selected))
+        if len(parts) > 1:
+            with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+                results = list(pool.map(run, parts))
         else:
-            results = [_client_round(clients[cid], kg, params, cfg, round_index)
-                       for cid in selected]
-        uploads = [r[0] for r in results]
+            results = [run(part) for part in parts]
+        uploads = [upload for done, _ in results for upload in done]
         apply_global_update(params, aggregate([u.to_packet() for u in uploads]), cfg.eta)
     except Exception:
         for cid, emb in saved_users.items():
@@ -215,13 +264,18 @@ def train(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState]
           eval_every: int = 10, patience: int = 10, record_sink=None) -> list[dict]:
     """Run rounds until max_rounds or the validation AUC stops improving.
 
-    Evaluates every eval_every rounds; stops after `patience` evaluations
-    without a new best. Returns the evaluation history; every round and
-    evaluation record also goes to record_sink when given, the round record
-    before its evaluation, so a sink can act at the end of any round.
+    Evaluates every eval_every rounds (0: never); stops after `patience`
+    (>= 1) evaluations without a new best. Returns the evaluation history;
+    every round and evaluation record also goes to record_sink when given,
+    the round record before its evaluation, so a sink can act at the end of
+    any round.
     """
     from .metrics import evaluate_ctr  # local import: metrics layers on top
 
+    if eval_every < 0:
+        raise ValueError("eval_every must be >= 0 (0: no validation)")
+    if patience < 1:
+        raise ValueError("patience must be >= 1")
     history: list[dict] = []
     best_auc = -np.inf
     stale = 0

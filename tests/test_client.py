@@ -3,7 +3,7 @@ import pytest
 
 from fedkg.client import ClientState, ProtocolError, build_request, local_train, merge_graphs
 from fedkg.kg import build_kg
-from fedkg.model import backward, forward_loss
+from fedkg.model import backward, forward_loss, stack_graphs, stack_models
 from fedkg.params import init_params
 from fedkg.privacy import DpConfig
 from fedkg.rng import derive_rng
@@ -163,3 +163,71 @@ def test_local_train_near_zero_packet_at_flat_optimum():
     packet = local_train(client, graph, response.model, eta=0.1, epochs=1)
     norm = sum(float(np.abs(v).sum()) for v in packet.entity_grads.entries.values())
     assert norm == 0.0
+
+
+def _batch_members(depth, mode, seed):
+    """A KG whose items 0-2 have no edges, and 2-5 clients.
+
+    Client 0 requests only isolated items (0 and the negatives 1, 2);
+    client 1 has one isolated anchor among 1-4 linked ones, as do the rest.
+    """
+    rng = derive_rng(seed, 60)
+    num_items, num_attrs = 10, 6
+    triples = [(i, int(rng.integers(0, 2)), num_items + int(rng.integers(0, num_attrs)))
+               for i in range(3, num_items) for _ in range(2)]
+    kg = build_kg(triples, num_items + num_attrs, 2)
+    params = init_params(num_items + num_attrs, 2, 4, rng, depth=depth, mode=mode)
+    clients = [ClientState(0, rng.uniform(-0.5, 0.5, 4), {0})]
+    for cid in range(1, int(rng.integers(2, 6))):
+        items = rng.choice(np.arange(3, num_items), size=int(rng.integers(1, 5)), replace=False)
+        interactions = {int(i) for i in items} | ({0} if cid == 1 else set())
+        clients.append(ClientState(cid, rng.uniform(-0.5, 0.5, 4), interactions))
+    return kg, params, clients
+
+
+def _train_members(kg, params, clients, depth, epochs, batched):
+    """Serve every client from its own streams, then train them batched or one by one."""
+    dp = DpConfig(flip_rate=0.2, pseudo_count=2)
+    states, graphs, models = [], [], []
+    for c in clients:
+        state = ClientState(c.user_id, c.user_embedding.copy(), set(c.interactions))
+        negatives = [i for i in range(10) if i not in c.interactions]
+        plan, msg = build_request(state, negatives, dp, derive_rng(7, 51, c.user_id))
+        response = serve_request(msg, kg, params, 2, depth, derive_rng(7, 52, c.user_id))
+        states.append(state)
+        graphs.append(merge_graphs(plan, response, state.user_embedding))
+        models.append(response.model)
+    if batched:
+        packets = local_train(states, stack_graphs(graphs), stack_models(models), 0.3, epochs)
+    else:
+        packets = [local_train(s, g, m, 0.3, epochs) for s, g, m in zip(states, graphs, models)]
+    return states, packets, graphs
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("mode", ["replace", "transform"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_batch_equals_single_client_oracle(depth, mode, epochs):
+    isolated = mixed = 0
+    for seed in range(6):
+        kg, params, clients = _batch_members(depth, mode, seed)
+        states, packets, graphs = _train_members(kg, params, clients, depth, epochs, True)
+        oracle_states, oracles, _ = _train_members(kg, params, clients, depth, epochs, False)
+        assert len(packets) == len(clients)
+        for state, packet, o_state, oracle in zip(states, packets, oracle_states, oracles):
+            assert np.array_equal(state.user_embedding, o_state.user_embedding)
+            assert packet.client_id == oracle.client_id == state.user_id
+            assert packet.weight == oracle.weight and packet.loss == oracle.loss
+            for got, want in ((packet.entity_grads, oracle.entity_grads),
+                              (packet.relation_grads, oracle.relation_grads)):
+                assert np.array_equal(got.ids(), want.ids())
+                assert np.array_equal(got.rows(), want.rows())
+            assert len(packet.model_grads) == len(oracle.model_grads) == depth
+            for (dw, db), (ow, ob) in zip(packet.model_grads, oracle.model_grads):
+                assert np.array_equal(dw, ow) and np.array_equal(db, ob)
+            assert np.array_equal(packet.user_grad, oracle.user_grad)
+        if depth:
+            assert graphs[0].subgraph.layers[0].isolated.all()
+            isolated += bool(graphs[1].subgraph.layers[0].isolated.any())
+        mixed += len({p.weight for p in packets}) > 1
+    assert mixed and (isolated or not depth)

@@ -5,7 +5,7 @@ import pytest
 
 from fedkg.gradcheck import max_relative_error, random_instance
 from fedkg.kg import Layer, Subgraph, build_kg, sample_subgraph
-from fedkg.model import (LocalGraph, ModelParams, attention_weights, backward,
+from fedkg.model import (LocalGraph, ModelParams, attention_weights, backward, segment_sum,
                          bce_loss, forward_loss, init_model_params, propagate,
                          sigmoid, softmax)
 from fedkg.rng import derive_rng
@@ -281,3 +281,21 @@ def test_backward_weight_equals_anchor_count():
     graph, params = random_instance(32, 13)
     packet = backward(graph, params)
     assert packet.weight == len(graph.subgraph.ids[0])
+
+
+@pytest.mark.parametrize("start", [0.0, -0.0])
+def test_segment_sum_is_bitwise_add_at(start):
+    rng = np.random.default_rng(8)
+    for case in range(200):
+        size = int(rng.integers(0, 6))
+        n = int(rng.integers(0, 12)) if size else 0
+        shape = (n,) if case % 3 == 0 else (n, int(rng.integers(1, 4)))
+        # a few values, both zeros among them, so cancellations and zero signs occur
+        rows = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, -0.1, 3e-17], size=shape)
+        index = rng.integers(0, max(size, 1), size=n)
+        want = np.full((size, *shape[1:]), start)
+        np.add.at(want, index, rows)
+        columns = rows.reshape(n, int(np.prod(shape[1:]))).T
+        got = segment_sum(index, columns, size, start=start).reshape(want.shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,11 @@ def _unbound(case, target, num_entities):
             protected.relation_grads = SparseGrad(rel.ids()[1:], rel.rows()[1:])
         elif case == "inflated-weight":
             protected.weight += 5
+        elif case == "dropped-layer":
+            protected.model_grads = protected.model_grads[:-1]
+        elif case == "reshaped-dw":
+            dw, db = protected.model_grads[0]
+            protected.model_grads = [(dw.reshape(1, -1), db), *protected.model_grads[1:]]
         else:  # "other-client"
             protected.client_id = target + 1000
         return protected
@@ -322,7 +329,8 @@ def _unbound(case, target, num_entities):
 
 
 @pytest.mark.parametrize("case", ["unserved-entity", "dropped-relation",
-                                  "inflated-weight", "other-client"])
+                                  "inflated-weight", "other-client", "dropped-layer",
+                                  "reshaped-dw"])
 def test_round_rejects_upload_not_bound_to_what_was_served(monkeypatch, case):
     from fedkg import server
     from fedkg.rng import ROLE_SELECT
@@ -359,15 +367,35 @@ def test_negative_pool_matches_setdiff1d_reference():
 
 
 def test_round_parallel_matches_sequential_bitwise():
-    runs = {}
-    for workers in (1, 4):
-        cfg, dataset, params, user_emb, clients = _small_federation(workers=workers)
+    # workers is the number of contiguous batches of the 6 clients; 4 gives (2, 2, 1, 1)
+    for setting in ({}, {"transport": "json", "depth": 2, "epochs": 2}):
+        runs = {}
+        for workers in (1, 2, 3, 4, 6):
+            cfg, dataset, params, user_emb, clients = _small_federation(workers=workers,
+                                                                        **setting)
+            rcfg = round_config(cfg, dataset)
+            wire = []
+            for r in range(3):
+                run_round(params, dataset.kg, clients, rcfg, r, wire_sink=wire.append)
+            runs[workers] = [params.entity_emb, params.relation_emb, *params.model.weights,
+                             *params.model.biases, user_emb,
+                             np.frombuffer(b"".join(wire), dtype=np.uint8)]
+        assert bool(setting) == (len(runs[1][-1]) > 0)
+        for workers, arrays in runs.items():
+            assert all(np.array_equal(a, b) for a, b in zip(runs[1], arrays)), (setting, workers)
+
+
+def test_wire_bytes_pinned_without_noise():
+    # with lambda = 0 the wire carries the raw gradients, signs of zero included
+    digest = hashlib.sha256()
+    for mode in ("replace", "transform"):
+        cfg, dataset, params, user_emb, clients = _small_federation(
+            transport="json", noise_scale=0.0, depth=2, epochs=2, mode=mode)
         rcfg = round_config(cfg, dataset)
         for r in range(3):
-            run_round(params, dataset.kg, clients, rcfg, r)
-        runs[workers] = (params.entity_emb.copy(), user_emb.copy())
-    assert np.array_equal(runs[1][0], runs[4][0])
-    assert np.array_equal(runs[1][1], runs[4][1])
+            run_round(params, dataset.kg, clients, rcfg, r, wire_sink=digest.update)
+    assert digest.hexdigest() == \
+        "409cdaaee9c9d5f90bb92cebdd71a38b7f3b3b08a53222804d4421b6def2fcbe"
 
 
 def test_json_transport_matches_memory_bitwise():
@@ -379,6 +407,16 @@ def test_json_transport_matches_memory_bitwise():
             run_round(params, dataset.kg, clients, rcfg, r)
         runs[transport] = params.entity_emb.copy()
     assert np.array_equal(runs["memory"], runs["json"])
+
+
+@pytest.mark.parametrize("eval_every, patience", [(-3, 0), (-3, 10), (2, 0)])
+def test_train_rejects_schedule_outside_config_bounds(eval_every, patience):
+    cfg, dataset, params, user_emb, clients = _small_federation()
+    snap = params.entity_emb.copy()
+    with pytest.raises(ValueError, match="eval_every must be >= 0|patience must be >= 1"):
+        train(params, dataset.kg, clients, user_emb, dataset, round_config(cfg, dataset),
+              max_rounds=6, eval_every=eval_every, patience=patience)
+    assert np.array_equal(params.entity_emb, snap)
 
 
 def test_train_zero_rounds_noop():
