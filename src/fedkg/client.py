@@ -54,15 +54,15 @@ def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
     """Run forward/backward `epochs` times, stepping local copies in between.
 
     The uploaded gradient is the sum over epochs; the client's own user
-    embedding takes a step of size eta after every epoch. The gathered
-    rows and a model copy are stepped locally so later epochs see updated
-    values; the global state is untouched.
+    embedding takes a step of size eta after every epoch. Later epochs see
+    the rows and (transform mode) the model stepped into new local arrays:
+    the served model is shared and only read, the global state untouched.
 
     One client trains as a batch of one (`as_batch`). A batch is the
-    clients' states, their GraphBatch (`stack_graphs`) and their stacked
-    models (`stack_models`): one backward per epoch covers every client,
-    each stepping its own user, rows and model, and the result is one
-    packet per client in batch order.
+    clients' states, their GraphBatch (`stack_graphs`) and the global
+    model lifted to the batch (`broadcast_model`): one backward per epoch
+    covers every client, each stepping its own user, rows and model, and
+    the result is one packet per client in batch order.
     """
     if isinstance(graph, LocalGraph):
         return local_train([state], *as_batch(graph, model), eta, epochs)[0]

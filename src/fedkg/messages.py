@@ -6,7 +6,9 @@ embedding, no labels, and no raw interaction set.
 
 Both are JSON objects. Ids, counts and scalars are plain JSON: `version`,
 `client_id`, `weight`, request `items` and gradient `ids` are JSON
-integers (never booleans or floats) and `loss` is a JSON number. Every
+integers (never booleans or floats) and `loss` is a JSON number that is
+a finite float64. The non-standard constants NaN, Infinity and -Infinity
+are rejected anywhere in a message, and never written. Every
 float array of an upload (the entity and relation `vectors`, each model
 layer's `w` and `b`) is a packed array object
 
@@ -56,7 +58,7 @@ class RequestMessage:
     def to_json_bytes(self) -> bytes:
         payload = {"version": WIRE_VERSION, "type": "request",
                    "client_id": self.client_id, "items": list(self.items)}
-        return json.dumps(payload, separators=(",", ":")).encode()
+        return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "RequestMessage":
@@ -99,7 +101,7 @@ class GradientUpload:
                    "relations": {"ids": self.relations.ids().tolist(),
                                  "vectors": _pack(self.relations.rows())},
                    "model": [{"w": _pack(dw), "b": _pack(db)} for dw, db in self.model]}
-        return json.dumps(payload, separators=(",", ":")).encode()
+        return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "GradientUpload":
@@ -107,13 +109,10 @@ class GradientUpload:
         weight = _int(payload["weight"], "weight")
         if weight < 1:
             raise WireFormatError(f"upload weight {weight} is below 1")
-        loss = payload["loss"]
-        if isinstance(loss, bool) or not isinstance(loss, (int, float)):
-            raise WireFormatError(f"loss is a {type(loss).__name__}, not a JSON number")
         if not isinstance(payload["model"], list):
             raise WireFormatError(f"model is a {type(payload['model']).__name__}, not a list")
         return cls(client_id=_int(payload["client_id"], "client_id"), weight=weight,
-                   loss=float(loss),
+                   loss=_float(payload["loss"], "loss"),
                    entities=_sparse_grad(payload["entities"], "entities"),
                    relations=_sparse_grad(payload["relations"], "relations"),
                    model=[_model_layer(layer) for layer in payload["model"]])
@@ -178,7 +177,9 @@ class SubgraphResponse:
     """Server reply: sampled subgraph, its gathered embedding rows, full model.
 
     Row i of entity_rows (relation_rows) is the vector of
-    subgraph.entities[i] (subgraph.relations[i]).
+    subgraph.entities[i] (subgraph.relations[i]); the rows are copies.
+    `model` is the global model itself, shared and read-only: local
+    training steps its own copies.
     """
 
     subgraph: Subgraph
@@ -191,8 +192,8 @@ def _load(raw: bytes, expected: tuple[str, ...], kind: str) -> dict:
     """Parse a message object of type `kind` with exactly the expected keys
     and this wire version."""
     try:
-        payload = json.loads(raw)
-    except ValueError as exc:  # invalid JSON or UTF-8
+        payload = json.loads(raw, parse_constant=_reject_constant)
+    except ValueError as exc:  # invalid JSON or UTF-8, or a NaN/Infinity constant
         raise WireFormatError(f"{kind} is not JSON: {exc}") from exc
     _check_keys(payload, expected, kind)
     if _int(payload["version"], "version") != WIRE_VERSION:
@@ -207,6 +208,23 @@ def _int(value, name: str) -> int:
     if type(value) is not int:
         raise WireFormatError(f"{name} is a {type(value).__name__}, not a JSON integer")
     return value
+
+
+def _float(value, name: str) -> float:
+    """A JSON number (never a boolean) that is a finite float64."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise WireFormatError(f"{name} is a {type(value).__name__}, not a JSON number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float64
+        number = math.inf
+    if not math.isfinite(number):
+        raise WireFormatError(f"{name} is not a finite float64")
+    return number
+
+
+def _reject_constant(token: str):
+    raise WireFormatError(f"{token} is not a JSON number")
 
 
 def _int_list(values, name: str) -> list[int]:

@@ -28,8 +28,8 @@ mixes rows run per client block, with that client's own model layer: the
 readout and its user gradient, the transform matmuls, dW/db and the
 attention path of the user gradient. So a client's values are bitwise
 the same in any batch, and a single LocalGraph is a batch of one. A
-batch's ModelParams stacks the clients' models along a leading axis
-(`stack_models`).
+batch's ModelParams is the shared global model broadcast, copy-free and
+read-only, along a leading client axis (`broadcast_model`).
 
 The backward pass is hand-derived and exact (checked against central
 finite differences); attention weights are shared across hops, so their
@@ -81,13 +81,15 @@ def init_model_params(dim: int, depth: int, mode: str,
     return ModelParams(mode=mode, weights=weights, biases=biases)
 
 
-def stack_models(models: list[ModelParams]) -> ModelParams:
-    """The batch form of per-client models: each layer stacked along a leading axis."""
-    if len({m.mode for m in models}) != 1 or len({m.depth for m in models}) != 1:
-        raise ValueError("batched models differ in mode or depth")
-    return ModelParams(models[0].mode,
-                       [np.stack(layer) for layer in zip(*(m.weights for m in models))],
-                       [np.stack(layer) for layer in zip(*(m.biases for m in models))])
+def broadcast_model(model: ModelParams, clients: int) -> ModelParams:
+    """The batch form of one model shared by `clients` clients.
+
+    Each layer is an np.broadcast_to view along a leading client axis: no
+    copy, and any write to it raises.
+    """
+    return ModelParams(model.mode,
+                       [np.broadcast_to(w, (clients, *w.shape)) for w in model.weights],
+                       [np.broadcast_to(b, (clients, *b.shape)) for b in model.biases])
 
 
 class SparseGrad:
@@ -257,9 +259,9 @@ def as_batch(graph: LocalGraph | GraphBatch,
              params: ModelParams) -> tuple[GraphBatch, ModelParams]:
     """A LocalGraph and its model as a batch of one; a batch as it is.
 
-    A batch of one is `stack_graphs([graph])` and `stack_models([params])`
-    without the copies: the graph's own arrays need no shift, and nothing
-    writes into a batch's arrays.
+    A batch of one is `stack_graphs([graph])` and `broadcast_model(params, 1)`
+    without the copies and broadcasts: the graph's own arrays need no
+    shift, and nothing writes into a batch's arrays.
     """
     if isinstance(graph, GraphBatch):
         return graph, params
@@ -440,8 +442,6 @@ def backward(graph: LocalGraph | GraphBatch, params: ModelParams):
 def _backward(batch: GraphBatch, params: ModelParams) -> BatchGradient:
     state = _forward(batch, params)
     counts = np.diff(batch.anchor_offsets)
-    if np.any(counts == 0):
-        raise ValueError("backward over empty anchor list")
     y = batch.labels
     d = batch.users.shape[1]
     final = state.hops[-1][0]

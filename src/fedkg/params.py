@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -108,7 +109,11 @@ def apply_global_update(state: ParameterState, avg: "AggregatedGradient",
 def save_checkpoint(path: str, state: ParameterState,
                     user_emb: np.ndarray | None = None,
                     extra: dict | None = None) -> None:
-    """np.savez checkpoint; float64 arrays round-trip bitwise."""
+    """np.savez checkpoint; float64 arrays round-trip bitwise.
+
+    Written to `path + ".tmp"`, then moved over `path`: a failed save leaves
+    the previous checkpoint whole. As with np.savez, a missing ".npz" is added.
+    """
     arrays = {
         "entity_emb": state.entity_emb,
         "relation_emb": state.relation_emb,
@@ -122,7 +127,16 @@ def save_checkpoint(path: str, state: ParameterState,
         arrays["user_emb"] = user_emb
     if extra is not None:
         arrays["extra_json"] = np.array(json.dumps(extra))
-    np.savez(path, **arrays)
+    path = path if path.endswith(".npz") else path + ".npz"
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[ParameterState, np.ndarray | None, dict | None]:

@@ -5,8 +5,8 @@ contiguous batches. Within a batch every step that draws randomness stays
 per client, on that client's own streams and in the same order: request
 and randomized response (crng), serving (srng), merging, then after
 training the LDP step (crng) and the upload. Training is one local_train
-over the batch's stacked graphs (see `model`), and each upload is bound
-to what its client was served through the batch's row offsets.
+over the batch's stacked graphs and the one global model (see `model`),
+and each upload is bound to what the server recorded serving its client.
 
 Aggregation is the request-size weighted mean of client gradients; sparse
 coordinates divide only by the weights of packets that touched them, so
@@ -32,8 +32,8 @@ from .client import ClientState, build_request, local_train, merge_graphs
 from .data import unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
-from .model import (GradientPacket, GraphBatch, ModelParams, SparseGrad, segment_sum,
-                    stack_graphs, stack_models)
+from .model import (GradientPacket, ModelParams, SparseGrad, broadcast_model, segment_sum,
+                    stack_graphs)
 from .params import ParameterState, apply_global_update, gather
 from .privacy import DpConfig, ldp_encrypt
 from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
@@ -91,14 +91,14 @@ def select_clients(total: int, count: int, rng: np.random.Generator) -> list[int
 def serve_request(msg: RequestMessage, kg: KnowledgeGraph, params: ParameterState,
                   sample_size: int, depth: int,
                   rng: np.random.Generator) -> SubgraphResponse:
-    """Sample the receptive field and ship only the touched embedding rows."""
+    """Sample the receptive field; ship copies of its rows and the shared, read-only model."""
     for item in msg.items:
         if not 0 <= item < kg.num_entities:
             raise RequestError(f"unknown item id {item}")
     subgraph = sample_subgraph(kg, msg.items, sample_size, depth, rng)
     ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
     return SubgraphResponse(subgraph=subgraph, entity_rows=ent_rows,
-                            relation_rows=rel_rows, model=params.model.copy())
+                            relation_rows=rel_rows, model=params.model)
 
 
 def aggregate(packets: list[GradientPacket]) -> AggregatedGradient:
@@ -149,10 +149,11 @@ def _serve_batch(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
                  cfg: RoundConfig, round_index: int):
     """Request, serve and merge per client, in its own streams; return them stacked.
 
-    Returns the GraphBatch, the stacked served models, each client's crng
-    (its LDP step draws next) and each client's wire bytes so far.
+    Returns the stacked batch, each client's served record (request client id
+    and length, entities, relations), crng (its LDP step draws next) and
+    wire bytes; the LocalGraphs are freed on return, before training.
     """
-    crngs, graphs, models, wires = [], [], [], []
+    crngs, graphs, served, wires = [], [], [], []
     for client in members:
         crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
         srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
@@ -164,10 +165,11 @@ def _serve_batch(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
             msg = RequestMessage.from_json_bytes(wire[-1])
         response = serve_request(msg, kg, params, cfg.sample_size, cfg.depth, srng)
         graphs.append(merge_graphs(plan, response, client.user_embedding))
-        models.append(response.model)
+        served.append((msg.client_id, len(msg.items), response.subgraph.entities,
+                       response.subgraph.relations))
         crngs.append(crng)
         wires.append(wire)
-    return stack_graphs(graphs), stack_models(models), crngs, wires
+    return stack_graphs(graphs), served, crngs, wires
 
 
 def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: ParameterState,
@@ -177,8 +179,9 @@ def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
     Serving is per client (`_serve_batch`), training one local_train over
     the stacked batch, and the LDP step (crng) and the upload per client.
     """
-    batch, model, crngs, wires = _serve_batch(members, kg, params, cfg, round_index)
-    packets = local_train(members, batch, model, cfg.eta, cfg.epochs)
+    batch, served, crngs, wires = _serve_batch(members, kg, params, cfg, round_index)
+    packets = local_train(members, batch, broadcast_model(params.model, len(members)),
+                          cfg.eta, cfg.epochs)
     uploads = []
     for packet, crng, wire in zip(packets, crngs, wires):
         upload = GradientUpload.from_packet(ldp_encrypt(packet, cfg.dp, crng))
@@ -186,30 +189,26 @@ def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
             wire.append(upload.to_json_bytes())
             upload = GradientUpload.from_json_bytes(wire[-1])
         uploads.append(upload)
-    _bind_uploads(uploads, members, batch, params.model)
+    _bind_uploads(uploads, served, params.model)
     return uploads, [raw for wire in wires for raw in wire]
 
 
-def _bind_uploads(uploads: list[GradientUpload], members: list[ClientState],
-                  batch: GraphBatch, model: ModelParams) -> None:
+def _bind_uploads(uploads: list[GradientUpload], served: list[tuple], model: ModelParams) -> None:
     """Raise UploadError unless each upload matches what its client was served.
 
-    Client b of the batch was served the entity and relation blocks b of
-    the batch and as many anchors as it requested, and every upload must
-    carry one (dW, db) per layer of the global model, of its shapes.
+    Upload b must carry `served[b]`'s client id, its request length as the
+    weight, exactly its entity and relation ids, and one (dW, db) per layer
+    of the global model, of its shapes.
     """
-    ent, rel, anchors = batch.entity_offsets, batch.relation_offsets, batch.anchor_offsets
     layers = [(w.shape, bias.shape) for w, bias in zip(model.weights, model.biases)]
-    for b, (upload, client) in enumerate(zip(uploads, members)):
-        if upload.client_id != client.user_id or \
-                upload.weight != anchors[b + 1] - anchors[b] or \
-                not np.array_equal(upload.entities.ids(), batch.entities[ent[b]:ent[b + 1]]) or \
-                not np.array_equal(upload.relations.ids(),
-                                   batch.relations[rel[b]:rel[b + 1]]) or \
+    for upload, (client, items, entities, relations) in zip(uploads, served):
+        if upload.client_id != client or upload.weight != items or \
+                not np.array_equal(upload.entities.ids(), entities) or \
+                not np.array_equal(upload.relations.ids(), relations) or \
                 [(dw.shape, db.shape) for dw, db in upload.model] != layers:
-            raise UploadError(f"upload from client {client.user_id} does not match its "
-                              f"{anchors[b + 1] - anchors[b]} request items, served "
-                              f"subgraph and the model's layers {layers}")
+            raise UploadError(f"upload from client {client} does not match its "
+                              f"{items} request items, served subgraph and the model's "
+                              f"layers {layers}")
 
 
 def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],
@@ -219,9 +218,9 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
 
     The selected clients, in id order, are split into `cfg.workers`
     contiguous batches, each trained in one stacked pass; more than one
-    batch run on that many threads. Every batch reads the immutable
-    pre-round snapshot (its gathers are copies) and every client draws
-    only from its own streams, so the split does not change any result.
+    batch run on that many threads. Batches read the immutable pre-round
+    snapshot (gathers are copies, the model read-only views) and clients
+    draw only from their own streams, so the split changes no result.
     Uploads funnel into a sorted reduction. Any failure, in a client
     leg, the aggregation or the global update, rolls back the selected
     clients' user embeddings and leaves the global state untouched

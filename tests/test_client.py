@@ -3,7 +3,7 @@ import pytest
 
 from fedkg.client import ClientState, ProtocolError, build_request, local_train, merge_graphs
 from fedkg.kg import build_kg
-from fedkg.model import backward, forward_loss, stack_graphs, stack_models
+from fedkg.model import backward, broadcast_model, forward_loss, stack_graphs
 from fedkg.params import init_params
 from fedkg.privacy import DpConfig
 from fedkg.rng import derive_rng
@@ -188,7 +188,7 @@ def _batch_members(depth, mode, seed):
 def _train_members(kg, params, clients, depth, epochs, batched):
     """Serve every client from its own streams, then train them batched or one by one."""
     dp = DpConfig(flip_rate=0.2, pseudo_count=2)
-    states, graphs, models = [], [], []
+    states, graphs = [], []
     for c in clients:
         state = ClientState(c.user_id, c.user_embedding.copy(), set(c.interactions))
         negatives = [i for i in range(10) if i not in c.interactions]
@@ -196,11 +196,11 @@ def _train_members(kg, params, clients, depth, epochs, batched):
         response = serve_request(msg, kg, params, 2, depth, derive_rng(7, 52, c.user_id))
         states.append(state)
         graphs.append(merge_graphs(plan, response, state.user_embedding))
-        models.append(response.model)
     if batched:
-        packets = local_train(states, stack_graphs(graphs), stack_models(models), 0.3, epochs)
+        packets = local_train(states, stack_graphs(graphs),
+                              broadcast_model(params.model, len(states)), 0.3, epochs)
     else:
-        packets = [local_train(s, g, m, 0.3, epochs) for s, g, m in zip(states, graphs, models)]
+        packets = [local_train(s, g, params.model, 0.3, epochs) for s, g in zip(states, graphs)]
     return states, packets, graphs
 
 

@@ -194,30 +194,50 @@ def test_upload_decode_rejects_malformed(path, value, match):
         GradientUpload.from_json_bytes(json.dumps(payload).encode())
 
 
-@pytest.mark.parametrize("part, key, value", [
-    (None, "weight", 2.7), (None, "weight", True), (None, "client_id", 4.9),
-    (None, "loss", "x"), (None, "loss", True), (None, "model", 5),
-    (None, "version", float(WIRE_VERSION)), ("entities", "ids", [1.0, 4]),
-    (None, "type", "request"),
+def _dumps(payload) -> bytes:
+    """json.dumps, which writes nan and inf as NaN and Infinity; the string
+    "1e999" goes in unquoted, a float literal beyond float64."""
+    return json.dumps(payload).replace('"1e999"', "1e999").encode()
+
+
+@pytest.mark.parametrize("part, key, value, match", [
+    (None, "weight", 2.7, None), (None, "weight", True, None), (None, "client_id", 4.9, None),
+    (None, "loss", "x", None), (None, "loss", True, None), (None, "model", 5, None),
+    (None, "version", float(WIRE_VERSION), None), ("entities", "ids", [1.0, 4], None),
+    (None, "type", "request", None), (None, "loss", float("nan"), "NaN is not a JSON number"),
+    (None, "loss", float("inf"), "Infinity is not a JSON number"),
+    (None, "loss", "1e999", "loss is not a finite float64"),
+    (None, "loss", 10 ** 400, "loss is not a finite float64"),
 ], ids=["float-weight", "bool-weight", "float-client-id", "string-loss",
-        "bool-loss", "model-not-list", "float-version", "float-ids", "request-type"])
-def test_upload_decode_rejects_non_strict_scalars(part, key, value):
+        "bool-loss", "model-not-list", "float-version", "float-ids", "request-type",
+        "nan-loss", "inf-loss", "overflow-float-loss", "huge-int-loss"])
+def test_upload_decode_rejects_non_strict_scalars(part, key, value, match):
     payload = _valid_upload()
     (payload[part] if part else payload)[key] = value
-    with pytest.raises(WireFormatError, match=key):
-        GradientUpload.from_json_bytes(json.dumps(payload).encode())
+    with pytest.raises(WireFormatError, match=match or key):
+        GradientUpload.from_json_bytes(_dumps(payload))
 
 
-@pytest.mark.parametrize("key, value", [
-    ("client_id", 4.9), ("client_id", True), ("items", [9, 1.9]), ("items", [True]),
-    ("items", 5), ("version", float(WIRE_VERSION)), ("type", "gradient_upload"),
+@pytest.mark.parametrize("key, value, match", [
+    ("client_id", 4.9, None), ("client_id", True, None), ("items", [9, 1.9], None),
+    ("items", [True], None), ("items", 5, None), ("version", float(WIRE_VERSION), None),
+    ("type", "gradient_upload", None), ("items", [9, float("nan")], "NaN is not a JSON number"),
 ], ids=["float-client-id", "bool-client-id", "float-item", "bool-item",
-        "items-not-list", "float-version", "upload-type"])
-def test_request_decode_rejects_non_strict_scalars(key, value):
+        "items-not-list", "float-version", "upload-type", "nan-item"])
+def test_request_decode_rejects_non_strict_scalars(key, value, match):
     payload = json.loads(RequestMessage(client_id=5, items=[9, 2]).to_json_bytes())
     payload[key] = value
-    with pytest.raises(WireFormatError, match=key):
-        RequestMessage.from_json_bytes(json.dumps(payload).encode())
+    with pytest.raises(WireFormatError, match=match or key):
+        RequestMessage.from_json_bytes(_dumps(payload))
+
+
+def test_encoders_refuse_non_finite_numbers():
+    upload = GradientUpload.from_packet(_stripped_packet())
+    upload.loss = float("nan")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        upload.to_json_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        RequestMessage(client_id=5, items=[9, float("inf")]).to_json_bytes()
 
 
 def test_upload_refuses_unstripped_packet():

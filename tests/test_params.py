@@ -194,6 +194,32 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert extra == {"seed": 3}
 
 
+def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    import numpy.lib.format
+
+    state = init_params(7, 3, 5, derive_rng(19, 0), depth=2, mode="transform")
+    path = str(tmp_path / "checkpoint.npz")
+    save_checkpoint(path, state, extra={"round": 1})
+    before = (tmp_path / "checkpoint.npz").read_bytes()
+    real_write, calls = numpy.lib.format.write_array, []
+
+    def failing_write(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(numpy.lib.format, "write_array", failing_write)
+    newer = init_params(7, 3, 5, derive_rng(20, 0), depth=2, mode="transform")
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, newer, extra={"round": 2})
+    monkeypatch.undo()
+    assert (tmp_path / "checkpoint.npz").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+    loaded, _, extra = load_checkpoint(path)
+    assert np.array_equal(loaded.entity_emb, state.entity_emb) and extra == {"round": 1}
+
+
 def test_checkpoint_with_legacy_dim_key_loads(tmp_path):
     # checkpoints written before the embedding width was read from the
     # arrays carried a redundant `dim` entry

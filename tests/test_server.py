@@ -352,6 +352,45 @@ def test_round_rejects_upload_not_bound_to_what_was_served(monkeypatch, case):
     assert np.array_equal(user_emb, snap_users)
 
 
+def test_round_trains_every_batch_on_one_read_only_global_model(monkeypatch):
+    from fedkg import server
+    from fedkg.client import build_request, local_train, merge_graphs
+    from fedkg.privacy import DpConfig
+
+    cfg, dataset, params, user_emb, clients = _small_federation(
+        workers=2, mode="transform", epochs=2, depth=2)
+    rcfg = round_config(cfg, dataset)
+    models = []
+
+    def capture(states, graph, model, eta, epochs):
+        models.append(model)
+        return local_train(states, graph, model, eta, epochs)
+
+    monkeypatch.setattr(server, "local_train", capture)
+    run_round(params, dataset.kg, clients, rcfg, 0)
+    assert len(models) == 2
+    for model in models:
+        for layer, own in zip([*model.weights, *model.biases],
+                              [*params.model.weights, *params.model.biases]):
+            assert np.shares_memory(layer, own) and not layer.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                layer[...] = 0.0
+
+    # a single client served the global model steps only its own copies
+    client = clients[0]
+    plan, msg = build_request(client, unobserved_items(client.interactions, rcfg.num_items),
+                              DpConfig(flip_rate=0.0, pseudo_count=1), derive_rng(5, 0))
+    response = serve_request(msg, dataset.kg, params, 2, 2, derive_rng(5, 1))
+    assert response.model is params.model
+    before = params.copy()
+    packet = local_train(client, merge_graphs(plan, response, client.user_embedding),
+                         response.model, eta=0.5, epochs=2)
+    assert any(np.any(dw != 0) for dw, _ in packet.model_grads)
+    for got, want in zip([*params.model.weights, *params.model.biases],
+                         [*before.model.weights, *before.model.biases]):
+        assert np.array_equal(got, want)
+
+
 def test_negative_pool_matches_setdiff1d_reference():
     rng = np.random.default_rng(3)
     for case in range(200):
