@@ -145,10 +145,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raw = getattr(args, f.name, None)
         if raw is not None:
             overrides[f.name] = _parse_value(f.name, str(raw))
-    cfg = ExperimentConfig()
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return ExperimentConfig(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

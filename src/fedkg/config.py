@@ -6,7 +6,8 @@ in the README annotates each key with its conventional symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -101,29 +102,29 @@ class ExperimentConfig:
         return cls(**data)
 
 
-_FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("ratings_file", "kg_file", "out_dir", "mode", "transport"):
-        return raw
-    if key == "synthetic":
+    """Coerce a value to the field's type; an optional field is unset when
+    empty, an optional number also when parity or none."""
+    raw, kind = raw.strip(), _FIELD_TYPES[key]
+    if type(None) in get_args(kind):
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+        if not raw or (kind is not str and raw.lower() in ("parity", "none")):
+            return None
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-    if key == "pseudo_items":
-        return None if raw.lower() in ("parity", "none") else int(raw)
-    if key == "recall_ks":
-        return tuple(int(p) for p in raw.replace(",", " ").split())
-    if key in ("rating_threshold", "noise", "eta", "flip_rate",
-               "clip_threshold", "noise_scale"):
-        return float(raw)
-    if key in _FIELD_TYPES:
-        return int(raw)
-    raise ConfigError(f"unknown config key {key!r}")
+    try:
+        if get_origin(kind) is tuple:
+            return tuple(int(p) for p in raw.replace(",", " ").split())
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_config_file(path: str) -> dict:

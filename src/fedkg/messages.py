@@ -2,7 +2,10 @@
 
 RequestMessage and GradientUpload are the only payloads a client ever
 sends; both are versioned with fixed field order and carry no user
-embedding, no labels, and no raw interaction set.
+embedding, no labels, and no raw interaction set. An upload is a
+stripped GradientPacket: its wire keys `entities`, `relations` and
+`model` carry the packet's `entity_grads`, `relation_grads` and
+`model_grads`.
 
 Both are JSON objects. Ids, counts and scalars are plain JSON: `version`,
 `client_id`, `weight`, request `items` and gradient `ids` are JSON
@@ -67,40 +70,30 @@ class RequestMessage:
                    items=_int_list(payload["items"], "items"))
 
 
-@dataclass
-class GradientUpload:
-    """One client's protected gradients, held as arrays until serialized."""
+class GradientUpload(GradientPacket):
+    """A stripped GradientPacket (user_grad None) with its wire codec.
 
-    client_id: int
-    weight: int
-    loss: float
-    entities: SparseGrad
-    relations: SparseGrad
-    model: list[tuple[np.ndarray, np.ndarray]]  # per layer (dW, db)
+    It declares no fields: the memory transport passes the packet's own
+    arrays through, and only the JSON transport copies them.
+    """
 
     @classmethod
     def from_packet(cls, packet: GradientPacket) -> "GradientUpload":
         if packet.user_grad is not None:
             raise WireFormatError("refusing to build an upload from an unstripped packet")
-        return cls(client_id=packet.client_id, weight=packet.weight,
-                   loss=float(packet.loss), entities=packet.entity_grads,
-                   relations=packet.relation_grads, model=list(packet.model_grads))
+        return cls(**vars(packet))
 
     def to_packet(self) -> GradientPacket:
-        return GradientPacket(
-            entity_grads=self.entities, relation_grads=self.relations,
-            model_grads=list(self.model), user_grad=None, weight=self.weight,
-            loss=self.loss, client_id=self.client_id)
+        return self
 
     def to_json_bytes(self) -> bytes:
+        ent, rel = self.entity_grads, self.relation_grads
         payload = {"version": WIRE_VERSION, "type": "gradient_upload",
                    "client_id": self.client_id, "weight": self.weight,
                    "loss": self.loss,
-                   "entities": {"ids": self.entities.ids().tolist(),
-                                "vectors": _pack(self.entities.rows())},
-                   "relations": {"ids": self.relations.ids().tolist(),
-                                 "vectors": _pack(self.relations.rows())},
-                   "model": [{"w": _pack(dw), "b": _pack(db)} for dw, db in self.model]}
+                   "entities": {"ids": ent.ids().tolist(), "vectors": _pack(ent.rows())},
+                   "relations": {"ids": rel.ids().tolist(), "vectors": _pack(rel.rows())},
+                   "model": [{"w": _pack(dw), "b": _pack(db)} for dw, db in self.model_grads]}
         return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
 
     @classmethod
@@ -111,11 +104,11 @@ class GradientUpload:
             raise WireFormatError(f"upload weight {weight} is below 1")
         if not isinstance(payload["model"], list):
             raise WireFormatError(f"model is a {type(payload['model']).__name__}, not a list")
-        return cls(client_id=_int(payload["client_id"], "client_id"), weight=weight,
-                   loss=_float(payload["loss"], "loss"),
-                   entities=_sparse_grad(payload["entities"], "entities"),
-                   relations=_sparse_grad(payload["relations"], "relations"),
-                   model=[_model_layer(layer) for layer in payload["model"]])
+        return cls(entity_grads=_sparse_grad(payload["entities"], "entities"),
+                   relation_grads=_sparse_grad(payload["relations"], "relations"),
+                   model_grads=[_model_layer(layer) for layer in payload["model"]],
+                   user_grad=None, weight=weight, loss=_float(payload["loss"], "loss"),
+                   client_id=_int(payload["client_id"], "client_id"))
 
 
 def _pack(a: np.ndarray) -> dict:

@@ -138,6 +138,7 @@ class GradientPacket:
     """One client's upload: sparse embedding grads, dense model grads, weight.
 
     user_grad never leaves the client; ldp_encrypt strips it before upload.
+    The upload (messages.GradientUpload) is the stripped packet itself.
     """
 
     entity_grads: SparseGrad

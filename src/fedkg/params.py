@@ -140,14 +140,21 @@ def save_checkpoint(path: str, state: ParameterState,
 
 
 def load_checkpoint(path: str) -> tuple[ParameterState, np.ndarray | None, dict | None]:
+    """Read a save_checkpoint archive; ValueError names the keys it lacks."""
     data = np.load(path, allow_pickle=False)
-    depth = int(data["depth"])
-    model = ModelParams(mode=str(data["mode"]),
-                        weights=[data[f"w{i}"] for i in range(depth)],
-                        biases=[data[f"b{i}"] for i in range(depth)])
-    state = ParameterState(entity_emb=data["entity_emb"],
-                           relation_emb=data["relation_emb"],
-                           model=model)
-    user_emb = data["user_emb"] if "user_emb" in data else None
-    extra = json.loads(str(data["extra_json"])) if "extra_json" in data else None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not an .npz checkpoint")
+    with data:
+        depth = int(data["depth"]) if "depth" in data else 0
+        missing = [key for key in ["entity_emb", "relation_emb", "mode", "depth",
+                                   *(f"{p}{i}" for i in range(depth) for p in "wb")]
+                   if key not in data]
+        if missing:
+            raise ValueError(f"{path} is not a fedkg checkpoint: it lacks {missing}")
+        model = ModelParams(mode=str(data["mode"]),
+                            weights=[data[f"w{i}"] for i in range(depth)],
+                            biases=[data[f"b{i}"] for i in range(depth)])
+        state = ParameterState(data["entity_emb"], data["relation_emb"], model)
+        user_emb = data["user_emb"] if "user_emb" in data else None
+        extra = json.loads(str(data["extra_json"])) if "extra_json" in data else None
     return state, user_emb, extra

@@ -15,7 +15,7 @@ generator draws element by element, so this equals a per-row loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,11 +96,9 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
         buf += rng.laplace(0.0, config.lam, size=buf.size)
     ent, rel, *model = [piece.reshape(a.shape) for piece, a in
                         zip(np.split(buf, np.cumsum([a.size for a in parts[:-1]])), parts)]
-    return GradientPacket(entity_grads=SparseGrad(packet.entity_grads.ids(), ent),
-                          relation_grads=SparseGrad(packet.relation_grads.ids(), rel),
-                          model_grads=list(zip(model[::2], model[1::2])),
-                          user_grad=None, weight=packet.weight, loss=packet.loss,
-                          client_id=packet.client_id)
+    return replace(packet, entity_grads=SparseGrad(packet.entity_grads.ids(), ent),
+                   relation_grads=SparseGrad(packet.relation_grads.ids(), rel),
+                   model_grads=list(zip(model[::2], model[1::2])), user_grad=None)
 
 
 def privacy_budget(delta: float, lam: float) -> float:

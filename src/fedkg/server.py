@@ -203,9 +203,9 @@ def _bind_uploads(uploads: list[GradientUpload], served: list[tuple], model: Mod
     layers = [(w.shape, bias.shape) for w, bias in zip(model.weights, model.biases)]
     for upload, (client, items, entities, relations) in zip(uploads, served):
         if upload.client_id != client or upload.weight != items or \
-                not np.array_equal(upload.entities.ids(), entities) or \
-                not np.array_equal(upload.relations.ids(), relations) or \
-                [(dw.shape, db.shape) for dw, db in upload.model] != layers:
+                not np.array_equal(upload.entity_grads.ids(), entities) or \
+                not np.array_equal(upload.relation_grads.ids(), relations) or \
+                [(dw.shape, db.shape) for dw, db in upload.model_grads] != layers:
             raise UploadError(f"upload from client {client} does not match its "
                               f"{items} request items, served subgraph and the model's "
                               f"layers {layers}")

@@ -5,11 +5,12 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedkg import cli
 from fedkg.cli import main, run_experiment
-from fedkg.config import ConfigError, ExperimentConfig, parse_config_file
+from fedkg.config import ConfigError, ExperimentConfig, config_echo, parse_config_file
 
 
 def _tiny_train_args(out_dir, **extra):
@@ -150,6 +151,17 @@ def test_synth_outputs_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_config_echo_parses_back_to_the_same_config(tmp_path):
+    file_cfg = ExperimentConfig(synthetic=False, ratings_file="data/ratings.txt",
+                                kg_file="data/kg.txt", pseudo_items=12, recall_ks=(3, 7),
+                                noise_scale=1e-4, eta=0.1, transport="json")
+    for cfg in (ExperimentConfig(), file_cfg):
+        path = tmp_path / "echo.cfg"
+        path.write_text(config_echo(cfg))
+        again = ExperimentConfig(**parse_config_file(str(path)))
+        assert again == cfg
+
+
 def test_readme_config_template_covers_every_key(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Configuration", 1)[1].split("```", 2)[1]
@@ -201,6 +213,18 @@ def test_evaluate_rejects_recall_k_below_one(tmp_path, capsys):
                      "--recall-ks", ks])
         assert code == 2
         assert "recall-ks" in capsys.readouterr().err
+
+
+def test_evaluate_foreign_archive_is_a_usage_error(tmp_path, capsys):
+    foreign = tmp_path / "foreign.npz"
+    np.savez(foreign, weights=np.zeros(3))
+    assert main(["evaluate", "--checkpoint", str(foreign)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "depth" in err and "entity_emb" in err
+    flat = tmp_path / "flat.npy"
+    np.save(flat, np.zeros(3))
+    assert main(["evaluate", "--checkpoint", str(flat)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gradcheck_passes(capsys):

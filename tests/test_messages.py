@@ -85,22 +85,24 @@ def test_upload_roundtrip_random_is_bitwise_and_owned():
             parts.append(SparseGrad(ids, _special_rows(rng, n, d)) if case % 4 else SparseGrad())
         model = [(_special_rows(rng, d, d), _special_rows(rng, 1, d)[0])
                  for _ in range(int(rng.integers(0, 3)))]
-        upload = GradientUpload(client_id=case, weight=int(rng.integers(1, 50)),
-                                loss=float(rng.random()), entities=parts[0],
-                                relations=parts[1], model=model)
+        upload = GradientUpload(entity_grads=parts[0], relation_grads=parts[1],
+                                model_grads=model, user_grad=None,
+                                weight=int(rng.integers(1, 50)), loss=float(rng.random()),
+                                client_id=case)
         raw = upload.to_json_bytes()
         again = GradientUpload.from_json_bytes(raw)
         wire = np.frombuffer(raw, dtype=np.uint8)
-        sent = [upload.entities.rows(), upload.relations.rows(),
+        sent = [upload.entity_grads.rows(), upload.relation_grads.rows(),
                 *[a for layer in model for a in layer]]
-        got = [again.entities.rows(), again.relations.rows(),
-               *[a for layer in again.model for a in layer]]
+        got = [again.entity_grads.rows(), again.relation_grads.rows(),
+               *[a for layer in again.model_grads for a in layer]]
         assert len(got) == len(sent)
         for a, b in zip(sent, got):
             assert b.dtype == np.float64 and b.dtype.isnative and b.shape == a.shape
             assert b.tobytes() == a.tobytes()
             assert b.flags.writeable and not np.shares_memory(b, wire)
-        for a, b in ((upload.entities, again.entities), (upload.relations, again.relations)):
+        for a, b in ((upload.entity_grads, again.entity_grads),
+                     (upload.relation_grads, again.relation_grads)):
             assert b.ids().dtype == np.int64 and b.ids().tobytes() == a.ids().tobytes()
         assert (again.client_id, again.weight, again.loss) == \
             (upload.client_id, upload.weight, upload.loss)
@@ -110,25 +112,32 @@ def test_upload_golden_bytes():
     packet = _stripped_packet()
     assert GradientUpload.from_packet(packet).to_json_bytes() == GOLDEN_UPLOAD
     again = GradientUpload.from_json_bytes(GOLDEN_UPLOAD)
-    for sent, got in ((packet.entity_grads, again.entities),
-                      (packet.relation_grads, again.relations)):
+    for sent, got in ((packet.entity_grads, again.entity_grads),
+                      (packet.relation_grads, again.relation_grads)):
         assert got.ids().tobytes() == sent.ids().tobytes()
         assert got.rows().tobytes() == sent.rows().tobytes()
-    for (wa, ba), (wb, bb) in zip(packet.model_grads, again.model, strict=True):
+    for (wa, ba), (wb, bb) in zip(packet.model_grads, again.model_grads, strict=True):
         assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
-    assert (again.client_id, again.weight, again.loss) == (12, 3, 0.6931)
+    assert (again.client_id, again.weight, again.loss, again.user_grad) == (12, 3, 0.6931, None)
 
 
 def test_upload_holds_arrays_until_serialized():
     packet = _stripped_packet()
     upload = GradientUpload.from_packet(packet)
-    assert upload.entities.ids().tolist() == [1, 4] and upload.relations.ids().tolist() == [0]
-    rows = upload.entities.rows()
+    assert isinstance(upload, GradientPacket) and upload.user_grad is None
+    assert upload.entity_grads.ids().tolist() == [1, 4]
+    assert upload.relation_grads.ids().tolist() == [0]
+    rows = upload.entity_grads.rows()
     assert rows.dtype == np.float64 and rows.shape == (2, 2)
     assert np.array_equal(rows[1], packet.entity_grads.entries[4])
-    again = upload.to_packet()
-    assert again.entity_grads.ids().tolist() == [1, 4]
-    assert again.model_grads[0][0] is packet.model_grads[0][0]
+    # the memory transport passes the packet's own arrays through
+    for sent, got in ((packet.entity_grads, upload.entity_grads),
+                      (packet.relation_grads, upload.relation_grads)):
+        assert np.shares_memory(got.ids(), sent.ids())
+        assert np.shares_memory(got.rows(), sent.rows())
+    for (wa, ba), (wb, bb) in zip(packet.model_grads, upload.model_grads, strict=True):
+        assert np.shares_memory(wa, wb) and np.shares_memory(ba, bb)
+    assert upload.to_packet() is upload
 
 
 def test_upload_wire_has_no_counts():
