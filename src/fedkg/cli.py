@@ -16,7 +16,7 @@ from .config import ConfigError, ExperimentConfig, config_echo, parse_config_fil
 from .gradcheck import run_gradient_check
 from .kg import save_kg_file
 from .metrics import evaluate_report
-from .params import init_params, load_checkpoint, save_checkpoint
+from .params import ParameterState, init_params, load_checkpoint, save_checkpoint
 from .privacy import DpConfig
 from .rng import ROLE_DATA, ROLE_PARAMS, ROLE_USERS, derive_rng
 from .server import RoundConfig, train
@@ -99,6 +99,22 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _check_tables(params: ParameterState, user_emb: np.ndarray,
+                 dataset: data_mod.Dataset) -> None:
+    """Raise ValueError unless the tables have one row per id of the dataset
+    and one embedding width."""
+    tables = {"entity_emb": (params.entity_emb, dataset.kg.num_entities),
+              "relation_emb": (params.relation_emb, dataset.kg.num_relations),
+              "user_emb": (user_emb, dataset.num_users)}
+    for name, (table, rows) in tables.items():
+        if table.ndim != 2 or len(table) != rows:
+            raise ValueError(f"checkpoint {name} has shape {table.shape}, but the dataset "
+                             f"its config rebuilds needs {rows} rows")
+    widths = {name: table.shape[1] for name, (table, _) in tables.items()}
+    if len(set(widths.values())) > 1:
+        raise ValueError(f"checkpoint embedding widths differ: {widths}")
+
+
 def run_evaluate(checkpoint: str, split: str, ks: list[int], out: str | None) -> int:
     params, user_emb, extra = load_checkpoint(checkpoint)
     if extra is None or user_emb is None:
@@ -106,6 +122,7 @@ def run_evaluate(checkpoint: str, split: str, ks: list[int], out: str | None) ->
         return 2
     cfg = ExperimentConfig.from_dict(extra)
     dataset = build_dataset(cfg)
+    _check_tables(params, user_emb, dataset)
     report = evaluate_report(dataset, params, user_emb, cfg.sample_size, cfg.depth,
                              cfg.seed, cfg.max_rounds, ks=ks, split=split)
     payload = {"split": split, **report.to_dict()}
@@ -179,6 +196,8 @@ def main(argv: list[str] | None = None) -> int:
             return run_experiment(_config_from_args(args))
         if args.command == "evaluate":
             ks = [int(p) for p in args.recall_ks.replace(",", " ").split()]
+            if not ks:
+                raise ConfigError("--recall-ks must name at least one K")
             if any(k < 1 for k in ks):
                 raise ConfigError("--recall-ks values (K) must all be >= 1")
             return run_evaluate(args.checkpoint, args.split, ks, args.out)

@@ -70,6 +70,7 @@ class ExperimentConfig:
             (self.eval_every >= 0, "eval_every must be >= 0 (0: no validation)"),
             (self.patience >= 1, "patience must be >= 1"),
             (self.checkpoint_every >= 0, "checkpoint_every must be >= 0 (0: only at the end)"),
+            (len(self.recall_ks) > 0, "recall_ks must name at least one K"),
             (all(k >= 1 for k in self.recall_ks), "recall_ks (K) must all be >= 1"),
             (self.workers >= 1, "workers must be >= 1"),
             (self.mode in ("replace", "transform"), "mode must be replace or transform"),

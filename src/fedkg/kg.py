@@ -117,23 +117,48 @@ def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int] | np.ndarray, k:
     ids = [np.asarray(anchor_items, dtype=np.int64)]
     drawn: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for _ in range(depth):
-        centers, order = np.unique(ids[-1], return_inverse=True)
-        start = kg.offsets[centers]
-        deg = kg.offsets[centers + 1] - start
-        live = deg > 0
-        edges = start[live, None] + rng.integers(0, deg[live, None],
-                                                 size=(int(live.sum()), k))
-        # reorder the sorted-center draws to this depth's order (anchor order at 0)
-        edges = edges[(np.cumsum(live) - 1)[order[live[order]]]]
-        tails, tail_rows = np.unique(kg.nbr[edges], return_inverse=True)
-        drawn.append((~live[order], kg.rel[edges], tail_rows.reshape(edges.shape)))
+        isolated = kg.offsets[ids[-1] + 1] == kg.offsets[ids[-1]]
+        centers, order = _unique_inverse(ids[-1][~isolated])
+        start = kg.offsets[centers, None]
+        edges = start + rng.integers(0, kg.offsets[centers + 1, None] - start,
+                                     size=(len(centers), k))
+        edges = edges[order]  # sorted-center draws in this depth's order
+        tails, tail_rows = _unique_inverse(kg.nbr[edges])
+        drawn.append((isolated, kg.rel[edges], tail_rows))
         ids.append(tails)
-    relations = np.unique(np.concatenate([rel for _, rel, _ in drawn])) \
+    relations = _distinct(np.concatenate([rel for _, rel, _ in drawn], axis=None)) \
         if drawn else np.empty(0, dtype=np.int64)
     layers = [Layer(isolated=iso, rel_rows=np.searchsorted(relations, rel), tail_rows=rows)
               for iso, rel, rows in drawn]
-    return Subgraph(ids=ids, layers=layers, entities=np.unique(np.concatenate(ids)),
+    return Subgraph(ids=ids, layers=layers, entities=_distinct(np.concatenate(ids)),
                     relations=relations)
+
+
+def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """True where a sorted array's value differs from the one before it."""
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """np.unique(ids) by sort and mask, several times faster than numpy 2's
+    hashing unique on the hundreds to thousands of ids of a subgraph."""
+    ordered = np.sort(ids)
+    return ordered[_first_of_runs(ordered)]
+
+
+def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) with the inverse in ids' shape, by
+    the same argsort, without np.unique's per-call overhead."""
+    flat = ids.ravel()
+    order = flat.argsort()
+    ordered = flat[order]
+    first = _first_of_runs(ordered)
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse.reshape(ids.shape)
 
 
 def read_rows(path: str, columns: dict[str, type],

@@ -3,19 +3,35 @@
 AUC is the Mann-Whitney statistic (ties count one half), pooled over all
 (user, item) evaluation pairs; Recall@K averages per user over candidates
 that exclude train/valid positives.
+
+Scoring runs on blocks of users, as KGCN's minibatches do. A CTR pass
+takes its users in order, in contiguous blocks of at most BLOCK_ITEMS
+candidates; a user with more candidates is a block alone, and every
+Recall@K user is one. Each user samples its own receptive field on its
+own stream, derive_rng(seed, ROLE_EVAL, round, user) (num_users + user
+for Recall@K), so the draws do not depend on the blocks. A block then
+makes one gather over its users' stacked subgraphs, one propagate over
+their GraphBatch and one readout. The batch engine is bitwise per client
+(see `model`), so every score, and so metrics.jsonl, is byte-identical
+to scoring one user at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .data import Dataset, unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph
-from .model import LocalGraph, propagate, sigmoid
+from .model import LocalGraph, broadcast_model, propagate, readout, stack_graphs
 from .params import ParameterState, gather
 from .rng import ROLE_EVAL, derive_rng
+
+# Candidates scored per CTR block. Larger blocks gain little per-call
+# overhead and hold more rows at once.
+BLOCK_ITEMS = 256
 
 
 @dataclass
@@ -78,16 +94,45 @@ def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
     return {k: int(np.sum(hits[:k])) / len(positives) for k in ks}
 
 
-def score_items(params: ParameterState, kg: KnowledgeGraph, user_emb: np.ndarray,
-                items: list[int] | np.ndarray, sample_size: int, depth: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Run the trained model for one user over candidate items."""
-    subgraph = sample_subgraph(kg, items, sample_size, depth, rng)
-    ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
-    graph = LocalGraph(user=user_emb, labels=np.zeros(len(items)), subgraph=subgraph,
-                       entity_rows=ent_rows, relation_rows=rel_rows)
-    final = propagate(graph, params.model)
-    return np.asarray(sigmoid(final @ user_emb))
+def score_items(params: ParameterState, kg: KnowledgeGraph, users: np.ndarray,
+                items: np.ndarray, counts: list[int], sample_size: int, depth: int,
+                rngs: list[np.random.Generator]) -> np.ndarray:
+    """Run the trained model for a block of users over their candidate items.
+
+    `items` holds the users' candidates one after another, counts[b] of
+    them for user b, whose embedding is users[b] and stream rngs[b].
+    Returns the scores in `items` order.
+    """
+    subs = [sample_subgraph(kg, anchors, sample_size, depth, rng)
+            for anchors, rng in zip(_pieces(items, counts), rngs)]
+    ent_rows, rel_rows = gather(params, np.concatenate([s.entities for s in subs]),
+                                np.concatenate([s.relations for s in subs]))
+    batch = stack_graphs([
+        LocalGraph(user=user, labels=np.zeros(len(sub.ids[0])), subgraph=sub,
+                   entity_rows=ent, relation_rows=rel)
+        for user, sub, ent, rel in zip(
+            users, subs, _pieces(ent_rows, [len(s.entities) for s in subs]),
+            _pieces(rel_rows, [len(s.relations) for s in subs]))])
+    return readout(batch, propagate(batch, broadcast_model(params.model, len(subs))))
+
+
+def _pieces(rows: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Views of consecutive runs of rows, sizes[i] rows in run i."""
+    ends = list(accumulate(sizes))
+    return [rows[end - size:end] for size, end in zip(sizes, ends)]
+
+
+def _user_blocks(counts: list[int]):
+    """(start, end) of contiguous runs of users holding at most BLOCK_ITEMS
+    candidates together; a user with more is a run alone."""
+    start = total = 0
+    for end, n in enumerate(counts):
+        if end > start and total + n > BLOCK_ITEMS:
+            yield start, end
+            start, total = end, 0
+        total += n
+    if counts:
+        yield start, len(counts)
 
 
 def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
@@ -95,26 +140,22 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
                  split: str = "valid") -> MetricReport:
     """Pooled CTR metrics over every user's split positives and negatives."""
     pos_lists, neg_lists = dataset.split_of(split)
-    all_scores: list[np.ndarray] = []
-    all_labels: list[np.ndarray] = []
-    users = 0
-    for user in range(dataset.num_users):
-        pos, neg = pos_lists[user], neg_lists[user]
-        if not pos or not neg:
-            continue
-        users += 1
-        items = list(pos) + list(neg)
-        rng = derive_rng(seed, ROLE_EVAL, round_index, user)
-        scores = score_items(params, dataset.kg, user_emb[user], items,
-                             sample_size, depth, rng)
-        all_scores.append(scores)
-        all_labels.append(np.array([1] * len(pos) + [0] * len(neg)))
-    if not all_scores:
+    users = [u for u in range(dataset.num_users) if pos_lists[u] and neg_lists[u]]
+    if not users:
         return MetricReport(auc=None, f1=0.0)
-    scores = np.concatenate(all_scores)
-    labels = np.concatenate(all_labels)
+    counts = [len(pos_lists[u]) + len(neg_lists[u]) for u in users]
+    items = np.array([i for u in users for i in (*pos_lists[u], *neg_lists[u])],
+                     dtype=np.int64)
+    labels = np.array([y for u in users
+                       for y in [1] * len(pos_lists[u]) + [0] * len(neg_lists[u])])
+    bounds = [0, *accumulate(counts)]
+    scores = np.concatenate([
+        score_items(params, dataset.kg, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
+                    counts[s:e], sample_size, depth,
+                    [derive_rng(seed, ROLE_EVAL, round_index, u) for u in users[s:e]])
+        for s, e in _user_blocks(counts)])
     return MetricReport(auc=auc(scores, labels), f1=f1(scores, labels),
-                        users_evaluated=users,
+                        users_evaluated=len(users),
                         positives=int(labels.sum()),
                         negatives=int(len(labels) - labels.sum()))
 
@@ -127,8 +168,8 @@ def recall_at_k(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     if not positives:
         return None
     candidates = unobserved_items(dataset.train[user] + dataset.valid[user], dataset.num_items)
-    scores = score_items(params, dataset.kg, user_emb[user], candidates,
-                         sample_size, depth, rng)
+    scores = score_items(params, dataset.kg, user_emb[[user]], candidates,
+                         [len(candidates)], sample_size, depth, [rng])
     return recall_from_scores(scores, candidates, positives, ks)
 
 

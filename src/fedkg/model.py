@@ -227,7 +227,22 @@ def _per_row(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
-    """Stack LocalGraphs of one depth into a GraphBatch, in list order."""
+    """Stack LocalGraphs of one depth into a GraphBatch, in list order.
+
+    A batch of one is the graph's own arrays: they need no shift, and
+    nothing writes into a batch's arrays.
+    """
+    if len(graphs) == 1:
+        graph, sub = graphs[0], graphs[0].subgraph
+        return GraphBatch(
+            users=np.array([graph.user], dtype=np.float64), labels=graph.labels,
+            entities=sub.entities, relations=sub.relations, entity_rows=graph.entity_rows,
+            relation_rows=graph.relation_rows,
+            ent_rows=[np.searchsorted(sub.entities, ids) for ids in sub.ids],
+            layers=sub.layers, anchor_offsets=_offsets([len(sub.ids[0])]),
+            entity_offsets=_offsets([len(sub.entities)]),
+            relation_offsets=_offsets([len(sub.relations)]),
+            sampled_offsets=[_offsets([len(layer.rel_rows)]) for layer in sub.layers])
     subs = [g.subgraph for g in graphs]
     depth = subs[0].depth
     if any(s.depth != depth for s in subs):
@@ -235,48 +250,44 @@ def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
     ent_off = _offsets([len(s.entities) for s in subs])
     rel_off = _offsets([len(s.relations) for s in subs])
     ids_off = [_offsets([len(s.ids[lvl]) for s in subs]) for lvl in range(depth + 1)]
+    sampled_off = [_offsets([len(s.layers[lvl].rel_rows) for s in subs])
+                   for lvl in range(depth)]
+    entities = np.concatenate([s.entities for s in subs])
+    # Keyed by client * stride + id, the stacked entities are sorted, so one
+    # searchsorted finds each client's ids in its own block.
+    stride = np.arange(len(subs)) * (int(entities.max(initial=-1)) + 1)
+    keys = entities + _per_row(stride, ent_off)
     layers = [Layer(isolated=np.concatenate([s.layers[lvl].isolated for s in subs]),
-                    rel_rows=np.concatenate([s.layers[lvl].rel_rows + rel_off[b]
-                                             for b, s in enumerate(subs)]),
-                    tail_rows=np.concatenate([s.layers[lvl].tail_rows + ids_off[lvl + 1][b]
-                                              for b, s in enumerate(subs)]))
+                    rel_rows=np.concatenate([s.layers[lvl].rel_rows for s in subs])
+                    + _per_row(rel_off[:-1, None], sampled_off[lvl]),
+                    tail_rows=np.concatenate([s.layers[lvl].tail_rows for s in subs])
+                    + _per_row(ids_off[lvl + 1][:-1, None], sampled_off[lvl]))
               for lvl in range(depth)]
     return GraphBatch(
         users=np.array([g.user for g in graphs], dtype=np.float64),
         labels=np.concatenate([g.labels for g in graphs]),
-        entities=np.concatenate([s.entities for s in subs]),
+        entities=entities,
         relations=np.concatenate([s.relations for s in subs]),
         entity_rows=np.concatenate([g.entity_rows for g in graphs]),
         relation_rows=np.concatenate([g.relation_rows for g in graphs]),
-        ent_rows=[np.concatenate([np.searchsorted(s.entities, s.ids[lvl]) + ent_off[b]
-                                  for b, s in enumerate(subs)]) for lvl in range(depth + 1)],
+        ent_rows=[np.searchsorted(keys, np.concatenate([s.ids[lvl] for s in subs])
+                                  + _per_row(stride, ids_off[lvl]))
+                  for lvl in range(depth + 1)],
         layers=layers, anchor_offsets=ids_off[0], entity_offsets=ent_off,
-        relation_offsets=rel_off,
-        sampled_offsets=[_offsets([len(s.layers[lvl].rel_rows) for s in subs])
-                         for lvl in range(depth)])
+        relation_offsets=rel_off, sampled_offsets=sampled_off)
 
 
 def as_batch(graph: LocalGraph | GraphBatch,
              params: ModelParams) -> tuple[GraphBatch, ModelParams]:
     """A LocalGraph and its model as a batch of one; a batch as it is.
 
-    A batch of one is `stack_graphs([graph])` and `broadcast_model(params, 1)`
-    without the copies and broadcasts: the graph's own arrays need no
-    shift, and nothing writes into a batch's arrays.
+    The model is lifted by a view per layer, as `broadcast_model(params, 1)`
+    but without the broadcasts.
     """
     if isinstance(graph, GraphBatch):
         return graph, params
-    sub = graph.subgraph
-    return GraphBatch(
-        users=np.array([graph.user], dtype=np.float64), labels=graph.labels,
-        entities=sub.entities, relations=sub.relations, entity_rows=graph.entity_rows,
-        relation_rows=graph.relation_rows,
-        ent_rows=[np.searchsorted(sub.entities, ids) for ids in sub.ids], layers=sub.layers,
-        anchor_offsets=_offsets([len(sub.ids[0])]), entity_offsets=_offsets([len(sub.entities)]),
-        relation_offsets=_offsets([len(sub.relations)]),
-        sampled_offsets=[_offsets([len(layer.rel_rows)]) for layer in sub.layers]), \
-        ModelParams(params.mode, [w[None] for w in params.weights],
-                    [b[None] for b in params.biases])
+    return stack_graphs([graph]), ModelParams(params.mode, [w[None] for w in params.weights],
+                                              [b[None] for b in params.biases])
 
 
 def segment_sum(index: np.ndarray, columns, size: int, start: float = 0.0) -> np.ndarray:
@@ -391,7 +402,7 @@ def _forward(batch: GraphBatch, params: ModelParams) -> _ForwardState:
     return _ForwardState(sampled=sampled, blocks=blocks, alphas=alphas, hops=hops, aggs=aggs)
 
 
-def _predictions(batch: GraphBatch, final: np.ndarray) -> np.ndarray:
+def readout(batch: GraphBatch, final: np.ndarray) -> np.ndarray:
     """sigmoid(<user, final anchor vector>), each anchor with its client's user."""
     logits = np.empty(len(final))
     for c, s, e in _blocks(batch.anchor_offsets):
@@ -419,7 +430,7 @@ def forward_loss(graph: LocalGraph | GraphBatch, params: ModelParams):
     A batch gives one loss per client and the stacked predictions.
     """
     batch, params = as_batch(graph, params)
-    predictions = _predictions(batch, propagate(batch, params))
+    predictions = readout(batch, propagate(batch, params))
     losses = _losses(batch, predictions)
     return (losses if isinstance(graph, GraphBatch) else losses[0]), predictions
 
@@ -446,7 +457,7 @@ def _backward(batch: GraphBatch, params: ModelParams) -> BatchGradient:
     y = batch.labels
     d = batch.users.shape[1]
     final = state.hops[-1][0]
-    preds = _predictions(batch, final)
+    preds = readout(batch, final)
     losses = _losses(batch, preds)
 
     # d(loss)/d(logit) of each client's mean; zero where the clamp flattens the loss.

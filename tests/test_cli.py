@@ -108,6 +108,27 @@ def test_train_rejects_recall_k_below_one(tmp_path):
         ExperimentConfig(recall_ks=(10, 0)).validate()
 
 
+def test_empty_recall_ks_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="recall_ks"):
+        ExperimentConfig(recall_ks=()).validate()
+    out = tmp_path / "run"
+    assert main(_tiny_train_args(out, recall_ks="")) == 2
+    assert not out.exists()
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("recall_ks =\n")
+    assert main(["train", "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    args = _tiny_train_args(out)
+    args[args.index("--max-rounds") + 1] = "0"
+    assert main(args) == 0
+    for ks in ("", " , "):
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--recall-ks", ks]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "recall-ks" in err
+
+
 # sha256 of the criterion-9 config's metrics.jsonl at depth=2, epochs=2. A
 # change that moves the stream must update this digest and say why.
 PINNED_METRICS_SHA256 = "7baef4f5982b5e1be29f9d1ecdff335afd929df5aa08f566636c75703166f673"
@@ -225,6 +246,22 @@ def test_evaluate_foreign_archive_is_a_usage_error(tmp_path, capsys):
     np.save(flat, np.zeros(3))
     assert main(["evaluate", "--checkpoint", str(flat)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_evaluate_checkpoint_tables_must_fit_the_dataset(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = _tiny_train_args(out)
+    args[args.index("--max-rounds") + 1] = "0"
+    assert main(args) == 0
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = dict(data)
+    for name, cut in (("entity_emb", lambda t: t[:-4]), ("user_emb", lambda t: t[:5]),
+                      ("relation_emb", lambda t: t[1:]), ("user_emb", lambda t: t[:, 1:])):
+        bad = tmp_path / f"{name}.npz"
+        np.savez(bad, **{**arrays, name: cut(arrays[name])})
+        assert main(["evaluate", "--checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
 
 
 def test_gradcheck_passes(capsys):

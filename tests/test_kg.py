@@ -183,7 +183,8 @@ def test_subgraph_seed_determinism():
 
 def test_subgraph_matches_per_center_reference_stream():
     # random graphs with isolated entities, self-loops and reverse pairs;
-    # anchors arrive unsorted, and the generator must end in the same state
+    # anchors arrive unsorted, some repeated, and the generator must end in
+    # the same state
     for trial in range(60):
         rng = derive_rng(12, trial)
         n = int(rng.integers(2, 25))
@@ -191,6 +192,8 @@ def test_subgraph_matches_per_center_reference_stream():
                    for _ in range(int(rng.integers(0, 40)))]
         kg = build_kg(triples, n, 3)
         anchors = [int(a) for a in rng.permutation(n)[:int(rng.integers(1, min(n, 6) + 1))]]
+        if trial % 3 == 2:
+            anchors += anchors[:2]  # a repeated anchor is sampled once, as its center
         k, depth = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         ours, theirs = derive_rng(13, trial), derive_rng(13, trial)
         sub = sample_subgraph(kg, anchors, k, depth, ours)

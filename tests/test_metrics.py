@@ -1,10 +1,18 @@
-import numpy as np
+from itertools import product
 
+import numpy as np
+import pytest
+
+from fedkg import metrics
 from fedkg.cli import build_dataset, setup_state
 from fedkg.config import ExperimentConfig
+from fedkg.data import Dataset, unobserved_items
+from fedkg.kg import build_kg, sample_subgraph
 from fedkg.metrics import (auc, evaluate_ctr, evaluate_report, f1,
                            recall_from_scores)
-from fedkg.rng import derive_rng
+from fedkg.model import LocalGraph, propagate, sigmoid
+from fedkg.params import gather, init_params
+from fedkg.rng import ROLE_EVAL, derive_rng
 
 
 def pairwise_auc(scores, labels):
@@ -192,3 +200,148 @@ def test_evaluate_report_includes_recall():
     assert rep.recall_at_k[5] <= rep.recall_at_k[30]
     payload = rep.to_dict()
     assert payload["recall_at_k"]["5"] == rep.recall_at_k[5]
+
+
+# --- block scoring -------------------------------------------------------------
+
+def reference_score_items(params, kg, user_vec, items, sample_size, depth, rng):
+    """The per-user scorer that block scoring replaced: one user, one batch of one."""
+    subgraph = sample_subgraph(kg, items, sample_size, depth, rng)
+    ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
+    graph = LocalGraph(user=user_vec, labels=np.zeros(len(items)), subgraph=subgraph,
+                       entity_rows=ent_rows, relation_rows=rel_rows)
+    return np.asarray(sigmoid(propagate(graph, params.model) @ user_vec))
+
+
+ISOLATED_USER, WIDE_USER = 0, 1
+
+
+def _block_dataset() -> Dataset:
+    """300 items and 20 attributes; items 280.. have no triple, so every layer
+    leaves them isolated. Candidate counts vary from 2 to 270 per user:
+    ISOLATED_USER's anchors are all isolated, WIDE_USER's outnumber
+    BLOCK_ITEMS, and every fourth user has no test negatives (not scored)."""
+    rng = derive_rng(21, 0)
+    items, attributes = 300, 20
+    triples = np.array([(i, int(rng.integers(3)), items + int(rng.integers(attributes)))
+                        for i in range(280) for _ in range(2)])
+    kg = build_kg(triples, items + attributes, 3)
+    test, test_neg = [], []
+    for user in range(40):
+        if user == ISOLATED_USER:
+            pos, neg = [281, 290], [285, 299, 283]
+        elif user == WIDE_USER:
+            pos, neg = np.split(rng.permutation(280)[:270], [135])
+        else:
+            drawn = rng.permutation(280)[:int(rng.integers(2, 30))]
+            pos, neg = np.split(drawn, [int(rng.integers(1, len(drawn)))])
+            if user % 4 == 3:
+                neg = []
+        test.append([int(i) for i in pos])
+        test_neg.append([int(i) for i in neg])
+    empty = [[] for _ in test]
+    return Dataset(num_users=len(test), num_items=items, train=empty, valid=empty,
+                   test=test, train_neg=empty, valid_neg=empty, test_neg=test_neg,
+                   kg=kg, triples=triples)
+
+
+@pytest.mark.parametrize("depth,mode", list(product(range(4), ("replace", "transform"))))
+def test_block_scoring_matches_per_user_reference_bitwise(depth, mode, monkeypatch):
+    dataset = _block_dataset()
+    params = init_params(dataset.kg.num_entities, dataset.kg.num_relations, 8,
+                         derive_rng(22, depth), depth=depth, mode=mode)
+    user_emb = derive_rng(23, depth).uniform(-0.5, 0.5, size=(dataset.num_users, 8))
+    seed, round_index, k = 5, 3, 3
+    scored = [u for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u]]
+    counts = [len(dataset.test[u]) + len(dataset.test_neg[u]) for u in scored]
+    assert max(counts) > metrics.BLOCK_ITEMS and len(set(counts)) > 10
+
+    want, states = [], []
+    for user in scored:
+        rng = derive_rng(seed, ROLE_EVAL, round_index, user)
+        want.append(reference_score_items(params, dataset.kg, user_emb[user],
+                                          dataset.test[user] + dataset.test_neg[user],
+                                          k, depth, rng))
+        states.append(rng.bit_generator.state)
+    labels = np.concatenate([[1] * len(dataset.test[u]) + [0] * len(dataset.test_neg[u])
+                             for u in scored])
+
+    real = metrics.score_items
+    for cap in (1, metrics.BLOCK_ITEMS, sum(counts) + 1):
+        calls = []
+
+        def recording(params, kg, users, items, counts, sample_size, depth, rngs):
+            scores = real(params, kg, users, items, counts, sample_size, depth, rngs)
+            calls.append((list(counts), scores, [r.bit_generator.state for r in rngs]))
+            return scores
+
+        monkeypatch.setattr(metrics, "BLOCK_ITEMS", cap)
+        monkeypatch.setattr(metrics, "score_items", recording)
+        report = evaluate_ctr(dataset, params, user_emb, k, depth, seed, round_index, "test")
+
+        # contiguous greedy blocks: each ends where the next user would pass the cap
+        assert [n for block, _, _ in calls for n in block] == counts
+        for i, (block, _, _) in enumerate(calls):
+            assert sum(block) <= cap or len(block) == 1
+            if i + 1 < len(calls):
+                assert sum(block) + calls[i + 1][0][0] > cap
+        if cap == 1:
+            assert len(calls) == len(scored)
+        if cap > sum(counts):
+            assert len(calls) == 1
+        got = [scores for block, block_scores, _ in calls
+               for scores in np.split(block_scores, np.cumsum(block)[:-1])]
+        for user, a, b in zip(scored, got, want):
+            assert a.tobytes() == b.tobytes(), (cap, user)
+        assert [st for _, _, block in calls for st in block] == states
+        assert report.auc == auc(np.concatenate(want), labels)
+        assert report.f1 == f1(np.concatenate(want), labels)
+
+
+def test_evaluate_report_call_counts_match_recount(monkeypatch):
+    cfg = ExperimentConfig(users=30, items=24, attributes=5, interactions_per_user=8,
+                           depth=2, seed=13)
+    dataset = build_dataset(cfg)
+    params, user_emb, _ = setup_state(cfg, dataset)
+    round_index, ks = 4, [5, 10]
+    sampled, gathered, scored = [], [], []
+    real_sample, real_gather, real_score = \
+        metrics.sample_subgraph, metrics.gather, metrics.score_items
+
+    def sample(kg, anchors, k, depth, rng):
+        sampled.append((np.array(anchors), rng.bit_generator.state))
+        return real_sample(kg, anchors, k, depth, rng)
+
+    def gather_rows(state, entities, relations):
+        gathered.append(len(entities) + len(relations))
+        return real_gather(state, entities, relations)
+
+    def score(params, kg, users, items, *rest):
+        scored.append(len(items))
+        return real_score(params, kg, users, items, *rest)
+
+    monkeypatch.setattr(metrics, "sample_subgraph", sample)
+    monkeypatch.setattr(metrics, "gather", gather_rows)
+    monkeypatch.setattr(metrics, "score_items", score)
+    evaluate_report(dataset, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed,
+                    round_index, ks=ks, split="test")
+
+    # brute force: every CTR user, then every Recall@K user, on its own stream
+    want = []
+    for user in range(dataset.num_users):
+        if dataset.test[user] and dataset.test_neg[user]:
+            want.append((dataset.test[user] + dataset.test_neg[user], user))
+    for user in range(dataset.num_users):
+        if dataset.test[user]:
+            want.append((unobserved_items(dataset.train[user] + dataset.valid[user],
+                                          dataset.num_items), dataset.num_users + user))
+    assert len(sampled) == len(want)
+    sizes = 0
+    for (anchors, state), (items, stream) in zip(sampled, want):
+        rng = derive_rng(cfg.seed, ROLE_EVAL, round_index, stream)
+        assert np.array_equal(anchors, items)
+        assert state == rng.bit_generator.state
+        sub = sample_subgraph(dataset.kg, items, cfg.sample_size, cfg.depth, rng)
+        sizes += len(sub.entities) + len(sub.relations)
+    assert sum(gathered) == sizes
+    assert sum(scored) == sum(len(items) for items, _ in want)
