@@ -2,7 +2,7 @@
 
 from .client import ClientState, build_request, local_train, merge_graphs
 from .config import ExperimentConfig
-from .data import Dataset, SyntheticConfig, generate_synthetic, load_dataset
+from .data import Dataset, generate_synthetic, load_dataset
 from .kg import KnowledgeGraph, Layer, Subgraph, build_kg, sample_subgraph
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
 from .metrics import MetricReport, auc, evaluate_ctr, evaluate_report, f1

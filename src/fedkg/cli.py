@@ -23,13 +23,11 @@ from .server import RoundConfig, train
 
 
 def build_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
+    """Check every key of `cfg` (ConfigError), then build its dataset."""
+    cfg.validate()
     rng = derive_rng(cfg.seed, ROLE_DATA)
     if cfg.synthetic:
-        synth = data_mod.SyntheticConfig(
-            users=cfg.users, items=cfg.items, attributes=cfg.attributes,
-            relations=cfg.relations, interactions_per_user=cfg.interactions_per_user,
-            noise=cfg.noise, prefs_per_user=cfg.prefs_per_user)
-        return data_mod.generate_synthetic(synth, rng)
+        return data_mod.generate_synthetic(cfg, rng)
     return data_mod.load_dataset(cfg.ratings_file, cfg.kg_file,
                                  cfg.rating_threshold, rng)
 
@@ -59,8 +57,7 @@ def round_config(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> RoundConfi
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Full pipeline: load, init, train, evaluate, persist artifacts."""
-    cfg.validate()
-    dataset = build_dataset(cfg)  # before any output exists
+    dataset = build_dataset(cfg)  # checks cfg before any output exists
     params, user_emb, clients = setup_state(cfg, dataset)
     rcfg = round_config(cfg, dataset)
 
@@ -118,8 +115,7 @@ def _check_tables(params: ParameterState, user_emb: np.ndarray,
 def run_evaluate(checkpoint: str, split: str, ks: list[int], out: str | None) -> int:
     params, user_emb, extra = load_checkpoint(checkpoint)
     if extra is None or user_emb is None:
-        print("checkpoint lacks config/user embeddings; cannot evaluate", file=sys.stderr)
-        return 2
+        raise ValueError("checkpoint lacks config/user embeddings; cannot evaluate")
     cfg = ExperimentConfig.from_dict(extra)
     dataset = build_dataset(cfg)
     _check_tables(params, user_emb, dataset)
@@ -202,9 +198,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--recall-ks values (K) must all be >= 1")
             return run_evaluate(args.checkpoint, args.split, ks, args.out)
         if args.command == "synth":
-            cfg = _config_from_args(args)
-            cfg.validate()
-            return run_synth(cfg, args.dataset_dir)
+            return run_synth(_config_from_args(args), args.dataset_dir)
         if args.command == "gradcheck":
             result = run_gradient_check(args.instances, args.step,
                                         args.tolerance, args.seed)
@@ -212,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"max relative error {result.max_rel_err:.3e}, "
                   f"{len(result.failures)} over tolerance {args.tolerance:g}")
             return 0 if not result.failures else 1
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -78,7 +78,12 @@ class ExperimentConfig:
             (self.pseudo_items is None or self.pseudo_items >= 0,
              "pseudo_items must be >= 0 (or unset for parity)"),
         ]
-        if not self.synthetic:
+        if self.synthetic:
+            checks += [(getattr(self, key) >= 1, f"{key} must be >= 1")
+                       for key in ("users", "items", "attributes", "relations",
+                                   "interactions_per_user", "prefs_per_user")]
+            checks.append((0.0 <= self.noise <= 1.0, "noise must be in [0, 1]"))
+        else:
             checks.append((bool(self.ratings_file) and bool(self.kg_file),
                            "file datasets need both ratings_file and kg_file"))
         for ok, message in checks:

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .kg import KnowledgeGraph, build_kg, load_kg_file, read_rows
+
+SPLIT_RATIOS = (0.6, 0.2, 0.2)  # train : valid : test, per user
 
 
 class DataFormatError(ValueError):
@@ -43,25 +46,6 @@ class Dataset:
         return pos, neg
 
 
-@dataclass
-class SyntheticConfig:
-    users: int = 500
-    items: int = 200
-    attributes: int = 20
-    relations: int = 2
-    interactions_per_user: int = 16
-    noise: float = 0.1
-    prefs_per_user: int = 2
-
-    def __post_init__(self):
-        for name in ("users", "items", "attributes", "relations",
-                     "interactions_per_user", "prefs_per_user"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError("noise must be in [0, 1]")
-
-
 def load_ratings(path: str, positive_threshold: float = 0.0
                  ) -> tuple[list[list[int]], dict[int, int], int]:
     """Parse `user item rating` lines into per-user positives.
@@ -86,16 +70,13 @@ def load_ratings(path: str, positive_threshold: float = 0.0
     return positives, id_map, max_item + 1
 
 
-def split(positives: list[list[int]], ratios: tuple[float, float, float],
-          rng: np.random.Generator
+def split(positives: list[list[int]], rng: np.random.Generator
           ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Per-user random partition into train/valid/test.
+    """Per-user random partition into train/valid/test by SPLIT_RATIOS.
 
     Rounding: train gets ceil(r0*k), valid ceil(r1*k) of the remainder, test
     the rest; users with fewer than 3 positives keep everything in train.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
     train, valid, test = [], [], []
     for pos in positives:
         k = len(pos)
@@ -105,8 +86,8 @@ def split(positives: list[list[int]], ratios: tuple[float, float, float],
             test.append([])
             continue
         order = rng.permutation(k)
-        n_train = math.ceil(ratios[0] * k)
-        n_valid = min(math.ceil(ratios[1] * k), k - n_train)
+        n_train = math.ceil(SPLIT_RATIOS[0] * k)
+        n_valid = min(math.ceil(SPLIT_RATIOS[1] * k), k - n_train)
         shuffled = [pos[i] for i in order]
         train.append(sorted(shuffled[:n_train]))
         valid.append(sorted(shuffled[n_train:n_train + n_valid]))
@@ -143,16 +124,14 @@ def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
 
 def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph,
                   triples: np.ndarray, rng: np.random.Generator,
-                  ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
                   user_id_map: dict[int, int] | None = None,
                   truth_prefs: np.ndarray | None = None) -> Dataset:
     """Split positives, draw evaluation negatives, assemble the Dataset."""
     canonical = [sorted(p) for p in positives]
-    train, valid, test = split(canonical, ratios, rng)
-    union = [sorted(set(a) | set(b) | set(c)) for a, b, c in zip(train, valid, test)]
-    train_neg = sample_eval_negatives(num_items, union, train, rng)
-    valid_neg = sample_eval_negatives(num_items, union, valid, rng)
-    test_neg = sample_eval_negatives(num_items, union, test, rng)
+    train, valid, test = split(canonical, rng)
+    train_neg = sample_eval_negatives(num_items, canonical, train, rng)
+    valid_neg = sample_eval_negatives(num_items, canonical, valid, rng)
+    test_neg = sample_eval_negatives(num_items, canonical, test, rng)
     return Dataset(num_users=len(positives), num_items=num_items,
                    train=train, valid=valid, test=test,
                    train_neg=train_neg, valid_neg=valid_neg, test_neg=test_neg,
@@ -161,16 +140,15 @@ def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph
 
 
 def load_dataset(ratings_path: str, kg_path: str, positive_threshold: float,
-                 rng: np.random.Generator,
-                 ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> Dataset:
+                 rng: np.random.Generator) -> Dataset:
     positives, id_map, num_items = load_ratings(ratings_path, positive_threshold)
     triples, kg_entities, kg_relations = load_kg_file(kg_path)
     num_entities = max(kg_entities, num_items)  # so every item id is an entity
     kg = build_kg(triples, num_entities, max(kg_relations, 1))
-    return attach_splits(positives, num_items, kg, triples, rng, ratios, id_map)
+    return attach_splits(positives, num_items, kg, triples, rng, id_map)
 
 
-def generate_synthetic(cfg: SyntheticConfig, rng: np.random.Generator) -> Dataset:
+def generate_synthetic(cfg: ExperimentConfig, rng: np.random.Generator) -> Dataset:
     """Planted-preference dataset: item->attribute triples, users prefer attributes.
 
     Each item links to one attribute entity (relation fixed per attribute);

@@ -279,15 +279,10 @@ def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
 
 def as_batch(graph: LocalGraph | GraphBatch,
              params: ModelParams) -> tuple[GraphBatch, ModelParams]:
-    """A LocalGraph and its model as a batch of one; a batch as it is.
-
-    The model is lifted by a view per layer, as `broadcast_model(params, 1)`
-    but without the broadcasts.
-    """
+    """A LocalGraph and its model as a batch of one; a batch as it is."""
     if isinstance(graph, GraphBatch):
         return graph, params
-    return stack_graphs([graph]), ModelParams(params.mode, [w[None] for w in params.weights],
-                                              [b[None] for b in params.biases])
+    return stack_graphs([graph]), broadcast_model(params, 1)
 
 
 def segment_sum(index: np.ndarray, columns, size: int, start: float = 0.0) -> np.ndarray:

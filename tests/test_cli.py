@@ -11,6 +11,7 @@ import pytest
 from fedkg import cli
 from fedkg.cli import main, run_experiment
 from fedkg.config import ConfigError, ExperimentConfig, config_echo, parse_config_file
+from fedkg.params import init_params, save_checkpoint
 
 
 def _tiny_train_args(out_dir, **extra):
@@ -127,6 +128,50 @@ def test_empty_recall_ks_rejected(tmp_path, capsys):
                      "--recall-ks", ks]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "recall-ks" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("users", 0), ("items", 0), ("attributes", 0), ("relations", 0),
+    ("interactions_per_user", 0), ("prefs_per_user", 0), ("noise", -0.1), ("noise", 1.5)])
+def test_synthetic_sizes_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key, value", [("sample_size", 0), ("depth", -1)])
+def test_evaluate_checks_the_recorded_config(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    args = _tiny_train_args(out)
+    args[args.index("--max-rounds") + 1] = "0"
+    assert main(args) == 0
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = dict(data)
+    extra = {**json.loads(str(arrays["extra_json"])), key: value}
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **{**arrays, "extra_json": np.array(json.dumps(extra))})
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+
+def test_evaluate_bare_checkpoint_is_a_usage_error(tmp_path, capsys):
+    bare = tmp_path / "bare.npz"
+    save_checkpoint(str(bare), init_params(10, 2, 4, np.random.default_rng(0)))
+    assert main(["evaluate", "--checkpoint", str(bare)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "user embeddings" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "synth"])
+def test_os_errors_are_usage_errors(tmp_path, capsys, command):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    args = {"evaluate": ["evaluate", "--checkpoint", str(tmp_path)],
+            "train": ["train", "--config", str(tmp_path)],
+            "synth": ["synth", "--users", "10", "--items", "8", "--attributes", "2",
+                      "--dataset-dir", str(a_file)]}[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # sha256 of the criterion-9 config's metrics.jsonl at depth=2, epochs=2. A

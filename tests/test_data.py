@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fedkg.data import (DataFormatError, SyntheticConfig, generate_synthetic,
-                        load_dataset, load_ratings, sample_eval_negatives,
-                        save_ratings_file, split)
+from fedkg.config import ExperimentConfig
+from fedkg.data import (DataFormatError, generate_synthetic, load_dataset, load_ratings,
+                        sample_eval_negatives, save_ratings_file, split)
 from fedkg.kg import save_kg_file
 from fedkg.metrics import auc
 from fedkg.rng import derive_rng
@@ -55,19 +55,19 @@ def test_load_ratings_negative_item_reports_line(tmp_path):
 
 
 def test_split_ten_positives_622():
-    train, valid, test = split([list(range(10))], (0.6, 0.2, 0.2), derive_rng(0, 0))
+    train, valid, test = split([list(range(10))], derive_rng(0, 0))
     assert (len(train[0]), len(valid[0]), len(test[0])) == (6, 2, 2)
 
 
 def test_split_degenerate_user_all_train():
-    train, valid, test = split([[7]], (0.6, 0.2, 0.2), derive_rng(1, 0))
+    train, valid, test = split([[7]], derive_rng(1, 0))
     assert (train[0], valid[0], test[0]) == ([7], [], [])
 
 
 def test_split_seed_determinism():
     pos = [list(range(20)), list(range(5))]
-    a = split(pos, (0.6, 0.2, 0.2), derive_rng(2, 0))
-    b = split(pos, (0.6, 0.2, 0.2), derive_rng(2, 0))
+    a = split(pos, derive_rng(2, 0))
+    b = split(pos, derive_rng(2, 0))
     assert a == b
 
 
@@ -76,7 +76,7 @@ def test_split_disjoint_and_covering_property():
     for _ in range(50):
         k = int(rng.integers(1, 40))
         pos = [sorted(int(x) for x in rng.choice(1000, size=k, replace=False))]
-        train, valid, test = split(pos, (0.6, 0.2, 0.2), rng)
+        train, valid, test = split(pos, rng)
         parts = [set(train[0]), set(valid[0]), set(test[0])]
         assert parts[0] | parts[1] | parts[2] == set(pos[0])
         assert not (parts[0] & parts[1]) and not (parts[0] & parts[2]) \
@@ -127,7 +127,7 @@ def test_eval_negatives_match_setdiff1d_reference():
 
 
 def test_synthetic_structure_and_planted_signal():
-    cfg = SyntheticConfig()
+    cfg = ExperimentConfig()
     ds = generate_synthetic(cfg, derive_rng(7, 0))
     assert ds.num_users == 500 and ds.num_items == 200
     assert ds.kg.num_entities == 220  # items + attributes
@@ -141,7 +141,7 @@ def test_synthetic_structure_and_planted_signal():
 
 
 def test_synthetic_noise_zero_positives_match_preferences():
-    cfg = SyntheticConfig(users=50, noise=0.0)
+    cfg = ExperimentConfig(users=50, noise=0.0)
     ds = generate_synthetic(cfg, derive_rng(8, 0))
     item_attr = {int(h): int(t) - ds.num_items for h, _, t in ds.triples}
     for user in range(ds.num_users):
@@ -152,8 +152,8 @@ def test_synthetic_noise_zero_positives_match_preferences():
 def test_synthetic_noise_zero_admits_perfect_predictor():
     # full preferred-pool coverage: unobserved items are all non-preferred,
     # so the attribute-match oracle separates test pairs perfectly
-    cfg = SyntheticConfig(users=80, items=100, attributes=10,
-                          interactions_per_user=100, noise=0.0)
+    cfg = ExperimentConfig(users=80, items=100, attributes=10,
+                           interactions_per_user=100, noise=0.0)
     ds = generate_synthetic(cfg, derive_rng(9, 0))
     item_attr = {int(h): int(t) - ds.num_items for h, _, t in ds.triples}
     scores, labels = [], []
@@ -166,7 +166,7 @@ def test_synthetic_noise_zero_admits_perfect_predictor():
 
 
 def test_ratings_roundtrip(tmp_path):
-    cfg = SyntheticConfig(users=30, items=40, attributes=5)
+    cfg = ExperimentConfig(users=30, items=40, attributes=5)
     ds = generate_synthetic(cfg, derive_rng(10, 0))
     ratings_path = tmp_path / "ratings.txt"
     kg_path = tmp_path / "kg.txt"
@@ -180,7 +180,7 @@ def test_ratings_roundtrip(tmp_path):
 
 
 def test_file_dataset_split_reproducible(tmp_path):
-    cfg = SyntheticConfig(users=10, items=30, attributes=4)
+    cfg = ExperimentConfig(users=10, items=30, attributes=4)
     ds = generate_synthetic(cfg, derive_rng(12, 0))
     ratings_path = tmp_path / "r.txt"
     kg_path = tmp_path / "k.txt"
