@@ -4,33 +4,32 @@ AUC is the Mann-Whitney statistic (ties count one half), pooled over all
 (user, item) evaluation pairs; Recall@K averages per user over candidates
 that exclude train/valid positives.
 
-Scoring runs on blocks of users, as KGCN's minibatches do. A CTR pass
-takes its users in order, in contiguous blocks of at most BLOCK_ITEMS
-candidates; a user with more candidates is a block alone, and every
-Recall@K user is one. Each user samples its own receptive field on its
-own stream, derive_rng(seed, ROLE_EVAL, round, user) (num_users + user
-for Recall@K), so the draws do not depend on the blocks. A block then
-makes one gather over its users' stacked subgraphs, one propagate over
-their GraphBatch and one readout. The batch engine is bitwise per client
-(see `model`), so every score, and so metrics.jsonl, is byte-identical
-to scoring one user at a time.
+As KGCN evaluates on one fixed sampled adjacency, an evaluation pass (an
+evaluate_ctr call, or the Recall@K part of evaluate_report, on the same
+key) scores every user from one field sampled around all items on
+derive_rng(seed, ROLE_EVAL, round) and gathered once. A CTR pass takes
+its users in order, in contiguous blocks of at most BLOCK_ITEMS
+candidates; a user with more is a block alone, and every Recall@K user is
+one. A block makes one propagate over `model.field_batch` and one
+readout, and each user's scores are bitwise those of the field restricted
+to that user's candidates, so they do not depend on the blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 
 import numpy as np
 
 from .data import Dataset, unobserved_items
-from .kg import KnowledgeGraph, sample_subgraph
-from .model import LocalGraph, broadcast_model, propagate, readout, stack_graphs
+from .kg import sample_subgraph
+from .model import Field, ModelParams, broadcast_model, field_batch, propagate, readout
 from .params import ParameterState, gather
 from .rng import ROLE_EVAL, derive_rng
 
-# Candidates scored per CTR block. Larger blocks gain little per-call
-# overhead and hold more rows at once.
+# Candidates scored per CTR block. Every block reads the pass's one field;
+# larger blocks gain little per-call overhead and hold more rows at once.
 BLOCK_ITEMS = 256
 
 
@@ -38,7 +37,7 @@ BLOCK_ITEMS = 256
 class MetricReport:
     auc: float | None
     f1: float
-    recall_at_k: dict[int, float] = field(default_factory=dict)
+    recall_at_k: dict[int, float] = dc_field(default_factory=dict)
     users_evaluated: int = 0
     positives: int = 0
     negatives: int = 0
@@ -94,32 +93,24 @@ def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
     return {k: int(np.sum(hits[:k])) / len(positives) for k in ks}
 
 
-def score_items(params: ParameterState, kg: KnowledgeGraph, users: np.ndarray,
-                items: np.ndarray, counts: list[int], sample_size: int, depth: int,
-                rngs: list[np.random.Generator]) -> np.ndarray:
+def sample_field(dataset: Dataset, params: ParameterState, sample_size: int, depth: int,
+                 seed: int, round_index: int) -> Field:
+    """The pass's receptive field around every item, and its gathered rows."""
+    sub = sample_subgraph(dataset.kg, np.arange(dataset.num_items), sample_size, depth,
+                          derive_rng(seed, ROLE_EVAL, round_index))
+    return Field(sub, *gather(params, sub.entities, sub.relations))
+
+
+def score_items(model: ModelParams, field: Field, users: np.ndarray, items: np.ndarray,
+                counts: list[int]) -> np.ndarray:
     """Run the trained model for a block of users over their candidate items.
 
     `items` holds the users' candidates one after another, counts[b] of
-    them for user b, whose embedding is users[b] and stream rngs[b].
-    Returns the scores in `items` order.
+    them for user b, whose embedding is users[b]. Returns the scores in
+    `items` order.
     """
-    subs = [sample_subgraph(kg, anchors, sample_size, depth, rng)
-            for anchors, rng in zip(_pieces(items, counts), rngs)]
-    ent_rows, rel_rows = gather(params, np.concatenate([s.entities for s in subs]),
-                                np.concatenate([s.relations for s in subs]))
-    batch = stack_graphs([
-        LocalGraph(user=user, labels=np.zeros(len(sub.ids[0])), subgraph=sub,
-                   entity_rows=ent, relation_rows=rel)
-        for user, sub, ent, rel in zip(
-            users, subs, _pieces(ent_rows, [len(s.entities) for s in subs]),
-            _pieces(rel_rows, [len(s.relations) for s in subs]))])
-    return readout(batch, propagate(batch, broadcast_model(params.model, len(subs))))
-
-
-def _pieces(rows: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Views of consecutive runs of rows, sizes[i] rows in run i."""
-    ends = list(accumulate(sizes))
-    return [rows[end - size:end] for size, end in zip(sizes, ends)]
+    batch = field_batch(field, users, items, counts)
+    return readout(batch, propagate(batch, broadcast_model(model, len(users))))
 
 
 def _user_blocks(counts: list[int]):
@@ -149,10 +140,10 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     labels = np.array([y for u in users
                        for y in [1] * len(pos_lists[u]) + [0] * len(neg_lists[u])])
     bounds = [0, *accumulate(counts)]
+    field = sample_field(dataset, params, sample_size, depth, seed, round_index)
     scores = np.concatenate([
-        score_items(params, dataset.kg, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
-                    counts[s:e], sample_size, depth,
-                    [derive_rng(seed, ROLE_EVAL, round_index, u) for u in users[s:e]])
+        score_items(params.model, field, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
+                    counts[s:e])
         for s, e in _user_blocks(counts)])
     return MetricReport(auc=auc(scores, labels), f1=f1(scores, labels),
                         users_evaluated=len(users),
@@ -160,16 +151,14 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
                         negatives=int(len(labels) - labels.sum()))
 
 
-def recall_at_k(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
-                user: int, ks: list[int], sample_size: int, depth: int,
-                rng: np.random.Generator) -> dict[int, float] | None:
+def recall_at_k(dataset: Dataset, model: ModelParams, field: Field, user_emb: np.ndarray,
+                user: int, ks: list[int]) -> dict[int, float] | None:
     """Recall@K for one user over all items minus train/valid positives."""
     positives = set(dataset.test[user])
     if not positives:
         return None
     candidates = unobserved_items(dataset.train[user] + dataset.valid[user], dataset.num_items)
-    scores = score_items(params, dataset.kg, user_emb[[user]], candidates,
-                         [len(candidates)], sample_size, depth, [rng])
+    scores = score_items(model, field, user_emb[[user]], candidates, [len(candidates)])
     return recall_from_scores(scores, candidates, positives, ks)
 
 
@@ -182,10 +171,9 @@ def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarr
     if ks:
         sums = {k: 0.0 for k in ks}
         counted = 0
+        field = sample_field(dataset, params, sample_size, depth, seed, round_index)
         for user in range(dataset.num_users):
-            rng = derive_rng(seed, ROLE_EVAL, round_index, dataset.num_users + user)
-            rec = recall_at_k(dataset, params, user_emb, user, ks,
-                              sample_size, depth, rng)
+            rec = recall_at_k(dataset, params.model, field, user_emb, user, ks)
             if rec is None:
                 continue
             counted += 1

@@ -179,7 +179,12 @@ class BatchGradient:
 
 @dataclass
 class GraphBatch:
-    """B LocalGraphs stacked in batch order (layout in the module docstring)."""
+    """B LocalGraphs stacked in batch order (layout in the module docstring).
+
+    An evaluation batch (`field_batch`) shares one Field's read-only tables
+    among its users, so its entity/relation offsets are None: packets() is
+    for training batches only.
+    """
 
     users: np.ndarray  # (B, d)
     labels: np.ndarray  # anchor labels; blocks by anchor_offsets
@@ -190,8 +195,8 @@ class GraphBatch:
     ent_rows: list[np.ndarray]  # per depth, the stacked ids' rows into entity_rows
     layers: list[Layer]  # rel_rows into relations, tail_rows into the next depth's stack
     anchor_offsets: np.ndarray
-    entity_offsets: np.ndarray
-    relation_offsets: np.ndarray
+    entity_offsets: np.ndarray | None
+    relation_offsets: np.ndarray | None
     sampled_offsets: list[np.ndarray]  # per layer; blocks of rel_rows/tail_rows
 
     @property
@@ -275,6 +280,61 @@ def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
                   for lvl in range(depth + 1)],
         layers=layers, anchor_offsets=ids_off[0], entity_offsets=ent_off,
         relation_offsets=rel_off, sampled_offsets=sampled_off)
+
+
+@dataclass
+class Field:
+    """One receptive field sampled around every item, with its gathered rows.
+
+    subgraph.ids[0] is arange(num_items), so an item is its own anchor row.
+    An evaluation pass scores all its users from one field (`field_batch`).
+    """
+
+    subgraph: Subgraph
+    entity_rows: np.ndarray  # row i is the vector of subgraph.entities[i]
+    relation_rows: np.ndarray  # row i is the vector of subgraph.relations[i]
+
+    def __post_init__(self):
+        self.entity_rows.flags.writeable = self.relation_rows.flags.writeable = False
+        # made once per field: per depth, each id's row in entity_rows; per
+        # layer, each center's row in rel_rows/tail_rows
+        self.ent_rows = [np.searchsorted(self.subgraph.entities, ids) for ids in self.subgraph.ids]
+        self.sampled_rows = [np.cumsum(~layer.isolated) - 1 for layer in self.subgraph.layers]
+
+
+def field_batch(field: Field, users: np.ndarray, items: np.ndarray, counts) -> GraphBatch:
+    """The GraphBatch that scores users[b] on counts[b] consecutive `items` over `field`.
+
+    Depth 0 holds each user's items in order, and each inner depth the
+    distinct tails that user's sampled rows reach (one keyed unique over
+    user * n + position). The deepest depth, which no hop updates, is the
+    field's own, shared by the block. Every row index points into the
+    field's tables, so a user's scores are bitwise those of the field
+    restricted to its items and run as that user's own LocalGraph.
+    """
+    sub, anchors = field.subgraph, _offsets(counts)
+    owner, pos = _per_row(np.arange(len(users)), anchors), np.asarray(items, dtype=np.int64)
+    ent_rows, layers, sampled_off = [field.ent_rows[0][pos]], [], []
+    for lvl, layer in enumerate(sub.layers):
+        isolated = layer.isolated[pos]
+        rows, owner = field.sampled_rows[lvl][pos[~isolated]], owner[~isolated]
+        tails = layer.tail_rows[rows]
+        sampled_off.append(_offsets(np.bincount(owner, minlength=len(users))))
+        if lvl + 1 < sub.depth:
+            n = len(sub.ids[lvl + 1])
+            keys, inverse = np.unique(owner[:, None] * n + tails, return_inverse=True)
+            owner, pos = np.divmod(keys, n)
+            tails = inverse.reshape(tails.shape)
+            ent_rows.append(field.ent_rows[lvl + 1][pos])
+        else:
+            ent_rows.append(field.ent_rows[-1])
+        layers.append(Layer(isolated=isolated, rel_rows=layer.rel_rows[rows], tail_rows=tails))
+    return GraphBatch(
+        users=np.asarray(users, dtype=np.float64), labels=np.zeros(anchors[-1]),
+        entities=sub.entities, relations=sub.relations, entity_rows=field.entity_rows,
+        relation_rows=field.relation_rows, ent_rows=ent_rows, layers=layers,
+        anchor_offsets=anchors, entity_offsets=None, relation_offsets=None,
+        sampled_offsets=sampled_off)
 
 
 def as_batch(graph: LocalGraph | GraphBatch,

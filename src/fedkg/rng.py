@@ -21,6 +21,13 @@ ROLE_EVAL = 6
 
 
 def derive_rng(master_seed: int, role: int, *counters: int) -> np.random.Generator:
-    """Return a fresh generator for (master_seed, role, counters)."""
+    """Return a fresh generator for (master_seed, role, counters).
+
+    SeedSequence pads entropy shorter than its four-word pool with zeros,
+    so keys differing only by trailing zeros within four words give the same
+    stream: derive_rng(7, 6, 20) is derive_rng(7, 6, 20, 0). So the per-pass
+    evaluation key (seed, ROLE_EVAL, round) is safe only while no ROLE_EVAL
+    stream takes a fourth counter.
+    """
     entropy = [int(master_seed), int(role), *[int(c) for c in counters]]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -175,8 +175,10 @@ def test_os_errors_are_usage_errors(tmp_path, capsys, command):
 
 
 # sha256 of the criterion-9 config's metrics.jsonl at depth=2, epochs=2. A
-# change that moves the stream must update this digest and say why.
-PINNED_METRICS_SHA256 = "7baef4f5982b5e1be29f9d1ecdff335afd929df5aa08f566636c75703166f673"
+# change that moves the stream must update this digest and say why. Last
+# moved when evaluation began scoring every user of a pass from one sampled
+# field: at depth 2 the scores read that field's draws, not per-user ones.
+PINNED_METRICS_SHA256 = "8c3379c6677d8867f7fed97ff756aacaa37d6ab45dc3b1c9c3a7897af76fdb60"
 
 
 def test_metrics_stream_pinned_across_transports(tmp_path):

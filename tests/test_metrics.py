@@ -7,10 +7,10 @@ from fedkg import metrics
 from fedkg.cli import build_dataset, setup_state
 from fedkg.config import ExperimentConfig
 from fedkg.data import Dataset, unobserved_items
-from fedkg.kg import build_kg, sample_subgraph
+from fedkg.kg import Layer, Subgraph, build_kg, sample_subgraph
 from fedkg.metrics import (auc, evaluate_ctr, evaluate_report, f1,
                            recall_from_scores)
-from fedkg.model import LocalGraph, propagate, sigmoid
+from fedkg.model import Field, LocalGraph, field_batch, propagate, sigmoid
 from fedkg.params import gather, init_params
 from fedkg.rng import ROLE_EVAL, derive_rng
 
@@ -202,15 +202,70 @@ def test_evaluate_report_includes_recall():
     assert payload["recall_at_k"]["5"] == rep.recall_at_k[5]
 
 
-# --- block scoring -------------------------------------------------------------
+# --- block scoring over one field per pass ----------------------------------------
 
 def reference_score_items(params, kg, user_vec, items, sample_size, depth, rng):
-    """The per-user scorer that block scoring replaced: one user, one batch of one."""
+    """The per-user scorer before the shared field: one user samples its own
+    receptive field on its own stream and is scored as a batch of one."""
     subgraph = sample_subgraph(kg, items, sample_size, depth, rng)
     ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
     graph = LocalGraph(user=user_vec, labels=np.zeros(len(items)), subgraph=subgraph,
                        entity_rows=ent_rows, relation_rows=rel_rows)
     return np.asarray(sigmoid(propagate(graph, params.model) @ user_vec))
+
+
+def restrict_field(field, items):
+    """The field's draws for one user's anchors, as a Subgraph of entity ids:
+    ids[l + 1] holds the sorted distinct tails of the user's sampled centers
+    of depth l, and each center keeps the field's K draws."""
+    ids, drawn = [np.asarray(items, dtype=np.int64)], []
+    for lvl, layer in enumerate(field.layers):
+        where = np.searchsorted(field.ids[lvl], ids[-1])
+        assert np.array_equal(field.ids[lvl][where], ids[-1])
+        row_of = {int(p): r for r, p in enumerate(layer.sampled)}
+        isolated = layer.isolated[where]
+        rows = np.array([row_of[int(p)] for p in where[~isolated]], dtype=np.intp)
+        tails = field.ids[lvl + 1][layer.tail_rows[rows]]
+        drawn.append((isolated, field.relations[layer.rel_rows[rows]], tails))
+        ids.append(np.unique(tails))
+    relations = np.unique(np.concatenate([rel.ravel() for _, rel, _ in drawn] + [[]]))
+    layers = [Layer(isolated=iso, rel_rows=np.searchsorted(relations, rel),
+                    tail_rows=np.searchsorted(nxt, tails))
+              for (iso, rel, tails), nxt in zip(drawn, ids[1:])]
+    return Subgraph(ids=ids, layers=layers, entities=np.unique(np.concatenate(ids)),
+                    relations=relations.astype(np.int64))
+
+
+def field_oracle(params, field, user_vec, items):
+    """One user's scores: the field restricted to its items, run as its own LocalGraph."""
+    subgraph = restrict_field(field, items)
+    ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
+    graph = LocalGraph(user=user_vec, labels=np.zeros(len(items)), subgraph=subgraph,
+                       entity_rows=ent_rows, relation_rows=rel_rows)
+    return np.asarray(sigmoid(propagate(graph, params.model) @ user_vec))
+
+
+def pass_field(dataset, k, depth, seed, round_index):
+    return sample_subgraph(dataset.kg, np.arange(dataset.num_items), k, depth,
+                           derive_rng(seed, ROLE_EVAL, round_index))
+
+
+def record_score_items(monkeypatch):
+    """Patch metrics.score_items to record (field, counts, scores) per block."""
+    real, calls = metrics.score_items, []
+
+    def recording(model, field, users, items, counts):
+        scores = real(model, field, users, items, counts)
+        calls.append((field, list(counts), scores))
+        return scores
+
+    monkeypatch.setattr(metrics, "score_items", recording)
+    return calls
+
+
+def block_scores(calls):
+    return [scores for _, block, block_scores in calls
+            for scores in np.split(block_scores, np.cumsum(block)[:-1])]
 
 
 ISOLATED_USER, WIDE_USER = 0, 1
@@ -256,46 +311,86 @@ def test_block_scoring_matches_per_user_reference_bitwise(depth, mode, monkeypat
     counts = [len(dataset.test[u]) + len(dataset.test_neg[u]) for u in scored]
     assert max(counts) > metrics.BLOCK_ITEMS and len(set(counts)) > 10
 
-    want, states = [], []
-    for user in scored:
-        rng = derive_rng(seed, ROLE_EVAL, round_index, user)
-        want.append(reference_score_items(params, dataset.kg, user_emb[user],
-                                          dataset.test[user] + dataset.test_neg[user],
-                                          k, depth, rng))
-        states.append(rng.bit_generator.state)
+    field = pass_field(dataset, k, depth, seed, round_index)
+    want = [field_oracle(params, field, user_emb[user],
+                         dataset.test[user] + dataset.test_neg[user]) for user in scored]
     labels = np.concatenate([[1] * len(dataset.test[u]) + [0] * len(dataset.test_neg[u])
                              for u in scored])
 
-    real = metrics.score_items
     for cap in (1, metrics.BLOCK_ITEMS, sum(counts) + 1):
-        calls = []
-
-        def recording(params, kg, users, items, counts, sample_size, depth, rngs):
-            scores = real(params, kg, users, items, counts, sample_size, depth, rngs)
-            calls.append((list(counts), scores, [r.bit_generator.state for r in rngs]))
-            return scores
-
         monkeypatch.setattr(metrics, "BLOCK_ITEMS", cap)
-        monkeypatch.setattr(metrics, "score_items", recording)
+        calls = record_score_items(monkeypatch)
         report = evaluate_ctr(dataset, params, user_emb, k, depth, seed, round_index, "test")
 
+        # every block reads the pass's one field, the oracle's own sample
+        shared = calls[0][0]
+        assert all(f is shared for f, _, _ in calls)
+        for a, b in zip(shared.subgraph.ids, field.ids):
+            assert np.array_equal(a, b)
         # contiguous greedy blocks: each ends where the next user would pass the cap
-        assert [n for block, _, _ in calls for n in block] == counts
-        for i, (block, _, _) in enumerate(calls):
+        assert [n for _, block, _ in calls for n in block] == counts
+        for i, (_, block, _) in enumerate(calls):
             assert sum(block) <= cap or len(block) == 1
             if i + 1 < len(calls):
-                assert sum(block) + calls[i + 1][0][0] > cap
+                assert sum(block) + calls[i + 1][1][0] > cap
         if cap == 1:
             assert len(calls) == len(scored)
         if cap > sum(counts):
             assert len(calls) == 1
-        got = [scores for block, block_scores, _ in calls
-               for scores in np.split(block_scores, np.cumsum(block)[:-1])]
-        for user, a, b in zip(scored, got, want):
+        for user, a, b in zip(scored, block_scores(calls), want):
             assert a.tobytes() == b.tobytes(), (cap, user)
-        assert [st for _, _, block in calls for st in block] == states
         assert report.auc == auc(np.concatenate(want), labels)
         assert report.f1 == f1(np.concatenate(want), labels)
+
+
+@pytest.mark.parametrize("mode", ["replace", "transform"])
+def test_depth1_synthetic_field_scores_equal_per_user_samples(mode, monkeypatch):
+    # every synthetic item has exactly one triple, so a depth-1 draw cannot
+    # depend on the stream: the shared field scores as per-user samples did
+    cfg = ExperimentConfig(users=40, items=50, attributes=6, interactions_per_user=10,
+                           depth=1, mode=mode, seed=17)
+    dataset = build_dataset(cfg)
+    assert np.all(np.diff(dataset.kg.offsets[:dataset.num_items + 1]) == 1)
+    params, user_emb, _ = setup_state(cfg, dataset)
+    round_index = 6
+    calls = record_score_items(monkeypatch)
+    evaluate_ctr(dataset, params, user_emb, cfg.sample_size, 1, cfg.seed, round_index, "test")
+    scored = [u for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u]]
+    got = block_scores(calls)
+    assert len(got) == len(scored) > 0
+    for user, scores in zip(scored, got):
+        want = reference_score_items(params, dataset.kg, user_emb[user],
+                                     dataset.test[user] + dataset.test_neg[user],
+                                     cfg.sample_size, 1,
+                                     derive_rng(cfg.seed, ROLE_EVAL, round_index, user))
+        assert scores.tobytes() == want.tobytes(), user
+
+
+@pytest.mark.parametrize("depth,mode", list(product((1, 2), ("replace", "transform"))))
+def test_field_batch_user_with_only_isolated_candidates(depth, mode):
+    dataset = _block_dataset()
+    params = init_params(dataset.kg.num_entities, dataset.kg.num_relations, 8,
+                         derive_rng(24, depth), depth=depth, mode=mode)
+    sub = pass_field(dataset, 3, depth, 5, 1)
+    field = Field(sub, *gather(params, sub.entities, sub.relations))
+    assert not field.entity_rows.flags.writeable and not field.relation_rows.flags.writeable
+    users = derive_rng(25, depth).uniform(-0.5, 0.5, size=(3, 8))
+    linked = [[3, 17, 40], [200, 3]]
+    isolated = [281, 290, 299]  # no triple: only raw vectors reach the readout
+    for order in ([isolated, *linked], [linked[0], isolated, linked[1]], [*linked, isolated]):
+        counts = [len(c) for c in order]
+        batch = field_batch(field, users, np.concatenate(order), counts)
+        slot = order.index(isolated)
+        assert np.all(batch.layers[0].isolated[batch.anchor_offsets[slot]:
+                                               batch.anchor_offsets[slot + 1]])
+        assert batch.sampled_offsets[0][slot] == batch.sampled_offsets[0][slot + 1]
+        got = np.split(metrics.score_items(params.model, field, users, np.concatenate(order),
+                                           counts), np.cumsum(counts)[:-1])
+        for b, items in enumerate(order):
+            want = field_oracle(params, field.subgraph, users[b], items)
+            assert got[b].tobytes() == want.tobytes(), (order, b)
+        raw = sigmoid(params.entity_emb[isolated] @ users[slot])
+        assert got[slot].tobytes() == np.asarray(raw).tobytes()
 
 
 def test_evaluate_report_call_counts_match_recount(monkeypatch):
@@ -309,16 +404,16 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
         metrics.sample_subgraph, metrics.gather, metrics.score_items
 
     def sample(kg, anchors, k, depth, rng):
-        sampled.append((np.array(anchors), rng.bit_generator.state))
+        sampled.append((np.array(anchors), k, depth, rng.bit_generator.state))
         return real_sample(kg, anchors, k, depth, rng)
 
     def gather_rows(state, entities, relations):
-        gathered.append(len(entities) + len(relations))
+        gathered.append((np.array(entities), np.array(relations)))
         return real_gather(state, entities, relations)
 
-    def score(params, kg, users, items, *rest):
-        scored.append(len(items))
-        return real_score(params, kg, users, items, *rest)
+    def score(model, field, users, items, counts):
+        scored.append((field, len(items)))
+        return real_score(model, field, users, items, counts)
 
     monkeypatch.setattr(metrics, "sample_subgraph", sample)
     monkeypatch.setattr(metrics, "gather", gather_rows)
@@ -326,22 +421,24 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     evaluate_report(dataset, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed,
                     round_index, ks=ks, split="test")
 
-    # brute force: every CTR user, then every Recall@K user, on its own stream
-    want = []
-    for user in range(dataset.num_users):
-        if dataset.test[user] and dataset.test_neg[user]:
-            want.append((dataset.test[user] + dataset.test_neg[user], user))
-    for user in range(dataset.num_users):
-        if dataset.test[user]:
-            want.append((unobserved_items(dataset.train[user] + dataset.valid[user],
-                                          dataset.num_items), dataset.num_users + user))
-    assert len(sampled) == len(want)
-    sizes = 0
-    for (anchors, state), (items, stream) in zip(sampled, want):
-        rng = derive_rng(cfg.seed, ROLE_EVAL, round_index, stream)
-        assert np.array_equal(anchors, items)
-        assert state == rng.bit_generator.state
-        sub = sample_subgraph(dataset.kg, items, cfg.sample_size, cfg.depth, rng)
-        sizes += len(sub.entities) + len(sub.relations)
-    assert sum(gathered) == sizes
-    assert sum(scored) == sum(len(items) for items, _ in want)
+    # brute force: two passes (CTR, then Recall@K), each one field on the pass key
+    stream = derive_rng(cfg.seed, ROLE_EVAL, round_index)
+    field = sample_subgraph(dataset.kg, np.arange(dataset.num_items), cfg.sample_size,
+                            cfg.depth, derive_rng(cfg.seed, ROLE_EVAL, round_index))
+    assert len(sampled) == 2
+    for anchors, k, depth, state in sampled:
+        assert np.array_equal(anchors, np.arange(dataset.num_items))
+        assert (k, depth) == (cfg.sample_size, cfg.depth)
+        assert state == stream.bit_generator.state
+    assert len(gathered) == 2
+    for entities, relations in gathered:
+        assert np.array_equal(entities, field.entities)
+        assert np.array_equal(relations, field.relations)
+    ctr = sum(len(dataset.test[u]) + len(dataset.test_neg[u])
+              for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u])
+    recall = sum(len(unobserved_items(dataset.train[u] + dataset.valid[u], dataset.num_items))
+                 for u in range(dataset.num_users) if dataset.test[u])
+    fields = list(dict.fromkeys(id(f) for f, _ in scored))
+    assert len(fields) == 2  # the CTR blocks read one field, the Recall@K users the other
+    assert sum(n for f, n in scored if id(f) == fields[0]) == ctr
+    assert sum(n for f, n in scored if id(f) == fields[1]) == recall
