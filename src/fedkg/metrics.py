@@ -1,18 +1,17 @@
 """CTR and top-K evaluation: AUC, F1, Recall@K.
 
 AUC is the Mann-Whitney statistic (ties count one half), pooled over all
-(user, item) evaluation pairs; Recall@K averages per user over candidates
-that exclude train/valid positives.
+(user, item) evaluation pairs; Recall@K averages per user over every item
+but the user's positives in the other two splits.
 
 As KGCN evaluates on one fixed sampled adjacency, an evaluation pass (an
 evaluate_ctr call, or the Recall@K part of evaluate_report, on the same
 key) scores every user from one field sampled around all items on
-derive_rng(seed, ROLE_EVAL, round) and gathered once. A CTR pass takes
-its users in order, in contiguous blocks of at most BLOCK_ITEMS
-candidates; a user with more is a block alone, and every Recall@K user is
-one. A block makes one propagate over `model.field_batch` and one
-readout, and each user's scores are bitwise those of the field restricted
-to that user's candidates, so they do not depend on the blocks.
+derive_rng(seed, ROLE_EVAL, round) and gathered once. A CTR pass takes its
+users in order, in contiguous blocks of at most BLOCK_ITEMS candidates (a
+user with more is a block alone), and a user's scores are bitwise those of
+the field restricted to its candidates. The Recall@K pass scores all items
+for BLOCK_PAIRS // items users at a time (`model.field_scorer`).
 """
 
 from __future__ import annotations
@@ -22,15 +21,18 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import Dataset, unobserved_items
+from .data import Dataset
 from .kg import sample_subgraph
-from .model import Field, ModelParams, broadcast_model, field_batch, propagate, readout
+from .model import (Field, ModelParams, broadcast_model, field_batch, field_scorer, propagate,
+                    readout)
 from .params import ParameterState, gather
 from .rng import ROLE_EVAL, derive_rng
 
 # Candidates scored per CTR block. Every block reads the pass's one field;
 # larger blocks gain little per-call overhead and hold more rows at once.
 BLOCK_ITEMS = 256
+# (user, item) pairs per Recall@K block: 0.5 MB per (U, d, items) state at d = 16.
+BLOCK_PAIRS = 4096
 
 
 @dataclass
@@ -85,12 +87,23 @@ def f1(scores, labels, threshold: float = 0.5) -> float:
 
 
 def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
-                       positives: set[int], ks: list[int]) -> dict[int, float]:
-    """Top-K recall given precomputed candidate scores; ties break by item id."""
+                       positives, ks: list[int]):
+    """Top-K recall given precomputed candidate scores; ties break by item id.
+
+    (U, n) scores give one dict per row u, against the set positives[u]."""
     candidates = np.asarray(candidates, dtype=np.int64)
-    order = np.lexsort((candidates, -np.asarray(scores)))
-    hits = np.isin(candidates[order], list(positives))
-    return {k: int(np.sum(hits[:k])) / len(positives) for k in ks}
+    by_id = np.argsort(candidates, kind="stable")
+    ranked, keys = candidates[by_id], -np.atleast_2d(scores)[:, by_id]
+    top = min(max(ks, default=0), len(candidates))
+    # only keys up to a row's top-th smallest can rank in its top: sort those
+    bound = np.partition(keys, top - 1, axis=1)[:, top - 1] if top else np.zeros(len(keys))
+    one = np.ndim(scores) == 1
+    recs = []
+    for row, limit, pos in zip(keys, bound, [positives] if one else positives):
+        near = np.flatnonzero(~(row > limit))  # keeps NaN keys, to sort last as in full
+        hits = [i in pos for i in ranked[near[np.argsort(row[near], kind="stable")[:top]]]]
+        recs.append({k: sum(hits[:k]) / len(pos) for k in ks})
+    return recs[0] if one else recs
 
 
 def sample_field(dataset: Dataset, params: ParameterState, sample_size: int, depth: int,
@@ -151,15 +164,15 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
                         negatives=int(len(labels) - labels.sum()))
 
 
-def recall_at_k(dataset: Dataset, model: ModelParams, field: Field, user_emb: np.ndarray,
-                user: int, ks: list[int]) -> dict[int, float] | None:
-    """Recall@K for one user over all items minus train/valid positives."""
-    positives = set(dataset.test[user])
-    if not positives:
-        return None
-    candidates = unobserved_items(dataset.train[user] + dataset.valid[user], dataset.num_items)
-    scores = score_items(model, field, user_emb[[user]], candidates, [len(candidates)])
-    return recall_from_scores(scores, candidates, positives, ks)
+def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int],
+                ks: list[int], split: str = "test") -> list[dict[int, float]]:
+    """Recall@K of a block of users over every item but their other splits' positives."""
+    scores = scorer(user_emb[users])
+    for name in {"train", "valid", "test"} - {split}:
+        for row, user in enumerate(users):
+            scores[row, dataset.split_of(name)[0][user]] = -np.inf
+    positives = [set(dataset.split_of(split)[0][user]) for user in users]
+    return recall_from_scores(scores, np.arange(dataset.num_items), positives, ks)
 
 
 def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
@@ -169,16 +182,13 @@ def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarr
     report = evaluate_ctr(dataset, params, user_emb, sample_size, depth,
                           seed, round_index, split)
     if ks:
-        sums = {k: 0.0 for k in ks}
-        counted = 0
-        field = sample_field(dataset, params, sample_size, depth, seed, round_index)
-        for user in range(dataset.num_users):
-            rec = recall_at_k(dataset, params.model, field, user_emb, user, ks)
-            if rec is None:
-                continue
-            counted += 1
-            for k in ks:
-                sums[k] += rec[k]
-        if counted:
-            report.recall_at_k = {k: sums[k] / counted for k in ks}
+        scorer = field_scorer(sample_field(dataset, params, sample_size, depth, seed,
+                                           round_index), params.model)
+        users = [u for u, pos in enumerate(dataset.split_of(split)[0]) if pos]
+        step = max(1, BLOCK_PAIRS // dataset.num_items)
+        recs = [rec for start in range(0, len(users), step) for rec in recall_at_k(
+            dataset, scorer, user_emb, users[start:start + step], ks, split)]
+        if recs:  # cumsum adds in user order, where np.sum would add pairwise
+            report.recall_at_k = {k: float(np.cumsum([rec[k] for rec in recs])[-1]) / len(recs)
+                                  for k in ks}
     return report

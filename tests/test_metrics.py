@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -10,7 +11,7 @@ from fedkg.data import Dataset, unobserved_items
 from fedkg.kg import Layer, Subgraph, build_kg, sample_subgraph
 from fedkg.metrics import (auc, evaluate_ctr, evaluate_report, f1,
                            recall_from_scores)
-from fedkg.model import Field, LocalGraph, field_batch, propagate, sigmoid
+from fedkg.model import Field, LocalGraph, field_batch, field_scorer, propagate, sigmoid
 from fedkg.params import gather, init_params
 from fedkg.rng import ROLE_EVAL, derive_rng
 
@@ -399,9 +400,9 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     dataset = build_dataset(cfg)
     params, user_emb, _ = setup_state(cfg, dataset)
     round_index, ks = 4, [5, 10]
-    sampled, gathered, scored = [], [], []
-    real_sample, real_gather, real_score = \
-        metrics.sample_subgraph, metrics.gather, metrics.score_items
+    sampled, gathered, scored, scorers, blocks = [], [], [], [], []
+    real_sample, real_gather, real_score, real_scorer = \
+        metrics.sample_subgraph, metrics.gather, metrics.score_items, metrics.field_scorer
 
     def sample(kg, anchors, k, depth, rng):
         sampled.append((np.array(anchors), k, depth, rng.bit_generator.state))
@@ -415,9 +416,19 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
         scored.append((field, len(items)))
         return real_score(model, field, users, items, counts)
 
+    def field_scorer(field, model):
+        scorers.append(field)
+        block_scores = real_scorer(field, model)
+
+        def scoring(users):
+            blocks.append(len(users))
+            return block_scores(users)
+        return scoring
+
     monkeypatch.setattr(metrics, "sample_subgraph", sample)
     monkeypatch.setattr(metrics, "gather", gather_rows)
     monkeypatch.setattr(metrics, "score_items", score)
+    monkeypatch.setattr(metrics, "field_scorer", field_scorer)
     evaluate_report(dataset, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed,
                     round_index, ks=ks, split="test")
 
@@ -434,11 +445,131 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     for entities, relations in gathered:
         assert np.array_equal(entities, field.entities)
         assert np.array_equal(relations, field.relations)
+    # the CTR blocks read the first field through score_items ...
     ctr = sum(len(dataset.test[u]) + len(dataset.test_neg[u])
               for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u])
-    recall = sum(len(unobserved_items(dataset.train[u] + dataset.valid[u], dataset.num_items))
-                 for u in range(dataset.num_users) if dataset.test[u])
-    fields = list(dict.fromkeys(id(f) for f, _ in scored))
-    assert len(fields) == 2  # the CTR blocks read one field, the Recall@K users the other
-    assert sum(n for f, n in scored if id(f) == fields[0]) == ctr
-    assert sum(n for f, n in scored if id(f) == fields[1]) == recall
+    assert len({id(f) for f, _ in scored}) == 1
+    assert sum(n for _, n in scored) == ctr
+    # ... and the Recall@K users the second through one block scorer, in blocks of
+    # at most BLOCK_PAIRS // items users, as many users as have test positives
+    assert len(scorers) == 1 and scorers[0] is not scored[0][0]
+    assert sum(blocks) == sum(1 for u in range(dataset.num_users) if dataset.test[u])
+    assert max(blocks) <= max(1, metrics.BLOCK_PAIRS // dataset.num_items)
+
+
+def scorer_setup(dataset, depth, mode):
+    params = init_params(dataset.kg.num_entities, dataset.kg.num_relations, 8,
+                         derive_rng(22, depth), depth=depth, mode=mode)
+    params.model.biases = [b + 0.05 for b in params.model.biases]  # nonzero hop biases
+    user_emb = derive_rng(23, depth).uniform(-0.5, 0.5, size=(dataset.num_users, 8))
+    return params, user_emb
+
+
+def pass_scorer(dataset, params, depth):
+    sub = pass_field(dataset, 3, depth, 5, 3)
+    return sub, field_scorer(Field(sub, *gather(params, sub.entities, sub.relations)),
+                             params.model)
+
+
+@pytest.mark.parametrize("depth,mode", list(product(range(4), ("replace", "transform"))))
+def test_field_scorer_matches_field_oracle(depth, mode):
+    dataset = _block_dataset()
+    params, user_emb = scorer_setup(dataset, depth, mode)
+    sub, scorer = pass_scorer(dataset, params, depth)
+    users = [ISOLATED_USER, WIDE_USER, 2, 3]
+    got = scorer(user_emb[users])
+    assert got.shape == (len(users), dataset.num_items)
+    for row, user in enumerate(users):
+        candidates = unobserved_items(dataset.train[user] + dataset.valid[user],
+                                      dataset.num_items)
+        want = field_oracle(params, sub, user_emb[user], candidates)
+        assert np.max(np.abs(got[row, candidates] - want)) <= 1e-12, user
+    # isolated items score their raw rows at every depth
+    raw = sigmoid(params.entity_emb[dataset.test[ISOLATED_USER]] @ user_emb[ISOLATED_USER])
+    assert np.max(np.abs(got[0, dataset.test[ISOLATED_USER]] - raw)) <= 1e-12
+
+
+@pytest.mark.parametrize("depth,mode", list(product((1, 2), ("replace", "transform"))))
+def test_field_scorer_extreme_logits_stay_finite(depth, mode):
+    # relation rows scaled so that, for some drawn center, every relation it drew sits
+    # over 800 below the user's best relation: an exp shifted by the user's overall
+    # maximum would underflow to 0 / 0 there
+    dataset = _block_dataset()
+    params, user_emb = scorer_setup(dataset, depth, mode)
+    params.relation_emb *= 10000.0
+    sub, scorer = pass_scorer(dataset, params, depth)
+    users = [2, WIDE_USER]
+    relations = params.relation_emb[sub.relations]
+    for user in users:
+        t = relations @ user_emb[user]
+        drawn_best = t[sub.layers[0].rel_rows].max(axis=1)
+        assert np.max(t.max() - drawn_best) > 800
+    got = scorer(user_emb[users])
+    assert np.all(np.isfinite(got))
+    for row, user in enumerate(users):
+        want = field_oracle(params, sub, user_emb[user], np.arange(dataset.num_items))
+        assert np.max(np.abs(got[row] - want)) <= 1e-12, user
+
+
+def test_recall_breaks_exact_score_ties_by_item_id():
+    base = _block_dataset()
+    params, user_emb = scorer_setup(base, 0, "transform")
+    user, low, high = 2, 10, 200
+    params.entity_emb[[low, high]] = 4.0 * user_emb[user]  # the same top score
+    scores = pass_scorer(base, params, 0)[1](user_emb[[user]])[0]
+    assert scores[low] == scores[high] > np.delete(scores, [low, high]).max()
+    for positive, want in ((high, {1: 0.0, 2: 1.0}), (low, {1: 1.0, 2: 1.0})):
+        test = [[] for _ in range(base.num_users)]
+        test[user] = [positive]
+        dataset = replace(base, test=test)
+        report = evaluate_report(dataset, params, user_emb, 3, 0, 5, 3, ks=[1, 2])
+        assert report.recall_at_k == want, positive
+
+
+@pytest.mark.parametrize("depth,mode", [(1, "transform"), (2, "replace"), (2, "transform")])
+def test_recall_report_bitwise_the_same_in_any_block(depth, mode, monkeypatch):
+    dataset = _block_dataset()
+    params, user_emb = scorer_setup(dataset, depth, mode)
+    ks = [1, 5, 20, 300]
+    reports = []
+    for pairs in (metrics.BLOCK_PAIRS, dataset.num_items,
+                  dataset.num_users * dataset.num_items):
+        monkeypatch.setattr(metrics, "BLOCK_PAIRS", pairs)
+        reports.append(evaluate_report(dataset, params, user_emb, 3, depth, 5, 3, ks=ks))
+    assert reports[0].to_dict() == reports[1].to_dict() == reports[2].to_dict()
+    assert reports[0].recall_at_k[300] == 1.0
+    scorer = pass_scorer(dataset, params, depth)[1]
+    one_by_one = [scorer(user_emb[[u]]) for u in range(dataset.num_users)]
+    assert scorer(user_emb).tobytes() == np.concatenate(one_by_one).tobytes()
+
+
+def brute_force_recall(dataset, params, user_emb, k, depth, seed, round_index, ks, split):
+    """Mean over users of loop_recall on field_oracle scores: the split's positives
+    against every item but the user's positives in the other two splits."""
+    sub = pass_field(dataset, k, depth, seed, round_index)
+    positives, recs = dataset.split_of(split)[0], []
+    for user in range(dataset.num_users):
+        if not positives[user]:
+            continue
+        seen = [i for name in ("train", "valid", "test") if name != split
+                for i in dataset.split_of(name)[0][user]]
+        candidates = [int(i) for i in unobserved_items(seen, dataset.num_items)]
+        scores = field_oracle(params, sub, user_emb[user], candidates)
+        recs.append(loop_recall(scores, candidates, set(positives[user]), ks))
+    return {k: sum(rec[k] for rec in recs) / len(recs) for k in ks}
+
+
+def test_recall_reads_its_split():
+    cfg = ExperimentConfig(users=60, items=40, attributes=5, seed=3)
+    dataset = build_dataset(cfg)
+    params, user_emb, _ = setup_state(cfg, dataset)
+    ks = [5, 10]
+    got = {}
+    for split in ("train", "valid", "test"):
+        report = evaluate_report(dataset, params, user_emb, cfg.sample_size, cfg.depth,
+                                 cfg.seed, 2, ks=ks, split=split)
+        want = brute_force_recall(dataset, params, user_emb, cfg.sample_size, cfg.depth,
+                                  cfg.seed, 2, ks, split)
+        assert report.recall_at_k == pytest.approx(want, abs=1e-12), split
+        got[split] = report.recall_at_k
+    assert got["train"] != got["valid"] != got["test"] != got["train"]
