@@ -74,8 +74,9 @@ def split(positives: list[list[int]], rng: np.random.Generator
           ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Per-user random partition into train/valid/test by SPLIT_RATIOS.
 
-    Rounding: train gets ceil(r0*k), valid ceil(r1*k) of the remainder, test
-    the rest; users with fewer than 3 positives keep everything in train.
+    Rounding: train gets ceil(r0*k) but leaves two, valid ceil(r1*k) but
+    leaves one, test the rest, so every user with 3 or more positives has
+    at least one in each split; users with fewer keep everything in train.
     """
     train, valid, test = [], [], []
     for pos in positives:
@@ -86,8 +87,8 @@ def split(positives: list[list[int]], rng: np.random.Generator
             test.append([])
             continue
         order = rng.permutation(k)
-        n_train = math.ceil(SPLIT_RATIOS[0] * k)
-        n_valid = min(math.ceil(SPLIT_RATIOS[1] * k), k - n_train)
+        n_train = min(math.ceil(SPLIT_RATIOS[0] * k), k - 2)
+        n_valid = min(math.ceil(SPLIT_RATIOS[1] * k), k - n_train - 1)
         shuffled = [pos[i] for i in order]
         train.append(sorted(shuffled[:n_train]))
         valid.append(sorted(shuffled[n_train:n_train + n_valid]))

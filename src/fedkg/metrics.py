@@ -11,7 +11,10 @@ derive_rng(seed, ROLE_EVAL, round) and gathered once. A CTR pass takes its
 users in order, in contiguous blocks of at most BLOCK_ITEMS candidates (a
 user with more is a block alone), and a user's scores are bitwise those of
 the field restricted to its candidates. The Recall@K pass scores all items
-for BLOCK_PAIRS // items users at a time (`model.field_scorer`).
+for BLOCK_PAIRS // items users at a time (`model.field_scorer`, whose hop 1
+costs M <= min(K, R) relation-slot passes per block, M the most distinct
+relations a center drew, not R), excludes the block's other-split
+positives in one step and ranks the block's rows together.
 """
 
 from __future__ import annotations
@@ -90,19 +93,30 @@ def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
                        positives, ks: list[int]):
     """Top-K recall given precomputed candidate scores; ties break by item id.
 
-    (U, n) scores give one dict per row u, against the set positives[u]."""
+    (U, n) scores give one dict per row u, against the set positives[u].
+    All rows are ranked at once: one partition finds each row's max(ks)
+    best, and one stable sort by -score orders them, taken in id order.
+    Only a row whose ties straddle that cut (or whose cut is NaN, which
+    ranks last) is ranked alone, to keep the lowest ids among the ties."""
     candidates = np.asarray(candidates, dtype=np.int64)
     by_id = np.argsort(candidates, kind="stable")
-    ranked, keys = candidates[by_id], -np.atleast_2d(scores)[:, by_id]
+    ranked, keys = candidates[by_id], -np.take(np.atleast_2d(scores), by_id, axis=1)
     top = min(max(ks, default=0), len(candidates))
-    # only keys up to a row's top-th smallest can rank in its top: sort those
-    bound = np.partition(keys, top - 1, axis=1)[:, top - 1] if top else np.zeros(len(keys))
+    order = np.empty((len(keys), top), dtype=np.intp)
+    if top:
+        part = np.argpartition(keys, top - 1, axis=1)
+        bound = np.take_along_axis(keys, part[:, top - 1:top], axis=1)
+        chosen = np.sort(part[:, :top], axis=1)  # id order
+        order[:] = np.take_along_axis(chosen, np.argsort(
+            np.take_along_axis(keys, chosen, axis=1), axis=1, kind="stable"), axis=1)
+        for row in np.flatnonzero(np.count_nonzero(keys <= bound, axis=1) != top):
+            near = np.flatnonzero(~(keys[row] > bound[row]))  # NaN keys stay, to sort last
+            order[row] = near[np.argsort(keys[row, near], kind="stable")[:top]]
     one = np.ndim(scores) == 1
     recs = []
-    for row, limit, pos in zip(keys, bound, [positives] if one else positives):
-        near = np.flatnonzero(~(row > limit))  # keeps NaN keys, to sort last as in full
-        hits = [i in pos for i in ranked[near[np.argsort(row[near], kind="stable")[:top]]]]
-        recs.append({k: sum(hits[:k]) / len(pos) for k in ks})
+    for items, pos in zip(ranked[order].tolist(), [positives] if one else positives):
+        found = list(accumulate((i in pos for i in items), initial=0))
+        recs.append({k: found[min(k, top)] / len(pos) for k in ks})
     return recs[0] if one else recs
 
 
@@ -168,9 +182,9 @@ def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int]
                 ks: list[int], split: str = "test") -> list[dict[int, float]]:
     """Recall@K of a block of users over every item but their other splits' positives."""
     scores = scorer(user_emb[users])
-    for name in {"train", "valid", "test"} - {split}:
-        for row, user in enumerate(users):
-            scores[row, dataset.split_of(name)[0][user]] = -np.inf
+    seen = [dataset.split_of(name)[0] for name in ("train", "valid", "test") if name != split]
+    rows = [(row, item) for row, user in enumerate(users) for pos in seen for item in pos[user]]
+    scores[tuple(np.array(rows, dtype=np.intp).reshape(-1, 2).T)] = -np.inf
     positives = [set(dataset.split_of(split)[0][user]) for user in users]
     return recall_from_scores(scores, np.arange(dataset.num_items), positives, ks)
 

@@ -39,6 +39,7 @@ adjoints accumulate over hops before the softmax backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -340,49 +341,75 @@ def field_batch(field: Field, users: np.ndarray, items: np.ndarray, counts) -> G
 def field_scorer(field: Field, params: ModelParams):
     """The function that scores every field item for a block of users: (U, d) -> (U, n).
 
-    Attention depends only on (user, relation): a center's softmax over its
-    draws is sum_r e^t_ur S_r / sum_r e^t_ur c_r, S_r and c_r the sum and
-    count of its draws of relation r, t shifted by the largest drawn. Hop 1
-    reads raw rows: S, c and, in transform mode, W x + b and W S_r (the
-    parts of W (x + agg) + b) are made here once. Hops >= 2 gather per
-    block. States are (U, d, n); scores agree with `field_batch`'s to rounding.
+    Attention depends only on (user, relation). A center's slots are the
+    distinct relations it drew, in ascending order, M <= min(K, R) of them
+    in the field (a center with fewer pads with its first relation at count
+    0). Its softmax over its draws is sum_m e^t_um S_m / sum_m e^t_um c_m,
+    S_m and c_m the sum and count of its draws of slot m's relation, t
+    shifted by the largest drawn. Hop 1 reads raw rows: the slots, S, c
+    and, in transform mode, W x + b and W S_m (the parts of W (x + agg) +
+    b) are made here once, so a block pays M slot passes, not R. Hops >= 2
+    gather per block and read each draw's coefficient through its slot.
+    States are (U, d, n); scores agree with `field_batch`'s to rounding.
     """
     sub, transform, n_rel = field.subgraph, params.mode == "transform", len(field.relation_rows)
     raw = [field.entity_rows[rows].T for rows in field.ent_rows]  # (d, n) per depth
-    counts, hop1 = [], []
+    slots, draw_slots, hop1 = [], [], []
     for lvl, layer in enumerate(sub.layers):
+        centers = np.arange(len(layer.rel_rows))
         onehot = layer.rel_rows[..., None] == np.arange(n_rel)  # (n_sampled, K, R)
-        counts.append(onehot.sum(axis=1).T)
+        counts = onehot.sum(axis=1).T
+        drawn = counts > 0
+        slot_of = np.cumsum(drawn, axis=0) - 1  # (R, n_sampled): a drawn relation's slot
+        width = drawn.sum(axis=0)
+        real = np.arange(width.max(initial=1))[:, None] < width  # (M, n_sampled)
+        rel = np.zeros(real.shape, dtype=np.intp)
+        rows, cols = np.nonzero(drawn)
+        rel[slot_of[rows, cols], cols] = rows
+        rel = np.where(real, rel, rel[0])  # a pad repeats slot 0, so it leaves the shift
         sums = np.einsum("nkr,dnk->rdn", onehot, raw[lvl + 1][:, layer.tail_rows])
         w, b = params.weights[0], params.biases[0][:, None]
-        hop1.append((w @ raw[lvl][:, layer.sampled] + b, w @ sums) if transform else (0.0, sums))
+        if transform:
+            sums = w @ sums
+        slot_sums = np.where(real[:, None], np.take_along_axis(sums, rel[:, None], axis=0), 0.0)
+        slots.append((rel, np.where(real, counts[rel, centers], 0)))
+        draw_slots.append(slot_of[layer.rel_rows.T, centers])
+        hop1.append((w @ raw[lvl][:, layer.sampled] + b if transform else 0.0, slot_sums))
 
     def score(users: np.ndarray) -> np.ndarray:
-        t = np.einsum("ud,rd->ur", users, field.relation_rows)[..., None]  # the same in any block
+        t = np.einsum("ud,rd->ur", users, field.relation_rows)  # the same in any block
         coefs = []
-        for c in counts:  # absent relations: e = 1 (count, sum 0), as exp(-inf) is slow
-            shift = np.where(c > 0, t, -np.inf).max(axis=1, keepdims=True, initial=-np.inf)
-            e = np.exp(np.where(c > 0, t - shift, 0.0))  # (U, R, n_sampled)
-            coefs.append(e / (e * c).sum(axis=1, keepdims=True))
+        for rel, count in slots:
+            by_slot = t[:, rel]  # (U, M, n_sampled)
+            shift = reduce(np.maximum, by_slot.swapaxes(0, 1))
+            e = np.exp(by_slot - shift[:, None])
+            coefs.append(e / reduce(np.add, (e * count).swapaxes(0, 1))[:, None])
         states = [np.broadcast_to(x, (len(users), *x.shape)) for x in raw]
         for hop in range(1, sub.depth + 1):  # depth lvl's new state reads lvl + 1's old one
             for lvl, layer in enumerate(sub.layers[:sub.depth + 1 - hop]):
+                coef = coefs[lvl]
                 if hop == 1:
-                    base, sums = hop1[lvl]
-                    new = sum((coefs[lvl][:, r, None] * sums[r] for r in range(n_rel)), base)
-                else:  # a draw's attention is its relation's coefficient
-                    alpha = coefs[lvl][:, layer.rel_rows.T, np.arange(len(layer.rel_rows))]
+                    base, slot_sums = hop1[lvl]
+                    # one C-contiguous buffer: the readout matmul rounds by layout
+                    new = np.multiply(coef[:, 0, None], slot_sums[0],
+                                      out=np.empty((len(users), *slot_sums.shape[1:])))
+                    new += base
+                    for m in range(1, len(slot_sums)):
+                        new += coef[:, m, None] * slot_sums[m]
+                    if transform:
+                        np.tanh(new, out=new)
+                else:
+                    alpha = coef[:, draw_slots[lvl], np.arange(len(layer.rel_rows))]
                     new = np.einsum("ukn,udkn->udn", alpha,
                                     states[lvl + 1][:, :, layer.tail_rows.T])
                     if transform:
                         w, b = params.weights[hop - 1], params.biases[hop - 1][:, None]
-                        new = w @ (states[lvl][:, :, layer.sampled] + new) + b
-                new = np.tanh(new) if transform else new
+                        new = np.tanh(w @ (states[lvl][:, :, layer.sampled] + new) + b)
                 if layer.isolated.any():  # isolated centers keep their state
                     full = states[lvl].copy()
                     full[:, :, layer.sampled] = new
                     new = full
-                states[lvl] = np.broadcast_to(new, states[lvl].shape)
+                states[lvl] = new
         return sigmoid((users[:, None] @ states[0])[:, 0])
     return score
 
@@ -434,12 +461,12 @@ def attention_weights(user: np.ndarray, relations: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+    """1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below: neither branch overflows
+    where it is taken, so both are made whole and one is picked per element."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf in the branch not taken
+        ez = np.exp(z)
+        out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), ez / (1.0 + ez))
     return out if out.ndim else float(out)
 
 

@@ -271,6 +271,19 @@ def test_evaluate_fresh_checkpoint_near_chance(tmp_path):
     assert 0.45 < payload["auc"] < 0.55
 
 
+def test_evaluate_six_positives_per_user_scores_test_users(tmp_path):
+    # six positives split 4/2/0 before every user with three got a test positive
+    out = tmp_path / "run"
+    args = _tiny_train_args(out)
+    args[args.index("--max-rounds") + 1] = "0"
+    assert main(args) == 0
+    result = tmp_path / "eval.json"
+    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                 "--out", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    assert payload["users_evaluated"] > 0 and payload["auc"] is not None
+
+
 def test_evaluate_rejects_recall_k_below_one(tmp_path, capsys):
     out = tmp_path / "run"
     args = _tiny_train_args(out)

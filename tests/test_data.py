@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,36 @@ def test_split_disjoint_and_covering_property():
         assert parts[0] | parts[1] | parts[2] == set(pos[0])
         assert not (parts[0] & parts[1]) and not (parts[0] & parts[2]) \
             and not (parts[1] & parts[2])
+
+
+def split_sizes_before(k):
+    """Sizes of the split that rounded train and valid up with no floor on test."""
+    n_train = math.ceil(0.6 * k)
+    n_valid = min(math.ceil(0.2 * k), k - n_train)
+    return n_train, n_valid, k - n_train - n_valid
+
+
+def test_split_leaves_every_user_with_three_positives_one_per_split():
+    moved = {}
+    for k in range(41):
+        pos = list(range(100, 100 + k))
+        train, valid, test = split([pos], derive_rng(6, k))
+        sizes = (len(train[0]), len(valid[0]), len(test[0]))
+        if k < 3:
+            assert (train[0], sizes) == (pos, (k, 0, 0))
+            continue
+        assert min(sizes) >= 1
+        # the same permutation draw, cut at the new sizes
+        order = derive_rng(6, k).permutation(k)
+        shuffled = [pos[i] for i in order]
+        cuts = np.cumsum(sizes)[:2]
+        assert [train[0], valid[0], test[0]] == [sorted(part) for part in
+                                                 np.split(shuffled, cuts)]
+        if sizes != split_sizes_before(k):
+            moved[k] = sizes
+    # only the sizes that left test empty move
+    assert moved == {3: (1, 1, 1), 4: (2, 1, 1), 6: (4, 1, 1), 7: (5, 1, 1)}
+    assert all(split_sizes_before(k)[2] == 0 for k in moved)
 
 
 def test_eval_negatives_parity_and_disjoint():

@@ -153,8 +153,12 @@ def loop_rank_auc(scores, labels):
 
 
 def loop_recall(scores, candidates, positives, ks):
-    """Reference: Python sort by (-score, item id), hits counted one by one."""
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i]))
+    """Reference: Python sort by (-score, item id), NaN scores last, hits counted
+    one by one."""
+    def key(i):
+        nan = bool(np.isnan(scores[i]))
+        return nan, 0.0 if nan else -scores[i], candidates[i]
+    order = sorted(range(len(candidates)), key=key)
     ranked = [candidates[i] for i in order]
     return {k: sum(1 for item in ranked[:k] if item in positives) / len(positives)
             for k in ks}
@@ -175,6 +179,28 @@ def test_ranking_matches_loop_reference_bitwise():
         expected = loop_recall(scores, candidates, positives, ks)
         assert recall_from_scores(scores, candidates, positives, ks) == expected
         assert recall_from_scores(scores, np.array(candidates), positives, ks) == expected
+
+
+def test_block_ranking_matches_loop_reference_bitwise():
+    rng = derive_rng(6, 0)
+    straddled = 0
+    for trial in range(200):
+        rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 80))
+        scores = rng.integers(0, 4, (rows, n)) / 3.0 if trial % 2 else rng.random((rows, n))
+        special = rng.random((rows, n))
+        scores[special < 0.1] = np.nan
+        scores[(special >= 0.1) & (special < 0.2)] = -np.inf
+        candidates = rng.permutation(300)[:n] + 5  # neither arange nor in id order
+        positives = [{int(p) for p in rng.choice(candidates, int(rng.integers(1, n + 1)),
+                                                 replace=False)} for _ in range(rows)]
+        ks = sorted({int(k) for k in rng.integers(1, n + 5, 3)})
+        want = [loop_recall(row, candidates.tolist(), pos, ks)
+                for row, pos in zip(scores, positives)]
+        assert recall_from_scores(scores, candidates, positives, ks) == want, trial
+        top = min(max(ks), n)
+        keys = np.sort(-scores, axis=1)  # NaN last
+        straddled += int(np.sum((top < n) & (keys[:, top - 1] == keys[:, min(top, n - 1)])))
+    assert straddled > 50  # ties across the top-th key took the per-row path
 
 
 # --- model-driven evaluation ---------------------------------------------------
@@ -509,6 +535,73 @@ def test_field_scorer_extreme_logits_stay_finite(depth, mode):
     for row, user in enumerate(users):
         want = field_oracle(params, sub, user_emb[user], np.arange(dataset.num_items))
         assert np.max(np.abs(got[row] - want)) <= 1e-12, user
+
+
+RELATIONS_K = 4
+
+
+def _relations_dataset() -> Dataset:
+    """120 items and 30 attributes over 12 relations, more than RELATIONS_K:
+    items 0..109 have 3-6 triples of random relations, so a center draws up to
+    4 distinct ones (attributes too, through the reverse edges), and items
+    110.. have none, so they stay isolated."""
+    rng = derive_rng(27, 0)
+    items, attributes, relations = 120, 30, 12
+    triples = np.array([(i, int(rng.integers(relations)), items + int(rng.integers(attributes)))
+                        for i in range(110) for _ in range(int(rng.integers(3, 7)))])
+    kg = build_kg(triples, items + attributes, relations)
+    empty = [[] for _ in range(8)]
+    return Dataset(num_users=8, num_items=items, train=empty, valid=empty, test=empty,
+                   train_neg=empty, valid_neg=empty, test_neg=empty, kg=kg, triples=triples)
+
+
+def relation_sum_scores(field, params, users):
+    """Depth 1 as a sum over every relation of the field, absent ones at count 0:
+    the scorer's formula before relation slots, kept as its bitwise reference."""
+    layer, transform = field.subgraph.layers[0], params.model.mode == "transform"
+    raw = [field.entity_rows[rows].T for rows in field.ent_rows]
+    onehot = layer.rel_rows[..., None] == np.arange(len(field.relation_rows))
+    counts = onehot.sum(axis=1).T
+    sums = np.einsum("nkr,dnk->rdn", onehot, raw[1][:, layer.tail_rows])
+    w, b = params.model.weights[0], params.model.biases[0][:, None]
+    base, sums = (w @ raw[0][:, layer.sampled] + b, w @ sums) if transform else (0.0, sums)
+    t = np.einsum("ud,rd->ur", users, field.relation_rows)[..., None]
+    shift = np.where(counts > 0, t, -np.inf).max(axis=1, keepdims=True, initial=-np.inf)
+    e = np.exp(np.where(counts > 0, t - shift, 0.0))
+    coefs = e / (e * counts).sum(axis=1, keepdims=True)
+    new = sum((coefs[:, r, None] * sums[r] for r in range(len(sums))), base)
+    # read out from a C-contiguous state, as the scorer does: the matmul rounds by layout
+    new = np.tanh(new) if transform else np.ascontiguousarray(new)
+    if layer.isolated.any():
+        state = np.broadcast_to(raw[0], (len(users), *raw[0].shape)).copy()
+        state[:, :, layer.sampled] = new
+        new = state
+    return sigmoid((users[:, None] @ new)[:, 0])
+
+
+@pytest.mark.parametrize("depth,mode", list(product((1, 2, 3), ("replace", "transform"))))
+def test_relation_slots_match_field_oracle(depth, mode):
+    # with and without isolated items: without, no copy makes the state contiguous
+    for dataset in (_relations_dataset(), replace(_relations_dataset(), num_items=110)):
+        params, user_emb = scorer_setup(dataset, depth, mode)
+        sub = pass_field(dataset, RELATIONS_K, depth, 5, 3)
+        field = Field(sub, *gather(params, sub.entities, sub.relations))
+        for layer in sub.layers:  # centers that drew three or more relations: several slots
+            assert max(len(set(rels)) for rels in layer.rel_rows.tolist()) >= 3
+        assert len(sub.relations) > RELATIONS_K
+        assert sub.layers[0].isolated.any() == (dataset.num_items > 110)
+        scorer = field_scorer(field, params.model)
+        got = scorer(user_emb)
+        items = np.arange(dataset.num_items)
+        for user in range(dataset.num_users):
+            want = field_oracle(params, sub, user_emb[user], items)
+            assert np.max(np.abs(got[user] - want)) <= 1e-12, user
+        one_by_one = [scorer(user_emb[[u]]) for u in range(dataset.num_users)]
+        assert got.tobytes() == np.concatenate(one_by_one).tobytes()
+        halves = [scorer(user_emb[:3]), scorer(user_emb[3:])]
+        assert got.tobytes() == np.concatenate(halves).tobytes()
+        if depth == 1:
+            assert got.tobytes() == relation_sum_scores(field, params, user_emb).tobytes()
 
 
 def test_recall_breaks_exact_score_ties_by_item_id():

@@ -126,6 +126,29 @@ def test_predict_monotone_in_inner_product():
     assert all(a < b for a, b in zip(probs, probs[1:]))
 
 
+def masked_sigmoid(z):
+    """Reference: each branch computed only on the elements that take it."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bitwise_the_masked_reference():
+    # warnings are errors here, so an overflow in the branch not taken would fail
+    edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    z = np.concatenate([edges, derive_rng(23, 0).normal(scale=30.0, size=997)])
+    for shaped in (z, z.reshape(4, 252)):
+        assert sigmoid(shaped).tobytes() == masked_sigmoid(shaped).tobytes()
+    for value in edges:
+        got = sigmoid(value)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == masked_sigmoid(np.array([value])).tobytes()
+
+
 def test_bce_known_constant():
     assert abs(bce_loss([0.5], [1]) - math.log(2)) < 1e-12
 
