@@ -72,6 +72,7 @@ class ExperimentConfig:
             (self.checkpoint_every >= 0, "checkpoint_every must be >= 0 (0: only at the end)"),
             (len(self.recall_ks) > 0, "recall_ks must name at least one K"),
             (all(k >= 1 for k in self.recall_ks), "recall_ks (K) must all be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.workers >= 1, "workers must be >= 1"),
             (self.mode in ("replace", "transform"), "mode must be replace or transform"),
             (self.transport in ("memory", "json"), "transport must be memory or json"),

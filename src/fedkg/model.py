@@ -24,12 +24,17 @@ off[b]:off[b + 1]); row indices are shifted by those offsets, so no row
 is shared across clients and each client keeps its own copies. The
 attention, the neighbor sums, tanh and the scatters run once over the
 stack, with each row's own client user vector. The steps whose result
-mixes rows run per client block, with that client's own model layer: the
-readout and its user gradient, the transform matmuls, dW/db and the
-attention path of the user gradient. So a client's values are bitwise
-the same in any batch, and a single LocalGraph is a batch of one. A
-batch's ModelParams is the shared global model broadcast, copy-free and
-read-only, along a leading client axis (`broadcast_model`).
+mixes rows (the readout and its user gradient, the losses, the transform
+matmuls, dW/db/dagg and the attention path of the user gradient) run as
+one stacked call per block size: the clients whose blocks hold n rows
+are gathered into contiguous (G, n, ...) copies, each with its own model
+layer, and the result is scattered back. A stacked matmul, einsum or
+reduction runs each slice as the per-client call would, so a client's
+values are bitwise those of its own call and the same in any batch; a
+single LocalGraph is a batch of one. (One matmul over the concatenated
+rows of several clients would not be bitwise.) A batch's ModelParams is
+the shared global model broadcast, copy-free and read-only, along a
+leading client axis (`broadcast_model`).
 
 The backward pass is hand-derived and exact (checked against central
 finite differences); attention weights are shared across hops, so their
@@ -39,7 +44,7 @@ adjoints accumulate over hops before the softmax backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -204,6 +209,12 @@ class GraphBatch:
     def depth(self) -> int:
         return len(self.layers)
 
+    @cached_property
+    def anchor_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The anchor blocks' size groups (`_groups`), shared by the readout,
+        the losses and the user gradient."""
+        return _groups(self.anchor_offsets)
+
     def packets(self, grad: BatchGradient) -> list[GradientPacket]:
         """Split a batch gradient into one packet per client (views, batch order)."""
         ent, rel, anchors = self.entity_offsets, self.relation_offsets, self.anchor_offsets
@@ -221,10 +232,15 @@ def _offsets(sizes) -> np.ndarray:
     return np.array([0, *accumulate(sizes)], dtype=np.int64)
 
 
-def _blocks(offsets: np.ndarray) -> list[tuple[int, int, int]]:
-    """(client, start, end) of every non-empty block."""
-    bounds = offsets.tolist()
-    return [(b, s, e) for b, (s, e) in enumerate(zip(bounds, bounds[1:])) if s < e]
+def _groups(offsets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(clients, rows) per distinct non-zero block size n: the G clients whose
+    blocks hold n rows, in batch order, and their (G, n) row indices."""
+    sizes = np.diff(offsets)
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order].tolist()
+    starts = [i for i, n in enumerate(ordered) if n and (i == 0 or n != ordered[i - 1])]
+    return [(order[s:e], offsets[order[s:e], None] + np.arange(ordered[s]))
+            for s, e in zip(starts, [*starts[1:], len(ordered)])]
 
 
 def _per_row(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -493,7 +509,7 @@ def _bce_terms(p: np.ndarray, y: np.ndarray) -> np.ndarray:
 @dataclass
 class _ForwardState:
     sampled: list[np.ndarray]  # per layer, Layer.sampled
-    blocks: list[list[tuple[int, int, int]]]  # per layer, the client blocks of its samples
+    blocks: list[list[tuple[np.ndarray, np.ndarray]]]  # per layer, its samples' size groups
     alphas: list[np.ndarray]  # per layer (n_sampled, K)
     hops: list[list[np.ndarray]]  # hops[i][depth], depth <= H-i -> (n_depth, d) after hop i
     aggs: list[list[np.ndarray]]  # aggregated neighbor sums per hop/layer
@@ -505,7 +521,7 @@ def _forward(batch: GraphBatch, params: ModelParams) -> _ForwardState:
             f"model has {params.depth} layers but subgraph depth is {batch.depth}")
 
     sampled = [layer.sampled for layer in batch.layers]
-    blocks = [_blocks(off) for off in batch.sampled_offsets]
+    blocks = [_groups(off) for off in batch.sampled_offsets]
     # Attention is user/relation only, so it is fixed across hops.
     alphas = [attention_weights(_per_row(batch.users, off),
                                 batch.relation_rows[layer.rel_rows])
@@ -526,8 +542,8 @@ def _forward(batch: GraphBatch, params: ModelParams) -> _ForwardState:
             else:
                 w, b = params.weights[hop - 1], params.biases[hop - 1]
                 pre = prev[lvl][sampled[lvl]] + agg
-                for c, s, e in blocks[lvl]:
-                    pre[s:e] = pre[s:e] @ w[c].T + b[c]
+                for cs, rows in blocks[lvl]:
+                    pre[rows] = pre[rows] @ w[cs].swapaxes(1, 2) + b[cs][:, None]
                 cur[lvl][sampled[lvl]] = np.tanh(pre)
         hops.append(cur)
         aggs.append(hop_aggs)
@@ -537,18 +553,20 @@ def _forward(batch: GraphBatch, params: ModelParams) -> _ForwardState:
 def readout(batch: GraphBatch, final: np.ndarray) -> np.ndarray:
     """sigmoid(<user, final anchor vector>), each anchor with its client's user."""
     logits = np.empty(len(final))
-    for c, s, e in _blocks(batch.anchor_offsets):
-        logits[s:e] = final[s:e] @ batch.users[c]
+    for cs, rows in batch.anchor_groups:
+        logits[rows] = (final[rows] @ batch.users[cs][:, :, None])[..., 0]
     return sigmoid(logits)
 
 
 def _losses(batch: GraphBatch, predictions: np.ndarray) -> list[float]:
     """Each client's bce_loss, from one pass over the stacked terms."""
-    bounds = batch.anchor_offsets.tolist()
-    if any(s == e for s, e in zip(bounds, bounds[1:])):
+    if (np.diff(batch.anchor_offsets) == 0).any():
         raise ValueError("bce_loss over empty predictions")
     terms = _bce_terms(predictions, batch.labels)
-    return [float(np.mean(terms[s:e])) for s, e in zip(bounds, bounds[1:])]
+    losses = np.empty(len(batch.users))
+    for cs, rows in batch.anchor_groups:
+        losses[cs] = terms[rows].mean(axis=1)
+    return losses.tolist()
 
 
 def propagate(graph: LocalGraph | GraphBatch, params: ModelParams) -> np.ndarray:
@@ -598,8 +616,8 @@ def _backward(batch: GraphBatch, params: ModelParams) -> BatchGradient:
     dz[clamped] = 0.0
 
     user_grad = np.empty_like(batch.users)
-    for c, s, e in _blocks(batch.anchor_offsets):
-        user_grad[c] = final[s:e].T @ dz[s:e]
+    for cs, rows in batch.anchor_groups:
+        user_grad[cs] = (final[rows].swapaxes(1, 2) @ dz[rows][:, :, None])[..., 0]
     dalpha, model_grads, ent_grad = _hop_backward(batch, params, state, dz)
 
     # Softmax backward, once per layer (weights are shared across hops);
@@ -611,9 +629,9 @@ def _backward(batch: GraphBatch, params: ModelParams) -> BatchGradient:
         a = state.alphas[lvl]
         da = dalpha[lvl]
         ds = a * (da - np.sum(a * da, axis=1, keepdims=True))
-        rel_vecs = batch.relation_rows[layer.rel_rows]  # (n, K, d)
-        for c, s, e in state.blocks[lvl]:
-            user_grad[c] = user_grad[c] + np.einsum("nk,nkd->d", ds[s:e], rel_vecs[s:e])
+        for cs, rows in state.blocks[lvl]:
+            user_grad[cs] = user_grad[cs] + np.einsum(
+                "gnk,gnkd->gd", ds[rows], batch.relation_rows[layer.rel_rows[rows]])
         users = _per_row(batch.users, batch.sampled_offsets[lvl])
         rel_index.append(layer.rel_rows.reshape(-1))
         rel_terms.append((ds, users))
@@ -661,10 +679,11 @@ def _hop_backward(batch: GraphBatch, params: ModelParams, state: _ForwardState,
                 w = params.weights[hop - 1]
                 dw, db = model_grads[hop - 1]
                 dagg = np.empty_like(dpre)
-                for c, s, e in state.blocks[lvl]:
-                    dw[c] += dpre[s:e].T @ x[s:e]
-                    db[c] += dpre[s:e].sum(axis=0)
-                    dagg[s:e] = dpre[s:e] @ w[c]
+                for cs, rows in state.blocks[lvl]:
+                    block = dpre[rows]
+                    dw[cs] += block.swapaxes(1, 2) @ x[rows]
+                    db[cs] += block.sum(axis=1)
+                    dagg[rows] = block @ w[cs]
                 below[lvl][sampled] += dagg  # self path
             else:
                 dagg = g

@@ -90,13 +90,14 @@ def test_train_counts_checkpoints(tmp_path, monkeypatch):
     assert len(saved) == 1
 
 
-def test_negative_schedules_rejected(tmp_path):
+def test_negative_schedules_rejected(tmp_path, capsys):
     for key, value in (("eval_every", -3), ("checkpoint_every", -1),
-                       ("patience", 0), ("patience", -2)):
+                       ("patience", 0), ("patience", -2), ("seed", -1)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(**{key: value}).validate()
         out = tmp_path / f"{key}{value}"
         assert main(_tiny_train_args(out, **{key: value})) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
         assert not out.exists()
 
 
@@ -193,6 +194,20 @@ def test_metrics_stream_pinned_across_transports(tmp_path):
         streams[transport] = (tmp_path / transport / "metrics.jsonl").read_bytes()
     assert streams["memory"] == streams["json"]
     assert hashlib.sha256(streams["memory"]).hexdigest() == PINNED_METRICS_SHA256
+
+
+# sha256 of the README config's metrics.jsonl at its default depth, H = 1:
+#   fedkg train --seed 7 --max-rounds 12 --eval-every 4
+# A change that moves the stream must update this digest and say why.
+PINNED_README_H1_SHA256 = "a94ecbcc40298e39b7ac5953e4f632d09bb267718ec8231b238f7b0a537b3813"
+
+
+def test_readme_config_depth1_stream_pinned(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--seed", "7", "--max-rounds", "12", "--eval-every", "4",
+                 "--out-dir", str(out)]) == 0
+    digest = hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest()
+    assert digest == PINNED_README_H1_SHA256
 
 
 def test_synth_emits_three_files(tmp_path):

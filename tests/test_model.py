@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fedkg import model
 from fedkg.gradcheck import max_relative_error, random_instance
 from fedkg.kg import Layer, Subgraph, build_kg, sample_subgraph
-from fedkg.model import (LocalGraph, ModelParams, attention_weights, backward, segment_sum,
-                         bce_loss, forward_loss, init_model_params, propagate,
-                         sigmoid, softmax)
+from fedkg.model import (PROB_CLAMP, LocalGraph, ModelParams, _bce_terms, _per_row,
+                         attention_weights, backward, bce_loss, broadcast_model,
+                         forward_loss, init_model_params, propagate, segment_sum, sigmoid,
+                         softmax, stack_graphs)
 from fedkg.rng import derive_rng
 
 
@@ -322,3 +324,197 @@ def test_segment_sum_is_bitwise_add_at(start):
         got = segment_sum(index, columns, size, start=start).reshape(want.shape)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# --- grouped products against the per-client loops -------------------------
+# The functions below are the per-client forms the stacked calls replaced:
+# one matmul, einsum or reduction per client block. Every result must be
+# bitwise theirs.
+
+def _ref_blocks(offsets):
+    """(client, start, end) of every non-empty block."""
+    bounds = offsets.tolist()
+    return [(b, s, e) for b, (s, e) in enumerate(zip(bounds, bounds[1:])) if s < e]
+
+
+def _ref_forward(batch, params):
+    """(alphas, hops, aggs) of the forward pass, one transform matmul per client."""
+    sampled = [layer.sampled for layer in batch.layers]
+    blocks = [_ref_blocks(off) for off in batch.sampled_offsets]
+    alphas = [attention_weights(_per_row(batch.users, off), batch.relation_rows[layer.rel_rows])
+              for layer, off in zip(batch.layers, batch.sampled_offsets)]
+    hops = [[batch.entity_rows[rows] for rows in batch.ent_rows]]
+    aggs = []
+    for hop in range(1, batch.depth + 1):
+        prev = hops[-1]
+        cur = [v.copy() for v in prev[:-1]]
+        hop_aggs = []
+        for lvl, layer in enumerate(batch.layers[:len(cur)]):
+            agg = np.einsum("nk,nkd->nd", alphas[lvl], prev[lvl + 1][layer.tail_rows])
+            hop_aggs.append(agg)
+            if params.mode == "replace":
+                cur[lvl][sampled[lvl]] = agg
+            else:
+                w, b = params.weights[hop - 1], params.biases[hop - 1]
+                pre = prev[lvl][sampled[lvl]] + agg
+                for c, s, e in blocks[lvl]:
+                    pre[s:e] = pre[s:e] @ w[c].T + b[c]
+                cur[lvl][sampled[lvl]] = np.tanh(pre)
+        hops.append(cur)
+        aggs.append(hop_aggs)
+    return alphas, hops, aggs
+
+
+def _ref_logits(batch, final):
+    logits = np.empty(len(final))
+    for c, s, e in _ref_blocks(batch.anchor_offsets):
+        logits[s:e] = final[s:e] @ batch.users[c]
+    return logits
+
+
+def _ref_backward(batch, params):
+    """(entity, relation, model, user, losses), the per-client loops of the backward pass."""
+    alphas, hops, aggs = _ref_forward(batch, params)
+    counts = np.diff(batch.anchor_offsets)
+    d = batch.users.shape[1]
+    final = hops[-1][0]
+    preds = sigmoid(_ref_logits(batch, final))
+    bounds = batch.anchor_offsets.tolist()
+    terms = _bce_terms(preds, batch.labels)
+    losses = [float(np.mean(terms[s:e])) for s, e in zip(bounds, bounds[1:])]
+    dz = (preds - batch.labels) / np.repeat(counts, counts)
+    dz[(preds <= PROB_CLAMP) | (preds >= 1.0 - PROB_CLAMP)] = 0.0
+    user_grad = np.empty_like(batch.users)
+    for c, s, e in _ref_blocks(batch.anchor_offsets):
+        user_grad[c] = final[s:e].T @ dz[s:e]
+
+    blocks = [_ref_blocks(off) for off in batch.sampled_offsets]
+    adj = [dz[:, None] * _per_row(batch.users, batch.anchor_offsets)]
+    dalpha = [np.zeros_like(a) for a in alphas]
+    model_grads = [(np.zeros((len(batch.users), d, d)), np.zeros((len(batch.users), d)))
+                   for _ in range(params.depth)]
+    for hop in range(batch.depth, 0, -1):
+        prev = hops[hop - 1]
+        below = [np.zeros_like(prev[0])]
+        for lvl, layer in enumerate(batch.layers[:len(adj)]):
+            g_full = adj[lvl]
+            below[lvl][layer.isolated] += g_full[layer.isolated]
+            if len(layer.rel_rows) == 0:
+                below.append(np.zeros_like(prev[lvl + 1]))
+                continue
+            sampled = layer.sampled
+            g = g_full[sampled]
+            if params.mode == "transform":
+                out = hops[hop][lvl][sampled]
+                dpre = g * (1.0 - out * out)
+                x = prev[lvl][sampled] + aggs[hop - 1][lvl]
+                w = params.weights[hop - 1]
+                dw, db = model_grads[hop - 1]
+                dagg = np.empty_like(dpre)
+                for c, s, e in blocks[lvl]:
+                    dw[c] += dpre[s:e].T @ x[s:e]
+                    db[c] += dpre[s:e].sum(axis=0)
+                    dagg[s:e] = dpre[s:e] @ w[c]
+                below[lvl][sampled] += dagg
+            else:
+                dagg = g
+            dalpha[lvl] += np.einsum("nd,nkd->nk", dagg, prev[lvl + 1][layer.tail_rows])
+            below.append(segment_sum(layer.tail_rows.reshape(-1),
+                                     ((alphas[lvl] * dagg[:, j, None]).reshape(-1)
+                                      for j in range(d)),
+                                     len(prev[lvl + 1])))
+        adj = below
+    ent_grad = segment_sum(np.concatenate(batch.ent_rows),
+                           (np.concatenate([a[:, j] for a in adj]) for j in range(d)),
+                           len(batch.entities), start=-0.0)
+
+    rel_index, rel_terms = [np.empty(0, dtype=np.int64)], [(np.empty((0, 1)), np.empty((0, d)))]
+    for lvl, layer in enumerate(batch.layers):
+        if len(layer.rel_rows) == 0:
+            continue
+        a, da = alphas[lvl], dalpha[lvl]
+        ds = a * (da - np.sum(a * da, axis=1, keepdims=True))
+        rel_vecs = batch.relation_rows[layer.rel_rows]
+        for c, s, e in blocks[lvl]:
+            user_grad[c] = user_grad[c] + np.einsum("nk,nkd->d", ds[s:e], rel_vecs[s:e])
+        rel_index.append(layer.rel_rows.reshape(-1))
+        rel_terms.append((ds, _per_row(batch.users, batch.sampled_offsets[lvl])))
+    rel_grad = segment_sum(
+        np.concatenate(rel_index),
+        (np.concatenate([(ds * users[:, j, None]).reshape(-1) for ds, users in rel_terms])
+         for j in range(d)),
+        len(batch.relation_rows))
+    return ent_grad, rel_grad, model_grads, user_grad, losses
+
+
+def _grouped_batch(depth, mode, distinct, seed):
+    """A batch of 8 clients in shuffled order: anchor counts 4, 4, 4, 6, 6 and 2
+    over linked items, one client whose anchors are all isolated (an empty
+    sampled block) and one with an isolated anchor among 3."""
+    rng = derive_rng(seed, 62)
+    num_items, d = 14, 5
+    triples = [(i, int(rng.integers(0, 3)), num_items + int(rng.integers(0, 6)))
+               for i in range(3, num_items) for _ in range(2)]  # items 0-2 isolated
+    kg = build_kg(triples, num_items + 6, 3)
+    anchor_sets = [[0, 1, 2], [1, 5, 9]] + [
+        sorted(rng.choice(np.arange(3, num_items), size, replace=False).tolist())
+        for size in (4, 4, 4, 6, 6, 2)]
+    graphs = []
+    for i in rng.permutation(len(anchor_sets)):
+        sub = sample_subgraph(kg, anchor_sets[i], 3, depth, rng)
+        graphs.append(LocalGraph(
+            user=rng.uniform(-1, 1, d), labels=rng.integers(0, 2, len(anchor_sets[i])) * 1.0,
+            subgraph=sub, entity_rows=rng.uniform(-1, 1, (len(sub.entities), d)),
+            relation_rows=rng.uniform(-1, 1, (len(sub.relations), d))))
+    b = len(graphs)
+    if distinct:  # the epochs > 1 path: each client steps its own layers
+        params = ModelParams(mode, [rng.uniform(-1, 1, (b, d, d)) for _ in range(depth)],
+                             [rng.uniform(-1, 1, (b, d)) for _ in range(depth)])
+    else:
+        params = init_model_params(d, depth, mode, rng)
+        params.biases = [rng.uniform(-1, 1, d) for _ in range(depth)]
+        params = broadcast_model(params, b)
+    return stack_graphs(graphs), params
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("mode", ["replace", "transform"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_grouped_products_bitwise_the_per_client_loops(depth, mode, distinct, monkeypatch):
+    for seed in range(3):
+        batch, params = _grouped_batch(depth, mode, distinct, seed)
+        sizes = [len(cs) for cs, _ in batch.anchor_groups]
+        assert max(sizes) >= 2 and min(sizes) == 1
+        if depth:
+            samples = np.diff(batch.sampled_offsets[0])
+            assert (samples == 0).sum() == 1 and samples.max() > 0
+            group_sizes = [len(cs) for cs, _ in model._groups(batch.sampled_offsets[0])]
+            assert max(group_sizes) >= 2
+
+        alphas, hops, aggs = _ref_forward(batch, params)
+        state = model._forward(batch, params)
+        for got, want in zip(state.alphas, alphas, strict=True):
+            assert np.array_equal(got, want)
+        for got_hop, want_hop in zip(state.hops, hops, strict=True):
+            for got, want in zip(got_hop, want_hop, strict=True):
+                assert np.array_equal(got, want)
+        for got_hop, want_hop in zip(state.aggs, aggs, strict=True):
+            for got, want in zip(got_hop, want_hop, strict=True):
+                assert np.array_equal(got, want)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "sigmoid", lambda z: z)
+            logits = model.readout(batch, hops[-1][0])
+        assert np.array_equal(logits, _ref_logits(batch, hops[-1][0]))
+
+        entity, relation, model_grads, user, losses = _ref_backward(batch, params)
+        grad = model.backward(batch, params)
+        assert grad.losses == losses
+        assert forward_loss(batch, params)[0] == losses
+        assert np.array_equal(grad.entity, entity)
+        assert np.array_equal(np.signbit(grad.entity), np.signbit(entity))
+        assert np.array_equal(grad.relation, relation)
+        assert np.array_equal(grad.user, user)
+        assert len(grad.model) == len(model_grads) == depth
+        for (dw, db), (want_w, want_b) in zip(grad.model, model_grads):
+            assert np.array_equal(dw, want_w) and np.array_equal(db, want_b)
