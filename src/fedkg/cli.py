@@ -191,7 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return run_experiment(_config_from_args(args))
         if args.command == "evaluate":
-            ks = [int(p) for p in args.recall_ks.replace(",", " ").split()]
+            try:
+                ks = [int(p) for p in args.recall_ks.replace(",", " ").split()]
+            except ValueError as exc:
+                raise ConfigError(f"--recall-ks: {exc}") from exc
             if not ks:
                 raise ConfigError("--recall-ks must name at least one K")
             if any(k < 1 for k in ks):

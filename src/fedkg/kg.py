@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +57,10 @@ class Layer:
     def __len__(self) -> int:
         return len(self.isolated)
 
-    @property
+    @cached_property
     def sampled(self) -> np.ndarray:
-        """Positions of the non-isolated centers, in rel_rows/tail_rows order."""
+        """Positions of the non-isolated centers, in rel_rows/tail_rows order,
+        computed once per layer."""
         return np.flatnonzero(~self.isolated)
 
 

@@ -31,10 +31,11 @@ are gathered into contiguous (G, n, ...) copies, each with its own model
 layer, and the result is scattered back. A stacked matmul, einsum or
 reduction runs each slice as the per-client call would, so a client's
 values are bitwise those of its own call and the same in any batch; a
-single LocalGraph is a batch of one. (One matmul over the concatenated
-rows of several clients would not be bitwise.) A batch's ModelParams is
-the shared global model broadcast, copy-free and read-only, along a
-leading client axis (`broadcast_model`).
+single LocalGraph is a batch of one, stacked by the same path as any
+batch. (One matmul over the concatenated rows of several clients would
+not be bitwise.) A batch's ModelParams is the shared global model
+broadcast, copy-free and read-only, along a leading client axis
+(`broadcast_model`).
 
 The backward pass is hand-derived and exact (checked against central
 finite differences); attention weights are shared across hops, so their
@@ -215,6 +216,11 @@ class GraphBatch:
         the losses and the user gradient."""
         return _groups(self.anchor_offsets)
 
+    @cached_property
+    def sampled_groups(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Per layer, its sampled blocks' size groups (`_groups`)."""
+        return [_groups(off) for off in self.sampled_offsets]
+
     def packets(self, grad: BatchGradient) -> list[GradientPacket]:
         """Split a batch gradient into one packet per client (views, batch order)."""
         ent, rel, anchors = self.entity_offsets, self.relation_offsets, self.anchor_offsets
@@ -249,22 +255,7 @@ def _per_row(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
-    """Stack LocalGraphs of one depth into a GraphBatch, in list order.
-
-    A batch of one is the graph's own arrays: they need no shift, and
-    nothing writes into a batch's arrays.
-    """
-    if len(graphs) == 1:
-        graph, sub = graphs[0], graphs[0].subgraph
-        return GraphBatch(
-            users=np.array([graph.user], dtype=np.float64), labels=graph.labels,
-            entities=sub.entities, relations=sub.relations, entity_rows=graph.entity_rows,
-            relation_rows=graph.relation_rows,
-            ent_rows=[np.searchsorted(sub.entities, ids) for ids in sub.ids],
-            layers=sub.layers, anchor_offsets=_offsets([len(sub.ids[0])]),
-            entity_offsets=_offsets([len(sub.entities)]),
-            relation_offsets=_offsets([len(sub.relations)]),
-            sampled_offsets=[_offsets([len(layer.rel_rows)]) for layer in sub.layers])
+    """Stack LocalGraphs of one depth into a GraphBatch, in list order."""
     subs = [g.subgraph for g in graphs]
     depth = subs[0].depth
     if any(s.depth != depth for s in subs):
@@ -276,7 +267,8 @@ def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
                    for lvl in range(depth)]
     entities = np.concatenate([s.entities for s in subs])
     # Keyed by client * stride + id, the stacked entities are sorted, so one
-    # searchsorted finds each client's ids in its own block.
+    # searchsorted for the whole batch finds each client's ids in its own
+    # block; a search per client measured about 35% slower for 32 clients.
     stride = np.arange(len(subs)) * (int(entities.max(initial=-1)) + 1)
     keys = entities + _per_row(stride, ent_off)
     layers = [Layer(isolated=np.concatenate([s.layers[lvl].isolated for s in subs]),
@@ -508,8 +500,6 @@ def _bce_terms(p: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ForwardState:
-    sampled: list[np.ndarray]  # per layer, Layer.sampled
-    blocks: list[list[tuple[np.ndarray, np.ndarray]]]  # per layer, its samples' size groups
     alphas: list[np.ndarray]  # per layer (n_sampled, K)
     hops: list[list[np.ndarray]]  # hops[i][depth], depth <= H-i -> (n_depth, d) after hop i
     aggs: list[list[np.ndarray]]  # aggregated neighbor sums per hop/layer
@@ -520,8 +510,6 @@ def _forward(batch: GraphBatch, params: ModelParams) -> _ForwardState:
         raise ValueError(
             f"model has {params.depth} layers but subgraph depth is {batch.depth}")
 
-    sampled = [layer.sampled for layer in batch.layers]
-    blocks = [_groups(off) for off in batch.sampled_offsets]
     # Attention is user/relation only, so it is fixed across hops.
     alphas = [attention_weights(_per_row(batch.users, off),
                                 batch.relation_rows[layer.rel_rows])
@@ -538,16 +526,16 @@ def _forward(batch: GraphBatch, params: ModelParams) -> _ForwardState:
             agg = np.einsum("nk,nkd->nd", alphas[lvl], prev[lvl + 1][layer.tail_rows])
             hop_aggs.append(agg)
             if params.mode == "replace":
-                cur[lvl][sampled[lvl]] = agg
+                cur[lvl][layer.sampled] = agg
             else:
                 w, b = params.weights[hop - 1], params.biases[hop - 1]
-                pre = prev[lvl][sampled[lvl]] + agg
-                for cs, rows in blocks[lvl]:
+                pre = prev[lvl][layer.sampled] + agg
+                for cs, rows in batch.sampled_groups[lvl]:
                     pre[rows] = pre[rows] @ w[cs].swapaxes(1, 2) + b[cs][:, None]
-                cur[lvl][sampled[lvl]] = np.tanh(pre)
+                cur[lvl][layer.sampled] = np.tanh(pre)
         hops.append(cur)
         aggs.append(hop_aggs)
-    return _ForwardState(sampled=sampled, blocks=blocks, alphas=alphas, hops=hops, aggs=aggs)
+    return _ForwardState(alphas=alphas, hops=hops, aggs=aggs)
 
 
 def readout(batch: GraphBatch, final: np.ndarray) -> np.ndarray:
@@ -629,7 +617,7 @@ def _backward(batch: GraphBatch, params: ModelParams) -> BatchGradient:
         a = state.alphas[lvl]
         da = dalpha[lvl]
         ds = a * (da - np.sum(a * da, axis=1, keepdims=True))
-        for cs, rows in state.blocks[lvl]:
+        for cs, rows in batch.sampled_groups[lvl]:
             user_grad[cs] = user_grad[cs] + np.einsum(
                 "gnk,gnkd->gd", ds[rows], batch.relation_rows[layer.rel_rows[rows]])
         users = _per_row(batch.users, batch.sampled_offsets[lvl])
@@ -669,22 +657,21 @@ def _hop_backward(batch: GraphBatch, params: ModelParams, state: _ForwardState,
             if len(layer.rel_rows) == 0:
                 below.append(np.zeros_like(prev[lvl + 1]))
                 continue
-            sampled = state.sampled[lvl]
-            g = g_full[sampled]
+            g = g_full[layer.sampled]
             agg = state.aggs[hop - 1][lvl]
             if params.mode == "transform":
-                out = state.hops[hop][lvl][sampled]
+                out = state.hops[hop][lvl][layer.sampled]
                 dpre = g * (1.0 - out * out)
-                x = prev[lvl][sampled] + agg
+                x = prev[lvl][layer.sampled] + agg
                 w = params.weights[hop - 1]
                 dw, db = model_grads[hop - 1]
                 dagg = np.empty_like(dpre)
-                for cs, rows in state.blocks[lvl]:
+                for cs, rows in batch.sampled_groups[lvl]:
                     block = dpre[rows]
                     dw[cs] += block.swapaxes(1, 2) @ x[rows]
                     db[cs] += block.sum(axis=1)
                     dagg[rows] = block @ w[cs]
-                below[lvl][sampled] += dagg  # self path
+                below[lvl][layer.sampled] += dagg  # self path
             else:
                 dagg = g
             dalpha[lvl] += np.einsum("nd,nkd->nk", dagg, prev[lvl + 1][layer.tail_rows])

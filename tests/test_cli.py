@@ -124,7 +124,7 @@ def test_empty_recall_ks_rejected(tmp_path, capsys):
     args = _tiny_train_args(out)
     args[args.index("--max-rounds") + 1] = "0"
     assert main(args) == 0
-    for ks in ("", " , "):
+    for ks in ("", " , ", "5;6", "5,x"):
         assert main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
                      "--recall-ks", ks]) == 2
         err = capsys.readouterr().err

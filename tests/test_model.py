@@ -326,6 +326,73 @@ def test_segment_sum_is_bitwise_add_at(start):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# --- stacking ---------------------------------------------------------------
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_stack_graphs_layout_is_each_subgraph_shifted(depth):
+    rng = derive_rng(depth, 63)
+    num_items, d = 12, 3
+    triples = [(i, int(rng.integers(0, 3)), num_items + int(rng.integers(0, 5)))
+               for i in range(3, num_items) for _ in range(2)]  # items 0-2 isolated
+    kg = build_kg(triples, num_items + 5, 3)
+    # all anchors isolated; a repeated anchor; two more over shared entities
+    anchor_sets = [[0, 1, 2], [4, 7, 4], [3, 8], [5, 6, 9, 11]]
+    graphs = []
+    for anchors in anchor_sets:
+        sub = sample_subgraph(kg, anchors, 2, depth, rng)
+        graphs.append(LocalGraph(
+            user=rng.uniform(-1, 1, d), labels=rng.integers(0, 2, len(anchors)) * 1.0,
+            subgraph=sub, entity_rows=rng.uniform(-1, 1, (len(sub.entities), d)),
+            relation_rows=rng.uniform(-1, 1, (len(sub.relations), d))))
+    if depth:
+        assert graphs[0].subgraph.layers[0].isolated.all()
+
+    for stacked in ([graphs[1]], graphs):
+        batch = stack_graphs(stacked)
+        subs = [g.subgraph for g in stacked]
+        assert batch.depth == depth
+
+        def offsets(sizes):
+            return np.cumsum([0, *sizes])
+        ent_off = offsets([len(s.entities) for s in subs])
+        rel_off = offsets([len(s.relations) for s in subs])
+        ids_off = [offsets([len(s.ids[lvl]) for s in subs]) for lvl in range(depth + 1)]
+        sampled_off = [offsets([len(s.layers[lvl].rel_rows) for s in subs])
+                       for lvl in range(depth)]
+        assert np.array_equal(batch.anchor_offsets, ids_off[0])
+        assert np.array_equal(batch.entity_offsets, ent_off)
+        assert np.array_equal(batch.relation_offsets, rel_off)
+        assert len(batch.sampled_offsets) == depth
+        for got, want in zip(batch.sampled_offsets, sampled_off):
+            assert np.array_equal(got, want)
+
+        for b, (graph, sub) in enumerate(zip(stacked, subs)):
+            ent, rel = slice(*ent_off[b:b + 2]), slice(*rel_off[b:b + 2])
+            assert np.array_equal(batch.users[b], graph.user)
+            assert np.array_equal(batch.labels[slice(*ids_off[0][b:b + 2])], graph.labels)
+            assert np.array_equal(batch.entities[ent], sub.entities)
+            assert np.array_equal(batch.relations[rel], sub.relations)
+            assert np.array_equal(batch.entity_rows[ent], graph.entity_rows)
+            assert np.array_equal(batch.relation_rows[rel], graph.relation_rows)
+            for lvl in range(depth + 1):
+                block = batch.ent_rows[lvl][slice(*ids_off[lvl][b:b + 2])]
+                assert np.array_equal(block - ent_off[b],
+                                      np.searchsorted(sub.entities, sub.ids[lvl]))
+            for lvl, (got, want) in enumerate(zip(batch.layers, sub.layers)):
+                centers, drawn = slice(*ids_off[lvl][b:b + 2]), slice(*sampled_off[lvl][b:b + 2])
+                assert np.array_equal(got.isolated[centers], want.isolated)
+                assert np.array_equal(got.rel_rows[drawn] - rel_off[b], want.rel_rows)
+                assert np.array_equal(got.tail_rows[drawn] - ids_off[lvl + 1][b],
+                                      want.tail_rows)
+
+    deeper = sample_subgraph(kg, [3, 8], 2, depth + 1, rng)
+    with pytest.raises(ValueError, match="depth"):
+        stack_graphs([graphs[2], LocalGraph(
+            user=graphs[2].user, labels=graphs[2].labels, subgraph=deeper,
+            entity_rows=np.zeros((len(deeper.entities), d)),
+            relation_rows=np.zeros((len(deeper.relations), d)))])
+
+
 # --- grouped products against the per-client loops -------------------------
 # The functions below are the per-client forms the stacked calls replaced:
 # one matmul, einsum or reduction per client block. Every result must be
