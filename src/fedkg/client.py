@@ -7,7 +7,7 @@ nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +51,13 @@ def merge_graphs(plan: RequestPlan, response: SubgraphResponse,
 
 
 def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
-    """Run forward/backward `epochs` times, stepping local copies in between.
+    """Run forward/backward `epochs` times, stepping the batch in between.
 
     The uploaded gradient is the sum over epochs; the client's own user
-    embedding takes a step of size eta after every epoch. Later epochs see
-    the rows and (transform mode) the model stepped into new local arrays:
-    the served model is shared and only read, the global state untouched.
+    embedding takes a step of size eta after every epoch. The batch is the
+    clients' local copy (`stack_graphs` copies the rows), stepped in place
+    so that its cached size groups serve every epoch; the model (transform
+    mode) steps into new arrays, the served one being shared and read-only.
 
     One client trains as a batch of one (`as_batch`). A batch is the
     clients' states, their GraphBatch (`stack_graphs`) and the global
@@ -84,9 +85,9 @@ def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
             total.user = total.user + grad.user
             total.losses = grad.losses  # most recent epoch's loss
         if epoch + 1 < epochs:
-            batch = replace(batch, users=np.array([c.user_embedding for c in states]),
-                            entity_rows=batch.entity_rows - eta * grad.entity,
-                            relation_rows=batch.relation_rows - eta * grad.relation)
+            batch.users -= eta * grad.user
+            batch.entity_rows -= eta * grad.entity
+            batch.relation_rows -= eta * grad.relation
             if model.mode == "transform":
                 model = ModelParams(model.mode,
                                     [w - eta * g for w, (g, _) in zip(model.weights, grad.model)],

@@ -100,16 +100,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The config of a `to_dict` record (JSON values); a ConfigError names
+        the unknown keys, or the first key whose value is not of its type."""
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "recall_ks" in data and data["recall_ks"] is not None:
+        for key, value in data.items():
+            kind = _FIELD_TYPES[key]
+            if not _is_of(kind, value):
+                name = kind.__name__ if isinstance(kind, type) else kind
+                raise ConfigError(f"{key} must be {name}, got {value!r}")
+        if "recall_ks" in data:
             data = {**data, "recall_ks": tuple(data["recall_ks"])}
         return cls(**data)
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _is_of(kind, value) -> bool:
+    """Whether a JSON value has a field's type: a bool only for bool, an int
+    also for float, null for an optional, a list of ints for a tuple."""
+    if type(None) in get_args(kind):
+        if value is None:
+            return True
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    if get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(_is_of(int, v) for v in value)
+    kind = (int, float) if kind is float else kind
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _parse_value(key: str, raw: str):

@@ -356,33 +356,35 @@ def field_scorer(field: Field, params: ModelParams):
     S_m and c_m the sum and count of its draws of slot m's relation, t
     shifted by the largest drawn. Hop 1 reads raw rows: the slots, S, c
     and, in transform mode, W x + b and W S_m (the parts of W (x + agg) +
-    b) are made here once, so a block pays M slot passes, not R. Hops >= 2
-    gather per block and read each draw's coefficient through its slot.
-    States are (U, d, n); scores agree with `field_batch`'s to rounding.
+    b) are made here once from each draw's slot, so neither this set-up
+    nor a block grows with R, only with M and K. Hops >= 2 gather per
+    block and read each draw's coefficient through its slot. States are
+    (U, d, n); scores agree with `field_batch`'s to rounding.
     """
-    sub, transform, n_rel = field.subgraph, params.mode == "transform", len(field.relation_rows)
+    sub, transform = field.subgraph, params.mode == "transform"
     raw = [field.entity_rows[rows].T for rows in field.ent_rows]  # (d, n) per depth
     slots, draw_slots, hop1 = [], [], []
     for lvl, layer in enumerate(sub.layers):
-        centers = np.arange(len(layer.rel_rows))
-        onehot = layer.rel_rows[..., None] == np.arange(n_rel)  # (n_sampled, K, R)
-        counts = onehot.sum(axis=1).T
-        drawn = counts > 0
-        slot_of = np.cumsum(drawn, axis=0) - 1  # (R, n_sampled): a drawn relation's slot
-        width = drawn.sum(axis=0)
-        real = np.arange(width.max(initial=1))[:, None] < width  # (M, n_sampled)
-        rel = np.zeros(real.shape, dtype=np.intp)
-        rows, cols = np.nonzero(drawn)
-        rel[slot_of[rows, cols], cols] = rows
-        rel = np.where(real, rel, rel[0])  # a pad repeats slot 0, so it leaves the shift
-        sums = np.einsum("nkr,dnk->rdn", onehot, raw[lvl + 1][:, layer.tail_rows])
+        # a draw's slot: how many distinct relations its center drew below its own
+        order = np.argsort(layer.rel_rows, axis=1)
+        ranked = np.take_along_axis(layer.rel_rows, order, axis=1)
+        step = np.cumsum(np.diff(ranked, axis=1, prepend=ranked[:, :1]) != 0, axis=1)
+        slot = np.empty_like(step)
+        np.put_along_axis(slot, order, step, axis=1)
+        mask = slot[..., None] == np.arange(slot.max(initial=0) + 1)  # (n_sampled, K, M)
+        count = np.einsum("nkm->mn", mask.astype(np.intp))
+        # a slot's relation is its first sorted draw's; a pad repeats slot 0's,
+        # a drawn one, so the shift stays the largest drawn
+        first = np.where(count > 0, np.cumsum(count, axis=0) - count, 0)
+        rel = np.take_along_axis(ranked.T, first, axis=0)
+        sums = np.einsum("nkm,dnk->mdn", mask, raw[lvl + 1][:, layer.tail_rows])
         w, b = params.weights[0], params.biases[0][:, None]
         if transform:
             sums = w @ sums
-        slot_sums = np.where(real[:, None], np.take_along_axis(sums, rel[:, None], axis=0), 0.0)
-        slots.append((rel, np.where(real, counts[rel, centers], 0)))
-        draw_slots.append(slot_of[layer.rel_rows.T, centers])
-        hop1.append((w @ raw[lvl][:, layer.sampled] + b if transform else 0.0, slot_sums))
+        slots.append((rel, count))
+        draw_slots.append(slot.T)
+        hop1.append((w @ raw[lvl][:, layer.sampled] + b if transform else 0.0,
+                     np.where(count[:, None] > 0, sums, 0.0)))
 
     def score(users: np.ndarray) -> np.ndarray:
         t = np.einsum("ud,rd->ur", users, field.relation_rows)  # the same in any block
@@ -612,8 +614,6 @@ def _backward(batch: GraphBatch, params: ModelParams) -> BatchGradient:
     # the relation rows sum their layers' terms in layer order.
     rel_index, rel_terms = [np.empty(0, dtype=np.int64)], [(np.empty((0, 1)), np.empty((0, d)))]
     for lvl, layer in enumerate(batch.layers):
-        if len(layer.rel_rows) == 0:
-            continue
         a = state.alphas[lvl]
         da = dalpha[lvl]
         ds = a * (da - np.sum(a * da, axis=1, keepdims=True))
@@ -654,9 +654,6 @@ def _hop_backward(batch: GraphBatch, params: ModelParams, state: _ForwardState,
         for lvl, layer in enumerate(batch.layers[:len(adj)]):
             g_full = adj[lvl]
             below[lvl][layer.isolated] += g_full[layer.isolated]
-            if len(layer.rel_rows) == 0:
-                below.append(np.zeros_like(prev[lvl + 1]))
-                continue
             g = g_full[layer.sampled]
             agg = state.aggs[hop - 1][lvl]
             if params.mode == "transform":

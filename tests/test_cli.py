@@ -139,7 +139,8 @@ def test_synthetic_sizes_rejected(key, value):
         ExperimentConfig(**{key: value}).validate()
 
 
-@pytest.mark.parametrize("key, value", [("sample_size", 0), ("depth", -1)])
+@pytest.mark.parametrize("key, value", [("sample_size", 0), ("depth", -1), ("depth", "1"),
+                                        ("users", None), ("recall_ks", 5), ("seed", 1.5)])
 def test_evaluate_checks_the_recorded_config(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     args = _tiny_train_args(out)

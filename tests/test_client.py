@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from fedkg import model
+from fedkg.cli import build_dataset, round_config, setup_state
 from fedkg.client import ClientState, ProtocolError, build_request, local_train, merge_graphs
+from fedkg.config import ExperimentConfig
 from fedkg.kg import build_kg
 from fedkg.model import backward, broadcast_model, forward_loss, stack_graphs
 from fedkg.params import init_params
 from fedkg.privacy import DpConfig
 from fedkg.rng import derive_rng
-from fedkg.server import serve_request
+from fedkg.server import run_round, serve_request
 
 
 def _setup(num_entities=12, num_items=8, depth=1, k=2, seed=0, mode="transform"):
@@ -231,3 +234,17 @@ def test_batch_equals_single_client_oracle(depth, mode, epochs):
             isolated += bool(graphs[1].subgraph.layers[0].isolated.any())
         mixed += len({p.weight for p in packets}) > 1
     assert mixed and (isolated or not depth)
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 4])
+def test_local_epochs_keep_the_batch_size_groups(epochs, monkeypatch):
+    # epochs step the batch in place, so its cached size groups (one _groups
+    # call for the anchors and one per layer) serve every epoch
+    cfg = ExperimentConfig(users=40, items=30, attributes=5, clients_per_round=3, depth=2,
+                           seed=5, epochs=epochs)
+    dataset = build_dataset(cfg)
+    params, _, clients = setup_state(cfg, dataset)
+    calls, groups = [], model._groups
+    monkeypatch.setattr(model, "_groups", lambda offsets: calls.append(1) or groups(offsets))
+    run_round(params, dataset.kg, clients, round_config(cfg, dataset), 0)
+    assert len(calls) == 3

@@ -537,6 +537,24 @@ def test_field_scorer_extreme_logits_stay_finite(depth, mode):
         assert np.max(np.abs(got[row] - want)) <= 1e-12, user
 
 
+@pytest.mark.parametrize("depth,mode", list(product((1, 2), ("replace", "transform"))))
+def test_field_scorer_all_isolated_field_scores_raw_rows(depth, mode):
+    # no triples, so no center draws: every layer's slot table is empty
+    items = 40
+    kg = build_kg(np.empty((0, 3), dtype=np.int64), items + 10, 2)
+    params = init_params(kg.num_entities, kg.num_relations, 8, derive_rng(22, depth),
+                         depth=depth, mode=mode)
+    users = derive_rng(23, depth).uniform(-0.5, 0.5, size=(5, 8))
+    sub = sample_subgraph(kg, np.arange(items), 3, depth, derive_rng(5, ROLE_EVAL, 3))
+    assert all(layer.isolated.all() for layer in sub.layers)
+    got = field_scorer(Field(sub, *gather(params, sub.entities, sub.relations)),
+                       params.model)(users)
+    # raw rows, read out from one C-contiguous (U, d, n) state as the scorer
+    # does: the matmul rounds by layout
+    raw = np.broadcast_to(params.entity_emb[:items].T, (len(users), 8, items))
+    assert got.tobytes() == sigmoid((users[:, None] @ raw.copy())[:, 0]).tobytes()
+
+
 RELATIONS_K = 4
 
 
