@@ -114,13 +114,16 @@ def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int] | np.ndarray, k:
 
     Each layer makes one draw of K edge offsets per non-isolated center,
     centers in sorted id order, so the random stream equals a per-center
-    loop of rng.integers(0, degree, size=K) over the sorted centers.
+    loop of rng.integers(0, degree, size=K) over the sorted centers. Only the
+    anchors (request order, repeats allowed) need a unique and a reorder: a
+    deeper depth's ids are the sorted distinct tails of the depth before.
     """
     ids = [np.asarray(anchor_items, dtype=np.int64)]
     drawn: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for _ in range(depth):
+    for level in range(depth):
         isolated = kg.offsets[ids[-1] + 1] == kg.offsets[ids[-1]]
-        centers, order = _unique_inverse(ids[-1][~isolated])
+        centers, order = (_unique_inverse(ids[-1][~isolated]) if level == 0
+                          else (ids[-1][~isolated], slice(None)))
         start = kg.offsets[centers, None]
         edges = start + rng.integers(0, kg.offsets[centers + 1, None] - start,
                                      size=(len(centers), k))

@@ -22,7 +22,9 @@ little-endian byte order, 8 * prod(shape) of them, base64-encoded with
 the standard alphabet and padding. Vectors and `w` have rank 2, `b` rank
 1. The bytes are the array's own, so a decoded array is bitwise the
 encoded one (-0.0, subnormals, NaN and inf included) and replaying
-serialized messages is bitwise equivalent to the in-process path.
+serialized messages is bitwise equivalent to the in-process path. An
+upload's bytes are json.dumps(payload, separators=(",", ":")), but ids
+and base64, which need no escaping, are spliced in around the scalars.
 
 Wire version 3 introduced the packed arrays; version 2 carried the same
 fields as nested JSON lists of decimal floats and is rejected.
@@ -87,14 +89,13 @@ class GradientUpload(GradientPacket):
         return self
 
     def to_json_bytes(self) -> bytes:
-        ent, rel = self.entity_grads, self.relation_grads
-        payload = {"version": WIRE_VERSION, "type": "gradient_upload",
-                   "client_id": self.client_id, "weight": self.weight,
-                   "loss": self.loss,
-                   "entities": {"ids": ent.ids().tolist(), "vectors": _pack(ent.rows())},
-                   "relations": {"ids": rel.ids().tolist(), "vectors": _pack(rel.rows())},
-                   "model": [{"w": _pack(dw), "b": _pack(db)} for dw, db in self.model_grads]}
-        return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+        head = json.dumps({"version": WIRE_VERSION, "type": "gradient_upload",
+                           "client_id": self.client_id, "weight": self.weight,
+                           "loss": self.loss}, separators=(",", ":"), allow_nan=False)
+        model = b",".join(b'{"w":%s,"b":%s}' % (_pack(dw), _pack(db))
+                          for dw, db in self.model_grads)
+        return b'%s,"entities":%s,"relations":%s,"model":[%s]}' % (
+            head[:-1].encode(), _sparse(self.entity_grads), _sparse(self.relation_grads), model)
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "GradientUpload":
@@ -111,10 +112,16 @@ class GradientUpload(GradientPacket):
                    client_id=_int(payload["client_id"], "client_id"))
 
 
-def _pack(a: np.ndarray) -> dict:
-    """Packed array object of a float64 array (see the module docstring)."""
+def _sparse(grads: SparseGrad) -> bytes:
+    ids = ",".join(map(str, grads.ids().tolist())).encode()
+    return b'{"ids":[%s],"vectors":%s}' % (ids, _pack(grads.rows()))
+
+
+def _pack(a: np.ndarray) -> bytes:
+    """Packed array object of a float64 array (see the module docstring), as JSON bytes."""
     data = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
+    shape = ",".join(map(str, a.shape)).encode()
+    return b'{"shape":[%s],"f64":"%s"}' % (shape, base64.b64encode(data))
 
 
 def _unpack(obj, rank: int, kind: str) -> np.ndarray:
@@ -149,7 +156,7 @@ def _sparse_grad(part, kind: str) -> SparseGrad:
     if len(rows) != len(ids):
         raise WireFormatError(
             f"{kind}: {len(ids)} ids do not match vectors of shape {rows.shape}")
-    if np.any(ids < 0) or np.any(ids[1:] <= ids[:-1]):
+    if len(ids) and (ids[0] < 0 or not np.all(ids[1:] > ids[:-1])):
         raise WireFormatError(f"{kind} ids are not non-negative and strictly increasing")
     return SparseGrad(ids, rows)
 
@@ -221,7 +228,7 @@ def _reject_constant(token: str):
 
 
 def _int_list(values, name: str) -> list[int]:
-    if not (isinstance(values, list) and all(type(v) is int for v in values)):
+    if not (isinstance(values, list) and set(map(type, values)) <= {int}):
         raise WireFormatError(f"{name} is not a list of JSON integers")
     return values
 

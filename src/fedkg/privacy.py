@@ -4,18 +4,19 @@ Two mechanisms run on the client: request-item generation (pseudo-item
 mixing plus randomized response on the 0/1 interaction labels, keep
 probability e^eps / (e^eps + 1)), and gradient protection (per-element
 clip to [-delta, +delta] plus i.i.d. Laplace(0, lambda) noise, budget
-eps = 2*delta/lambda).
+eps = 2*delta/lambda per gradient element).
 
-Gradient protection clips one buffer of every uploaded element and adds
-one Laplace draw of its size. Buffer order: entity rows (ids ascending,
-row-major), relation rows, then each layer's dW followed by its db; the
-generator draws element by element, so this equals a per-row loop.
+Gradient protection copies every uploaded element into one new buffer,
+clips it in place and adds one Laplace draw of its size. Buffer order:
+entity rows (ids ascending, row-major), relation rows, then each layer's
+dW and db; drawn element by element, this equals a per-row loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,18 +92,19 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
     """
     parts = [packet.entity_grads.rows(), packet.relation_grads.rows(),
              *(a for pair in packet.model_grads for a in pair)]
-    buf = np.clip(np.concatenate([np.ravel(a) for a in parts]), -config.delta, config.delta)
+    buf = np.concatenate([a.ravel() for a in parts])  # a copy: the input stays as it was
+    np.clip(buf, -config.delta, config.delta, out=buf)
     if config.lam > 0:
         buf += rng.laplace(0.0, config.lam, size=buf.size)
-    ent, rel, *model = [piece.reshape(a.shape) for piece, a in
-                        zip(np.split(buf, np.cumsum([a.size for a in parts[:-1]])), parts)]
+    ent, rel, *model = [buf[end - a.size:end].reshape(a.shape)
+                        for end, a in zip(accumulate(p.size for p in parts), parts)]
     return replace(packet, entity_grads=SparseGrad(packet.entity_grads.ids(), ent),
                    relation_grads=SparseGrad(packet.relation_grads.ids(), rel),
                    model_grads=list(zip(model[::2], model[1::2])), user_grad=None)
 
 
 def privacy_budget(delta: float, lam: float) -> float:
-    """Gradient-mechanism budget 2*delta/lambda; infinite when lambda is 0."""
+    """Gradient-mechanism budget 2*delta/lambda per element; infinite when lambda is 0."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if lam == 0:

@@ -27,7 +27,10 @@ def derive_rng(master_seed: int, role: int, *counters: int) -> np.random.Generat
     so keys differing only by trailing zeros within four words give the same
     stream: derive_rng(7, 6, 20) is derive_rng(7, 6, 20, 0). So the per-pass
     evaluation key (seed, ROLE_EVAL, round) is safe only while no ROLE_EVAL
-    stream takes a fourth counter.
+    stream takes a fourth counter. Keys all below 2**32 go in as the uint32
+    words SeedSequence would make of the list (a larger key spans words).
     """
-    entropy = [int(master_seed), int(role), *[int(c) for c in counters]]
+    entropy = [int(master_seed), int(role), *map(int, counters)]
+    if min(entropy) >= 0 and max(entropy) < 1 << 32:
+        entropy = np.array(entropy, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))

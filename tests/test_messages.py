@@ -74,7 +74,8 @@ def _special_rows(rng, n, d):
     return rows
 
 
-def test_upload_roundtrip_random_is_bitwise_and_owned():
+def _random_uploads():
+    """40 uploads: empty parts, d = 0, zero to two model layers, special floats."""
     rng = np.random.default_rng(5)
     for case in range(40):
         d = int(rng.integers(0, 5))
@@ -85,10 +86,15 @@ def test_upload_roundtrip_random_is_bitwise_and_owned():
             parts.append(SparseGrad(ids, _special_rows(rng, n, d)) if case % 4 else SparseGrad())
         model = [(_special_rows(rng, d, d), _special_rows(rng, 1, d)[0])
                  for _ in range(int(rng.integers(0, 3)))]
-        upload = GradientUpload(entity_grads=parts[0], relation_grads=parts[1],
-                                model_grads=model, user_grad=None,
-                                weight=int(rng.integers(1, 50)), loss=float(rng.random()),
-                                client_id=case)
+        yield GradientUpload(entity_grads=parts[0], relation_grads=parts[1],
+                             model_grads=model, user_grad=None,
+                             weight=int(rng.integers(1, 50)), loss=float(rng.random()),
+                             client_id=case)
+
+
+def test_upload_roundtrip_random_is_bitwise_and_owned():
+    for upload in _random_uploads():
+        model = upload.model_grads
         raw = upload.to_json_bytes()
         again = GradientUpload.from_json_bytes(raw)
         wire = np.frombuffer(raw, dtype=np.uint8)
@@ -119,6 +125,28 @@ def test_upload_golden_bytes():
     for (wa, ba), (wb, bb) in zip(packet.model_grads, again.model_grads, strict=True):
         assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
     assert (again.client_id, again.weight, again.loss, again.user_grad) == (12, 3, 0.6931, None)
+
+
+def _payload_json(upload) -> bytes:
+    """json.dumps of the documented payload object, built as a dict."""
+    def pack(a):
+        data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+        return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
+
+    ent, rel = upload.entity_grads, upload.relation_grads
+    payload = {"version": WIRE_VERSION, "type": "gradient_upload",
+               "client_id": upload.client_id, "weight": upload.weight, "loss": upload.loss,
+               "entities": {"ids": ent.ids().tolist(), "vectors": pack(ent.rows())},
+               "relations": {"ids": rel.ids().tolist(), "vectors": pack(rel.rows())},
+               "model": [{"w": pack(dw), "b": pack(db)} for dw, db in upload.model_grads]}
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+
+
+def test_spliced_upload_bytes_equal_json_dumps_of_the_payload():
+    uploads = [GradientUpload.from_packet(_stripped_packet()), *_random_uploads()]
+    for upload in uploads:
+        assert upload.to_json_bytes() == _payload_json(upload)
+    assert _payload_json(uploads[0]) == GOLDEN_UPLOAD
 
 
 def test_upload_holds_arrays_until_serialized():

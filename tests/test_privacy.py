@@ -187,6 +187,34 @@ def test_ldp_encrypt_matches_per_row_reference_stream():
     assert clipped > 0
 
 
+@pytest.mark.parametrize("relations, layers, lam", [
+    (0, 2, 1e-2),  # an empty relation part
+    (2, 0, 1e-2),  # no model layers
+    (2, 1, 0.0),   # clip only
+])
+def test_ldp_encrypt_leaves_its_input_untouched(relations, layers, lam):
+    rng = np.random.default_rng(8)
+    d = 3
+    packet = _packet(entity={i: 4 * rng.normal(size=d) for i in (2, 5, 9)},
+                     relation={i: 4 * rng.normal(size=d) for i in range(relations)},
+                     model=[(4 * rng.normal(size=(d, d)), 4 * rng.normal(size=d))
+                            for _ in range(layers)],
+                     user=rng.normal(size=d))
+    arrays = [packet.entity_grads.rows(), packet.relation_grads.rows(),
+              *(a for pair in packet.model_grads for a in pair)]
+    inputs = [*arrays, packet.entity_grads.ids(), packet.relation_grads.ids(), packet.user_grad]
+    before = [(a.dtype, a.shape, a.tobytes()) for a in inputs]
+    cfg = DpConfig(delta=0.5, lam=lam, flip_rate=0.0, pseudo_count=0)
+    out = ldp_encrypt(packet, cfg, derive_rng(4, relations, layers))
+    assert [(a.dtype, a.shape, a.tobytes()) for a in inputs] == before
+    assert any(np.any(np.abs(a) > cfg.delta) for a in arrays)  # the clip had work to do
+    protected = [out.entity_grads.rows(), out.relation_grads.rows(),
+                 *(a for pair in out.model_grads for a in pair)]
+    assert [a.shape for a in protected] == [a.shape for a in arrays]
+    for a in protected:
+        assert not any(np.shares_memory(a, b) for b in inputs)
+
+
 def test_privacy_budget_formula():
     assert privacy_budget(0.1, 1e-4) == 2 * 0.1 / 1e-4
     assert abs(privacy_budget(0.1, 1e-4) - 2000.0) < 1e-9
