@@ -55,9 +55,26 @@ def round_config(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> RoundConfi
                        seed=cfg.seed, workers=cfg.workers, transport=cfg.transport)
 
 
+def _check_negative_pools(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> None:
+    """ConfigError unless every user has at least its pseudo count of unobserved items.
+
+    The pool is `num_items` minus the user's in-range train positives; the
+    count is `pseudo_items`, or the number of train positives when unset.
+    A round raises NegativePoolError on any selected user that fails this.
+    """
+    for user, items in enumerate(dataset.train):
+        positives = set(items)
+        pool = len(data_mod.unobserved_items(positives, dataset.num_items))
+        pseudo = len(positives) if cfg.pseudo_items is None else cfg.pseudo_items
+        if pool < pseudo:
+            raise ConfigError(f"pseudo_items: user {user} needs {pseudo} pseudo items but "
+                              f"has only {pool} unobserved items")
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Full pipeline: load, init, train, evaluate, persist artifacts."""
     dataset = build_dataset(cfg)  # checks cfg before any output exists
+    _check_negative_pools(cfg, dataset)
     params, user_emb, clients = setup_state(cfg, dataset)
     rcfg = round_config(cfg, dataset)
 
@@ -203,6 +220,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             return run_synth(_config_from_args(args), args.dataset_dir)
         if args.command == "gradcheck":
+            if args.instances < 1:
+                raise ConfigError("--instances must be >= 1")
+            for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+                if not (np.isfinite(value) and value > 0):
+                    raise ConfigError(f"{flag} must be a finite number > 0, got {value}")
             result = run_gradient_check(args.instances, args.step,
                                         args.tolerance, args.seed)
             print(f"gradcheck: {result.instances} instances, "

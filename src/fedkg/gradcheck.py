@@ -110,6 +110,7 @@ def max_relative_error(graph: LocalGraph, params: ModelParams, step: float = 1e-
 
 def run_gradient_check(instances: int = 100, step: float = 1e-5,
                        tolerance: float = 1e-4, seed: int = 2024) -> GradCheckResult:
+    """Audit `instances` random instances; an error that is not <= tolerance (NaN too) fails."""
     errors = [max_relative_error(*random_instance(seed, i), step) for i in range(instances)]
-    return GradCheckResult(instances=instances, max_rel_err=max(errors, default=0.0),
-                           failures=[i for i, err in enumerate(errors) if err > tolerance])
+    return GradCheckResult(instances=instances, max_rel_err=float(np.max(errors, initial=0.0)),
+                           failures=[i for i, err in enumerate(errors) if not err <= tolerance])

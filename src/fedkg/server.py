@@ -1,7 +1,8 @@
 """Round orchestration: select, serve, collect, aggregate, update.
 
 A round splits the selected clients, in id order, into `workers`
-contiguous batches; batches run in order on one worker thread. Within a
+contiguous batches and runs them in order. With `workers > 1` the whole
+round, `wire_sink` calls included, runs on one worker thread. Within a
 batch every step that draws randomness stays per client, on that client's
 own streams and in the same order: request and randomized response
 (crng), serving (srng), merging, then after training the LDP step (crng)
@@ -60,7 +61,7 @@ class RoundConfig:
     num_items: int
     epochs: int = 1
     seed: int = 0
-    workers: int = 1  # contiguous batches; batches run in order on one worker thread
+    workers: int = 1  # contiguous batches, run in order; > 1: the round runs on a worker thread
     transport: str = "memory"  # "memory" | "json" (serialize server-bound messages)
 
     def __post_init__(self):
@@ -224,42 +225,42 @@ def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientSt
     """Execute one full federated round; atomic on failure.
 
     The selected clients, in id order, are split into `cfg.workers`
-    contiguous batches, each trained in one stacked pass; more than one
-    batch run in client order on one worker thread (one batch on the
-    caller's), so only one batch's intermediates are alive at a time.
-    Batches read the immutable pre-round snapshot (gathers are copies, the
-    model read-only views) and clients draw only from their own streams,
-    so the split changes no result. Uploads funnel into a sorted
-    reduction. Any failure, in a client leg, the aggregation or the global
-    update, rolls back the selected clients' user embeddings and leaves
-    the global state untouched (apply_global_update checks before it
-    writes).
+    contiguous batches, each trained in one stacked pass, in client order,
+    so only one batch's intermediates are alive at a time. With one batch
+    the whole round runs on the caller's thread; with more, the whole round
+    (selection to report, `wire_sink` calls included) runs on one worker
+    thread while the caller waits, so a Ctrl-C reaches the caller only
+    after the round has finished or rolled back. Batches read the
+    immutable pre-round snapshot (gathers are copies, the model read-only
+    views) and clients draw only from their own streams, so the split
+    changes no result. Uploads funnel into a sorted reduction. Any failure
+    or interrupt, in a client leg, the aggregation or the global update,
+    rolls back the selected clients' user embeddings and leaves the global
+    state untouched (apply_global_update checks before it writes).
     """
+    if cfg.workers == 1:
+        return _round(params, kg, clients, cfg, round_index, wire_sink)
+    # The worker takes the whole round, so no round data crosses threads: at 2k x 2k,
+    # H=2, json, 64 clients on 2 cores, scale-json round_ms.p50 read 54.5 -> 49.1 ms
+    # (10 pairs) against a worker for the batches only. The thread stays only for
+    # perfbench's pool test, which wants legs off the round's thread; once perfbench
+    # keys legs by (round, client), call _round here too.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(_round, params, kg, clients, cfg, round_index, wire_sink).result()
+
+
+def _round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],
+           cfg: RoundConfig, round_index: int, wire_sink) -> RoundReport:
+    """run_round's body, on whichever thread runs the round."""
     rng = derive_rng(cfg.seed, ROLE_SELECT, round_index)
     selected = select_clients(len(clients), cfg.clients_per_round, rng)
     saved_users = {cid: clients[cid].user_embedding.copy() for cid in selected}
-
-    parts = [part.tolist() for part in np.array_split(selected, cfg.workers) if len(part)]
-
-    def run():
-        return [_batch_round([clients[cid] for cid in part], kg, params, cfg, round_index)
-                for part in parts]
-
     try:
-        if len(parts) > 1:
-            # One worker, not a thread per batch: parallel batches trade the GIL
-            # around every small numpy call. At 2k x 2k, H=2, json, 64 clients on 2
-            # cores, raw 2-batch round medians read 160-188 ms on two threads and
-            # 114-134 ms in order (scale-json round_ms.p50 78 -> 55 ms). The thread
-            # stays only because perfbench's pool test expects legs off the round's
-            # thread; once perfbench keys legs by (round, client), call run() here.
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                results = pool.submit(run).result()
-        else:
-            results = run()
+        results = [_batch_round([clients[cid] for cid in part], kg, params, cfg, round_index)
+                   for part in np.array_split(selected, cfg.workers) if len(part)]
         uploads = [upload for done, _ in results for upload in done]
         apply_global_update(params, aggregate([u.to_packet() for u in uploads]), cfg.eta)
-    except Exception:
+    except BaseException:
         for cid, emb in saved_users.items():
             clients[cid].user_embedding[...] = emb
         raise

@@ -347,3 +347,32 @@ def test_gradcheck_passes(capsys):
 
 def test_gradcheck_fails_on_impossible_tolerance():
     assert main(["gradcheck", "--instances", "4", "--tolerance", "1e-18"]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("instances", "0"), ("instances", "-3"),
+                                         ("step", "0"), ("step", "-1e-5"), ("step", "nan"),
+                                         ("step", "inf"), ("tolerance", "0"),
+                                         ("tolerance", "-1"), ("tolerance", "nan"),
+                                         ("tolerance", "inf")])
+def test_gradcheck_rejects_flags_outside_bounds(capsys, flag, value):
+    assert main(["gradcheck", "--instances", "1", f"--{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--{flag}" in err
+
+
+def test_gradcheck_nan_error_is_a_failure():
+    from fedkg.gradcheck import run_gradient_check
+
+    result = run_gradient_check(instances=2, step=float("nan"))
+    assert result.failures == [0, 1] and np.isnan(result.max_rel_err)
+
+
+@pytest.mark.parametrize("extra", [{"pseudo_items": 10000},
+                                   {"users": 2, "items": 2, "interactions_per_user": 5}])
+def test_train_short_negative_pool_fails_without_outputs(tmp_path, capsys, extra):
+    out = tmp_path / "run"
+    assert main(["train", "--max-rounds", "1", "--out-dir", str(out),
+                 *[a for key, value in extra.items()
+                   for a in ("--" + key.replace("_", "-"), str(value))]]) == 2
+    assert capsys.readouterr().err.startswith("error: pseudo_items: user 0 ")
+    assert not out.exists()

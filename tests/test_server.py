@@ -345,6 +345,57 @@ def test_round_batches_run_one_at_a_time_in_client_order_off_the_callers_thread(
         assert threading.get_ident() not in {thread for _, thread in calls}, workers
 
 
+def test_round_runs_start_to_finish_on_one_thread(monkeypatch):
+    # workers > 1: serving, aggregation and the update all run on one worker thread;
+    # workers = 1: all on the caller's
+    from fedkg import server
+
+    for workers in (1, 2, 3):
+        monkeypatch.undo()
+        cfg, dataset, params, user_emb, clients = _small_federation(workers=workers)
+        threads = {}
+
+        def on_thread(name):
+            fn = getattr(server, name)
+
+            def wrapped(*args):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args)
+            return wrapped
+
+        for name in ("_batch_round", "aggregate", "apply_global_update"):
+            monkeypatch.setattr(server, name, on_thread(name))
+        run_round(params, dataset.kg, clients, round_config(cfg, dataset), 0)
+        assert set(threads) == {"_batch_round", "aggregate", "apply_global_update"}
+        (thread,) = set.union(*threads.values())
+        assert (thread == threading.get_ident()) == (workers == 1), workers
+
+
+def test_round_interrupt_rolls_back(monkeypatch):
+    # a KeyboardInterrupt after a batch has trained and stepped its users
+    from fedkg import server
+
+    batch_round = server._batch_round
+
+    def interrupted(*args):
+        batch_round(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(server, "_batch_round", interrupted)
+    for workers in (1, 3):
+        cfg, dataset, params, user_emb, clients = _small_federation(workers=workers)
+        before = params.copy()
+        snap_users = user_emb.copy()
+        with pytest.raises(KeyboardInterrupt):
+            run_round(params, dataset.kg, clients, round_config(cfg, dataset), 0)
+        assert np.array_equal(user_emb, snap_users), workers
+        for got, want in zip([params.entity_emb, params.relation_emb, *params.model.weights,
+                              *params.model.biases],
+                             [before.entity_emb, before.relation_emb, *before.model.weights,
+                              *before.model.biases]):
+            assert np.array_equal(got, want), workers
+
+
 def _unbound(case, target, num_entities):
     """ldp_encrypt stand-in that breaks one binding of `target`'s upload."""
     def encrypt(packet, config, rng):
