@@ -222,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             if args.instances < 1:
                 raise ConfigError("--instances must be >= 1")
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
                 if not (np.isfinite(value) and value > 0):
                     raise ConfigError(f"{flag} must be a finite number > 0, got {value}")

@@ -84,6 +84,8 @@ class ExperimentConfig:
                        for key in ("users", "items", "attributes", "relations",
                                    "interactions_per_user", "prefs_per_user")]
             checks.append((0.0 <= self.noise <= 1.0, "noise must be in [0, 1]"))
+            checks += [(not getattr(self, key), f"{key} is read only with synthetic = false")
+                       for key in ("ratings_file", "kg_file")]
         else:
             checks.append((bool(self.ratings_file) and bool(self.kg_file),
                            "file datasets need both ratings_file and kg_file"))

@@ -1,14 +1,15 @@
 """Round orchestration: select, serve, collect, aggregate, update.
 
 A round splits the selected clients, in id order, into `workers`
-contiguous batches and runs them in order. With `workers > 1` the whole
-round, `wire_sink` calls included, runs on one worker thread. Within a
-batch every step that draws randomness stays per client, on that client's
-own streams and in the same order: request and randomized response
-(crng), serving (srng), merging, then after training the LDP step (crng)
-and the upload. Training is one local_train over the batch's stacked
-graphs and the one global model (see `model`), and each upload is bound
-to what the server recorded serving its client.
+contiguous batches and runs them in order, each through one function,
+`_batch_round`. With `workers > 1` the whole round, `wire_sink` calls
+included, runs on one worker thread. A batch reads top to bottom: per
+client, on that client's own streams, the request and randomized response
+(crng), serving (srng) and merging; one local_train over the batch's
+stacked graphs and the one global model (see `model`); then per client
+the LDP step (crng) and the upload, bound to what the server recorded
+serving that client. Over the json transport both server-bound messages
+reach the server as bytes (`_send`).
 
 Aggregation is the request-size weighted mean of client gradients; sparse
 coordinates divide only by the weights of packets that touched them, so
@@ -34,8 +35,7 @@ from .client import ClientState, build_request, local_train, merge_graphs
 from .data import unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
-from .model import (GradientPacket, ModelParams, SparseGrad, broadcast_model, segment_sum,
-                    stack_graphs)
+from .model import GradientPacket, SparseGrad, broadcast_model, segment_sum, stack_graphs
 from .params import ParameterState, apply_global_update, gather
 from .privacy import DpConfig, ldp_encrypt
 from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
@@ -153,63 +153,47 @@ def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:
     return SparseGrad(ids, num / den[:, None])
 
 
-def _serve_batch(members: list[ClientState], kg: KnowledgeGraph, params: ParameterState,
-                 cfg: RoundConfig, round_index: int):
-    """Request, serve and merge per client, in its own streams; return them stacked.
-
-    Returns the stacked batch, each client's served record (request client id
-    and length, entities, relations), crng (its LDP step draws next) and
-    wire bytes; the LocalGraphs are freed on return, before training.
-    """
-    crngs, graphs, served, wires = [], [], [], []
-    for client in members:
-        crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
-        srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
-        wire: list[bytes] = []
-        pool = unobserved_items(client.interactions, cfg.num_items)
-        plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
-        if cfg.transport == "json":
-            wire.append(msg.to_json_bytes())
-            msg = RequestMessage.from_json_bytes(wire[-1])
-        response = serve_request(msg, kg, params, cfg.sample_size, cfg.depth, srng)
-        graphs.append(merge_graphs(plan, response, client.user_embedding))
-        served.append((msg.client_id, len(msg.items), response.subgraph.entities,
-                       response.subgraph.relations))
-        crngs.append(crng)
-        wires.append(wire)
-    return stack_graphs(graphs), served, crngs, wires
+def _send(msg, transport: str, wire: list[bytes]):
+    """The server-bound message as the server receives it: in memory the
+    message itself; over json its bytes, appended to `wire`, decoded."""
+    if transport == "memory":
+        return msg
+    wire.append(msg.to_json_bytes())
+    return type(msg).from_json_bytes(wire[-1])
 
 
 def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: ParameterState,
                  cfg: RoundConfig, round_index: int) -> tuple[list[GradientUpload], list[bytes]]:
     """One batch of client legs; returns the bound uploads and the wire bytes, in client order.
 
-    Serving is per client (`_serve_batch`), training one local_train over
-    the stacked batch, and the LDP step (crng) and the upload per client.
+    Out per client (request, serve, merge), one local_train over the stacked
+    batch, back per client (LDP, upload). Each upload must carry its client's
+    id, its request length as the weight, exactly the served entity and
+    relation ids, and one (dW, db) per layer of the global model, of its
+    shapes; else UploadError.
     """
-    batch, served, crngs, wires = _serve_batch(members, kg, params, cfg, round_index)
+    legs, graphs = [], []
+    for client in members:
+        crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
+        srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
+        wire: list[bytes] = []
+        pool = unobserved_items(client.interactions, cfg.num_items)
+        plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
+        msg = _send(msg, cfg.transport, wire)
+        response = serve_request(msg, kg, params, cfg.sample_size, cfg.depth, srng)
+        graphs.append(merge_graphs(plan, response, client.user_embedding))
+        legs.append((crng, msg.client_id, len(msg.items), response.subgraph.entities,
+                     response.subgraph.relations, wire))
+    batch = stack_graphs(graphs)
+    del graphs, plan, response  # the stacked copy is what trains
     packets = local_train(members, batch, broadcast_model(params.model, len(members)),
                           cfg.eta, cfg.epochs)
+
+    layers = [(w.shape, b.shape) for w, b in zip(params.model.weights, params.model.biases)]
     uploads = []
-    for packet, crng, wire in zip(packets, crngs, wires):
-        upload = GradientUpload.from_packet(ldp_encrypt(packet, cfg.dp, crng))
-        if cfg.transport == "json":
-            wire.append(upload.to_json_bytes())
-            upload = GradientUpload.from_json_bytes(wire[-1])
-        uploads.append(upload)
-    _bind_uploads(uploads, served, params.model)
-    return uploads, [raw for wire in wires for raw in wire]
-
-
-def _bind_uploads(uploads: list[GradientUpload], served: list[tuple], model: ModelParams) -> None:
-    """Raise UploadError unless each upload matches what its client was served.
-
-    Upload b must carry `served[b]`'s client id, its request length as the
-    weight, exactly its entity and relation ids, and one (dW, db) per layer
-    of the global model, of its shapes.
-    """
-    layers = [(w.shape, bias.shape) for w, bias in zip(model.weights, model.biases)]
-    for upload, (client, items, entities, relations) in zip(uploads, served):
+    for packet, (crng, client, items, entities, relations, wire) in zip(packets, legs):
+        upload = _send(GradientUpload.from_packet(ldp_encrypt(packet, cfg.dp, crng)),
+                       cfg.transport, wire)
         if upload.client_id != client or upload.weight != items or \
                 not np.array_equal(upload.entity_grads.ids(), entities) or \
                 not np.array_equal(upload.relation_grads.ids(), relations) or \
@@ -217,6 +201,8 @@ def _bind_uploads(uploads: list[GradientUpload], served: list[tuple], model: Mod
             raise UploadError(f"upload from client {client} does not match its "
                               f"{items} request items, served subgraph and the model's "
                               f"layers {layers}")
+        uploads.append(upload)
+    return uploads, [raw for *_, wire in legs for raw in wire]
 
 
 def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],

@@ -69,6 +69,17 @@ def test_train_missing_dataset_file_fails_without_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["ratings_file", "kg_file"])
+def test_synthetic_run_rejects_data_files(tmp_path, capsys, key):
+    # the generator would ignore the file, so naming one is a usage error
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: "data/file.txt"}).validate()
+    out = tmp_path / "run"
+    assert main(_tiny_train_args(out, **{key: tmp_path / "absent.txt"})) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not out.exists()
+
+
 def test_train_invalid_config_rejected(tmp_path):
     code = main(_tiny_train_args(tmp_path / "run", flip_rate="0.9"))
     assert code == 2
@@ -353,7 +364,7 @@ def test_gradcheck_fails_on_impossible_tolerance():
                                          ("step", "0"), ("step", "-1e-5"), ("step", "nan"),
                                          ("step", "inf"), ("tolerance", "0"),
                                          ("tolerance", "-1"), ("tolerance", "nan"),
-                                         ("tolerance", "inf")])
+                                         ("tolerance", "inf"), ("seed", "-1")])
 def test_gradcheck_rejects_flags_outside_bounds(capsys, flag, value):
     assert main(["gradcheck", "--instances", "1", f"--{flag}={value}"]) == 2
     err = capsys.readouterr().err

@@ -502,10 +502,11 @@ def test_negative_pool_matches_setdiff1d_reference():
 
 
 def test_round_parallel_matches_sequential_bitwise():
-    # workers is the number of contiguous batches of the 6 clients; 4 gives (2, 2, 1, 1)
+    # workers is the number of contiguous batches of the 6 clients; 4 gives (2, 2, 1, 1),
+    # 8 six batches of one and two empty parts, which are skipped
     for setting in ({}, {"transport": "json", "depth": 2, "epochs": 2}):
         runs = {}
-        for workers in (1, 2, 3, 4, 6):
+        for workers in (1, 2, 3, 4, 6, 8):
             cfg, dataset, params, user_emb, clients = _small_federation(workers=workers,
                                                                         **setting)
             rcfg = round_config(cfg, dataset)
