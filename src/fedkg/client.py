@@ -65,6 +65,8 @@ def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
     covers every client, each stepping its own user, rows and model, and
     the result is one packet per client in batch order.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if isinstance(graph, LocalGraph):
         return local_train([state], *as_batch(graph, model), eta, epochs)[0]
     states, batch = state, graph
@@ -92,7 +94,6 @@ def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
                 model = ModelParams(model.mode,
                                     [w - eta * g for w, (g, _) in zip(model.weights, grad.model)],
                                     [b - eta * g for b, (_, g) in zip(model.biases, grad.model)])
-    assert total is not None
     packets = batch.packets(total)
     for client, packet in zip(states, packets):
         packet.client_id = client.user_id

@@ -6,6 +6,7 @@ in the README annotates each key with its conventional symbol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -60,11 +61,12 @@ class ExperimentConfig:
             (self.embed_dim >= 1, "embed_dim (d) must be >= 1"),
             (self.depth >= 0, "depth (H) must be >= 0"),
             (0.0 <= self.flip_rate < 0.5, "flip_rate (q) must be in [0, 0.5)"),
-            (self.eta > 0, "eta must be > 0"),
+            (math.isfinite(self.eta) and self.eta > 0, "eta must be finite and > 0"),
             (self.sample_size >= 1, "sample_size (K) must be >= 1"),
             (self.clients_per_round >= 1, "clients_per_round must be >= 1"),
             (self.clip_threshold > 0, "clip_threshold (delta) must be > 0"),
-            (self.noise_scale >= 0, "noise_scale (lambda) must be >= 0"),
+            (math.isfinite(self.noise_scale) and self.noise_scale >= 0,
+             "noise_scale (lambda) must be finite and >= 0"),
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.max_rounds >= 0, "max_rounds must be >= 0"),
             (self.eval_every >= 0, "eval_every must be >= 0 (0: no validation)"),

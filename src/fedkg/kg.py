@@ -12,6 +12,10 @@ at layer l. Layer l draws K edges with replacement for every non-isolated
 center in ids[l]; its rel_rows index `relations` and its tail_rows index
 ids[l+1]. `entities` and `relations` are the sorted distinct ids touched,
 the rows a server ships.
+
+Degrees are cached on the graph (`KnowledgeGraph.degree`). Each depth makes
+one `integers` call whose bounds are the centers' degrees, each repeated K
+times; this is the same stream as a per-center loop of K draws.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ class KnowledgeGraph:
     @property
     def num_triples(self) -> int:
         return len(self.rel) // 2
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """(num_entities,) edge count per entity, computed once (the graph is immutable)."""
+        return np.diff(self.offsets)
 
 
 @dataclass
@@ -121,12 +130,11 @@ def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int] | np.ndarray, k:
     ids = [np.asarray(anchor_items, dtype=np.int64)]
     drawn: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for level in range(depth):
-        isolated = kg.offsets[ids[-1] + 1] == kg.offsets[ids[-1]]
+        isolated = kg.degree[ids[-1]] == 0
         centers, order = (_unique_inverse(ids[-1][~isolated]) if level == 0
                           else (ids[-1][~isolated], slice(None)))
-        start = kg.offsets[centers, None]
-        edges = start + rng.integers(0, kg.offsets[centers + 1, None] - start,
-                                     size=(len(centers), k))
+        edges = kg.offsets[centers, None] + rng.integers(
+            0, np.repeat(kg.degree[centers], k)).reshape(-1, k)
         edges = edges[order]  # sorted-center draws in this depth's order
         tails, tail_rows = _unique_inverse(kg.nbr[edges])
         drawn.append((isolated, kg.rel[edges], tail_rows))

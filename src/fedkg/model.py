@@ -440,13 +440,14 @@ def segment_sum(index: np.ndarray, columns, size: int, start: float = 0.0) -> np
     per column adds each bin's terms in index order from +0.0, as add.at
     does, at a fraction of its cost. From -0.0, add.at gives the same sums
     except where every term is -0.0, or there is none: there the sum stays
-    -0.0.
+    -0.0. Such a bin's bincount reads +0.0, so the signed-zero pass runs
+    only for a column with a zero sum.
     """
     sums = []
     for terms in columns:
         # (bincount gives int64 zeros for no terms)
         col = np.bincount(index, weights=terms, minlength=size).astype(np.float64, copy=False)
-        if np.signbit(start):
+        if np.signbit(start) and not col.all():
             col[np.bincount(index, weights=(terms != 0) | ~np.signbit(terms),
                             minlength=size) == 0] = -0.0
         sums.append(col)

@@ -15,7 +15,7 @@ dW and db; drawn element by element, this equals a per-row loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -79,9 +79,8 @@ def generate_request_items(interactions: set[int], negatives: list[int] | np.nda
         flips = rng.random(len(items)) < config.flip_rate
         labels = np.where(flips, 1 - labels, labels)
     order = rng.permutation(len(items))
-    return RequestPlan(
-        request_items=[items[i] for i in order],
-        local_labels=[int(labels[i]) for i in order])
+    return RequestPlan(request_items=np.array(items, dtype=np.int64)[order].tolist(),
+                       local_labels=labels[order].tolist())
 
 
 def ldp_encrypt(packet: GradientPacket, config: DpConfig,
@@ -98,9 +97,10 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
         buf += rng.laplace(0.0, config.lam, size=buf.size)
     ent, rel, *model = [buf[end - a.size:end].reshape(a.shape)
                         for end, a in zip(accumulate(p.size for p in parts), parts)]
-    return replace(packet, entity_grads=SparseGrad(packet.entity_grads.ids(), ent),
-                   relation_grads=SparseGrad(packet.relation_grads.ids(), rel),
-                   model_grads=list(zip(model[::2], model[1::2])), user_grad=None)
+    return GradientPacket(entity_grads=SparseGrad(packet.entity_grads.ids(), ent),
+                          relation_grads=SparseGrad(packet.relation_grads.ids(), rel),
+                          model_grads=list(zip(model[::2], model[1::2])), user_grad=None,
+                          weight=packet.weight, loss=packet.loss, client_id=packet.client_id)
 
 
 def privacy_budget(delta: float, lam: float) -> float:

@@ -26,6 +26,7 @@ per-id sum.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -51,7 +52,13 @@ class UploadError(ValueError):
 
 @dataclass
 class RoundConfig:
-    """Hyperparameters of one federated round."""
+    """Hyperparameters of one federated round.
+
+    Construction raises a ValueError naming the field for a round that
+    cannot run: sample_size, clients_per_round, epochs or workers below 1,
+    a negative depth, an eta that is not finite and > 0, or a transport
+    other than memory or json.
+    """
 
     sample_size: int  # neighbor samples per entity (K)
     depth: int  # receptive field depth (H)
@@ -65,10 +72,16 @@ class RoundConfig:
     transport: str = "memory"  # "memory" | "json" (serialize server-bound messages)
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.transport not in ("memory", "json"):
-            raise ValueError(f"transport must be memory or json, got {self.transport!r}")
+        for name, ok, bound in (
+                ("sample_size", self.sample_size >= 1, ">= 1"),
+                ("depth", self.depth >= 0, ">= 0"),
+                ("eta", math.isfinite(self.eta) and self.eta > 0, "finite and > 0"),
+                ("clients_per_round", self.clients_per_round >= 1, ">= 1"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("workers", self.workers >= 1, ">= 1"),
+                ("transport", self.transport in ("memory", "json"), "memory or json")):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -80,6 +80,18 @@ def test_synthetic_run_rejects_data_files(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["eta", "noise_scale"])
+def test_train_rejects_infinite_step_or_noise(tmp_path, capsys, key):
+    # an infinite step or noise scale makes the first aggregate non-finite
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: float("inf")}).validate()
+    out = tmp_path / "run"
+    assert main(_tiny_train_args(out, **{key: "inf"})) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not out.exists()
+    ExperimentConfig(clip_threshold=float("inf")).validate()  # inf: no clipping
+
+
 def test_train_invalid_config_rejected(tmp_path):
     code = main(_tiny_train_args(tmp_path / "run", flip_rate="0.9"))
     assert code == 2

@@ -112,6 +112,17 @@ def test_local_train_records_forward_loss():
     assert packet.weight == len(plan.request_items)
 
 
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_local_train_rejects_no_epochs(epochs):
+    kg, params, client = _setup()
+    plan, msg, response = _serve(client, kg, params, DpConfig(flip_rate=0.0, pseudo_count=0))
+    before = client.user_embedding.copy()
+    graph = merge_graphs(plan, response, client.user_embedding)
+    with pytest.raises(ValueError, match="epochs"):
+        local_train(client, graph, response.model, eta=0.1, epochs=epochs)
+    assert np.array_equal(client.user_embedding, before)
+
+
 def test_local_train_updates_own_user_embedding():
     kg, params, client = _setup()
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)

@@ -324,6 +324,19 @@ def test_segment_sum_is_bitwise_add_at(start):
         got = segment_sum(index, columns, size, start=start).reshape(want.shape)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # every bin gets terms: a positive column has no zero sum (so it skips
+    # the signed-zero pass), beside columns of the mixed values
+    for _ in range(50):
+        size = int(rng.integers(1, 6))
+        index = rng.permutation(np.concatenate([np.arange(size),
+                                                rng.integers(0, size, int(rng.integers(0, 8)))]))
+        rows = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, -0.1, 3e-17], size=(len(index), 3))
+        rows[:, 0] = rng.choice([1.0, 0.1, 3e-17], size=len(index))
+        want = np.full((size, 3), start)
+        np.add.at(want, index, rows)
+        got = segment_sum(index, rows.T, size, start=start)
+        assert want[:, 0].all()
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # --- stacking ---------------------------------------------------------------

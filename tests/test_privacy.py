@@ -38,6 +38,8 @@ def test_request_has_no_duplicates_and_aligned_labels():
     assert len(plan.request_items) == len(set(plan.request_items)) == 6
     assert len(plan.local_labels) == 6
     assert set(plan.local_labels) <= {0, 1}
+    # the json wire needs Python ints
+    assert all(type(x) is int for x in plan.request_items + plan.local_labels)
 
 
 def test_flip_fraction_binomial_three_sigma():
@@ -126,10 +128,13 @@ def test_clip_bounds_every_uploaded_element():
 
 def test_user_grad_stripped_before_upload():
     cfg = DpConfig(delta=1.0, lam=0.0, flip_rate=0.0, pseudo_count=0)
-    packet = _packet(entity={0: [0.1]}, user=[9.9])
+    packet = _packet(entity={0: [0.1]}, user=[9.9], weight=3)
+    packet.client_id = 11
     out = ldp_encrypt(packet, cfg, derive_rng(9, 0))
     assert out.user_grad is None
     assert packet.user_grad is not None  # input untouched
+    assert type(out) is GradientPacket
+    assert (out.weight, out.loss, out.client_id) == (3, 0.5, 11)
 
 
 def test_laplace_noise_statistics():
