@@ -64,7 +64,7 @@ def _check_negative_pools(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> N
     """
     for user, items in enumerate(dataset.train):
         positives = set(items)
-        pool = len(data_mod.unobserved_items(positives, dataset.num_items))
+        pool = dataset.num_items - sum(0 <= i < dataset.num_items for i in positives)
         pseudo = len(positives) if cfg.pseudo_items is None else cfg.pseudo_items
         if pool < pseudo:
             raise ConfigError(f"pseudo_items: user {user} needs {pseudo} pseudo items but "

@@ -8,6 +8,7 @@ are `user item rating` lines; KG files are `head relation tail` lines.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ def split(positives: list[list[int]], rng: np.random.Generator
         order = rng.permutation(k)
         n_train = min(math.ceil(SPLIT_RATIOS[0] * k), k - 2)
         n_valid = min(math.ceil(SPLIT_RATIOS[1] * k), k - n_train - 1)
-        shuffled = [pos[i] for i in order]
+        shuffled = [pos[i] for i in order.tolist()]
         train.append(sorted(shuffled[:n_train]))
         valid.append(sorted(shuffled[n_train:n_train + n_valid]))
         test.append(sorted(shuffled[n_train + n_valid:]))
@@ -111,15 +112,27 @@ def unobserved_items(items: set[int] | list[int], num_items: int) -> np.ndarray:
 def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
                           split_positives: list[list[int]],
                           rng: np.random.Generator) -> list[list[int]]:
-    """Per user: unobserved items, one per split positive, clamped to the pool."""
+    """Per user: unobserved items, one per split positive, clamped to the pool.
+
+    The pool (`unobserved_items`) is never built. With `seen` the user's
+    sorted distinct positives in [0, num_items), the pool has
+    `size = num_items - len(seen)` items and its idx-th item is
+    `idx + bisect_right(gaps, idx)` for `gaps[r] = seen[r] - r`, the number
+    of unobserved ids below `seen[r]`. numpy's `rng.choice(pool, ...)`
+    draws `rng.choice(len(pool), ...)` and indexes the pool with it, so the
+    indices drawn here consume the same stream and pick the same items.
+    """
     out = []
     for pos_all, pos_split in zip(all_positives, split_positives):
-        pool = unobserved_items(pos_all, num_items)
-        want = min(len(pos_split), len(pool))
+        seen = sorted({i for i in pos_all if 0 <= i < num_items})
+        size = num_items - len(seen)
+        want = min(len(pos_split), size)
         if want == 0:
             out.append([])
             continue
-        out.append(sorted(int(i) for i in rng.choice(pool, size=want, replace=False)))
+        gaps = [item - rank for rank, item in enumerate(seen)]
+        idx = rng.choice(size, size=want, replace=False).tolist()
+        out.append(sorted(i + bisect_right(gaps, i) for i in idx))
     return out
 
 
@@ -164,13 +177,13 @@ def generate_synthetic(cfg: ExperimentConfig, rng: np.random.Generator) -> Datas
     kg = build_kg(triples, num_entities=m + a, num_relations=cfg.relations)
 
     items_by_attr = [np.flatnonzero(item_attr == x) for x in range(a)]
-    populated = [x for x in range(a) if len(items_by_attr[x])]
+    populated = np.flatnonzero(np.bincount(item_attr, minlength=a))
     truth = np.zeros((cfg.users, a), dtype=bool)
     positives: list[list[int]] = []
     for _ in range(cfg.users):
         prefs = rng.choice(populated, size=min(cfg.prefs_per_user, len(populated)),
                            replace=False)
-        preferred = np.concatenate([items_by_attr[x] for x in prefs])
+        preferred = np.concatenate([items_by_attr[x] for x in prefs]).tolist()
         chosen: set[int] = set()
         attempts = 0
         cap = 50 * cfg.interactions_per_user
@@ -179,7 +192,7 @@ def generate_synthetic(cfg: ExperimentConfig, rng: np.random.Generator) -> Datas
             if cfg.noise > 0 and rng.random() < cfg.noise:
                 chosen.add(int(rng.integers(0, m)))
             else:
-                chosen.add(int(preferred[rng.integers(0, len(preferred))]))
+                chosen.add(preferred[rng.integers(0, len(preferred))])
             if cfg.noise == 0.0 and len(chosen) >= len(preferred):
                 break
         user = len(positives)

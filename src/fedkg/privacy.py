@@ -33,10 +33,10 @@ class DpConfig:
     pseudo_count: int | None = None  # None: parity with the interaction count
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("clip threshold delta must be > 0")
-        if self.lam < 0:
-            raise ValueError("laplace scale lambda must be >= 0")
+        if not self.delta > 0:  # inf: no clipping
+            raise ValueError(f"delta: clip threshold must be > 0, got {self.delta}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam: laplace scale must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.flip_rate < 0.5:
             raise ValueError("flip rate q must be in [0, 0.5)")
         if self.pseudo_count is not None and self.pseudo_count < 0:

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fedkg.cli import build_dataset
 from fedkg.config import ExperimentConfig
 from fedkg.data import (DataFormatError, generate_synthetic, load_dataset, load_ratings,
                         sample_eval_negatives, save_ratings_file, split)
@@ -146,16 +149,40 @@ def test_eval_negatives_match_setdiff1d_reference():
                        if want else [])
         return out
 
+    def check(case, num_items, all_pos, split_pos):
+        rng_a, rng_b = derive_rng(case, 0), derive_rng(case, 0)
+        assert sample_eval_negatives(num_items, all_pos, split_pos, rng_a) == \
+            reference(num_items, all_pos, split_pos, rng_b), case
+        assert rng_a.random() == rng_b.random(), case
+
     gen = np.random.default_rng(8)
     for case in range(50):
         num_items = int(gen.integers(1, 40))
         all_pos = [sorted({int(i) for i in gen.integers(0, num_items, size=gen.integers(0, 12))})
                    for _ in range(6)]
         split_pos = [p[:int(gen.integers(0, len(p) + 1))] for p in all_pos]
-        rng_a, rng_b = derive_rng(case, 0), derive_rng(case, 0)
-        assert sample_eval_negatives(num_items, all_pos, split_pos, rng_a) == \
-            reference(num_items, all_pos, split_pos, rng_b), case
-        assert rng_a.random() == rng_b.random(), case
+        check(case, num_items, all_pos, split_pos)
+    # unsorted positives with duplicates and ids outside [0, num_items)
+    for case in range(50, 100):
+        num_items = int(gen.integers(1, 40))
+        all_pos = [[int(i) for i in gen.integers(-5, num_items + 5, size=gen.integers(0, 16))]
+                   for _ in range(6)]
+        split_pos = [p[:int(gen.integers(0, len(p) + 1))] for p in all_pos]
+        check(case, num_items, all_pos, split_pos)
+    # pools smaller than the split (clamped) and empty pools
+    check(100, 6, [[0, 1, 2, 3, 4], [5, 4, 3, 2, 1, 0], [0, 1, 2, 3]],
+          [[0, 1, 2], [0, 1, 2], [0, 1, 2, 3]])
+    check(101, 3, [[0, 0, 1, 2, 7], [-1, 2, 2]], [[0, 1], [2, 2, 2]])
+    # pools above 10,000 items: numpy's choice runs Floyd's algorithm up to a
+    # fiftieth of the pool and a tail shuffle above it (the last two straddle that)
+    for case, (num_items, n_all, n_split) in enumerate(
+            [(12_000, 50, 30), (12_000, 600, 300), (20_000, 900, 900),
+             (15_300, 300, 300), (15_301, 301, 301)],
+            start=102):
+        all_pos = [sorted(int(i) for i in gen.choice(num_items, size=n_all, replace=False))
+                   for _ in range(3)]
+        split_pos = [p[:n_split] for p in all_pos]
+        check(case, num_items, all_pos, split_pos)
 
 
 def test_synthetic_structure_and_planted_signal():
@@ -222,3 +249,35 @@ def test_file_dataset_split_reproducible(tmp_path):
     b = load_dataset(str(ratings_path), str(kg_path), 0.0, derive_rng(13, 0))
     assert a.train == b.train and a.valid == b.valid and a.test == b.test
     assert a.test_neg == b.test_neg
+
+
+def dataset_sha256(ds):
+    """SHA-256 over every list and array a synthetic Dataset carries."""
+    h = hashlib.sha256()
+    for name in ("train", "valid", "test", "train_neg", "valid_neg", "test_neg"):
+        h.update(json.dumps(getattr(ds, name)).encode())
+    for arr in (ds.triples, ds.truth_prefs):
+        h.update(f"{arr.dtype}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of build_dataset at seed 7 over splits, evaluation negatives, triples
+# and planted preferences: the scale benchmark's shape, the noise-free
+# generator (whose loop stops once a user's preferred items run out), and a
+# catalogue barely larger than a user's interactions, so negative lists clamp
+# to the pool. A change that moves these bytes must update them and say why.
+PINNED_DATASET_SHA256 = {
+    "scale": (dict(users=2000, items=2000, attributes=100),
+              "426fe73f47436a2557036cba84c511dba395f605742c7305e1cbb7b253d53afc"),
+    "noise-free": (dict(noise=0.0),
+                   "2f5cb6d70e6feda24c936df462c6fb028fe89d201cd59df94accf786d27531bc"),
+    "clamped": (dict(users=60, items=20, attributes=4),
+                "8e81ef53b259ce1c10b05613ab527a054b722a2f6c23ecfe9c1336c36e84e4ff"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATASET_SHA256))
+def test_build_dataset_outputs_pinned(name):
+    overrides, digest = PINNED_DATASET_SHA256[name]
+    assert dataset_sha256(build_dataset(ExperimentConfig(**overrides))) == digest

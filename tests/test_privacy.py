@@ -100,6 +100,19 @@ def test_flip_rate_validation():
         DpConfig(flip_rate=-0.1)
 
 
+@pytest.mark.parametrize("field,value", [("delta", math.nan), ("lam", math.nan),
+                                         ("lam", math.inf)])
+def test_laplace_settings_reject_nan_and_infinite_scale(field, value):
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        DpConfig(**{field: value})
+
+
+def test_infinite_clip_threshold_means_no_clipping():
+    cfg = DpConfig(delta=math.inf, lam=0.0, flip_rate=0.0, pseudo_count=0)
+    out = ldp_encrypt(_packet(entity={3: [1e9, -1e9]}), cfg, derive_rng(7, 0))
+    assert out.entity_grads.entries[3].tolist() == [1e9, -1e9]
+
+
 # --- gradient LDP -----------------------------------------------------------
 
 def test_clip_only_examples():
