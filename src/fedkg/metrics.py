@@ -2,7 +2,7 @@
 
 AUC is the Mann-Whitney statistic (ties count one half), pooled over all
 (user, item) evaluation pairs; Recall@K averages per user over every item
-but the user's positives in the other two splits.
+but the user's positives in the other two splits, by each positive's rank.
 
 As KGCN evaluates on one fixed sampled adjacency, an evaluation pass (an
 evaluate_ctr call, or the Recall@K part of evaluate_report, on the same
@@ -13,14 +13,14 @@ user with more is a block alone), and a user's scores are bitwise those of
 the field restricted to its candidates. The Recall@K pass scores all items
 for BLOCK_PAIRS // items users at a time (`model.field_scorer`, whose hop 1
 costs M <= min(K, R) relation-slot passes per block, M the most distinct
-relations a center drew, not R), excludes the block's other-split
-positives in one step and ranks the block's rows together.
+relations a center drew, not R), sets the block's other-split positives
+to -inf in one assignment and compares each held-out positive with its row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -93,30 +93,30 @@ def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
                        positives, ks: list[int]):
     """Top-K recall given precomputed candidate scores; ties break by item id.
 
-    (U, n) scores give one dict per row u, against the set positives[u].
-    All rows are ranked at once: one partition finds each row's max(ks)
-    best, and one stable sort by -score orders them, taken in id order.
-    Only a row whose ties straddle that cut (or whose cut is NaN, which
-    ranks last) is ranked alone, to keep the lowest ids among the ties."""
+    (U, n) scores give one dict per row u, against the non-empty set positives[u];
+    candidate ids must not repeat. A positive's rank is the number of candidates
+    ahead of it in the order (-score, item id), NaN scores last, and recall@k is
+    the share of positives ranked below k. All rows' positives are counted at once."""
     candidates = np.asarray(candidates, dtype=np.int64)
-    by_id = np.argsort(candidates, kind="stable")
-    ranked, keys = candidates[by_id], -np.take(np.atleast_2d(scores), by_id, axis=1)
-    top = min(max(ks, default=0), len(candidates))
-    order = np.empty((len(keys), top), dtype=np.intp)
-    if top:
-        part = np.argpartition(keys, top - 1, axis=1)
-        bound = np.take_along_axis(keys, part[:, top - 1:top], axis=1)
-        chosen = np.sort(part[:, :top], axis=1)  # id order
-        order[:] = np.take_along_axis(chosen, np.argsort(
-            np.take_along_axis(keys, chosen, axis=1), axis=1, kind="stable"), axis=1)
-        for row in np.flatnonzero(np.count_nonzero(keys <= bound, axis=1) != top):
-            near = np.flatnonzero(~(keys[row] > bound[row]))  # NaN keys stay, to sort last
-            order[row] = near[np.argsort(keys[row, near], kind="stable")[:top]]
     one = np.ndim(scores) == 1
-    recs = []
-    for items, pos in zip(ranked[order].tolist(), [positives] if one else positives):
-        found = list(accumulate((i in pos for i in items), initial=0))
-        recs.append({k: found[min(k, top)] / len(pos) for k in ks})
+    scores, positives = np.atleast_2d(scores), [positives] if one else positives
+    sizes = np.array([len(pos) for _, pos in zip(scores, positives, strict=True)], dtype=np.int64)
+    if not sizes.all():
+        raise ValueError(f"row {int(np.argmin(sizes))} has no positives")
+    by_id = np.argsort(candidates)
+    if np.any(np.diff(candidates[by_id]) == 0):
+        raise ValueError("candidate ids repeat")
+    items = np.fromiter(chain.from_iterable(positives), np.int64, int(sizes.sum()))
+    at, end = (np.searchsorted(candidates, items, side, by_id) for side in ("left", "right"))
+    rows, cols = np.repeat(np.arange(len(sizes)), sizes)[end > at], by_id[at[end > at]]
+    row, own = scores[rows], scores[rows, cols][:, None]
+    ranks = (row > own).sum(axis=1)  # a floor: ties, and a NaN score, can only raise it
+    near = ranks < max(ks, default=0)  # only a floor below the largest K needs them resolved
+    row, own, earlier = row[near], own[near], candidates < candidates[cols[near], None]
+    ranks[near] = np.where(np.isnan(own), (row == row) | earlier,  # NaNs rank below numbers
+                           (row > own) | (row == own) & earlier).sum(axis=1)
+    found = np.array([np.bincount(rows[ranks < k], minlength=len(sizes)) for k in ks]).T
+    recs = [dict(zip(ks, rec)) for rec in (found / sizes[:, None]).tolist()]
     return recs[0] if one else recs
 
 
@@ -173,8 +173,7 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
                     counts[s:e])
         for s, e in _user_blocks(counts)])
     return MetricReport(auc=auc(scores, labels), f1=f1(scores, labels),
-                        users_evaluated=len(users),
-                        positives=int(labels.sum()),
+                        users_evaluated=len(users), positives=int(labels.sum()),
                         negatives=int(len(labels) - labels.sum()))
 
 
@@ -182,11 +181,12 @@ def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int]
                 ks: list[int], split: str = "test") -> list[dict[int, float]]:
     """Recall@K of a block of users over every item but their other splits' positives."""
     scores = scorer(user_emb[users])
-    seen = [dataset.split_of(name)[0] for name in ("train", "valid", "test") if name != split]
-    rows = [(row, item) for row, user in enumerate(users) for pos in seen for item in pos[user]]
-    scores[tuple(np.array(rows, dtype=np.intp).reshape(-1, 2).T)] = -np.inf
-    positives = [set(dataset.split_of(split)[0][user]) for user in users]
-    return recall_from_scores(scores, np.arange(dataset.num_items), positives, ks)
+    lists = {name: dataset.split_of(name)[0] for name in ("train", "valid", "test")}
+    other = [lists[name][user] for name in lists if name != split for user in users]
+    rows = np.repeat(np.arange(len(other)) % len(users), [len(items) for items in other])
+    scores[rows, np.fromiter(chain.from_iterable(other), np.intp, len(rows))] = -np.inf
+    return recall_from_scores(scores, np.arange(dataset.num_items),
+                              [set(lists[split][user]) for user in users], ks)
 
 
 def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,

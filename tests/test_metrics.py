@@ -203,6 +203,46 @@ def test_block_ranking_matches_loop_reference_bitwise():
     assert straddled > 50  # ties across the top-th key took the per-row path
 
 
+@pytest.mark.parametrize("rows,n", [(1, 5000), (64, 300)])
+def test_wide_ranking_matches_loop_reference_bitwise(rows, n):
+    rng = derive_rng(8, rows)
+    scores = rng.integers(0, 40, (rows, n)) / 39.0  # 40 values: long runs of ties
+    special = rng.random((rows, n))
+    scores[special < 0.05] = np.nan
+    scores[(special >= 0.05) & (special < 0.1)] = -np.inf
+    candidates = rng.permutation(3 * n)[:n]  # ids neither arange nor in id order
+    positives = [{int(p) for p in rng.choice(3 * n, int(rng.integers(1, 120)), replace=False)}
+                 for _ in range(rows)]  # about two in three are not candidates
+    positives[0] |= {int(candidates[0]), int(candidates[1]), 3 * n}
+    scores[0, :2] = np.nan, -np.inf  # positives scored NaN and -inf
+    keys = np.sort(-scores, axis=1)  # NaN last
+    assert all(np.any(keys[:, k - 1] == keys[:, k]) for k in (1, 10, 50, 200))  # K-th ties
+    for ks in ([1, 10, 50, 200], [1, 10, 50, 200, n + 7]):
+        want = [loop_recall(row, candidates.tolist(), pos, ks)
+                for row, pos in zip(scores, positives)]
+        assert recall_from_scores(scores, candidates, positives, ks) == want, ks
+
+
+def test_recall_rejects_an_empty_positive_set():
+    with pytest.raises(ValueError, match="row 0"):
+        recall_from_scores(np.array([0.5, 0.2]), [1, 2], set(), [1])
+    with pytest.raises(ValueError, match="row 2"):
+        recall_from_scores(np.zeros((3, 2)), [1, 2], [{1}, {2}, set()], [1])
+
+
+def test_recall_rejects_score_rows_without_one_positive_set_each():
+    for sets in ([{1}, {2}], [{1}, {2}, {1}, {2}]):  # 3 score rows
+        with pytest.raises(ValueError):
+            recall_from_scores(np.zeros((3, 2)), [1, 2], sets, [1])
+
+
+def test_recall_rejects_repeated_candidate_ids():
+    with pytest.raises(ValueError, match="repeat"):
+        recall_from_scores(np.array([0.5, 0.2]), [1, 1], {1}, [2])
+    with pytest.raises(ValueError, match="repeat"):  # a repeat among non-positives too
+        recall_from_scores(np.zeros((1, 4)), [9, 3, 5, 3], [{9}], [2])
+
+
 # --- model-driven evaluation ---------------------------------------------------
 
 def test_evaluate_ctr_untrained_near_chance():
