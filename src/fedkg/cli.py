@@ -12,12 +12,13 @@ import numpy as np
 
 from . import data as data_mod
 from .client import ClientState
-from .config import ConfigError, ExperimentConfig, config_echo, parse_config_file
+from .config import (ConfigError, ExperimentConfig, _parse_value, check, config_echo,
+                     parse_config_file)
 from .gradcheck import run_gradient_check
 from .kg import save_kg_file
 from .metrics import evaluate_report
 from .params import ParameterState, init_params, load_checkpoint, save_checkpoint
-from .privacy import DpConfig
+from .privacy import DpConfig, pseudo_count
 from .rng import ROLE_DATA, ROLE_PARAMS, ROLE_USERS, derive_rng
 from .server import RoundConfig, train
 
@@ -65,7 +66,7 @@ def _check_negative_pools(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> N
     for user, items in enumerate(dataset.train):
         positives = set(items)
         pool = dataset.num_items - sum(0 <= i < dataset.num_items for i in positives)
-        pseudo = len(positives) if cfg.pseudo_items is None else cfg.pseudo_items
+        pseudo = pseudo_count(positives, cfg.pseudo_items)
         if pool < pseudo:
             raise ConfigError(f"pseudo_items: user {user} needs {pseudo} pseudo items but "
                               f"has only {pool} unobserved items")
@@ -166,8 +167,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    from .config import _parse_value  # same coercion rules as the file parser
-
     overrides: dict = {}
     if args.config:
         overrides.update(parse_config_file(args.config))
@@ -208,22 +207,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return run_experiment(_config_from_args(args))
         if args.command == "evaluate":
-            try:
-                ks = [int(p) for p in args.recall_ks.replace(",", " ").split()]
-            except ValueError as exc:
+            try:  # the same coercion and bound as the recall_ks key
+                ks = _parse_value("recall_ks", args.recall_ks)
+            except ConfigError as exc:
                 raise ConfigError(f"--recall-ks: {exc}") from exc
-            if not ks:
-                raise ConfigError("--recall-ks must name at least one K")
-            if any(k < 1 for k in ks):
-                raise ConfigError("--recall-ks values (K) must all be >= 1")
-            return run_evaluate(args.checkpoint, args.split, ks, args.out)
+            check("recall_ks", ks, name="--recall-ks")
+            return run_evaluate(args.checkpoint, args.split, list(ks), args.out)
         if args.command == "synth":
             return run_synth(_config_from_args(args), args.dataset_dir)
         if args.command == "gradcheck":
             if args.instances < 1:
                 raise ConfigError("--instances must be >= 1")
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
+            check("seed", args.seed, name="--seed")
             for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
                 if not (np.isfinite(value) and value > 0):
                     raise ConfigError(f"{flag} must be a finite number > 0, got {value}")

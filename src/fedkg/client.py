@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check
 from .messages import RequestMessage, SubgraphResponse
 from .model import BatchGradient, LocalGraph, ModelParams, as_batch, backward
 from .privacy import DpConfig, RequestPlan, generate_request_items
@@ -65,8 +66,7 @@ def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
     covers every client, each stepping its own user, rows and model, and
     the result is one packet per client in batch order.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    check("epochs", epochs)
     if isinstance(graph, LocalGraph):
         return local_train([state], *as_batch(graph, model), eta, epochs)[0]
     states, batch = state, graph

@@ -1,14 +1,14 @@
 """Experiment configuration: flat key=value files with CLI overrides.
 
 Every hyperparameter of the round loop appears here; the config template
-in the README annotates each key with its conventional symbol.
+in the README annotates each key with its conventional symbol and its BOUNDS text.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import get_args, get_origin, get_type_hints
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -57,43 +57,16 @@ class ExperimentConfig:
     checkpoint_every: int = 0  # 0: only at the end
 
     def validate(self) -> None:
-        checks = [
-            (self.embed_dim >= 1, "embed_dim (d) must be >= 1"),
-            (self.depth >= 0, "depth (H) must be >= 0"),
-            (0.0 <= self.flip_rate < 0.5, "flip_rate (q) must be in [0, 0.5)"),
-            (math.isfinite(self.eta) and self.eta > 0, "eta must be finite and > 0"),
-            (self.sample_size >= 1, "sample_size (K) must be >= 1"),
-            (self.clients_per_round >= 1, "clients_per_round must be >= 1"),
-            (self.clip_threshold > 0, "clip_threshold (delta) must be > 0"),
-            (math.isfinite(self.noise_scale) and self.noise_scale >= 0,
-             "noise_scale (lambda) must be finite and >= 0"),
-            (self.epochs >= 1, "epochs must be >= 1"),
-            (self.max_rounds >= 0, "max_rounds must be >= 0"),
-            (self.eval_every >= 0, "eval_every must be >= 0 (0: no validation)"),
-            (self.patience >= 1, "patience must be >= 1"),
-            (self.checkpoint_every >= 0, "checkpoint_every must be >= 0 (0: only at the end)"),
-            (len(self.recall_ks) > 0, "recall_ks must name at least one K"),
-            (all(k >= 1 for k in self.recall_ks), "recall_ks (K) must all be >= 1"),
-            (self.seed >= 0, "seed must be >= 0"),
-            (self.workers >= 1, "workers must be >= 1"),
-            (self.mode in ("replace", "transform"), "mode must be replace or transform"),
-            (self.transport in ("memory", "json"), "transport must be memory or json"),
-            (self.pseudo_items is None or self.pseudo_items >= 0,
-             "pseudo_items must be >= 0 (or unset for parity)"),
-        ]
+        """ConfigError for a key outside its BOUNDS, then for data files unfit for `synthetic`."""
+        for key in BOUNDS:
+            if self.synthetic or key not in _SYNTHETIC_BOUNDS:
+                check(key, getattr(self, key))
         if self.synthetic:
-            checks += [(getattr(self, key) >= 1, f"{key} must be >= 1")
-                       for key in ("users", "items", "attributes", "relations",
-                                   "interactions_per_user", "prefs_per_user")]
-            checks.append((0.0 <= self.noise <= 1.0, "noise must be in [0, 1]"))
-            checks += [(not getattr(self, key), f"{key} is read only with synthetic = false")
-                       for key in ("ratings_file", "kg_file")]
-        else:
-            checks.append((bool(self.ratings_file) and bool(self.kg_file),
-                           "file datasets need both ratings_file and kg_file"))
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+            for key in ("ratings_file", "kg_file"):
+                if getattr(self, key):
+                    raise ConfigError(f"{key} is read only with synthetic = false")
+        elif not (self.ratings_file and self.kg_file):
+            raise ConfigError("file datasets need both ratings_file and kg_file")
 
     def to_dict(self) -> dict:
         out = {}
@@ -120,6 +93,42 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
+# Each key's one bound, (predicate, bound text): every entry point that takes the
+# key, or its RoundConfig / DpConfig / ModelParams counterpart, checks it here.
+_AT_LEAST_1 = ((lambda value: value >= 1), ">= 1")
+_AT_LEAST_0 = ((lambda value: value >= 0), ">= 0")
+_SYNTHETIC_BOUNDS = {  # checked only with synthetic = true
+    **dict.fromkeys(("users", "items", "attributes", "relations", "interactions_per_user",
+                     "prefs_per_user"), _AT_LEAST_1),
+    "noise": ((lambda value: 0.0 <= value <= 1.0), "in [0, 1]"),
+}
+BOUNDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    **_SYNTHETIC_BOUNDS,
+    **dict.fromkeys(("sample_size", "embed_dim", "clients_per_round", "epochs", "patience",
+                     "workers"), _AT_LEAST_1),
+    **dict.fromkeys(("depth", "max_rounds", "eval_every", "seed", "checkpoint_every"),
+                    _AT_LEAST_0),
+    "eta": ((lambda value: math.isfinite(value) and value > 0), "finite and > 0"),
+    "pseudo_items": ((lambda value: value is None or value >= 0), ">= 0 or parity"),
+    "flip_rate": ((lambda value: 0.0 <= value < 0.5), "in [0, 0.5)"),
+    "clip_threshold": ((lambda value: value > 0), "> 0"),  # inf: no clipping
+    "noise_scale": ((lambda value: math.isfinite(value) and value >= 0), "finite and >= 0"),
+    "mode": ((lambda value: value in ("replace", "transform")), "replace or transform"),
+    "recall_ks": ((lambda value: len(value) > 0 and all(k >= 1 for k in value)),
+                  "one or more K, each >= 1"),
+    "transport": ((lambda value: value in ("memory", "json")), "memory or json"),
+}
+
+
+def check(key: str, value, name: str | None = None) -> None:
+    """ConfigError `[name: ]key must be <bound>, got <value>` unless `value` is
+    within `key`'s BOUNDS; `name` is a flag or field that carries the key's value."""
+    ok, bound = BOUNDS[key]
+    if not ok(value):
+        prefix = f"{name}: " if name else ""
+        raise ConfigError(f"{prefix}{key} must be {bound}, got {value!r}")
 
 
 def _is_of(kind, value) -> bool:

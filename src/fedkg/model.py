@@ -51,6 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .config import check
 from .kg import Layer, Subgraph
 
 PROB_CLAMP = 1e-7
@@ -65,8 +66,7 @@ class ModelParams:
     biases: list[np.ndarray]  # depth entries, each (d,); (B, d) in a batch
 
     def __post_init__(self):
-        if self.mode not in ("replace", "transform"):
-            raise ValueError(f"unknown aggregation mode {self.mode!r}")
+        check("mode", self.mode)
         if len(self.weights) != len(self.biases):
             raise ValueError("weights/biases layer count mismatch")
 

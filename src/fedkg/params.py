@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import check
 from .model import ModelParams, SparseGrad, init_model_params
 
 if TYPE_CHECKING:
@@ -40,8 +41,9 @@ def init_params(num_entities: int, num_relations: int, dim: int,
                 rng: np.random.Generator, depth: int = 1,
                 mode: str = "transform") -> ParameterState:
     """Embeddings i.i.d. uniform on [-1/sqrt(d), +1/sqrt(d)]; model per init_model_params."""
-    if num_entities < 1 or num_relations < 1 or dim < 1:
-        raise ValueError("counts and dim must be >= 1")
+    check("embed_dim", dim, name="dim")
+    if num_entities < 1 or num_relations < 1:
+        raise ValueError("entity and relation counts must be >= 1")
     bound = 1.0 / np.sqrt(dim)
     entity = rng.uniform(-bound, bound, size=(num_entities, dim))
     relation = rng.uniform(-bound, bound, size=(num_relations, dim))

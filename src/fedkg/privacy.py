@@ -20,12 +20,16 @@ from itertools import accumulate
 
 import numpy as np
 
+from .config import check
 from .model import GradientPacket, SparseGrad
 
 
 @dataclass
 class DpConfig:
-    """Privacy knobs: clip threshold, Laplace scale, flip rate, pseudo-item count."""
+    """Privacy knobs: clip threshold, Laplace scale, flip rate, pseudo-item count.
+
+    A field outside its config key's bound in `config.BOUNDS` raises ConfigError
+    (a ValueError) naming the field first: `delta: clip_threshold must be > 0, got nan`."""
 
     delta: float = 0.5
     lam: float = 1e-4
@@ -33,14 +37,9 @@ class DpConfig:
     pseudo_count: int | None = None  # None: parity with the interaction count
 
     def __post_init__(self):
-        if not self.delta > 0:  # inf: no clipping
-            raise ValueError(f"delta: clip threshold must be > 0, got {self.delta}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam: laplace scale must be finite and >= 0, got {self.lam}")
-        if not 0.0 <= self.flip_rate < 0.5:
-            raise ValueError("flip rate q must be in [0, 0.5)")
-        if self.pseudo_count is not None and self.pseudo_count < 0:
-            raise ValueError("pseudo item count must be >= 0")
+        for name, key in (("delta", "clip_threshold"), ("lam", "noise_scale"),
+                          ("flip_rate", "flip_rate"), ("pseudo_count", "pseudo_items")):
+            check(key, getattr(self, name), name=name)
 
 
 @dataclass
@@ -55,6 +54,11 @@ class NegativePoolError(ValueError):
     """Not enough non-interacted items to mix in the configured pseudo count."""
 
 
+def pseudo_count(interactions: set[int], pseudo_count: int | None) -> int:
+    """Pseudo items a request mixes in: `pseudo_count`, or one per interaction when unset."""
+    return len(interactions) if pseudo_count is None else pseudo_count
+
+
 def generate_request_items(interactions: set[int], negatives: list[int] | np.ndarray,
                            config: DpConfig, rng: np.random.Generator) -> RequestPlan:
     """Mix pseudo items into the interaction set and flip labels independently.
@@ -64,7 +68,7 @@ def generate_request_items(interactions: set[int], negatives: list[int] | np.nda
     probability flip_rate, and the combined list is shuffled so order leaks
     nothing.
     """
-    pseudo = len(interactions) if config.pseudo_count is None else config.pseudo_count
+    pseudo = pseudo_count(interactions, config.pseudo_count)
     if len(negatives) < pseudo:
         raise NegativePoolError(
             f"need {pseudo} pseudo items but only {len(negatives)} negatives available")

@@ -26,13 +26,13 @@ per-id sum.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .client import ClientState, build_request, local_train, merge_graphs
+from .config import check
 from .data import unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
@@ -54,10 +54,8 @@ class UploadError(ValueError):
 class RoundConfig:
     """Hyperparameters of one federated round.
 
-    Construction raises a ValueError naming the field for a round that
-    cannot run: sample_size, clients_per_round, epochs or workers below 1,
-    a negative depth, an eta that is not finite and > 0, or a transport
-    other than memory or json.
+    Construction raises a ConfigError (a ValueError) naming the first field
+    outside its key's bound in `config.BOUNDS`, with `validate()`'s text.
     """
 
     sample_size: int  # neighbor samples per entity (K)
@@ -72,16 +70,9 @@ class RoundConfig:
     transport: str = "memory"  # "memory" | "json" (serialize server-bound messages)
 
     def __post_init__(self):
-        for name, ok, bound in (
-                ("sample_size", self.sample_size >= 1, ">= 1"),
-                ("depth", self.depth >= 0, ">= 0"),
-                ("eta", math.isfinite(self.eta) and self.eta > 0, "finite and > 0"),
-                ("clients_per_round", self.clients_per_round >= 1, ">= 1"),
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("workers", self.workers >= 1, ">= 1"),
-                ("transport", self.transport in ("memory", "json"), "memory or json")):
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        for key in ("sample_size", "depth", "eta", "clients_per_round", "epochs", "seed",
+                    "workers", "transport"):
+            check(key, getattr(self, key))
 
 
 @dataclass
@@ -287,10 +278,8 @@ def train(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState]
     """
     from .metrics import evaluate_ctr  # local import: metrics layers on top
 
-    if eval_every < 0:
-        raise ValueError("eval_every must be >= 0 (0: no validation)")
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
+    check("eval_every", eval_every)
+    check("patience", patience)
     history: list[dict] = []
     best_auc = -np.inf
     stale = 0

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import os
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,8 +12,13 @@ import pytest
 
 from fedkg import cli
 from fedkg.cli import main, run_experiment
-from fedkg.config import ConfigError, ExperimentConfig, config_echo, parse_config_file
+from fedkg.client import ClientState, local_train
+from fedkg.config import BOUNDS, ConfigError, ExperimentConfig, config_echo, parse_config_file
+from fedkg.gradcheck import random_instance
+from fedkg.model import ModelParams
 from fedkg.params import init_params, save_checkpoint
+from fedkg.privacy import DpConfig
+from fedkg.server import RoundConfig, train
 
 
 def _tiny_train_args(out_dir, **extra):
@@ -154,6 +161,51 @@ def test_empty_recall_ks_rejected(tmp_path, capsys):
         assert err.startswith("error:") and "recall-ks" in err
 
 
+_ROUND = dict(sample_size=1, depth=0, eta=1.0, clients_per_round=1, dp=DpConfig(), num_items=1)
+_DP_FIELDS = {"clip_threshold": "delta", "noise_scale": "lam", "flip_rate": "flip_rate",
+              "pseudo_items": "pseudo_count"}
+
+
+def _local_train(epochs):
+    graph, model = random_instance(0)
+    local_train(ClientState(0, graph.user.copy(), set()), graph, model, 0.1, epochs)
+
+
+_ENTRY_POINTS = {
+    "RoundConfig": lambda key, value: RoundConfig(**{**_ROUND, key: value}),
+    "DpConfig": lambda key, value: DpConfig(**{_DP_FIELDS[key]: value}),
+    "ModelParams": lambda key, value: ModelParams(value, [], []),
+    "local_train": lambda key, value: _local_train(value),
+    # max_rounds = 0: train checks its schedule and runs no round
+    "train": lambda key, value: train(None, None, [], None, None, None, max_rounds=0,
+                                      **{key: value}),
+}
+_TINY = math.nextafter(0.0, 1.0)
+
+
+@pytest.mark.parametrize("entry, key, edge, outside", [
+    ("RoundConfig", "sample_size", 1, 0), ("RoundConfig", "depth", 0, -1),
+    ("RoundConfig", "eta", _TINY, 0.0), ("RoundConfig", "eta", sys.float_info.max, math.inf),
+    ("RoundConfig", "clients_per_round", 1, 0), ("RoundConfig", "epochs", 1, 0),
+    ("RoundConfig", "seed", 0, -1), ("RoundConfig", "workers", 1, 0),
+    ("RoundConfig", "transport", "json", "JSON"),
+    ("DpConfig", "clip_threshold", _TINY, 0.0), ("DpConfig", "noise_scale", 0.0, -_TINY),
+    ("DpConfig", "noise_scale", sys.float_info.max, math.inf),
+    ("DpConfig", "flip_rate", 0.0, -_TINY), ("DpConfig", "flip_rate", math.nextafter(0.5, 0), 0.5),
+    ("DpConfig", "pseudo_items", 0, -1), ("ModelParams", "mode", "replace", "Replace"),
+    ("local_train", "epochs", 1, 0), ("train", "eval_every", 0, -1), ("train", "patience", 1, 0)])
+def test_entry_points_agree_with_validate_on_each_bound(entry, key, edge, outside):
+    # each entry point that shares a key with ExperimentConfig draws the line where
+    # validate() does: the edge value passes both, the next value out fails both
+    ExperimentConfig(**{key: edge}).validate()
+    _ENTRY_POINTS[entry](key, edge)
+    message = f"{key} must be {re.escape(BOUNDS[key][1])}, got"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{key: outside}).validate()
+    with pytest.raises(ConfigError, match=message):
+        _ENTRY_POINTS[entry](key, outside)
+
+
 @pytest.mark.parametrize("key, value", [
     ("users", 0), ("items", 0), ("attributes", 0), ("relations", 0),
     ("interactions_per_user", 0), ("prefs_per_user", 0), ("noise", -0.1), ("noise", 1.5)])
@@ -277,6 +329,17 @@ def test_readme_config_template_covers_every_key(tmp_path):
     path = tmp_path / "template.cfg"
     path.write_text(text)
     assert sorted(parse_config_file(str(path))) == sorted(f.name for f in fields(ExperimentConfig))
+    # each bounded key's comment, continuation lines included, quotes its BOUNDS text
+    comments, key = {}, None
+    for line in text.splitlines():
+        if match := re.match(r"(\w+) = [^#]*#?(.*)", line):
+            key, comments[match[1]] = match[1], match[2]
+        elif key and re.match(r"\s+#", line):
+            comments[key] += " " + line.split("#", 1)[1].strip()
+        else:
+            key = None
+    for key, (_, bound) in BOUNDS.items():
+        assert bound in comments[key], (key, bound)
 
 
 def test_synth_files_are_loadable_for_training(tmp_path):

@@ -550,7 +550,7 @@ def test_json_transport_matches_memory_bitwise():
                                           ("epochs", 0), ("sample_size", 0),
                                           ("clients_per_round", 0), ("depth", -1),
                                           ("eta", 0.0), ("eta", -1.0), ("eta", float("nan")),
-                                          ("eta", float("inf"))])
+                                          ("eta", float("inf")), ("seed", -1)])
 def test_round_config_rejects_workers_and_transport_outside_bounds(field, value):
     cfg, dataset, *_ = _small_federation()
     with pytest.raises(ValueError, match=field):
