@@ -18,7 +18,7 @@ from .gradcheck import run_gradient_check
 from .kg import save_kg_file
 from .metrics import evaluate_report
 from .params import ParameterState, init_params, load_checkpoint, save_checkpoint
-from .privacy import DpConfig, pseudo_count
+from .privacy import DpConfig, NegativePoolError, pseudo_count
 from .rng import ROLE_DATA, ROLE_PARAMS, ROLE_USERS, derive_rng
 from .server import RoundConfig, train
 
@@ -57,19 +57,14 @@ def round_config(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> RoundConfi
 
 
 def _check_negative_pools(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> None:
-    """ConfigError unless every user has at least its pseudo count of unobserved items.
-
-    The pool is `num_items` minus the user's in-range train positives; the
-    count is `pseudo_items`, or the number of train positives when unset.
-    A round raises NegativePoolError on any selected user that fails this.
-    """
+    """ConfigError, with a round's NegativePoolError text, unless every user's round
+    pool (`unobserved_items` of its train positives) holds its pseudo count."""
     for user, items in enumerate(dataset.train):
-        positives = set(items)
-        pool = dataset.num_items - sum(0 <= i < dataset.num_items for i in positives)
-        pseudo = pseudo_count(positives, cfg.pseudo_items)
-        if pool < pseudo:
-            raise ConfigError(f"pseudo_items: user {user} needs {pseudo} pseudo items but "
-                              f"has only {pool} unobserved items")
+        try:
+            pseudo_count(set(items), cfg.pseudo_items,
+                         len(data_mod.unobserved_items(items, dataset.num_items)))
+        except NegativePoolError as exc:
+            raise ConfigError(f"pseudo_items: user {user} {exc}") from exc
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -149,12 +144,13 @@ def run_evaluate(checkpoint: str, split: str, ks: list[int], out: str | None) ->
 
 
 def run_synth(cfg: ExperimentConfig, out_dir: str) -> int:
+    echo = config_echo(cfg)  # its ConfigError comes before any file is written
     dataset = build_dataset(cfg)
     os.makedirs(out_dir, exist_ok=True)
     data_mod.save_ratings_file(os.path.join(out_dir, "ratings.txt"), dataset)
     save_kg_file(os.path.join(out_dir, "kg.txt"), dataset.triples)
     with open(os.path.join(out_dir, "synth_config.txt"), "w") as fh:
-        fh.write(config_echo(cfg))
+        fh.write(echo)
     print(f"wrote ratings.txt, kg.txt, synth_config.txt -> {out_dir}")
     return 0
 

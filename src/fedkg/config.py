@@ -184,10 +184,14 @@ def parse_config_file(path: str) -> dict:
 
 
 def config_echo(config: ExperimentConfig) -> str:
-    """Render the config back out in the flat file format."""
+    """Render the config back out in the flat file format; ConfigError naming the
+    first key whose text would not read back as itself."""
     lines = []
     for f in fields(ExperimentConfig):
         value = getattr(config, f.name)
+        if isinstance(value, str) and (value != value.strip() or any(c in value for c in "#\r\n")):
+            raise ConfigError(f"{f.name}: {value!r} would not read back (a # starts a comment, "
+                              f"a line break a new key; surrounding whitespace is stripped)")
         if value is None:
             value = "parity" if f.name == "pseudo_items" else ""
         elif isinstance(value, tuple):

@@ -6,6 +6,9 @@ probability e^eps / (e^eps + 1)), and gradient protection (per-element
 clip to [-delta, +delta] plus i.i.d. Laplace(0, lambda) noise, budget
 eps = 2*delta/lambda per gradient element).
 
+No bound is stated here: `DpConfig` and both budgets read `config.BOUNDS`
+through `FIELD_KEYS`. `pseudo_count` is the one pool rule, round and CLI alike.
+
 Gradient protection copies every uploaded element into one new buffer,
 clips it in place and adds one Laplace draw of its size. Buffer order:
 entity rows (ids ascending, row-major), relation rows, then each layer's
@@ -24,6 +27,10 @@ from .config import check
 from .model import GradientPacket, SparseGrad
 
 
+FIELD_KEYS = {"delta": "clip_threshold", "lam": "noise_scale", "flip_rate": "flip_rate",
+              "pseudo_count": "pseudo_items"}
+
+
 @dataclass
 class DpConfig:
     """Privacy knobs: clip threshold, Laplace scale, flip rate, pseudo-item count.
@@ -37,8 +44,7 @@ class DpConfig:
     pseudo_count: int | None = None  # None: parity with the interaction count
 
     def __post_init__(self):
-        for name, key in (("delta", "clip_threshold"), ("lam", "noise_scale"),
-                          ("flip_rate", "flip_rate"), ("pseudo_count", "pseudo_items")):
+        for name, key in FIELD_KEYS.items():
             check(key, getattr(self, name), name=name)
 
 
@@ -54,9 +60,13 @@ class NegativePoolError(ValueError):
     """Not enough non-interacted items to mix in the configured pseudo count."""
 
 
-def pseudo_count(interactions: set[int], pseudo_count: int | None) -> int:
-    """Pseudo items a request mixes in: `pseudo_count`, or one per interaction when unset."""
-    return len(interactions) if pseudo_count is None else pseudo_count
+def pseudo_count(interactions: set[int], pseudo_count: int | None, pool: int) -> int:
+    """Pseudo items a request mixes in: `pseudo_count`, or one per interaction when
+    unset; NegativePoolError when `pool` unobserved items cannot fill it."""
+    count = len(interactions) if pseudo_count is None else pseudo_count
+    if pool < count:
+        raise NegativePoolError(f"needs {count} pseudo items but has only {pool} unobserved items")
+    return count
 
 
 def generate_request_items(interactions: set[int], negatives: list[int] | np.ndarray,
@@ -68,10 +78,7 @@ def generate_request_items(interactions: set[int], negatives: list[int] | np.nda
     probability flip_rate, and the combined list is shuffled so order leaks
     nothing.
     """
-    pseudo = pseudo_count(interactions, config.pseudo_count)
-    if len(negatives) < pseudo:
-        raise NegativePoolError(
-            f"need {pseudo} pseudo items but only {len(negatives)} negatives available")
+    pseudo = pseudo_count(interactions, config.pseudo_count, len(negatives))
     pseudo_ids = [int(i) for i in negatives[:pseudo]]
     overlap = set(pseudo_ids) & interactions
     if overlap:
@@ -109,15 +116,12 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
 
 def privacy_budget(delta: float, lam: float) -> float:
     """Gradient-mechanism budget 2*delta/lambda per element; infinite when lambda is 0."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if lam == 0:
-        return math.inf
-    return 2.0 * delta / lam
+    check(FIELD_KEYS["delta"], delta, name="delta")
+    check(FIELD_KEYS["lam"], lam, name="lam")
+    return math.inf if lam == 0 else 2.0 * delta / lam
 
 
 def interaction_budget(flip_rate: float) -> float:
     """Budget implied by a flip rate q: eps = ln((1-q)/q), from keep prob e^eps/(e^eps+1)."""
-    if not 0.0 < flip_rate < 0.5:
-        return math.inf if flip_rate == 0.0 else float("nan")
-    return math.log((1.0 - flip_rate) / flip_rate)
+    check(FIELD_KEYS["flip_rate"], flip_rate, name="flip_rate")
+    return math.inf if flip_rate == 0 else math.log((1.0 - flip_rate) / flip_rate)

@@ -14,10 +14,12 @@ from fedkg import cli
 from fedkg.cli import main, run_experiment
 from fedkg.client import ClientState, local_train
 from fedkg.config import BOUNDS, ConfigError, ExperimentConfig, config_echo, parse_config_file
+from fedkg.data import unobserved_items
 from fedkg.gradcheck import random_instance
 from fedkg.model import ModelParams
 from fedkg.params import init_params, save_checkpoint
-from fedkg.privacy import DpConfig
+from fedkg.privacy import DpConfig, NegativePoolError, generate_request_items
+from fedkg.rng import derive_rng
 from fedkg.server import RoundConfig, train
 
 
@@ -321,6 +323,20 @@ def test_config_echo_parses_back_to_the_same_config(tmp_path):
         assert again == cfg
 
 
+@pytest.mark.parametrize("key, value", [("out_dir", "x\nseed = 3"), ("out_dir", "runs/#1"),
+                                        ("out_dir", "runs/exp\r"), ("kg_file", "kg.txt "),
+                                        ("ratings_file", " ratings.txt")])
+def test_config_echo_rejects_values_that_would_not_parse_back(tmp_path, key, value):
+    cfg = ExperimentConfig(**{key: value})
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        config_echo(cfg)
+    if key == "out_dir" and value == value.strip():  # a flag's value is stripped
+        # synth renders the echo before it writes anything
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", value, "--dataset-dir", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_readme_config_template_covers_every_key(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Configuration", 1)[1].split("```", 2)[1]
@@ -453,12 +469,39 @@ def test_gradcheck_nan_error_is_a_failure():
     assert result.failures == [0, 1] and np.isnan(result.max_rel_err)
 
 
+# two users, each keeping 1 of its 3 positives in train: a round pool of 3 of the 4 items
+_POOL_OF_3 = {"users": 2, "items": 4, "attributes": 2, "interactions_per_user": 3,
+              "clients_per_round": 2, "eval_every": 1}
+
+
+def _flags(settings):
+    return [a for key, value in settings.items()
+            for a in ("--" + key.replace("_", "-"), str(value))]
+
+
 @pytest.mark.parametrize("extra", [{"pseudo_items": 10000},
-                                   {"users": 2, "items": 2, "interactions_per_user": 5}])
+                                   {"users": 2, "items": 2, "interactions_per_user": 5},
+                                   {**_POOL_OF_3, "pseudo_items": 4}])
 def test_train_short_negative_pool_fails_without_outputs(tmp_path, capsys, extra):
     out = tmp_path / "run"
-    assert main(["train", "--max-rounds", "1", "--out-dir", str(out),
-                 *[a for key, value in extra.items()
-                   for a in ("--" + key.replace("_", "-"), str(value))]]) == 2
-    assert capsys.readouterr().err.startswith("error: pseudo_items: user 0 ")
+    assert main(["train", "--max-rounds", "1", "--out-dir", str(out), *_flags(extra)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pseudo_items: user 0 ")
     assert not out.exists()
+    # the round's own rule and text, on user 0's round pool
+    dataset = cli.build_dataset(ExperimentConfig(**extra))
+    interactions = set(dataset.train[0])
+    with pytest.raises(NegativePoolError) as exc:
+        generate_request_items(interactions, unobserved_items(interactions, dataset.num_items),
+                               DpConfig(pseudo_count=extra.get("pseudo_items")), derive_rng(0, 0))
+    assert err == f"error: pseudo_items: user 0 {exc.value}\n"
+
+
+def test_train_pool_of_exactly_the_pseudo_count_runs(tmp_path):
+    # pool == count passes the pre-check and both users' requests in the round
+    dataset = cli.build_dataset(ExperimentConfig(**_POOL_OF_3))
+    assert [len(items) for items in dataset.train] == [1, 1] and dataset.num_items == 4
+    out = tmp_path / "run"
+    assert main(["train", "--max-rounds", "1", "--out-dir", str(out),
+                 *_flags({**_POOL_OF_3, "pseudo_items": 3})]) == 0
+    assert (out / "final_metrics.json").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fedkg.config import BOUNDS, ConfigError
 from fedkg.model import GradientPacket, SparseGrad
 from fedkg.privacy import (DpConfig, NegativePoolError, generate_request_items,
                            interaction_budget, ldp_encrypt, privacy_budget)
@@ -76,6 +77,14 @@ def test_insufficient_negatives_is_config_error():
     cfg = DpConfig(pseudo_count=5)
     with pytest.raises(NegativePoolError):
         generate_request_items({1}, [2, 3], cfg, derive_rng(4, 0))
+    # one item short (pool == count - 1), at a set count and at parity, with the text
+    # `fedkg train`'s pre-check prints too
+    for pseudo, negatives in ((3, [2, 3]), (None, [])):
+        count = 1 if pseudo is None else pseudo
+        with pytest.raises(NegativePoolError, match=f"^needs {count} pseudo items but has "
+                                                    f"only {len(negatives)} unobserved items$"):
+            generate_request_items({1}, negatives, DpConfig(pseudo_count=pseudo),
+                                   derive_rng(4, 0))
 
 
 def test_parity_default_pseudo_count():
@@ -240,6 +249,29 @@ def test_privacy_budget_formula():
     assert privacy_budget(lam / 2, lam) == 1.0
     assert privacy_budget(0.2, 1e-4) == 2 * privacy_budget(0.1, 1e-4)
     assert privacy_budget(0.1, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("delta, lam, field, key", [
+    (0.5, math.inf, "lam", "noise_scale"), (0.5, math.nan, "lam", "noise_scale"),
+    (math.nan, 1e-4, "delta", "clip_threshold"), (-1.0, 1e-4, "delta", "clip_threshold"),
+    (0.0, 1e-4, "delta", "clip_threshold")])
+def test_privacy_budget_rejects_what_dp_config_rejects(delta, lam, field, key):
+    with pytest.raises(ConfigError) as want:
+        DpConfig(delta=delta, lam=lam)
+    with pytest.raises(ConfigError) as got:
+        privacy_budget(delta, lam)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{field}: {key} must be {BOUNDS[key][1]}, got ")
+
+
+@pytest.mark.parametrize("flip_rate", [0.5, -0.1, math.nan])
+def test_interaction_budget_rejects_what_dp_config_rejects(flip_rate):
+    with pytest.raises(ConfigError) as want:
+        DpConfig(flip_rate=flip_rate)
+    with pytest.raises(ConfigError) as got:
+        interaction_budget(flip_rate)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"flip_rate: flip_rate must be {BOUNDS['flip_rate'][1]}, ")
 
 
 def test_interaction_budget_inverts_keep_probability():

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from fedkg.cli import build_dataset, round_config, setup_state
+from fedkg.client import build_request, local_train, merge_graphs
 from fedkg.config import ExperimentConfig
 from fedkg.data import unobserved_items
 from fedkg.kg import build_kg
-from fedkg.messages import RequestMessage
+from fedkg.messages import GradientUpload, RequestMessage
 from fedkg.model import GradientPacket, SparseGrad
-from fedkg.params import init_params
+from fedkg.params import apply_global_update, init_params
 from fedkg.privacy import ldp_encrypt
-from fedkg.rng import derive_rng
-from fedkg.server import (RequestError, UploadError, aggregate, run_round,
+from fedkg.rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
+from fedkg.server import (AggregatedGradient, RequestError, UploadError, aggregate, run_round,
                           select_clients, serve_request, train)
 
 
@@ -519,6 +520,86 @@ def test_round_parallel_matches_sequential_bitwise():
         assert bool(setting) == (len(runs[1][-1]) > 0)
         for workers, arrays in runs.items():
             assert all(np.array_equal(a, b) for a, b in zip(runs[1], arrays)), (setting, workers)
+
+
+def _reference_round(params, kg, clients, cfg, round_index):
+    """One round rebuilt from per-client parts; returns its mean loss and wire bytes.
+
+    Per selected client, in id order, on its own streams: an np.setdiff1d
+    pool and its permutation, the request, serving, merging, local_train on
+    that client alone and LDP, each server-bound message round-tripped
+    through its bytes over json. Then a dict-per-id weighted mean in client
+    order, the sums starting from -0.0, and the global update.
+    """
+    selected = select_clients(len(clients), cfg.clients_per_round,
+                              derive_rng(cfg.seed, ROLE_SELECT, round_index))
+    packets, wire = [], []
+    for cid in selected:
+        client = clients[cid]
+        crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, cid)
+        srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, cid)
+        pool = np.setdiff1d(np.arange(cfg.num_items),
+                            np.array(sorted(client.interactions), dtype=np.int64))
+        plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
+        if cfg.transport == "json":
+            wire.append(msg.to_json_bytes())
+            msg = RequestMessage.from_json_bytes(wire[-1])
+        response = serve_request(msg, kg, params, cfg.sample_size, cfg.depth, srng)
+        graph = merge_graphs(plan, response, client.user_embedding)
+        packet = ldp_encrypt(local_train(client, graph, params.model, cfg.eta, cfg.epochs),
+                             cfg.dp, crng)
+        if cfg.transport == "json":
+            wire.append(GradientUpload.from_packet(packet).to_json_bytes())
+            packet = GradientUpload.from_json_bytes(wire[-1]).to_packet()
+        packets.append(packet)
+
+    weights = [float(p.weight) for p in packets]
+    sparse = []
+    for attr in ("entity_grads", "relation_grads"):
+        num, den = {}, {}
+        for w, p in zip(weights, packets):
+            grads = getattr(p, attr)
+            for idx, row in zip(grads.ids().tolist(), grads.rows()):
+                num[idx] = num.get(idx, -0.0) + w * row
+                den[idx] = den.get(idx, 0.0) + w
+        ids = sorted(num)
+        sparse.append(SparseGrad(ids, [num[i] / den[i] for i in ids]) if ids else SparseGrad())
+    total = sum(weights)
+    model = []
+    for layer, (dw0, db0) in enumerate(packets[0].model_grads):
+        nw, nb = np.zeros_like(dw0), np.zeros_like(db0)
+        for w, p in zip(weights, packets):
+            nw += w * p.model_grads[layer][0]
+            nb += w * p.model_grads[layer][1]
+        model.append((nw / total, nb / total))
+    apply_global_update(params, AggregatedGradient(*sparse, model), cfg.eta)
+    return float(np.mean([p.loss for p in packets])), wire
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("transport", ["memory", "json"])
+@pytest.mark.parametrize("setting", [{}, {"depth": 2, "epochs": 2}],
+                         ids=["readme", "depth2-epochs2"])
+def test_round_matches_per_client_reference_bitwise(setting, transport, workers):
+    # the README config (seed 7), and H = 2 with two local epochs
+    runs = []
+    for _ in range(2):
+        cfg = ExperimentConfig(workers=workers, transport=transport, **setting)
+        dataset = build_dataset(cfg)
+        runs.append((dataset, *setup_state(cfg, dataset)))
+    rcfg = round_config(cfg, dataset)
+    (dataset, params, user_emb, clients), (ref_data, ref_params, ref_users, ref_clients) = runs
+    for r in range(3):
+        wire = []
+        report = run_round(params, dataset.kg, clients, rcfg, r, wire_sink=wire.append)
+        loss, ref_wire = _reference_round(ref_params, ref_data.kg, ref_clients, rcfg, r)
+        assert report.mean_loss == loss
+        assert wire == ref_wire and bool(wire) == (transport == "json")
+        for got, want in zip([params.entity_emb, params.relation_emb, *params.model.weights,
+                              *params.model.biases, user_emb],
+                             [ref_params.entity_emb, ref_params.relation_emb,
+                              *ref_params.model.weights, *ref_params.model.biases, ref_users]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), r
 
 
 def test_wire_bytes_pinned_without_noise():
