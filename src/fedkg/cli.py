@@ -58,11 +58,11 @@ def round_config(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> RoundConfi
 
 def _check_negative_pools(cfg: ExperimentConfig, dataset: data_mod.Dataset) -> None:
     """ConfigError, with a round's NegativePoolError text, unless every user's round
-    pool (`unobserved_items` of its train positives) holds its pseudo count."""
+    pool holds its pseudo count. Both loaders keep train positives distinct and in
+    [0, num_items), so that pool (`unobserved_items`) has num_items - len(train[u])."""
     for user, items in enumerate(dataset.train):
         try:
-            pseudo_count(set(items), cfg.pseudo_items,
-                         len(data_mod.unobserved_items(items, dataset.num_items)))
+            pseudo_count(len(items), cfg.pseudo_items, dataset.num_items - len(items))
         except NegativePoolError as exc:
             raise ConfigError(f"pseudo_items: user {user} {exc}") from exc
 
@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_synth(_config_from_args(args), args.dataset_dir)
         if args.command == "gradcheck":
             if args.instances < 1:
-                raise ConfigError("--instances must be >= 1")
+                raise ConfigError(f"--instances must be >= 1, got {args.instances}")
             check("seed", args.seed, name="--seed")
             for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
                 if not (np.isfinite(value) and value > 0):

@@ -7,14 +7,15 @@ but the user's positives in the other two splits, by each positive's rank.
 As KGCN evaluates on one fixed sampled adjacency, an evaluation pass (an
 evaluate_ctr call, or the Recall@K part of evaluate_report, on the same
 key) scores every user from one field sampled around all items on
-derive_rng(seed, ROLE_EVAL, round) and gathered once. A CTR pass takes its
-users in order, in contiguous blocks of at most BLOCK_ITEMS candidates (a
-user with more is a block alone), and a user's scores are bitwise those of
-the field restricted to its candidates. The Recall@K pass scores all items
-for BLOCK_PAIRS // items users at a time (`model.field_scorer`, whose hop 1
-costs M <= min(K, R) relation-slot passes per block, M the most distinct
-relations a center drew, not R), sets the block's other-split positives
-to -inf in one assignment and compares each held-out positive with its row.
+derive_rng(seed, ROLE_EVAL, round) and gathered once. Each pass takes its
+users in order, in contiguous blocks (`_user_blocks`) of at most BLOCK_ITEMS
+own candidates (CTR) or BLOCK_PAIRS ranked items, all of them per user
+(Recall@K); a user with more is a block alone, and its scores, bitwise those
+of the field restricted to its candidates, are the same in any block. The
+Recall@K pass (`model.field_scorer`, whose hop 1 costs M <= min(K, R)
+relation-slot passes per block, M the most distinct relations a center
+drew, not R) sets the block's other-split positives to -inf in one
+assignment and compares each held-out positive with its row.
 """
 
 from __future__ import annotations
@@ -140,12 +141,12 @@ def score_items(model: ModelParams, field: Field, users: np.ndarray, items: np.n
     return readout(batch, propagate(batch, broadcast_model(model, len(users))))
 
 
-def _user_blocks(counts: list[int]):
-    """(start, end) of contiguous runs of users holding at most BLOCK_ITEMS
+def _user_blocks(counts: list[int], limit: int):
+    """(start, end) of contiguous runs of users holding at most `limit`
     candidates together; a user with more is a run alone."""
     start = total = 0
     for end, n in enumerate(counts):
-        if end > start and total + n > BLOCK_ITEMS:
+        if end > start and total + n > limit:
             yield start, end
             start, total = end, 0
         total += n
@@ -171,7 +172,7 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     scores = np.concatenate([
         score_items(params.model, field, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
                     counts[s:e])
-        for s, e in _user_blocks(counts)])
+        for s, e in _user_blocks(counts, BLOCK_ITEMS)])
     return MetricReport(auc=auc(scores, labels), f1=f1(scores, labels),
                         users_evaluated=len(users), positives=int(labels.sum()),
                         negatives=int(len(labels) - labels.sum()))
@@ -199,9 +200,8 @@ def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarr
         scorer = field_scorer(sample_field(dataset, params, sample_size, depth, seed,
                                            round_index), params.model)
         users = [u for u, pos in enumerate(dataset.split_of(split)[0]) if pos]
-        step = max(1, BLOCK_PAIRS // dataset.num_items)
-        recs = [rec for start in range(0, len(users), step) for rec in recall_at_k(
-            dataset, scorer, user_emb, users[start:start + step], ks, split)]
+        recs = [rec for s, e in _user_blocks([dataset.num_items] * len(users), BLOCK_PAIRS)
+                for rec in recall_at_k(dataset, scorer, user_emb, users[s:e], ks, split)]
         if recs:  # cumsum adds in user order, where np.sum would add pairwise
             report.recall_at_k = {k: float(np.cumsum([rec[k] for rec in recs])[-1]) / len(recs)
                                   for k in ks}

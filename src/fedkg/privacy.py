@@ -7,7 +7,8 @@ clip to [-delta, +delta] plus i.i.d. Laplace(0, lambda) noise, budget
 eps = 2*delta/lambda per gradient element).
 
 No bound is stated here: `DpConfig` and both budgets read `config.BOUNDS`
-through `FIELD_KEYS`. `pseudo_count` is the one pool rule, round and CLI alike.
+through `FIELD_KEYS`. `pseudo_count` is the one pool rule, round and CLI alike,
+over counts: the CLI pre-check reads each pool's size and builds no pool.
 
 Gradient protection copies every uploaded element into one new buffer,
 clips it in place and adds one Laplace draw of its size. Buffer order:
@@ -60,10 +61,10 @@ class NegativePoolError(ValueError):
     """Not enough non-interacted items to mix in the configured pseudo count."""
 
 
-def pseudo_count(interactions: set[int], pseudo_count: int | None, pool: int) -> int:
-    """Pseudo items a request mixes in: `pseudo_count`, or one per interaction when
-    unset; NegativePoolError when `pool` unobserved items cannot fill it."""
-    count = len(interactions) if pseudo_count is None else pseudo_count
+def pseudo_count(positives: int, pseudo_count: int | None, pool: int) -> int:
+    """Pseudo items a request mixes in: `pseudo_count`, or one per interaction (of
+    `positives`) when unset; NegativePoolError when `pool` unobserved items cannot fill it."""
+    count = positives if pseudo_count is None else pseudo_count
     if pool < count:
         raise NegativePoolError(f"needs {count} pseudo items but has only {pool} unobserved items")
     return count
@@ -78,7 +79,7 @@ def generate_request_items(interactions: set[int], negatives: list[int] | np.nda
     probability flip_rate, and the combined list is shuffled so order leaks
     nothing.
     """
-    pseudo = pseudo_count(interactions, config.pseudo_count, len(negatives))
+    pseudo = pseudo_count(len(interactions), config.pseudo_count, len(negatives))
     pseudo_ids = [int(i) for i in negatives[:pseudo]]
     overlap = set(pseudo_ids) & interactions
     if overlap:

@@ -4,7 +4,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from fedkg.params import init_params, save_checkpoint
 from fedkg.privacy import DpConfig, NegativePoolError, generate_request_items
 from fedkg.rng import derive_rng
 from fedkg.server import RoundConfig, train
+from test_data import PINNED_DATASET_SHA256
 
 
 def _tiny_train_args(out_dir, **extra):
@@ -460,6 +461,8 @@ def test_gradcheck_rejects_flags_outside_bounds(capsys, flag, value):
     assert main(["gradcheck", "--instances", "1", f"--{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--{flag}" in err
+    if flag == "instances":
+        assert err.endswith(f", got {value}\n")
 
 
 def test_gradcheck_nan_error_is_a_failure():
@@ -505,3 +508,45 @@ def test_train_pool_of_exactly_the_pseudo_count_runs(tmp_path):
     assert main(["train", "--max-rounds", "1", "--out-dir", str(out),
                  *_flags({**_POOL_OF_3, "pseudo_items": 3})]) == 0
     assert (out / "final_metrics.json").exists()
+
+
+def _built_pool_error(cfg, dataset):
+    """The pre-check's error, or None, worded from each user's pool as a round builds
+    it (`unobserved_items` of its train positives) and its interaction set's size."""
+    for user, items in enumerate(dataset.train):
+        count = len(set(items)) if cfg.pseudo_items is None else cfg.pseudo_items
+        pool = len(unobserved_items(items, dataset.num_items))
+        if pool < count:
+            return (f"pseudo_items: user {user} needs {count} pseudo items "
+                    f"but has only {pool} unobserved items")
+    return None
+
+
+@pytest.mark.parametrize("name", [*sorted(PINNED_DATASET_SHA256), "synth-files"])
+def test_pre_check_reads_the_pool_size_a_round_builds(tmp_path, name):
+    if name == "synth-files":  # noise-free users of 4 of 5 attributes: train sizes vary
+        assert main(["synth", "--users", "40", "--items", "16", "--attributes", "5",
+                     "--prefs-per-user", "4", "--noise", "0", "--dataset-dir", str(tmp_path)]) == 0
+        cfg = ExperimentConfig(synthetic=False, ratings_file=str(tmp_path / "ratings.txt"),
+                               kg_file=str(tmp_path / "kg.txt"))
+    else:
+        cfg = ExperimentConfig(**PINNED_DATASET_SHA256[name][0])
+    dataset = cli.build_dataset(cfg)
+    pools = [len(unobserved_items(items, dataset.num_items)) for items in dataset.train]
+    assert pools == [dataset.num_items - len(items) for items in dataset.train]
+    # parity, a fixed count, and both sides of the smallest pool: the same verdict
+    # and text as a check that builds every pool
+    verdicts = []
+    for pseudo in (None, max(pools), min(pools), min(pools) + 1):
+        run = replace(cfg, pseudo_items=pseudo)
+        want = _built_pool_error(run, dataset)
+        try:
+            cli._check_negative_pools(run, dataset)
+        except ConfigError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+        verdicts.append(want is None)
+    assert verdicts[2:] == [True, False]
+    if name == "synth-files":  # there parity too asks more than some user's pool
+        assert verdicts[:2] == [False, False] and min(pools) < max(pools)

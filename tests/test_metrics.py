@@ -495,6 +495,8 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     monkeypatch.setattr(metrics, "gather", gather_rows)
     monkeypatch.setattr(metrics, "score_items", score)
     monkeypatch.setattr(metrics, "field_scorer", field_scorer)
+    # 7 users per Recall@K block: over the 30 test users, four full blocks and a rest of 2
+    monkeypatch.setattr(metrics, "BLOCK_PAIRS", 7 * dataset.num_items + 3)
     evaluate_report(dataset, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed,
                     round_index, ks=ks, split="test")
 
@@ -516,11 +518,13 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
               for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u])
     assert len({id(f) for f, _ in scored}) == 1
     assert sum(n for _, n in scored) == ctr
-    # ... and the Recall@K users the second through one block scorer, in blocks of
-    # at most BLOCK_PAIRS // items users, as many users as have test positives
+    # ... and the Recall@K users the second through one block scorer: every user
+    # with test positives, in full blocks of max(1, BLOCK_PAIRS // items), then the rest
     assert len(scorers) == 1 and scorers[0] is not scored[0][0]
-    assert sum(blocks) == sum(1 for u in range(dataset.num_users) if dataset.test[u])
-    assert max(blocks) <= max(1, metrics.BLOCK_PAIRS // dataset.num_items)
+    users = sum(1 for u in range(dataset.num_users) if dataset.test[u])
+    step = max(1, metrics.BLOCK_PAIRS // dataset.num_items)
+    assert blocks == [step] * (users // step) + [users % step] * (users % step > 0)
+    assert blocks == [7, 7, 7, 7, 2]
 
 
 def scorer_setup(dataset, depth, mode):
@@ -683,11 +687,11 @@ def test_recall_report_bitwise_the_same_in_any_block(depth, mode, monkeypatch):
     params, user_emb = scorer_setup(dataset, depth, mode)
     ks = [1, 5, 20, 300]
     reports = []
-    for pairs in (metrics.BLOCK_PAIRS, dataset.num_items,
+    for pairs in (metrics.BLOCK_PAIRS, dataset.num_items - 1, dataset.num_items,
                   dataset.num_users * dataset.num_items):
         monkeypatch.setattr(metrics, "BLOCK_PAIRS", pairs)
         reports.append(evaluate_report(dataset, params, user_emb, 3, depth, 5, 3, ks=ks))
-    assert reports[0].to_dict() == reports[1].to_dict() == reports[2].to_dict()
+    assert all(report.to_dict() == reports[0].to_dict() for report in reports[1:])
     assert reports[0].recall_at_k[300] == 1.0
     scorer = pass_scorer(dataset, params, depth)[1]
     one_by_one = [scorer(user_emb[[u]]) for u in range(dataset.num_users)]
