@@ -1,9 +1,12 @@
 """Finite-difference verification of the hand-derived backward pass.
 
-The oracle only ever calls the forward pass: each parameter coordinate is
-perturbed by +-step and the loss difference quotient is compared against
-the analytic gradient. Used by the test suite and the `gradcheck` CLI
-subcommand.
+Each instance is stacked once into the batch of one that a round trains.
+The oracle only ever calls the forward pass on that batch: each coordinate
+of the user, entity rows, relation rows and every layer's W and b is
+perturbed by +-step, and the loss difference quotient is compared against
+the analytic gradient. An instance's error is the worst over all parts, so
+a NaN in any one of them fails it. Used by the test suite and the
+`gradcheck` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kg import build_kg, sample_subgraph
-from .model import LocalGraph, ModelParams, backward, forward_loss, init_model_params
+from .model import (LocalGraph, ModelParams, as_batch, backward, forward_loss,
+                    init_model_params)
 from .rng import derive_rng
 
 
@@ -74,21 +78,6 @@ def _fd_vector(vec: np.ndarray, loss_fn, step: float) -> np.ndarray:
     return grad
 
 
-def finite_difference(graph: LocalGraph, params: ModelParams, step: float = 1e-5) -> dict:
-    """Central-difference gradients for every parameter the model touches."""
-    def loss_fn() -> float:
-        return forward_loss(graph, params)[0]
-
-    fd = {
-        "entities": _fd_vector(graph.entity_rows, loss_fn, step),
-        "relations": _fd_vector(graph.relation_rows, loss_fn, step),
-        "user": _fd_vector(graph.user, loss_fn, step),
-        "model": [(_fd_vector(w, loss_fn, step), _fd_vector(b, loss_fn, step))
-                  for w, b in zip(params.weights, params.biases)],
-    }
-    return fd
-
-
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     # Denominator floored at 1e-6 so FD roundoff on near-zero gradients
     # does not masquerade as relative error.
@@ -98,14 +87,22 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def max_relative_error(graph: LocalGraph, params: ModelParams, step: float = 1e-5) -> float:
-    packet = backward(graph, params)
-    fd = finite_difference(graph, params, step)
-    worst = _rel_err(packet.user_grad, fd["user"])
-    worst = max(worst, _rel_err(packet.entity_grads.rows(), fd["entities"]),
-                _rel_err(packet.relation_grads.rows(), fd["relations"]))
-    for (adw, adb), (fdw, fdb) in zip(packet.model_grads, fd["model"]):
-        worst = max(worst, _rel_err(adw, fdw), _rel_err(adb, fdb))
-    return worst
+    """Worst relative error over every gradient part; NaN if any part has one.
+
+    Perturbs the batch's own arrays and a copy of the model, never the caller's.
+    """
+    batch, model = as_batch(graph, params)
+    model = model.copy()  # writable layers in place of broadcast views
+    grad = backward(batch, model)
+    pairs = [(batch.users, grad.user), (batch.entity_rows, grad.entity),
+             (batch.relation_rows, grad.relation)]
+    for w, b, (dw, db) in zip(model.weights, model.biases, grad.model):
+        pairs += [(w, dw), (b, db)]
+
+    def loss_fn() -> float:
+        return forward_loss(batch, model)[0][0]
+
+    return float(np.max([_rel_err(g, _fd_vector(x, loss_fn, step)) for x, g in pairs]))
 
 
 def run_gradient_check(instances: int = 100, step: float = 1e-5,

@@ -94,7 +94,7 @@ def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
                        positives, ks: list[int]):
     """Top-K recall given precomputed candidate scores; ties break by item id.
 
-    (U, n) scores give one dict per row u, against the non-empty set positives[u];
+    (U, n) scores give one dict per row u, against the non-empty distinct ids positives[u];
     candidate ids must not repeat. A positive's rank is the number of candidates
     ahead of it in the order (-score, item id), NaN scores last, and recall@k is
     the share of positives ranked below k. All rows' positives are counted at once."""
@@ -187,7 +187,7 @@ def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int]
     rows = np.repeat(np.arange(len(other)) % len(users), [len(items) for items in other])
     scores[rows, np.fromiter(chain.from_iterable(other), np.intp, len(rows))] = -np.inf
     return recall_from_scores(scores, np.arange(dataset.num_items),
-                              [set(lists[split][user]) for user in users], ks)
+                              [lists[split][user] for user in users], ks)
 
 
 def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,

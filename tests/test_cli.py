@@ -90,6 +90,16 @@ def test_synthetic_run_rejects_data_files(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["ratings_file", "kg_file"])
+def test_file_dataset_needs_both_files(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match="need both ratings_file and kg_file"):
+        ExperimentConfig(synthetic=False, **{key: "data/file.txt"}).validate()
+    out = tmp_path / "run"
+    assert main(_tiny_train_args(out, synthetic="false", **{key: tmp_path / "x.txt"})) == 2
+    assert capsys.readouterr().err.startswith("error: file datasets need both")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["eta", "noise_scale"])
 def test_train_rejects_infinite_step_or_noise(tmp_path, capsys, key):
     # an infinite step or noise scale makes the first aggregate non-finite
@@ -218,7 +228,8 @@ def test_synthetic_sizes_rejected(key, value):
 
 
 @pytest.mark.parametrize("key, value", [("sample_size", 0), ("depth", -1), ("depth", "1"),
-                                        ("users", None), ("recall_ks", 5), ("seed", 1.5)])
+                                        ("users", None), ("recall_ks", 5), ("seed", 1.5),
+                                        ("pseudo_items", "3"), ("ratings_file", 3)])
 def test_evaluate_checks_the_recorded_config(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     args = _tiny_train_args(out)
@@ -336,6 +347,27 @@ def test_config_echo_rejects_values_that_would_not_parse_back(tmp_path, key, val
         out = tmp_path / "data"
         assert main(["synth", "--out-dir", value, "--dataset-dir", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("synthetic = maybe", "synthetic: expected true/false, got 'maybe'"),
+    ("depth 2", ":2: expected `key = value`, got 'depth 2'"),
+    ("bogus = 1", ":2: unknown config key 'bogus'"),
+], ids=["bad-bool", "no-equals", "unknown-key"])
+def test_parse_config_file_rejects_bad_lines(tmp_path, capsys, monkeypatch, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# header\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_file(str(path))
+    monkeypatch.chdir(tmp_path)  # the default out_dir is relative
+    assert main(["train", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+def test_from_dict_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['bogus', 'extra']")):
+        ExperimentConfig.from_dict({"seed": 3, "bogus": 1, "extra": 2})
 
 
 def test_readme_config_template_covers_every_key(tmp_path):

@@ -214,12 +214,13 @@ _W = [0.1, 0.0, 0.0, 0.1]  # and its layer's w
     (("relations", "vectors", "shape"), [True, 2], r"shape \[True, 2\] is not 2"),
     (("model", 0, "b"), _packed([0.0], []), r"b shape \[\] is not 1"),
     (("model", 0, "w", "dtype"), "<f8", r"extra=\['dtype'\]"),
+    (("entities", "ids"), [1, 2 ** 63], "entities ids: Python int too large"),
 ], ids=["truncation", "duplicate-ids", "unsorted-ids", "negative-id",
         "ragged-vectors", "flat-vectors", "zero-weight", "ragged-w", "non-numeric-w",
         "ragged-b", "flat-w", "2d-b", "bias-length", "missing-b",
         "layer-not-object", "legacy-list-vectors", "bad-base64",
         "length-not-multiple-of-8", "shape-bytes-mismatch", "negative-shape",
-        "float-shape", "bool-shape", "wrong-rank-b", "extra-array-key"])
+        "float-shape", "bool-shape", "wrong-rank-b", "extra-array-key", "id-beyond-int64"])
 def test_upload_decode_rejects_malformed(path, value, match):
     """Each case breaks one thing in an otherwise valid payload and must fail for it."""
     payload = _valid_upload()

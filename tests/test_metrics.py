@@ -82,6 +82,11 @@ def test_f1_no_predicted_positives_is_zero():
     assert f1([0.1, 0.2], [1, 1]) == 0.0
 
 
+def test_f1_empty_rejected():
+    with pytest.raises(ValueError, match="f1 over empty scores"):
+        f1([], [])
+
+
 def test_f1_threshold_extremes():
     rng = derive_rng(2, 0)
     scores = rng.random(30)
@@ -254,6 +259,17 @@ def test_evaluate_ctr_untrained_near_chance():
                        cfg.seed, 0, split="test")
     assert rep.users_evaluated > 0
     assert 0.4 < rep.auc < 0.6
+
+
+def test_evaluate_ctr_without_an_eligible_user_reports_nothing():
+    # every user has valid positives but no valid negatives, so none is scored
+    cfg = ExperimentConfig(users=12, items=20, attributes=4, interactions_per_user=6, seed=11)
+    ds = build_dataset(cfg)
+    ds = replace(ds, valid_neg=[[] for _ in range(ds.num_users)])
+    params, user_emb, _ = setup_state(cfg, ds)
+    rep = evaluate_ctr(ds, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed, 0)
+    assert rep.to_dict() == {"auc": None, "f1": 0.0, "recall_at_k": {},
+                             "users_evaluated": 0, "positives": 0, "negatives": 0}
 
 
 def test_evaluate_report_includes_recall():

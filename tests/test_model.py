@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fedkg import model
-from fedkg.gradcheck import max_relative_error, random_instance
+from fedkg import gradcheck, model
+from fedkg.gradcheck import max_relative_error, random_instance, run_gradient_check
 from fedkg.kg import Layer, Subgraph, build_kg, sample_subgraph
 from fedkg.model import (PROB_CLAMP, LocalGraph, ModelParams, _bce_terms, _per_row,
                          attention_weights, backward, bce_loss, broadcast_model,
@@ -169,6 +169,32 @@ def test_bce_empty_rejected():
         bce_loss([], [])
 
 
+def test_bce_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="length mismatch"):
+        bce_loss([0.5, 0.5], [1])
+
+
+def test_losses_reject_a_client_without_anchors():
+    g = _graph(user=[1.0, 0.0], anchors=[(0, 1)], layers=[], ent_vecs={0: [0.2, 0.3]},
+               rel_vecs={})
+    empty = _graph(user=[0.5, 0.5], anchors=[], layers=[], ent_vecs={}, rel_vecs={})
+    params = broadcast_model(ModelParams("transform", [], []), 2)
+    with pytest.raises(ValueError, match="bce_loss over empty predictions"):
+        forward_loss(stack_graphs([g, empty]), params)
+
+
+def test_model_params_reject_unequal_layer_counts():
+    with pytest.raises(ValueError, match="layer count mismatch"):
+        ModelParams("transform", [np.eye(2)], [])
+
+
+def test_forward_rejects_a_model_of_another_depth():
+    graph, params = random_instance(2024, 4)
+    assert graph.subgraph.depth == 1
+    with pytest.raises(ValueError, match="model has 0 layers but subgraph depth is 1"):
+        propagate(graph, ModelParams(params.mode, [], []))
+
+
 # --- propagation ------------------------------------------------------------
 
 def test_propagate_depth_zero_returns_raw_anchors():
@@ -300,6 +326,43 @@ def test_backward_matches_finite_differences_depth_three(mode):
                            relation_rows=rng.uniform(-0.6, 0.6, (len(sub.relations), d)))
         params = init_model_params(d, 3, mode, rng)
         assert max_relative_error(graph, params, step=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("part", ["user", "entity", "relation", "dw", "db"])
+def test_gradcheck_fails_on_a_nan_in_any_gradient_part(monkeypatch, part):
+    index = 20  # depth 2, transform: every part has elements
+    graph, params = random_instance(2024, index)
+    assert graph.subgraph.depth >= 1 and params.mode == "transform"
+
+    def nan_backward(batch, model):
+        grad = backward(batch, model)
+        arrays = {"user": [grad.user], "entity": [grad.entity], "relation": [grad.relation],
+                  "dw": [dw for dw, _ in grad.model], "db": [db for _, db in grad.model]}[part]
+        if arrays and arrays[0].size:
+            arrays[0].flat[-1] = np.nan
+        return grad
+
+    def snapshot():
+        return [a.tobytes() for a in (graph.user, graph.labels, graph.entity_rows,
+                                      graph.relation_rows, *params.weights, *params.biases)]
+
+    monkeypatch.setattr(gradcheck, "backward", nan_backward)
+    before = snapshot()
+    assert math.isnan(max_relative_error(graph, params))
+    assert snapshot() == before  # the audit perturbs its own copies
+    assert index in run_gradient_check(instances=index + 1, seed=2024).failures
+
+
+def test_gradcheck_stacks_each_instance_once(monkeypatch):
+    calls = []
+
+    def counting_stack(graphs):
+        calls.append(len(graphs))
+        return stack_graphs(graphs)
+
+    monkeypatch.setattr(model, "stack_graphs", counting_stack)
+    assert max_relative_error(*random_instance(2024, 20)) < 1e-4
+    assert calls == [1]
 
 
 def test_backward_weight_equals_anchor_count():

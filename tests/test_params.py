@@ -136,19 +136,24 @@ def _grad(ids, width=3):
      ValueError),
     (AggregatedGradient(entity=_grad([2, 0])), ValueError),
     (AggregatedGradient(entity=_grad([1, 1])), ValueError),
+    (AggregatedGradient(entity=_grad([0]), model=[(np.ones((3, 3)), np.ones(3))] * 2),
+     ValueError),
+    (AggregatedGradient(entity=_grad([0]),
+                        model=[(np.ones((3, 3)), np.array([0.0, np.inf, 0.0]))]), ValueError),
 ], ids=["negative-entity", "entity-past-end", "relation-past-end",
         "narrow-entity-row", "wide-relation-row", "model-shape",
-        "unsorted-entity-ids", "repeated-entity-ids"])
+        "unsorted-entity-ids", "repeated-entity-ids", "extra-model-layer",
+        "non-finite-model-grad"])
 def test_update_rejects_malformed_and_leaves_state_unchanged(avg, error):
     state = init_params(4, 2, 3, derive_rng(19, 0))
-    snap_e = state.entity_emb.copy()
-    snap_r = state.relation_emb.copy()
-    snap_w = state.model.weights[0].copy()
+    def snapshot():
+        return [a.tobytes() for a in (state.entity_emb, state.relation_emb,
+                                      *state.model.weights, *state.model.biases)]
+
+    before = snapshot()
     with pytest.raises(error):
         apply_global_update(state, avg, eta=0.1)
-    assert np.array_equal(state.entity_emb, snap_e)
-    assert np.array_equal(state.relation_emb, snap_r)
-    assert np.array_equal(state.model.weights[0], snap_w)
+    assert snapshot() == before
 
 
 def test_update_linearity():

@@ -87,6 +87,11 @@ def test_insufficient_negatives_is_config_error():
                                    derive_rng(4, 0))
 
 
+def test_negatives_overlapping_interactions_rejected():
+    with pytest.raises(NegativePoolError, match=r"^negatives overlap interactions: \[3\]$"):
+        generate_request_items({1, 3}, [2, 3, 4], DpConfig(pseudo_count=2), derive_rng(4, 0))
+
+
 def test_parity_default_pseudo_count():
     cfg = DpConfig(flip_rate=0.0, pseudo_count=None)
     plan = generate_request_items({1, 2, 3}, list(range(10, 20)), cfg, derive_rng(5, 0))
