@@ -104,8 +104,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if dataset.user_id_map is not None:
         data_mod.save_id_map(os.path.join(cfg.out_dir, "user_map.txt"),
                              dataset.user_id_map)
-    auc_str = "n/a" if final.auc is None else f"{final.auc:.4f}"
-    print(f"test auc={auc_str} f1={final.f1:.4f} -> {cfg.out_dir}")
+    auc_str, f1_str = ("n/a" if v is None else f"{v:.4f}" for v in (final.auc, final.f1))
+    print(f"test auc={auc_str} f1={f1_str} -> {cfg.out_dir}")
     return 0
 
 

@@ -7,13 +7,13 @@ stripped GradientPacket: its wire keys `entities`, `relations` and
 `model` carry the packet's `entity_grads`, `relation_grads` and
 `model_grads`.
 
-Both are JSON objects. Ids, counts and scalars are plain JSON: `version`,
+Both are JSON objects. Ids and counts are plain JSON: `version`,
 `client_id`, `weight`, request `items` and gradient `ids` are JSON
-integers (never booleans or floats) and `loss` is a JSON number that is
-a finite float64. The non-standard constants NaN, Infinity and -Infinity
-are rejected anywhere in a message, and never written. Every
-float array of an upload (the entity and relation `vectors`, each model
-layer's `w` and `b`) is a packed array object
+integers (never booleans or floats). An upload carries no loss: each of
+its numbers is public or LDP-protected. The non-standard constants NaN,
+Infinity and -Infinity are rejected anywhere in a message, and never
+written. Every float array of an upload (the entity and relation
+`vectors`, each model layer's `w` and `b`) is a packed array object
 
     {"shape": [n, d], "f64": "<base64 of the array's float64 bytes>"}
 
@@ -26,8 +26,9 @@ serialized messages is bitwise equivalent to the in-process path. An
 upload's bytes are json.dumps(payload, separators=(",", ":")), but ids
 and base64, which need no escaping, are spliced in around the scalars.
 
-Wire version 3 introduced the packed arrays; version 2 carried the same
-fields as nested JSON lists of decimal floats and is rejected.
+Wire version 4 dropped the upload's `loss`. Version 3 carried it and
+introduced the packed arrays; version 2 carried the fields as nested JSON
+lists of decimal floats. Both are rejected.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ import numpy as np
 from .kg import Subgraph
 from .model import GradientPacket, ModelParams, SparseGrad
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 _REQUEST_KEYS = ("version", "type", "client_id", "items")
-_UPLOAD_KEYS = ("version", "type", "client_id", "weight", "loss",
-                "entities", "relations", "model")
+_UPLOAD_KEYS = ("version", "type", "client_id", "weight", "entities", "relations", "model")
 _SPARSE_KEYS = ("ids", "vectors")
 _PACKED_KEYS = ("shape", "f64")
 
@@ -73,7 +73,7 @@ class RequestMessage:
 
 
 class GradientUpload(GradientPacket):
-    """A stripped GradientPacket (user_grad None) with its wire codec.
+    """A stripped GradientPacket (user_grad and loss None) with its wire codec.
 
     It declares no fields: the memory transport passes the packet's own
     arrays through, and only the JSON transport copies them.
@@ -81,7 +81,7 @@ class GradientUpload(GradientPacket):
 
     @classmethod
     def from_packet(cls, packet: GradientPacket) -> "GradientUpload":
-        if packet.user_grad is not None:
+        if packet.user_grad is not None or packet.loss is not None:
             raise WireFormatError("refusing to build an upload from an unstripped packet")
         return cls(**vars(packet))
 
@@ -90,8 +90,8 @@ class GradientUpload(GradientPacket):
 
     def to_json_bytes(self) -> bytes:
         head = json.dumps({"version": WIRE_VERSION, "type": "gradient_upload",
-                           "client_id": self.client_id, "weight": self.weight,
-                           "loss": self.loss}, separators=(",", ":"), allow_nan=False)
+                           "client_id": self.client_id, "weight": self.weight},
+                          separators=(",", ":"), allow_nan=False)
         model = b",".join(b'{"w":%s,"b":%s}' % (_pack(dw), _pack(db))
                           for dw, db in self.model_grads)
         return b'%s,"entities":%s,"relations":%s,"model":[%s]}' % (
@@ -108,7 +108,7 @@ class GradientUpload(GradientPacket):
         return cls(entity_grads=_sparse_grad(payload["entities"], "entities"),
                    relation_grads=_sparse_grad(payload["relations"], "relations"),
                    model_grads=[_model_layer(layer) for layer in payload["model"]],
-                   user_grad=None, weight=weight, loss=_float(payload["loss"], "loss"),
+                   user_grad=None, weight=weight, loss=None,
                    client_id=_int(payload["client_id"], "client_id"))
 
 
@@ -208,19 +208,6 @@ def _int(value, name: str) -> int:
     if type(value) is not int:
         raise WireFormatError(f"{name} is a {type(value).__name__}, not a JSON integer")
     return value
-
-
-def _float(value, name: str) -> float:
-    """A JSON number (never a boolean) that is a finite float64."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WireFormatError(f"{name} is a {type(value).__name__}, not a JSON number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float64
-        number = math.inf
-    if not math.isfinite(number):
-        raise WireFormatError(f"{name} is not a finite float64")
-    return number
 
 
 def _reject_constant(token: str):

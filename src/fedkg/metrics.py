@@ -41,8 +41,8 @@ BLOCK_PAIRS = 4096
 
 @dataclass
 class MetricReport:
-    auc: float | None
-    f1: float
+    auc: float | None  # auc and f1 are None when no user was scored
+    f1: float | None
     recall_at_k: dict[int, float] = dc_field(default_factory=dict)
     users_evaluated: int = 0
     positives: int = 0
@@ -161,7 +161,7 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     pos_lists, neg_lists = dataset.split_of(split)
     users = [u for u in range(dataset.num_users) if pos_lists[u] and neg_lists[u]]
     if not users:
-        return MetricReport(auc=None, f1=0.0)
+        return MetricReport(auc=None, f1=None)
     counts = [len(pos_lists[u]) + len(neg_lists[u]) for u in users]
     items = np.array([i for u in users for i in (*pos_lists[u], *neg_lists[u])],
                      dtype=np.int64)

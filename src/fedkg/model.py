@@ -144,8 +144,9 @@ class SparseGrad:
 class GradientPacket:
     """One client's upload: sparse embedding grads, dense model grads, weight.
 
-    user_grad never leaves the client; ldp_encrypt strips it before upload.
-    The upload (messages.GradientUpload) is the stripped packet itself.
+    user_grad and loss (the client's training loss on its own labels) never
+    leave the client; ldp_encrypt strips both (sets them to None) before
+    upload. The upload (messages.GradientUpload) is the stripped packet itself.
     """
 
     entity_grads: SparseGrad
@@ -153,7 +154,7 @@ class GradientPacket:
     model_grads: list[tuple[np.ndarray, np.ndarray]]
     user_grad: np.ndarray | None
     weight: int
-    loss: float
+    loss: float | None
     client_id: int = -1
 
 

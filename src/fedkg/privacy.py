@@ -99,7 +99,7 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
                 rng: np.random.Generator) -> GradientPacket:
     """Clip every uploaded gradient element and add Laplace noise.
 
-    user_grad is dropped entirely: it never leaves the client.
+    user_grad and loss are dropped entirely: neither leaves the client.
     """
     parts = [packet.entity_grads.rows(), packet.relation_grads.rows(),
              *(a for pair in packet.model_grads for a in pair)]
@@ -112,7 +112,7 @@ def ldp_encrypt(packet: GradientPacket, config: DpConfig,
     return GradientPacket(entity_grads=SparseGrad(packet.entity_grads.ids(), ent),
                           relation_grads=SparseGrad(packet.relation_grads.ids(), rel),
                           model_grads=list(zip(model[::2], model[1::2])), user_grad=None,
-                          weight=packet.weight, loss=packet.loss, client_id=packet.client_id)
+                          weight=packet.weight, loss=None, client_id=packet.client_id)
 
 
 def privacy_budget(delta: float, lam: float) -> float:

@@ -85,7 +85,7 @@ class AggregatedGradient:
 @dataclass
 class RoundReport:
     round_index: int
-    mean_loss: float
+    mean_loss: float  # mean pre-LDP client loss: a simulator diagnostic, not on the wire
     participants: int
 
     def to_json_record(self) -> dict:
@@ -167,8 +167,10 @@ def _send(msg, transport: str, wire: list[bytes]):
 
 
 def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: ParameterState,
-                 cfg: RoundConfig, round_index: int) -> tuple[list[GradientUpload], list[bytes]]:
-    """One batch of client legs; returns the bound uploads and the wire bytes, in client order.
+                 cfg: RoundConfig, round_index: int
+                 ) -> tuple[list[GradientUpload], list[float], list[bytes]]:
+    """One batch of client legs; returns the bound uploads, each client's pre-LDP
+    loss (which no upload carries) and the wire bytes, in client order.
 
     Out per client (request, serve, merge), one local_train over the stacked
     batch, back per client (LDP, upload). Each upload must carry its client's
@@ -206,7 +208,7 @@ def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
                               f"{items} request items, served subgraph and the model's "
                               f"layers {layers}")
         uploads.append(upload)
-    return uploads, [raw for *_, wire in legs for raw in wire]
+    return uploads, [p.loss for p in packets], [raw for *_, wire in legs for raw in wire]
 
 
 def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],
@@ -248,7 +250,7 @@ def _round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState
     try:
         results = [_batch_round([clients[cid] for cid in part], kg, params, cfg, round_index)
                    for part in np.array_split(selected, cfg.workers) if len(part)]
-        uploads = [upload for done, _ in results for upload in done]
+        uploads, losses, wire = (sum(parts, []) for parts in zip(*results))
         apply_global_update(params, aggregate([u.to_packet() for u in uploads]), cfg.eta)
     except BaseException:
         for cid, emb in saved_users.items():
@@ -256,12 +258,11 @@ def _round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState
         raise
 
     if wire_sink is not None:  # results follow select_clients' sorted order
-        for _, captured in results:
-            for raw in captured:
-                wire_sink(raw)
+        for raw in wire:
+            wire_sink(raw)
 
     return RoundReport(round_index=round_index,
-                       mean_loss=float(np.mean([u.loss for u in uploads])),
+                       mean_loss=float(np.mean(losses)),
                        participants=len(selected))
 
 

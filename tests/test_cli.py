@@ -542,6 +542,19 @@ def test_train_pool_of_exactly_the_pseudo_count_runs(tmp_path):
     assert (out / "final_metrics.json").exists()
 
 
+def test_train_with_no_scorable_user_reports_no_auc_or_f1(tmp_path, capsys):
+    # no user holds 3 positives, so no valid or test split has a user to score
+    (tmp_path / "ratings.txt").write_text("0 0 1\n0 1 1\n1 1 1\n1 2 1\n2 3 1\n")
+    (tmp_path / "kg.txt").write_text("0 0 4\n1 0 4\n2 0 5\n3 0 5\n")
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic", "false", "--ratings-file", str(tmp_path / "ratings.txt"),
+                 "--kg-file", str(tmp_path / "kg.txt"), "--max-rounds", "1",
+                 "--eval-every", "1", "--clients-per-round", "2", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == f"test auc=n/a f1=n/a -> {out}\n"
+    final = json.loads((out / "final_metrics.json").read_text())
+    assert (final["auc"], final["f1"], final["users_evaluated"]) == (None, None, 0)
+
+
 def _built_pool_error(cfg, dataset):
     """The pre-check's error, or None, worded from each user's pool as a round builds
     it (`unobserved_items` of its train positives) and its interaction set's size."""

@@ -1,13 +1,20 @@
 import base64
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedkg.cli import build_dataset, setup_state
+from fedkg.client import ClientState, build_request, local_train, merge_graphs
+from fedkg.config import ExperimentConfig
+from fedkg.data import unobserved_items
 from fedkg.messages import WIRE_VERSION, GradientUpload, RequestMessage, WireFormatError
 from fedkg.model import GradientPacket, SparseGrad
 from fedkg.privacy import DpConfig, ldp_encrypt
 from fedkg.rng import derive_rng
+from fedkg.server import serve_request
 
 
 def _stripped_packet():
@@ -18,7 +25,7 @@ def _stripped_packet():
     rel.add(0, np.array([1e-17, 2.0]))
     return GradientPacket(entity_grads=ent, relation_grads=rel,
                           model_grads=[(np.eye(2) * 0.1, np.array([0.0, -1.0]))],
-                          user_grad=None, weight=3, loss=0.6931, client_id=12)
+                          user_grad=None, weight=3, loss=None, client_id=12)
 
 
 def _valid_upload() -> dict:
@@ -30,9 +37,9 @@ def _packed(values, shape) -> dict:
     return {"shape": shape, "f64": base64.b64encode(data).decode()}
 
 
-# v3 bytes of _stripped_packet()'s upload; a change to the wire format must edit this
+# v4 bytes of _stripped_packet()'s upload; a change to the wire format must edit this
 GOLDEN_UPLOAD = (
-    b'{"version":3,"type":"gradient_upload","client_id":12,"weight":3,"loss":0.6931,'
+    b'{"version":4,"type":"gradient_upload","client_id":12,"weight":3,'
     b'"entities":{"ids":[1,4],"vectors":{"shape":[2,2],'
     b'"f64":"MzMzMzMz0z9nZmZmZmbmPwAAAAAAAMA/AAAAAAAA4L8="}},'
     b'"relations":{"ids":[0],"vectors":{"shape":[1,2],"f64":"l9RGRvUOZzwAAAAAAAAAQA=="}},'
@@ -88,8 +95,7 @@ def _random_uploads():
                  for _ in range(int(rng.integers(0, 3)))]
         yield GradientUpload(entity_grads=parts[0], relation_grads=parts[1],
                              model_grads=model, user_grad=None,
-                             weight=int(rng.integers(1, 50)), loss=float(rng.random()),
-                             client_id=case)
+                             weight=int(rng.integers(1, 50)), loss=None, client_id=case)
 
 
 def test_upload_roundtrip_random_is_bitwise_and_owned():
@@ -124,7 +130,7 @@ def test_upload_golden_bytes():
         assert got.rows().tobytes() == sent.rows().tobytes()
     for (wa, ba), (wb, bb) in zip(packet.model_grads, again.model_grads, strict=True):
         assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
-    assert (again.client_id, again.weight, again.loss, again.user_grad) == (12, 3, 0.6931, None)
+    assert (again.client_id, again.weight, again.loss, again.user_grad) == (12, 3, None, None)
 
 
 def _payload_json(upload) -> bytes:
@@ -135,7 +141,7 @@ def _payload_json(upload) -> bytes:
 
     ent, rel = upload.entity_grads, upload.relation_grads
     payload = {"version": WIRE_VERSION, "type": "gradient_upload",
-               "client_id": upload.client_id, "weight": upload.weight, "loss": upload.loss,
+               "client_id": upload.client_id, "weight": upload.weight,
                "entities": {"ids": ent.ids().tolist(), "vectors": pack(ent.rows())},
                "relations": {"ids": rel.ids().tolist(), "vectors": pack(rel.rows())},
                "model": [{"w": pack(dw), "b": pack(db)} for dw, db in upload.model_grads]}
@@ -170,12 +176,12 @@ def test_upload_holds_arrays_until_serialized():
 
 def test_upload_wire_has_no_counts():
     payload = _valid_upload()
-    assert payload["version"] == WIRE_VERSION == 3
+    assert payload["version"] == WIRE_VERSION == 4
     assert set(payload["entities"]) == set(payload["relations"]) == {"ids", "vectors"}
 
 
 def test_messages_reject_other_wire_version():
-    for version in (1, 2):
+    for version in (1, 2, 3):
         payload = _valid_upload()
         payload["version"] = version
         with pytest.raises(WireFormatError, match="version"):
@@ -215,12 +221,14 @@ _W = [0.1, 0.0, 0.0, 0.1]  # and its layer's w
     (("model", 0, "b"), _packed([0.0], []), r"b shape \[\] is not 1"),
     (("model", 0, "w", "dtype"), "<f8", r"extra=\['dtype'\]"),
     (("entities", "ids"), [1, 2 ** 63], "entities ids: Python int too large"),
+    (("loss",), 0.6931, r"extra=\['loss'\]"),
 ], ids=["truncation", "duplicate-ids", "unsorted-ids", "negative-id",
         "ragged-vectors", "flat-vectors", "zero-weight", "ragged-w", "non-numeric-w",
         "ragged-b", "flat-w", "2d-b", "bias-length", "missing-b",
         "layer-not-object", "legacy-list-vectors", "bad-base64",
         "length-not-multiple-of-8", "shape-bytes-mismatch", "negative-shape",
-        "float-shape", "bool-shape", "wrong-rank-b", "extra-array-key", "id-beyond-int64"])
+        "float-shape", "bool-shape", "wrong-rank-b", "extra-array-key", "id-beyond-int64",
+        "v3-loss-key"])
 def test_upload_decode_rejects_malformed(path, value, match):
     """Each case breaks one thing in an otherwise valid payload and must fail for it."""
     payload = _valid_upload()
@@ -240,15 +248,15 @@ def _dumps(payload) -> bytes:
 
 @pytest.mark.parametrize("part, key, value, match", [
     (None, "weight", 2.7, None), (None, "weight", True, None), (None, "client_id", 4.9, None),
-    (None, "loss", "x", None), (None, "loss", True, None), (None, "model", 5, None),
+    (None, "weight", "x", None), (None, "client_id", True, None), (None, "model", 5, None),
     (None, "version", float(WIRE_VERSION), None), ("entities", "ids", [1.0, 4], None),
-    (None, "type", "request", None), (None, "loss", float("nan"), "NaN is not a JSON number"),
-    (None, "loss", float("inf"), "Infinity is not a JSON number"),
-    (None, "loss", "1e999", "loss is not a finite float64"),
-    (None, "loss", 10 ** 400, "loss is not a finite float64"),
-], ids=["float-weight", "bool-weight", "float-client-id", "string-loss",
-        "bool-loss", "model-not-list", "float-version", "float-ids", "request-type",
-        "nan-loss", "inf-loss", "overflow-float-loss", "huge-int-loss"])
+    (None, "type", "request", None), (None, "weight", float("nan"), "NaN is not a JSON number"),
+    (None, "client_id", float("inf"), "Infinity is not a JSON number"),
+    (None, "client_id", float("-inf"), "-Infinity is not a JSON number"),
+    (None, "weight", "1e999", "weight is a float, not a JSON integer"),
+], ids=["float-weight", "bool-weight", "float-client-id", "string-weight",
+        "bool-client-id", "model-not-list", "float-version", "float-ids", "request-type",
+        "nan-weight", "inf-client-id", "negative-inf-client-id", "overflow-float-weight"])
 def test_upload_decode_rejects_non_strict_scalars(part, key, value, match):
     payload = _valid_upload()
     (payload[part] if part else payload)[key] = value
@@ -270,31 +278,53 @@ def test_request_decode_rejects_non_strict_scalars(key, value, match):
 
 
 def test_encoders_refuse_non_finite_numbers():
-    upload = GradientUpload.from_packet(_stripped_packet())
-    upload.loss = float("nan")
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        upload.to_json_bytes()
     with pytest.raises(ValueError, match="not JSON compliant"):
         RequestMessage(client_id=5, items=[9, float("inf")]).to_json_bytes()
 
 
 def test_upload_refuses_unstripped_packet():
-    packet = _stripped_packet()
-    packet.user_grad = np.array([1.0, 2.0])
-    with pytest.raises(WireFormatError):
-        GradientUpload.from_packet(packet)
+    for field, value in (("user_grad", np.array([1.0, 2.0])), ("loss", 0.6931)):
+        packet = replace(_stripped_packet(), **{field: value})
+        with pytest.raises(WireFormatError, match="unstripped packet"):
+            GradientUpload.from_packet(packet)
 
 
 def test_upload_schema_has_no_user_or_label_fields():
     raw = GradientUpload.from_packet(_stripped_packet()).to_json_bytes()
-    for forbidden in (b"user", b"label", b"interaction", b"embedding"):
+    for forbidden in (b"user", b"label", b"interaction", b"embedding", b"loss"):
         assert forbidden not in raw
 
 
 def test_encrypted_packet_flows_to_wire():
     packet = _stripped_packet()
-    packet.user_grad = np.array([0.5, 0.5])
+    packet.user_grad, packet.loss = np.array([0.5, 0.5]), 0.6931
     cfg = DpConfig(delta=1.0, lam=0.0, flip_rate=0.0, pseudo_count=0)
     protected = ldp_encrypt(packet, cfg, derive_rng(0, 0))
     upload = GradientUpload.from_packet(protected)
     assert upload.client_id == 12
+
+
+def test_neighbouring_labels_differ_on_the_wire_only_inside_protected_arrays():
+    # one client trains twice on one served graph, its labels one flip apart; at
+    # lambda > 0 on one stream the two uploads may differ only in packed f64 payloads
+    cfg = ExperimentConfig(users=20, items=16, attributes=4, interactions_per_user=5, seed=3)
+    dataset = build_dataset(cfg)
+    params, _, clients = setup_state(cfg, dataset)
+    client, dp = clients[0], DpConfig(lam=0.05)
+    plan, msg = build_request(client, unobserved_items(client.interactions, cfg.items), dp,
+                              derive_rng(cfg.seed, 1))
+    response = serve_request(msg, dataset.kg, params, cfg.sample_size, cfg.depth,
+                             derive_rng(cfg.seed, 2))
+    graph = merge_graphs(plan, response, client.user_embedding)
+    flipped = graph.labels.copy()
+    flipped[0] = 1 - flipped[0]
+    raws = []
+    for labels in (graph.labels, flipped):
+        own = ClientState(client.user_id, client.user_embedding.copy(), client.interactions)
+        packet = local_train(own, replace(graph, user=own.user_embedding, labels=labels),
+                             params.model, cfg.eta, cfg.epochs)
+        protected = ldp_encrypt(packet, dp, derive_rng(cfg.seed, 3))
+        raws.append(GradientUpload.from_packet(protected).to_json_bytes())
+    payload = re.compile(rb'"f64":"[^"]*"')
+    assert raws[0] != raws[1]
+    assert payload.sub(b'"f64":""', raws[0]) == payload.sub(b'"f64":""', raws[1])

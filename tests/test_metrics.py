@@ -268,7 +268,7 @@ def test_evaluate_ctr_without_an_eligible_user_reports_nothing():
     ds = replace(ds, valid_neg=[[] for _ in range(ds.num_users)])
     params, user_emb, _ = setup_state(cfg, ds)
     rep = evaluate_ctr(ds, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed, 0)
-    assert rep.to_dict() == {"auc": None, "f1": 0.0, "recall_at_k": {},
+    assert rep.to_dict() == {"auc": None, "f1": None, "recall_at_k": {},
                              "users_evaluated": 0, "positives": 0, "negatives": 0}
 
 

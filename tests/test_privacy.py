@@ -158,10 +158,10 @@ def test_user_grad_stripped_before_upload():
     packet = _packet(entity={0: [0.1]}, user=[9.9], weight=3)
     packet.client_id = 11
     out = ldp_encrypt(packet, cfg, derive_rng(9, 0))
-    assert out.user_grad is None
-    assert packet.user_grad is not None  # input untouched
+    assert out.user_grad is None and out.loss is None
+    assert packet.user_grad is not None and packet.loss == 0.5  # input untouched
     assert type(out) is GradientPacket
-    assert (out.weight, out.loss, out.client_id) == (3, 0.5, 11)
+    assert (out.weight, out.client_id) == (3, 11)
 
 
 def test_laplace_noise_statistics():

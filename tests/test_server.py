@@ -533,7 +533,7 @@ def _reference_round(params, kg, clients, cfg, round_index):
     """
     selected = select_clients(len(clients), cfg.clients_per_round,
                               derive_rng(cfg.seed, ROLE_SELECT, round_index))
-    packets, wire = [], []
+    packets, losses, wire = [], [], []
     for cid in selected:
         client = clients[cid]
         crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, cid)
@@ -546,8 +546,9 @@ def _reference_round(params, kg, clients, cfg, round_index):
             msg = RequestMessage.from_json_bytes(wire[-1])
         response = serve_request(msg, kg, params, cfg.sample_size, cfg.depth, srng)
         graph = merge_graphs(plan, response, client.user_embedding)
-        packet = ldp_encrypt(local_train(client, graph, params.model, cfg.eta, cfg.epochs),
-                             cfg.dp, crng)
+        packet = local_train(client, graph, params.model, cfg.eta, cfg.epochs)
+        losses.append(packet.loss)  # the client's own, before LDP strips it
+        packet = ldp_encrypt(packet, cfg.dp, crng)
         if cfg.transport == "json":
             wire.append(GradientUpload.from_packet(packet).to_json_bytes())
             packet = GradientUpload.from_json_bytes(wire[-1]).to_packet()
@@ -573,7 +574,7 @@ def _reference_round(params, kg, clients, cfg, round_index):
             nb += w * p.model_grads[layer][1]
         model.append((nw / total, nb / total))
     apply_global_update(params, AggregatedGradient(*sparse, model), cfg.eta)
-    return float(np.mean([p.loss for p in packets])), wire
+    return float(np.mean(losses)), wire
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -612,7 +613,7 @@ def test_wire_bytes_pinned_without_noise():
         for r in range(3):
             run_round(params, dataset.kg, clients, rcfg, r, wire_sink=digest.update)
     assert digest.hexdigest() == \
-        "409cdaaee9c9d5f90bb92cebdd71a38b7f3b3b08a53222804d4421b6def2fcbe"
+        "8d1e0cafa7c5ef7abc79f626a40e83400de239d0c084d7164195c71096bcdb9c"
 
 
 def test_json_transport_matches_memory_bitwise():
