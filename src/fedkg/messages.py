@@ -9,7 +9,8 @@ stripped GradientPacket: its wire keys `entities`, `relations` and
 
 Both are JSON objects. Ids and counts are plain JSON: `version`,
 `client_id`, `weight`, request `items` and gradient `ids` are JSON
-integers (never booleans or floats). An upload carries no loss: each of
+integers (never booleans or floats) within int64, as is every dimension
+of a packed array's `shape`. An upload carries no loss: each of
 its numbers is public or LDP-protected. The non-standard constants NaN,
 Infinity and -Infinity are rejected anywhere in a message, and never
 written. Every float array of an upload (the entity and relation
@@ -49,6 +50,7 @@ _REQUEST_KEYS = ("version", "type", "client_id", "items")
 _UPLOAD_KEYS = ("version", "type", "client_id", "weight", "entities", "relations", "model")
 _SPARSE_KEYS = ("ids", "vectors")
 _PACKED_KEYS = ("shape", "f64")
+_INT64 = range(-2 ** 63, 2 ** 63)  # every wire integer: version, ids, counts, shapes
 
 
 class WireFormatError(ValueError):
@@ -129,8 +131,8 @@ def _unpack(obj, rank: int, kind: str) -> np.ndarray:
     _check_keys(obj, _PACKED_KEYS, kind)
     shape, data = obj["shape"], obj["f64"]
     if not (isinstance(shape, list) and len(shape) == rank
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise WireFormatError(f"{kind} shape {shape!r} is not {rank} non-negative ints")
+            and all(type(n) is int and n in _INT64 and n >= 0 for n in shape)):
+        raise WireFormatError(f"{kind} shape {shape!r} is not {rank} non-negative int64s")
     if not isinstance(data, str):
         raise WireFormatError(f"{kind} f64 payload is a {type(data).__name__}, not a string")
     try:
@@ -142,16 +144,16 @@ def _unpack(obj, rank: int, kind: str) -> np.ndarray:
     if len(buf) != 8 * math.prod(shape):
         raise WireFormatError(
             f"{kind} f64 payload of {len(buf)} bytes does not fill shape {shape}")
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+    try:
+        return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+    except ValueError as exc:  # a zero-size shape numpy cannot build
+        raise WireFormatError(f"{kind} shape {shape}: {exc}") from exc
 
 
 def _sparse_grad(part, kind: str) -> SparseGrad:
     """Decode one sparse gradient, rejecting anything SparseGrad cannot hold."""
     _check_keys(part, _SPARSE_KEYS, kind)
-    try:
-        ids = np.array(_int_list(part["ids"], f"{kind} ids"), dtype=np.int64)
-    except OverflowError as exc:
-        raise WireFormatError(f"{kind} ids: {exc}") from exc
+    ids = np.array(_int_list(part["ids"], f"{kind} ids"), dtype=np.int64)
     rows = _unpack(part["vectors"], 2, f"{kind} vectors")
     if len(rows) != len(ids):
         raise WireFormatError(
@@ -207,6 +209,8 @@ def _load(raw: bytes, expected: tuple[str, ...], kind: str) -> dict:
 def _int(value, name: str) -> int:
     if type(value) is not int:
         raise WireFormatError(f"{name} is a {type(value).__name__}, not a JSON integer")
+    if value not in _INT64:
+        raise WireFormatError(f"{name} is outside int64")
     return value
 
 
@@ -217,6 +221,8 @@ def _reject_constant(token: str):
 def _int_list(values, name: str) -> list[int]:
     if not (isinstance(values, list) and set(map(type, values)) <= {int}):
         raise WireFormatError(f"{name} is not a list of JSON integers")
+    if values and (min(values) not in _INT64 or max(values) not in _INT64):
+        raise WireFormatError(f"{name}: an integer is outside int64")
     return values
 
 

@@ -90,35 +90,30 @@ def f1(scores, labels, threshold: float = 0.5) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def recall_from_scores(scores: np.ndarray, candidates: list[int] | np.ndarray,
-                       positives, ks: list[int]):
-    """Top-K recall given precomputed candidate scores; ties break by item id.
+def recall_from_scores(scores: np.ndarray, positives, ks: list[int]) -> list[dict[int, float]]:
+    """Top-K recall given precomputed item scores; ties break by item id.
 
-    (U, n) scores give one dict per row u, against the non-empty distinct ids positives[u];
-    candidate ids must not repeat. A positive's rank is the number of candidates
-    ahead of it in the order (-score, item id), NaN scores last, and recall@k is
-    the share of positives ranked below k. All rows' positives are counted at once."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    one = np.ndim(scores) == 1
-    scores, positives = np.atleast_2d(scores), [positives] if one else positives
+    (U, n) scores, whose column j scores item j, give one dict per row u, against
+    the non-empty distinct ids positives[u], each in [0, n). A positive's rank is
+    the number of items ahead of it in the order (-score, item id), NaN scores
+    last, and recall@k is the share of positives ranked below k. All rows'
+    positives are counted at once."""
     sizes = np.array([len(pos) for _, pos in zip(scores, positives, strict=True)], dtype=np.int64)
     if not sizes.all():
         raise ValueError(f"row {int(np.argmin(sizes))} has no positives")
-    by_id = np.argsort(candidates)
-    if np.any(np.diff(candidates[by_id]) == 0):
-        raise ValueError("candidate ids repeat")
-    items = np.fromiter(chain.from_iterable(positives), np.int64, int(sizes.sum()))
-    at, end = (np.searchsorted(candidates, items, side, by_id) for side in ("left", "right"))
-    rows, cols = np.repeat(np.arange(len(sizes)), sizes)[end > at], by_id[at[end > at]]
+    cols = np.fromiter(chain.from_iterable(positives), np.int64, int(sizes.sum()))
+    n = scores.shape[1]
+    if np.any((cols < 0) | (cols >= n)):
+        raise ValueError(f"a positive item id is outside [0, {n})")
+    rows = np.repeat(np.arange(len(sizes)), sizes)
     row, own = scores[rows], scores[rows, cols][:, None]
     ranks = (row > own).sum(axis=1)  # a floor: ties, and a NaN score, can only raise it
     near = ranks < max(ks, default=0)  # only a floor below the largest K needs them resolved
-    row, own, earlier = row[near], own[near], candidates < candidates[cols[near], None]
+    row, own, earlier = row[near], own[near], np.arange(n) < cols[near, None]
     ranks[near] = np.where(np.isnan(own), (row == row) | earlier,  # NaNs rank below numbers
                            (row > own) | (row == own) & earlier).sum(axis=1)
     found = np.array([np.bincount(rows[ranks < k], minlength=len(sizes)) for k in ks]).T
-    recs = [dict(zip(ks, rec)) for rec in (found / sizes[:, None]).tolist()]
-    return recs[0] if one else recs
+    return [dict(zip(ks, rec)) for rec in (found / sizes[:, None]).tolist()]
 
 
 def sample_field(dataset: Dataset, params: ParameterState, sample_size: int, depth: int,
@@ -186,8 +181,7 @@ def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int]
     other = [lists[name][user] for name in lists if name != split for user in users]
     rows = np.repeat(np.arange(len(other)) % len(users), [len(items) for items in other])
     scores[rows, np.fromiter(chain.from_iterable(other), np.intp, len(rows))] = -np.inf
-    return recall_from_scores(scores, np.arange(dataset.num_items),
-                              [lists[split][user] for user in users], ks)
+    return recall_from_scores(scores, [lists[split][user] for user in users], ks)
 
 
 def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,

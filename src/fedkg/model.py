@@ -426,26 +426,18 @@ def as_batch(graph: LocalGraph | GraphBatch,
     return stack_graphs([graph]), broadcast_model(params, 1)
 
 
-def segment_sum(index: np.ndarray, columns, size: int, start: float = 0.0) -> np.ndarray:
-    """np.add.at(np.full((size, width), start), index, rows) for a start of +-0.0, bitwise.
+def segment_sum(index: np.ndarray, columns, size: int) -> np.ndarray:
+    """np.add.at(np.zeros((size, width)), index, rows), bitwise.
 
     `columns` yields the columns of `rows` one at a time (1-D, in index
     order), so the terms never need to exist as one matrix. One bincount
     per column adds each bin's terms in index order from +0.0, as add.at
-    does, at a fraction of its cost. From -0.0, add.at gives the same sums
-    except where every term is -0.0, or there is none: there the sum stays
-    -0.0. Such a bin's bincount reads +0.0, so the signed-zero pass runs
-    only for a column with a zero sum.
+    does, at a fraction of its cost: each sum is the sequential per-id sum
+    from 0.0, so a bin with no terms, or only zeros, reads +0.0.
     """
-    sums = []
-    for terms in columns:
-        # (bincount gives int64 zeros for no terms)
-        col = np.bincount(index, weights=terms, minlength=size).astype(np.float64, copy=False)
-        if np.signbit(start) and not col.all():
-            col[np.bincount(index, weights=(terms != 0) | ~np.signbit(terms),
-                            minlength=size) == 0] = -0.0
-        sums.append(col)
-    return np.stack(sums, axis=1)
+    # (bincount gives int64 zeros for no terms)
+    return np.stack([np.bincount(index, weights=terms, minlength=size) for terms in columns],
+                    axis=1).astype(np.float64, copy=False)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -675,9 +667,9 @@ def _hop_backward(batch: GraphBatch, params: ModelParams, state: _ForwardState,
         state.hops.pop()
         state.aggs.pop()
 
-    # One row per entity, its depths summed in depth order; -0.0 is the
-    # additive identity, so a single-depth row comes out bitwise unchanged.
+    # One row per entity, its depths summed in depth order from +0.0, as
+    # every other sum here starts.
     ent_grad = segment_sum(np.concatenate(batch.ent_rows),
                            (np.concatenate([a[:, j] for a in adj]) for j in range(d)),
-                           len(batch.entities), start=-0.0)
+                           len(batch.entities))
     return dalpha, model_grads, ent_grad

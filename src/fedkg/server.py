@@ -19,9 +19,9 @@ its clients are batched.
 
 The sparse parts are a segment reduction: np.unique maps the client-order
 concatenation of the packets' ids to output rows, and model.segment_sum
-adds the weighted rows to -0.0 and the weights to 0.0. It adds repeated
-indices in order and -0.0 + x == x, so it is bitwise the sequential
-per-id sum.
+adds the weighted rows and the weights to 0.0. It adds repeated indices
+in order, as np.add.at from zeros does, so it is bitwise the sequential
+per-id sum from 0.0.
 """
 
 from __future__ import annotations
@@ -150,8 +150,7 @@ def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:
         return SparseGrad()
     ids, segment = np.unique(np.concatenate([g.ids() for _, g in touched]),
                              return_inverse=True)
-    num = segment_sum(segment, np.concatenate([w * g.rows() for w, g in touched]).T, len(ids),
-                      start=-0.0)
+    num = segment_sum(segment, np.concatenate([w * g.rows() for w, g in touched]).T, len(ids))
     den = segment_sum(segment, [np.repeat([w for w, _ in touched], [len(g) for _, g in touched])],
                       len(ids))[:, 0]
     return SparseGrad(ids, num / den[:, None])

@@ -10,8 +10,9 @@ from fedkg.cli import build_dataset, setup_state
 from fedkg.client import ClientState, build_request, local_train, merge_graphs
 from fedkg.config import ExperimentConfig
 from fedkg.data import unobserved_items
+from fedkg.gradcheck import random_instance
 from fedkg.messages import WIRE_VERSION, GradientUpload, RequestMessage, WireFormatError
-from fedkg.model import GradientPacket, SparseGrad
+from fedkg.model import GradientPacket, SparseGrad, backward
 from fedkg.privacy import DpConfig, ldp_encrypt
 from fedkg.rng import derive_rng
 from fedkg.server import serve_request
@@ -220,15 +221,17 @@ _W = [0.1, 0.0, 0.0, 0.1]  # and its layer's w
     (("relations", "vectors", "shape"), [True, 2], r"shape \[True, 2\] is not 2"),
     (("model", 0, "b"), _packed([0.0], []), r"b shape \[\] is not 1"),
     (("model", 0, "w", "dtype"), "<f8", r"extra=\['dtype'\]"),
-    (("entities", "ids"), [1, 2 ** 63], "entities ids: Python int too large"),
+    (("entities", "ids"), [1, 2 ** 63], "entities ids: an integer is outside int64"),
     (("loss",), 0.6931, r"extra=\['loss'\]"),
+    (("entities", "vectors"), _packed([], [0, 2 ** 62]), r"shape \[0, 4611686018427387904\]: "),
+    (("model", 0, "w"), _packed([], [0, 2 ** 70]), "is not 2 non-negative int64s"),
 ], ids=["truncation", "duplicate-ids", "unsorted-ids", "negative-id",
         "ragged-vectors", "flat-vectors", "zero-weight", "ragged-w", "non-numeric-w",
         "ragged-b", "flat-w", "2d-b", "bias-length", "missing-b",
         "layer-not-object", "legacy-list-vectors", "bad-base64",
         "length-not-multiple-of-8", "shape-bytes-mismatch", "negative-shape",
         "float-shape", "bool-shape", "wrong-rank-b", "extra-array-key", "id-beyond-int64",
-        "v3-loss-key"])
+        "v3-loss-key", "empty-shape-too-big", "shape-beyond-int64"])
 def test_upload_decode_rejects_malformed(path, value, match):
     """Each case breaks one thing in an otherwise valid payload and must fail for it."""
     payload = _valid_upload()
@@ -254,9 +257,11 @@ def _dumps(payload) -> bytes:
     (None, "client_id", float("inf"), "Infinity is not a JSON number"),
     (None, "client_id", float("-inf"), "-Infinity is not a JSON number"),
     (None, "weight", "1e999", "weight is a float, not a JSON integer"),
+    (None, "weight", 10 ** 400, "outside int64"), (None, "client_id", 10 ** 30, "outside int64"),
 ], ids=["float-weight", "bool-weight", "float-client-id", "string-weight",
         "bool-client-id", "model-not-list", "float-version", "float-ids", "request-type",
-        "nan-weight", "inf-client-id", "negative-inf-client-id", "overflow-float-weight"])
+        "nan-weight", "inf-client-id", "negative-inf-client-id", "overflow-float-weight",
+        "weight-beyond-int64", "client-id-beyond-int64"])
 def test_upload_decode_rejects_non_strict_scalars(part, key, value, match):
     payload = _valid_upload()
     (payload[part] if part else payload)[key] = value
@@ -268,8 +273,11 @@ def test_upload_decode_rejects_non_strict_scalars(part, key, value, match):
     ("client_id", 4.9, None), ("client_id", True, None), ("items", [9, 1.9], None),
     ("items", [True], None), ("items", 5, None), ("version", float(WIRE_VERSION), None),
     ("type", "gradient_upload", None), ("items", [9, float("nan")], "NaN is not a JSON number"),
+    ("items", [9, 2 ** 70], "items: an integer is outside int64"),
+    ("client_id", -2 ** 63 - 1, "outside int64"),
 ], ids=["float-client-id", "bool-client-id", "float-item", "bool-item",
-        "items-not-list", "float-version", "upload-type", "nan-item"])
+        "items-not-list", "float-version", "upload-type", "nan-item", "item-beyond-int64",
+        "client-id-below-int64"])
 def test_request_decode_rejects_non_strict_scalars(key, value, match):
     payload = json.loads(RequestMessage(client_id=5, items=[9, 2]).to_json_bytes())
     payload[key] = value
@@ -302,6 +310,24 @@ def test_encrypted_packet_flows_to_wire():
     protected = ldp_encrypt(packet, cfg, derive_rng(0, 0))
     upload = GradientUpload.from_packet(protected)
     assert upload.client_id == 12
+
+
+def test_saturated_upload_sends_no_negative_zero():
+    # user +-300 and entity rows x100 clamp every prediction, so dz = 0 and each
+    # gradient element is a sum of signed zeros; every sum starts from +0.0, so at
+    # lambda = 0 no element reaches the wire as -0.0, whatever the depth or mode
+    for index in range(24):  # every (d, K, H, mode) of random_instance
+        graph, params = random_instance(7, index)
+        graph = replace(graph, user=np.where(graph.user < 0, -300.0, 300.0),
+                        entity_rows=100.0 * graph.entity_rows)
+        protected = ldp_encrypt(backward(graph, params), DpConfig(lam=0.0), derive_rng(7, index))
+        upload = GradientUpload.from_json_bytes(
+            GradientUpload.from_packet(protected).to_json_bytes())
+        flat = np.concatenate([a.ravel() for a in (
+            upload.entity_grads.rows(), upload.relation_grads.rows(),
+            *(a for pair in upload.model_grads for a in pair))])
+        assert (flat == 0).any(), index
+        assert not np.any((flat == 0) & np.signbit(flat)), (index, params.depth, params.mode)
 
 
 def test_neighbouring_labels_differ_on_the_wire_only_inside_protected_arrays():

@@ -101,12 +101,12 @@ def test_f1_threshold_extremes():
 # --- Recall@K ----------------------------------------------------------------
 
 def test_recall_k_covers_all_candidates():
-    rec = recall_from_scores(np.array([0.5, 0.1, 0.9]), [3, 4, 5], {4}, ks=[3, 10])
+    [rec] = recall_from_scores(np.array([[0.5, 0.1, 0.9]]), [{1}], ks=[3, 10])
     assert rec[3] == 1.0 and rec[10] == 1.0
 
 
 def test_recall_top_ranked_positive():
-    rec = recall_from_scores(np.array([0.9, 0.1, 0.2]), [7, 8, 9], {7}, ks=[1])
+    [rec] = recall_from_scores(np.array([[0.9, 0.1, 0.2]]), [{0}], ks=[1])
     assert rec[1] == 1.0
 
 
@@ -114,7 +114,7 @@ def test_recall_non_decreasing_in_k():
     rng = derive_rng(3, 0)
     scores = rng.random(100)
     positives = set(int(x) for x in rng.choice(100, 10, replace=False))
-    rec = recall_from_scores(scores, list(range(100)), positives, ks=[1, 5, 10, 50, 100])
+    [rec] = recall_from_scores(scores[None], [positives], ks=[1, 5, 10, 50, 100])
     values = [rec[k] for k in (1, 5, 10, 50, 100)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert rec[100] == 1.0
@@ -129,15 +129,15 @@ def test_recall_random_scores_hypergeometric_mean():
     for t in range(trials):
         scores = rng.random(100)
         positives = set(int(x) for x in rng.choice(100, 10, replace=False))
-        recalls[t] = recall_from_scores(scores, list(range(100)), positives, [10])[10]
+        recalls[t] = recall_from_scores(scores[None], [positives], [10])[0][10]
     var_single = 10 * 0.1 * 0.9 * (90 / 99) / 100  # Var(hits)/n^2
     sigma_mean = np.sqrt(var_single / trials)
     assert abs(recalls.mean() - 0.1) < 3 * sigma_mean
 
 
 def test_recall_tie_break_is_deterministic_by_item_id():
-    rec = recall_from_scores(np.array([0.5, 0.5, 0.5]), [30, 10, 20], {10}, ks=[1])
-    assert rec[1] == 1.0  # lowest item id wins the tie
+    recs = recall_from_scores(np.full((3, 3), 0.5), [{0}, {1}, {2}], ks=[1, 2])
+    assert recs == [{1: 1.0, 2: 1.0}, {1: 0.0, 2: 1.0}, {1: 0.0, 2: 0.0}]  # lowest id first
 
 
 def loop_rank_auc(scores, labels):
@@ -178,12 +178,10 @@ def test_ranking_matches_loop_reference_bitwise():
         labels = rng.integers(0, 2, n)
         labels[:2] = (0, 1)
         assert auc(scores, labels) == loop_rank_auc(scores, labels)
-        candidates = [int(c) for c in rng.permutation(200)[:n]]
-        positives = {int(p) for p in rng.choice(200, int(rng.integers(1, 20)), replace=False)}
+        positives = {int(p) for p in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)}
         ks = [1, 5, 10, 50]
-        expected = loop_recall(scores, candidates, positives, ks)
-        assert recall_from_scores(scores, candidates, positives, ks) == expected
-        assert recall_from_scores(scores, np.array(candidates), positives, ks) == expected
+        expected = loop_recall(scores, np.arange(n), positives, ks)
+        assert recall_from_scores(scores[None], [positives], ks) == [expected]
 
 
 def test_block_ranking_matches_loop_reference_bitwise():
@@ -195,13 +193,11 @@ def test_block_ranking_matches_loop_reference_bitwise():
         special = rng.random((rows, n))
         scores[special < 0.1] = np.nan
         scores[(special >= 0.1) & (special < 0.2)] = -np.inf
-        candidates = rng.permutation(300)[:n] + 5  # neither arange nor in id order
-        positives = [{int(p) for p in rng.choice(candidates, int(rng.integers(1, n + 1)),
-                                                 replace=False)} for _ in range(rows)]
+        positives = [{int(p) for p in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)}
+                     for _ in range(rows)]
         ks = sorted({int(k) for k in rng.integers(1, n + 5, 3)})
-        want = [loop_recall(row, candidates.tolist(), pos, ks)
-                for row, pos in zip(scores, positives)]
-        assert recall_from_scores(scores, candidates, positives, ks) == want, trial
+        want = [loop_recall(row, np.arange(n), pos, ks) for row, pos in zip(scores, positives)]
+        assert recall_from_scores(scores, positives, ks) == want, trial
         top = min(max(ks), n)
         keys = np.sort(-scores, axis=1)  # NaN last
         straddled += int(np.sum((top < n) & (keys[:, top - 1] == keys[:, min(top, n - 1)])))
@@ -215,37 +211,31 @@ def test_wide_ranking_matches_loop_reference_bitwise(rows, n):
     special = rng.random((rows, n))
     scores[special < 0.05] = np.nan
     scores[(special >= 0.05) & (special < 0.1)] = -np.inf
-    candidates = rng.permutation(3 * n)[:n]  # ids neither arange nor in id order
-    positives = [{int(p) for p in rng.choice(3 * n, int(rng.integers(1, 120)), replace=False)}
-                 for _ in range(rows)]  # about two in three are not candidates
-    positives[0] |= {int(candidates[0]), int(candidates[1]), 3 * n}
+    positives = [{int(p) for p in rng.choice(n, int(rng.integers(1, 120)), replace=False)}
+                 for _ in range(rows)]
+    positives[0] |= {0, 1}
     scores[0, :2] = np.nan, -np.inf  # positives scored NaN and -inf
     keys = np.sort(-scores, axis=1)  # NaN last
     assert all(np.any(keys[:, k - 1] == keys[:, k]) for k in (1, 10, 50, 200))  # K-th ties
     for ks in ([1, 10, 50, 200], [1, 10, 50, 200, n + 7]):
-        want = [loop_recall(row, candidates.tolist(), pos, ks)
-                for row, pos in zip(scores, positives)]
-        assert recall_from_scores(scores, candidates, positives, ks) == want, ks
+        want = [loop_recall(row, np.arange(n), pos, ks) for row, pos in zip(scores, positives)]
+        assert recall_from_scores(scores, positives, ks) == want, ks
 
 
 def test_recall_rejects_an_empty_positive_set():
     with pytest.raises(ValueError, match="row 0"):
-        recall_from_scores(np.array([0.5, 0.2]), [1, 2], set(), [1])
+        recall_from_scores(np.array([[0.5, 0.2]]), [set()], [1])
     with pytest.raises(ValueError, match="row 2"):
-        recall_from_scores(np.zeros((3, 2)), [1, 2], [{1}, {2}, set()], [1])
+        recall_from_scores(np.zeros((3, 2)), [{0}, {1}, set()], [1])
 
 
 def test_recall_rejects_score_rows_without_one_positive_set_each():
-    for sets in ([{1}, {2}], [{1}, {2}, {1}, {2}]):  # 3 score rows
+    for sets in ([{0}, {1}], [{0}, {1}, {0}, {1}]):  # 3 score rows
         with pytest.raises(ValueError):
-            recall_from_scores(np.zeros((3, 2)), [1, 2], sets, [1])
-
-
-def test_recall_rejects_repeated_candidate_ids():
-    with pytest.raises(ValueError, match="repeat"):
-        recall_from_scores(np.array([0.5, 0.2]), [1, 1], {1}, [2])
-    with pytest.raises(ValueError, match="repeat"):  # a repeat among non-positives too
-        recall_from_scores(np.zeros((1, 4)), [9, 3, 5, 3], [{9}], [2])
+            recall_from_scores(np.zeros((3, 2)), sets, [1])
+    for item in (2, -1):  # a positive that no column scores
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            recall_from_scores(np.zeros((3, 2)), [{0}, {1, item}, {1}], [1])
 
 
 # --- model-driven evaluation ---------------------------------------------------

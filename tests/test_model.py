@@ -371,8 +371,7 @@ def test_backward_weight_equals_anchor_count():
     assert packet.weight == len(graph.subgraph.ids[0])
 
 
-@pytest.mark.parametrize("start", [0.0, -0.0])
-def test_segment_sum_is_bitwise_add_at(start):
+def test_segment_sum_is_bitwise_add_at():
     rng = np.random.default_rng(8)
     for case in range(200):
         size = int(rng.integers(0, 6))
@@ -381,23 +380,23 @@ def test_segment_sum_is_bitwise_add_at(start):
         # a few values, both zeros among them, so cancellations and zero signs occur
         rows = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, -0.1, 3e-17], size=shape)
         index = rng.integers(0, max(size, 1), size=n)
-        want = np.full((size, *shape[1:]), start)
+        want = np.zeros((size, *shape[1:]))
         np.add.at(want, index, rows)
         columns = rows.reshape(n, int(np.prod(shape[1:]))).T
-        got = segment_sum(index, columns, size, start=start).reshape(want.shape)
+        got = segment_sum(index, columns, size).reshape(want.shape)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    # every bin gets terms: a positive column has no zero sum (so it skips
-    # the signed-zero pass), beside columns of the mixed values
+    # every bin gets terms: a positive column has no zero sum, beside columns
+    # of the mixed values
     for _ in range(50):
         size = int(rng.integers(1, 6))
         index = rng.permutation(np.concatenate([np.arange(size),
                                                 rng.integers(0, size, int(rng.integers(0, 8)))]))
         rows = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, -0.1, 3e-17], size=(len(index), 3))
         rows[:, 0] = rng.choice([1.0, 0.1, 3e-17], size=len(index))
-        want = np.full((size, 3), start)
+        want = np.zeros((size, 3))
         np.add.at(want, index, rows)
-        got = segment_sum(index, rows.T, size, start=start)
+        got = segment_sum(index, rows.T, size)
         assert want[:, 0].all()
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -569,7 +568,7 @@ def _ref_backward(batch, params):
         adj = below
     ent_grad = segment_sum(np.concatenate(batch.ent_rows),
                            (np.concatenate([a[:, j] for a in adj]) for j in range(d)),
-                           len(batch.entities), start=-0.0)
+                           len(batch.entities))
 
     rel_index, rel_terms = [np.empty(0, dtype=np.int64)], [(np.empty((0, 1)), np.empty((0, d)))]
     for lvl, layer in enumerate(batch.layers):

@@ -177,7 +177,7 @@ def test_aggregate_permutation_invariant_bitwise():
 
 
 def sequential_mean(packets, attr):
-    """Per-id accumulation in client-id order, one id at a time."""
+    """Per-id accumulation from 0.0 in client-id order, one id at a time."""
     num, den = {}, {}
     for p in sorted(packets, key=lambda p: p.client_id):
         w = float(p.weight)
@@ -187,7 +187,7 @@ def sequential_mean(packets, attr):
                 num[idx] = num[idx] + w * row
                 den[idx] += w
             else:
-                num[idx] = w * row
+                num[idx] = 0.0 + w * row
                 den[idx] = w
     return {idx: num[idx] / den[idx] for idx in sorted(num)}
 
@@ -206,6 +206,7 @@ def test_aggregate_matches_sequential_reference_bitwise():
             assert got.ids().tolist() == list(want)
             assert got.rows().tobytes() == np.array(list(want.values())).tobytes()
         assert 50 in avg.entity
+        assert not np.signbit(avg.entity.entries[50]).any()  # 0.0 + -0.0 is +0.0
 
 
 def test_aggregate_equal_weights_is_plain_mean():
@@ -529,7 +530,7 @@ def _reference_round(params, kg, clients, cfg, round_index):
     pool and its permutation, the request, serving, merging, local_train on
     that client alone and LDP, each server-bound message round-tripped
     through its bytes over json. Then a dict-per-id weighted mean in client
-    order, the sums starting from -0.0, and the global update.
+    order, the sums starting from 0.0, and the global update.
     """
     selected = select_clients(len(clients), cfg.clients_per_round,
                               derive_rng(cfg.seed, ROLE_SELECT, round_index))
@@ -561,7 +562,7 @@ def _reference_round(params, kg, clients, cfg, round_index):
         for w, p in zip(weights, packets):
             grads = getattr(p, attr)
             for idx, row in zip(grads.ids().tolist(), grads.rows()):
-                num[idx] = num.get(idx, -0.0) + w * row
+                num[idx] = num.get(idx, 0.0) + w * row
                 den[idx] = den.get(idx, 0.0) + w
         ids = sorted(num)
         sparse.append(SparseGrad(ids, [num[i] / den[i] for i in ids]) if ids else SparseGrad())
