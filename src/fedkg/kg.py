@@ -131,12 +131,12 @@ def sample_subgraph(kg: KnowledgeGraph, anchor_items: list[int] | np.ndarray, k:
     drawn: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for level in range(depth):
         isolated = kg.degree[ids[-1]] == 0
-        centers, order = (_unique_inverse(ids[-1][~isolated]) if level == 0
+        centers, order = (unique_inverse(ids[-1][~isolated]) if level == 0
                           else (ids[-1][~isolated], slice(None)))
         edges = kg.offsets[centers, None] + rng.integers(
             0, np.repeat(kg.degree[centers], k)).reshape(-1, k)
         edges = edges[order]  # sorted-center draws in this depth's order
-        tails, tail_rows = _unique_inverse(kg.nbr[edges])
+        tails, tail_rows = unique_inverse(kg.nbr[edges])
         drawn.append((isolated, kg.rel[edges], tail_rows))
         ids.append(tails)
     relations = _distinct(np.concatenate([rel for _, rel, _ in drawn], axis=None)) \
@@ -162,9 +162,10 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
     return ordered[_first_of_runs(ordered)]
 
 
-def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(ids, return_inverse=True) with the inverse in ids' shape, by
-    the same argsort, without np.unique's per-call overhead."""
+    the same argsort, without np.unique's per-call overhead; bitwise
+    np.unique's for integer ids."""
     flat = ids.ravel()
     order = flat.argsort()
     ordered = flat[order]

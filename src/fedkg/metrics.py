@@ -16,6 +16,12 @@ Recall@K pass (`model.field_scorer`, whose hop 1 costs M <= min(K, R)
 relation-slot passes per block, M the most distinct relations a center
 drew, not R) sets the block's other-split positives to -inf in one
 assignment and compares each held-out positive with its row.
+
+A CTR pass lays its candidates out user by user, positives then
+negatives, in one flat `items` array with 0/1 `labels` and per-user
+`counts`, made from the interleaved split lists by one np.fromiter, one
+np.repeat of [1, 0] over their sizes and the sizes' row sums: no Python
+runs per candidate.
 """
 
 from __future__ import annotations
@@ -157,20 +163,20 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     users = [u for u in range(dataset.num_users) if pos_lists[u] and neg_lists[u]]
     if not users:
         return MetricReport(auc=None, f1=None)
-    counts = [len(pos_lists[u]) + len(neg_lists[u]) for u in users]
-    items = np.array([i for u in users for i in (*pos_lists[u], *neg_lists[u])],
-                     dtype=np.int64)
-    labels = np.array([y for u in users
-                       for y in [1] * len(pos_lists[u]) + [0] * len(neg_lists[u])])
+    lists = [side for u in users for side in (pos_lists[u], neg_lists[u])]
+    sizes = np.fromiter(map(len, lists), np.int64, len(lists)).reshape(-1, 2)
+    counts = sizes.sum(axis=1).tolist()
     bounds = [0, *accumulate(counts)]
+    items = np.fromiter(chain.from_iterable(lists), np.int64, bounds[-1])
+    labels = np.repeat(np.tile([1, 0], len(users)), sizes.ravel())
     field = sample_field(dataset, params, sample_size, depth, seed, round_index)
     scores = np.concatenate([
         score_items(params.model, field, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
                     counts[s:e])
         for s, e in _user_blocks(counts, BLOCK_ITEMS)])
+    positives, negatives = sizes.sum(axis=0).tolist()
     return MetricReport(auc=auc(scores, labels), f1=f1(scores, labels),
-                        users_evaluated=len(users), positives=int(labels.sum()),
-                        negatives=int(len(labels) - labels.sum()))
+                        users_evaluated=len(users), positives=positives, negatives=negatives)
 
 
 def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int],

@@ -52,7 +52,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .config import check
-from .kg import Layer, Subgraph
+from .kg import Layer, Subgraph, unique_inverse
 
 PROB_CLAMP = 1e-7
 
@@ -104,9 +104,9 @@ class SparseGrad:
     rows() the float64 (n, d) matrix whose row i belongs to ids()[i].
 
     The constructor wraps the arrays as they are; apply_global_update and
-    the wire decoder check the invariant. add() and the read-only
-    `entries` {id: row} view derived from the arrays exist for the
-    acceptance gate and perfbench; nothing in the package uses them.
+    the wire decoder check the invariant. add(), indexing by id and the
+    read-only `entries` {id: row} view derived from the arrays exist for
+    the acceptance gate and perfbench; nothing in the package uses them.
     """
 
     def __init__(self, ids=(), rows=None):
@@ -325,9 +325,8 @@ def field_batch(field: Field, users: np.ndarray, items: np.ndarray, counts) -> G
         sampled_off.append(_offsets(np.bincount(owner, minlength=len(users))))
         if lvl + 1 < sub.depth:
             n = len(sub.ids[lvl + 1])
-            keys, inverse = np.unique(owner[:, None] * n + tails, return_inverse=True)
+            keys, tails = unique_inverse(owner[:, None] * n + tails)
             owner, pos = np.divmod(keys, n)
-            tails = inverse.reshape(tails.shape)
             ent_rows.append(field.ent_rows[lvl + 1][pos])
         else:
             ent_rows.append(field.ent_rows[-1])
@@ -458,12 +457,15 @@ def attention_weights(user: np.ndarray, relations: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    """1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below: neither branch overflows
-    where it is taken, so both are made whole and one is picked per element."""
+    """1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below, from one exponential.
+
+    e = e^-|z| is the exponential both branches take, so it never overflows.
+    It is made as exp(minimum(z, -z)), which keeps a NaN's sign bit where
+    -abs(z) would set it; the result is bitwise the two-branch
+    formula everywhere, ±0, ±inf, subnormals and NaN signs included."""
     z = np.asarray(z, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf in the branch not taken
-        ez = np.exp(z)
-        out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), ez / (1.0 + ez))
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

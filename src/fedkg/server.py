@@ -17,11 +17,11 @@ rarely-seen entities are not shrunk by absent clients. Packets are always
 reduced in client-id order, so a round's result does not depend on how
 its clients are batched.
 
-The sparse parts are a segment reduction: np.unique maps the client-order
-concatenation of the packets' ids to output rows, and model.segment_sum
-adds the weighted rows and the weights to 0.0. It adds repeated indices
-in order, as np.add.at from zeros does, so it is bitwise the sequential
-per-id sum from 0.0.
+The sparse parts are a segment reduction: kg.unique_inverse maps the
+client-order concatenation of the packets' ids to output rows, and
+model.segment_sum adds the weighted rows and the weights to 0.0. It adds
+repeated indices in order, as np.add.at from zeros does, so it is bitwise
+the sequential per-id sum from 0.0.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .client import ClientState, build_request, local_train, merge_graphs
 from .config import check
 from .data import unobserved_items
-from .kg import KnowledgeGraph, sample_subgraph
+from .kg import KnowledgeGraph, sample_subgraph, unique_inverse
 from .messages import GradientUpload, RequestMessage, SubgraphResponse
 from .model import GradientPacket, SparseGrad, broadcast_model, segment_sum, stack_graphs
 from .params import ParameterState, apply_global_update, gather
@@ -148,28 +148,31 @@ def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:
     touched = [(w, g) for w, g in zip(weights, grads) if len(g)]
     if not touched:
         return SparseGrad()
-    ids, segment = np.unique(np.concatenate([g.ids() for _, g in touched]),
-                             return_inverse=True)
+    ids, segment = unique_inverse(np.concatenate([g.ids() for _, g in touched]))
     num = segment_sum(segment, np.concatenate([w * g.rows() for w, g in touched]).T, len(ids))
     den = segment_sum(segment, [np.repeat([w for w, _ in touched], [len(g) for _, g in touched])],
                       len(ids))[:, 0]
     return SparseGrad(ids, num / den[:, None])
 
 
-def _send(msg, transport: str, wire: list[bytes]):
+def _send(msg, transport: str, wire: list[bytes] | None):
     """The server-bound message as the server receives it: in memory the
-    message itself; over json its bytes, appended to `wire`, decoded."""
+    message itself; over json its bytes, decoded, and kept in `wire` when
+    one is given."""
     if transport == "memory":
         return msg
-    wire.append(msg.to_json_bytes())
-    return type(msg).from_json_bytes(wire[-1])
+    raw = msg.to_json_bytes()
+    if wire is not None:
+        wire.append(raw)
+    return type(msg).from_json_bytes(raw)
 
 
 def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: ParameterState,
-                 cfg: RoundConfig, round_index: int
+                 cfg: RoundConfig, round_index: int, keep_wire: bool
                  ) -> tuple[list[GradientUpload], list[float], list[bytes]]:
     """One batch of client legs; returns the bound uploads, each client's pre-LDP
-    loss (which no upload carries) and the wire bytes, in client order.
+    loss (which no upload carries) and, with keep_wire, the wire bytes, in
+    client order (else no bytes outlive their decode).
 
     Out per client (request, serve, merge), one local_train over the stacked
     batch, back per client (LDP, upload). Each upload must carry its client's
@@ -181,7 +184,7 @@ def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
     for client in members:
         crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
         srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
-        wire: list[bytes] = []
+        wire: list[bytes] | None = [] if keep_wire else None
         pool = unobserved_items(client.interactions, cfg.num_items)
         plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)
         msg = _send(msg, cfg.transport, wire)
@@ -207,7 +210,7 @@ def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
                               f"{items} request items, served subgraph and the model's "
                               f"layers {layers}")
         uploads.append(upload)
-    return uploads, [p.loss for p in packets], [raw for *_, wire in legs for raw in wire]
+    return uploads, [p.loss for p in packets], [raw for *_, wire in legs for raw in wire or ()]
 
 
 def run_round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState],
@@ -247,7 +250,8 @@ def _round(params: ParameterState, kg: KnowledgeGraph, clients: list[ClientState
     selected = select_clients(len(clients), cfg.clients_per_round, rng)
     saved_users = {cid: clients[cid].user_embedding.copy() for cid in selected}
     try:
-        results = [_batch_round([clients[cid] for cid in part], kg, params, cfg, round_index)
+        results = [_batch_round([clients[cid] for cid in part], kg, params, cfg, round_index,
+                                wire_sink is not None)
                    for part in np.array_split(selected, cfg.workers) if len(part)]
         uploads, losses, wire = (sum(parts, []) for parts in zip(*results))
         apply_global_update(params, aggregate([u.to_packet() for u in uploads]), cfg.eta)

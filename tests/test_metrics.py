@@ -416,6 +416,40 @@ def test_block_scoring_matches_per_user_reference_bitwise(depth, mode, monkeypat
         assert report.f1 == f1(np.concatenate(want), labels)
 
 
+@pytest.mark.parametrize("depth,mode", [(1, "replace"), (2, "transform")])
+def test_evaluate_ctr_report_equals_per_user_loop(depth, mode, monkeypatch):
+    # users without positives (u % 4 == 2) and without negatives (u % 4 == 3)
+    # sit between scorable ones; they add nothing and move no one's candidates
+    dataset = _block_dataset()
+    test = [[] if user % 4 == 2 else pos for user, pos in enumerate(dataset.test)]
+    dataset = replace(dataset, test=test)
+    assert all(dataset.test_neg[u] for u in range(2, dataset.num_users, 4))
+    assert all(dataset.test[u] for u in range(3, dataset.num_users, 4))
+    params = init_params(dataset.kg.num_entities, dataset.kg.num_relations, 8,
+                         derive_rng(26, depth), depth=depth, mode=mode)
+    user_emb = derive_rng(27, depth).uniform(-0.5, 0.5, size=(dataset.num_users, 8))
+    seed, round_index, k = 5, 2, 3
+
+    field = pass_field(dataset, k, depth, seed, round_index)
+    want, labels = [], []
+    for user in range(dataset.num_users):
+        pos, neg = dataset.test[user], dataset.test_neg[user]
+        if pos and neg:
+            want.append(field_oracle(params, field, user_emb[user], pos + neg))
+            labels += [1] * len(pos) + [0] * len(neg)
+    scores = np.concatenate(want)
+    reference = metrics.MetricReport(auc=auc(scores, labels), f1=f1(scores, labels),
+                                     users_evaluated=len(want), positives=labels.count(1),
+                                     negatives=labels.count(0))
+
+    calls = record_score_items(monkeypatch)
+    report = evaluate_ctr(dataset, params, user_emb, k, depth, seed, round_index, "test")
+    assert report.to_dict() == reference.to_dict()
+    assert [n for _, block, _ in calls for n in block] == [len(s) for s in want]
+    for got, expect in zip(block_scores(calls), want, strict=True):
+        assert got.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["replace", "transform"])
 def test_depth1_synthetic_field_scores_equal_per_user_samples(mode, monkeypatch):
     # every synthetic item has exactly one triple, so a depth-1 draw cannot

@@ -140,14 +140,20 @@ def masked_sigmoid(z):
 
 
 def test_sigmoid_bitwise_the_masked_reference():
-    # warnings are errors here, so an overflow in the branch not taken would fail
-    edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
-    z = np.concatenate([edges, derive_rng(23, 0).normal(scale=30.0, size=997)])
-    for shaped in (z, z.reshape(4, 252)):
+    # warnings are errors here, so an overflow in the branch not taken would fail;
+    # a NaN keeps its sign bit, which exp(-abs(z)) would set on +NaN
+    nan = np.float64(np.nan)
+    edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, nan,
+             -nan, 36.8, -36.8, 745.2, -745.2, 5e-324, -5e-324]
+    rng = derive_rng(23, 0)
+    z = np.concatenate([edges, rng.normal(scale=30.0, size=997)]
+                       + [scale * rng.standard_normal(100) for scale in 10.0 ** np.arange(-3, 5)])
+    for shaped in (z, z.reshape(-1, 5)):
         assert sigmoid(shaped).tobytes() == masked_sigmoid(shaped).tobytes()
+    assert list(np.signbit(sigmoid(np.array([nan, -nan])))) == [False, True]
     for value in edges:
         got = sigmoid(value)
-        assert isinstance(got, float)
+        assert type(got) is float
         assert np.float64(got).tobytes() == masked_sigmoid(np.array([value])).tobytes()
 
 
