@@ -4,18 +4,20 @@ AUC is the Mann-Whitney statistic (ties count one half), pooled over all
 (user, item) evaluation pairs; Recall@K averages per user over every item
 but the user's positives in the other two splits, by each positive's rank.
 
-As KGCN evaluates on one fixed sampled adjacency, an evaluation pass (an
-evaluate_ctr call, or the Recall@K part of evaluate_report, on the same
-key) scores every user from one field sampled around all items on
-derive_rng(seed, ROLE_EVAL, round) and gathered once. Each pass takes its
-users in order, in contiguous blocks (`_user_blocks`) of at most BLOCK_ITEMS
-own candidates (CTR) or BLOCK_PAIRS ranked items, all of them per user
-(Recall@K); a user with more is a block alone, and its scores, bitwise those
-of the field restricted to its candidates, are the same in any block. The
-Recall@K pass (`model.field_scorer`, whose hop 1 costs M <= min(K, R)
-relation-slot passes per block, M the most distinct relations a center
-drew, not R) sets the block's other-split positives to -inf in one
-assignment and compares each held-out positive with its row.
+As KGCN evaluates on one fixed sampled adjacency, an evaluation pass
+scores every user from one field sampled around all items on
+derive_rng(seed, ROLE_EVAL, round) and gathered once; evaluate_report
+samples it once for both its CTR and its Recall@K parts, which share the
+key. Each pass takes its users in order, in contiguous blocks
+(`_user_blocks`) of at most BLOCK_ITEMS own candidates (CTR) or RANK_PAIRS
+ranked items, all of them per user (Recall@K); a user with more is a block
+alone, and its scores, bitwise those of the field restricted to its
+candidates, are the same in any block. A Recall@K block is scored in
+sub-blocks of at most BLOCK_PAIRS pairs by `model.field_scorer` (whose hop 1
+costs M <= min(K, R) relation-slot passes per sub-block, M the most distinct
+relations a center drew, not R); the block then sets its other-split
+positives to -inf in one assignment and ranks every held-out positive
+against its row in one `recall_from_scores` call.
 
 A CTR pass lays its candidates out user by user, positives then
 negatives, in one flat `items` array with 0/1 `labels` and per-user
@@ -41,8 +43,13 @@ from .rng import ROLE_EVAL, derive_rng
 # Candidates scored per CTR block. Every block reads the pass's one field;
 # larger blocks gain little per-call overhead and hold more rows at once.
 BLOCK_ITEMS = 256
-# (user, item) pairs per Recall@K block: 0.5 MB per (U, d, items) state at d = 16.
+# (user, item) pairs per field_scorer call: each (U, d, items) state is 0.5 MB
+# at d = 16, small enough to stay in cache through the hops.
 BLOCK_PAIRS = 4096
+# (user, item) pairs per Recall@K ranking block, ranked in one call: recall_at_k
+# and recall_from_scores pay a fixed cost per call, so a block spans about eight
+# scorer blocks; larger blocks traded peak RSS for the rest of that cost.
+RANK_PAIRS = 1 << 15
 
 
 @dataclass
@@ -157,8 +164,10 @@ def _user_blocks(counts: list[int], limit: int):
 
 def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
                  sample_size: int, depth: int, seed: int, round_index: int,
-                 split: str = "valid") -> MetricReport:
-    """Pooled CTR metrics over every user's split positives and negatives."""
+                 split: str = "valid", field: Field | None = None) -> MetricReport:
+    """Pooled CTR metrics over every user's split positives and negatives.
+
+    `field`, when given, is the pass's `sample_field` on the same key."""
     pos_lists, neg_lists = dataset.split_of(split)
     users = [u for u in range(dataset.num_users) if pos_lists[u] and neg_lists[u]]
     if not users:
@@ -169,7 +178,8 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
     bounds = [0, *accumulate(counts)]
     items = np.fromiter(chain.from_iterable(lists), np.int64, bounds[-1])
     labels = np.repeat(np.tile([1, 0], len(users)), sizes.ravel())
-    field = sample_field(dataset, params, sample_size, depth, seed, round_index)
+    if field is None:
+        field = sample_field(dataset, params, sample_size, depth, seed, round_index)
     scores = np.concatenate([
         score_items(params.model, field, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
                     counts[s:e])
@@ -181,8 +191,11 @@ def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
 
 def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int],
                 ks: list[int], split: str = "test") -> list[dict[int, float]]:
-    """Recall@K of a block of users over every item but their other splits' positives."""
-    scores = scorer(user_emb[users])
+    """Recall@K of a ranking block of users over every item but their other splits'
+    positives; the scorer takes the users in sub-blocks of at most BLOCK_PAIRS pairs."""
+    scores = np.concatenate([
+        scorer(user_emb[users[s:e]])
+        for s, e in _user_blocks([dataset.num_items] * len(users), BLOCK_PAIRS)])
     lists = {name: dataset.split_of(name)[0] for name in ("train", "valid", "test")}
     other = [lists[name][user] for name in lists if name != split for user in users]
     rows = np.repeat(np.arange(len(other)) % len(users), [len(items) for items in other])
@@ -194,13 +207,13 @@ def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarr
                     sample_size: int, depth: int, seed: int, round_index: int,
                     ks: list[int] | None = None, split: str = "test") -> MetricReport:
     """Full evaluation: pooled CTR metrics plus mean per-user Recall@K."""
+    field = sample_field(dataset, params, sample_size, depth, seed, round_index)
     report = evaluate_ctr(dataset, params, user_emb, sample_size, depth,
-                          seed, round_index, split)
+                          seed, round_index, split, field=field)
     if ks:
-        scorer = field_scorer(sample_field(dataset, params, sample_size, depth, seed,
-                                           round_index), params.model)
+        scorer = field_scorer(field, params.model)
         users = [u for u, pos in enumerate(dataset.split_of(split)[0]) if pos]
-        recs = [rec for s, e in _user_blocks([dataset.num_items] * len(users), BLOCK_PAIRS)
+        recs = [rec for s, e in _user_blocks([dataset.num_items] * len(users), RANK_PAIRS)
                 for rec in recall_at_k(dataset, scorer, user_emb, users[s:e], ks, split)]
         if recs:  # cumsum adds in user order, where np.sum would add pairwise
             report.recall_at_k = {k: float(np.cumsum([rec[k] for rec in recs])[-1]) / len(recs)

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -506,9 +506,10 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     dataset = build_dataset(cfg)
     params, user_emb, _ = setup_state(cfg, dataset)
     round_index, ks = 4, [5, 10]
-    sampled, gathered, scored, scorers, blocks = [], [], [], [], []
-    real_sample, real_gather, real_score, real_scorer = \
-        metrics.sample_subgraph, metrics.gather, metrics.score_items, metrics.field_scorer
+    sampled, gathered, scored, scorers, blocks, ranked = [], [], [], [], [], []
+    real_sample, real_gather, real_score, real_scorer, real_rank = \
+        metrics.sample_subgraph, metrics.gather, metrics.score_items, metrics.field_scorer, \
+        metrics.recall_from_scores
 
     def sample(kg, anchors, k, depth, rng):
         sampled.append((np.array(anchors), k, depth, rng.bit_generator.state))
@@ -531,40 +532,56 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
             return block_scores(users)
         return scoring
 
+    def rank(scores, positives, ks):
+        ranked.append((len(blocks), len(scores)))
+        return real_rank(scores, positives, ks)
+
     monkeypatch.setattr(metrics, "sample_subgraph", sample)
     monkeypatch.setattr(metrics, "gather", gather_rows)
     monkeypatch.setattr(metrics, "score_items", score)
     monkeypatch.setattr(metrics, "field_scorer", field_scorer)
-    # 7 users per Recall@K block: over the 30 test users, four full blocks and a rest of 2
-    monkeypatch.setattr(metrics, "BLOCK_PAIRS", 7 * dataset.num_items + 3)
+    monkeypatch.setattr(metrics, "recall_from_scores", rank)
+    # over the 30 test users, ranking blocks of 12, 12 and 6 users, each scored in
+    # sub-blocks of at most 5 users
+    monkeypatch.setattr(metrics, "RANK_PAIRS", 12 * dataset.num_items + 5)
+    monkeypatch.setattr(metrics, "BLOCK_PAIRS", 5 * dataset.num_items + 3)
     evaluate_report(dataset, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed,
                     round_index, ks=ks, split="test")
 
-    # brute force: two passes (CTR, then Recall@K), each one field on the pass key
+    # brute force: one field on the report key, for the CTR and the Recall@K parts
     stream = derive_rng(cfg.seed, ROLE_EVAL, round_index)
     field = sample_subgraph(dataset.kg, np.arange(dataset.num_items), cfg.sample_size,
                             cfg.depth, derive_rng(cfg.seed, ROLE_EVAL, round_index))
-    assert len(sampled) == 2
+    assert len(sampled) == 1
     for anchors, k, depth, state in sampled:
         assert np.array_equal(anchors, np.arange(dataset.num_items))
         assert (k, depth) == (cfg.sample_size, cfg.depth)
         assert state == stream.bit_generator.state
-    assert len(gathered) == 2
+    assert len(gathered) == 1
     for entities, relations in gathered:
         assert np.array_equal(entities, field.entities)
         assert np.array_equal(relations, field.relations)
-    # the CTR blocks read the first field through score_items ...
+    # the CTR blocks read the field through score_items ...
     ctr = sum(len(dataset.test[u]) + len(dataset.test_neg[u])
               for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u])
     assert len({id(f) for f, _ in scored}) == 1
     assert sum(n for _, n in scored) == ctr
-    # ... and the Recall@K users the second through one block scorer: every user
-    # with test positives, in full blocks of max(1, BLOCK_PAIRS // items), then the rest
-    assert len(scorers) == 1 and scorers[0] is not scored[0][0]
+    # ... and the Recall@K users the same field through one block scorer: every user
+    # with test positives, in ranking blocks of max(1, RANK_PAIRS // items) users, each
+    # ranked in one call after its scorer sub-blocks of max(1, BLOCK_PAIRS // items),
+    # which start afresh at every ranking block
+    assert len(scorers) == 1 and scorers[0] is scored[0][0]
     users = sum(1 for u in range(dataset.num_users) if dataset.test[u])
-    step = max(1, metrics.BLOCK_PAIRS // dataset.num_items)
-    assert blocks == [step] * (users // step) + [users % step] * (users % step > 0)
-    assert blocks == [7, 7, 7, 7, 2]
+
+    def split(total, step):
+        return [step] * (total // step) + [total % step] * (total % step > 0)
+    rank_blocks = split(users, max(1, metrics.RANK_PAIRS // dataset.num_items))
+    sub_blocks = [split(n, max(1, metrics.BLOCK_PAIRS // dataset.num_items))
+                  for n in rank_blocks]
+    assert blocks == [n for sub in sub_blocks for n in sub]
+    assert [n for _, n in ranked] == rank_blocks
+    assert [at for at, _ in ranked] == list(accumulate(map(len, sub_blocks)))
+    assert blocks == [5, 5, 2, 5, 5, 2, 5, 1] and rank_blocks == [12, 12, 6]
 
 
 def scorer_setup(dataset, depth, mode):
@@ -726,10 +743,19 @@ def test_recall_report_bitwise_the_same_in_any_block(depth, mode, monkeypatch):
     dataset = _block_dataset()
     params, user_emb = scorer_setup(dataset, depth, mode)
     ks = [1, 5, 20, 300]
+    n, everyone = dataset.num_items, dataset.num_users * dataset.num_items
     reports = []
-    for pairs in (metrics.BLOCK_PAIRS, dataset.num_items - 1, dataset.num_items,
-                  dataset.num_users * dataset.num_items):
-        monkeypatch.setattr(metrics, "BLOCK_PAIRS", pairs)
+    # (ranking pairs, scorer pairs): the defaults; ranking blocks of one user, over
+    # the ranking limit (n - 1) or at it (n); ranking blocks of 2 users, smaller than
+    # a 5-user scorer block; 7-user ranking blocks, not a multiple of a 3-user scorer
+    # block (3 + 3 + 1); every user in one ranking block, scored one user at a time
+    # or all at once
+    for rank_pairs, block_pairs in ((metrics.RANK_PAIRS, metrics.BLOCK_PAIRS),
+                                    (n - 1, metrics.BLOCK_PAIRS), (n, n - 1),
+                                    (2 * n, 5 * n), (7 * n, 3 * n + 1),
+                                    (everyone, n), (everyone, everyone)):
+        monkeypatch.setattr(metrics, "RANK_PAIRS", rank_pairs)
+        monkeypatch.setattr(metrics, "BLOCK_PAIRS", block_pairs)
         reports.append(evaluate_report(dataset, params, user_emb, 3, depth, 5, 3, ks=ks))
     assert all(report.to_dict() == reports[0].to_dict() for report in reports[1:])
     assert reports[0].recall_at_k[300] == 1.0
