@@ -18,7 +18,7 @@ import numpy as np
 from .kg import build_kg, sample_subgraph
 from .model import (LocalGraph, ModelParams, as_batch, backward, forward_loss,
                     init_model_params)
-from .rng import derive_rng
+from .rng import ROLE_GRADCHECK, derive_rng
 
 
 @dataclass
@@ -34,7 +34,7 @@ def random_instance(seed: int, index: int = 0) -> tuple[LocalGraph, ModelParams]
     The index cycles through every (d, K, H, mode) combination so a run of
     24+ instances is guaranteed to cover all of them.
     """
-    rng = derive_rng(seed, 99, index)
+    rng = derive_rng(seed, ROLE_GRADCHECK, index)
     d = (2, 4)[index % 2]
     k = (1, 2)[(index // 2) % 2]
     depth = (0, 1, 2)[(index // 4) % 3]

@@ -6,24 +6,26 @@ but the user's positives in the other two splits, by each positive's rank.
 
 As KGCN evaluates on one fixed sampled adjacency, an evaluation pass
 scores every user from one field sampled around all items on
-derive_rng(seed, ROLE_EVAL, round) and gathered once; evaluate_report
-samples it once for both its CTR and its Recall@K parts, which share the
-key. Each pass takes its users in order, in contiguous blocks
-(`_user_blocks`) of at most BLOCK_ITEMS own candidates (CTR) or RANK_PAIRS
-ranked items, all of them per user (Recall@K); a user with more is a block
-alone, and its scores, bitwise those of the field restricted to its
-candidates, are the same in any block. A Recall@K block is scored in
-sub-blocks of at most BLOCK_PAIRS pairs by `model.field_scorer` (whose hop 1
-costs M <= min(K, R) relation-slot passes per sub-block, M the most distinct
-relations a center drew, not R); the block then sets its other-split
-positives to -inf in one assignment and ranks every held-out positive
-against its row in one `recall_from_scores` call.
+derive_rng(seed, ROLE_EVAL, round) and gathered once. Each pass takes its
+users in order, in contiguous blocks (`_user_blocks`) of at most
+BLOCK_ITEMS own candidates (CTR) or RANK_PAIRS ranked items, all of them
+per user (Recall@K); a user with more is a block alone, and its scores are
+the same in any block. A Recall@K block is scored in sub-blocks of at most
+BLOCK_PAIRS pairs by `model.field_scorer` (whose hop 1 costs M <= min(K, R)
+relation-slot passes per sub-block, M the most distinct relations a center
+drew, not R); the block then sets its other-split positives to -inf in one
+assignment and ranks every held-out positive against its row in one
+`recall_from_scores` call.
 
-A CTR pass lays its candidates out user by user, positives then
-negatives, in one flat `items` array with 0/1 `labels` and per-user
-`counts`, made from the interleaved split lists by one np.fromiter, one
-np.repeat of [1, 0] over their sizes and the sizes' row sums: no Python
-runs per candidate.
+CTR candidates are laid out user by user, positives then negatives, in one
+flat `items` array with 0/1 `labels`, made from the interleaved split lists
+by one np.fromiter and one np.repeat of [1, 0] over their sizes: no Python
+runs per candidate. A report with Ks scores each (user, item) pair once: its
+AUC and F1 read the scores its Recall@K ranks, picked from each ranking
+block before it is masked. A valid pass (`evaluate_ctr`), and a report
+without Ks, score through `model.field_batch` in CTR blocks instead, each
+user's scores bitwise those of the field restricted to its candidates; the
+block scorer's agree with them to rounding.
 """
 
 from __future__ import annotations
@@ -162,60 +164,87 @@ def _user_blocks(counts: list[int], limit: int):
         yield start, len(counts)
 
 
-def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
-                 sample_size: int, depth: int, seed: int, round_index: int,
-                 split: str = "valid", field: Field | None = None) -> MetricReport:
-    """Pooled CTR metrics over every user's split positives and negatives.
-
-    `field`, when given, is the pass's `sample_field` on the same key."""
+def _ctr_candidates(dataset: Dataset, split: str):
+    """The split's CTR users, those with positives and negatives, and their
+    candidates user by user, positives then negatives: (users, items, labels,
+    sizes), sizes[b] the (positives, negatives) of users[b]."""
     pos_lists, neg_lists = dataset.split_of(split)
     users = [u for u in range(dataset.num_users) if pos_lists[u] and neg_lists[u]]
-    if not users:
-        return MetricReport(auc=None, f1=None)
     lists = [side for u in users for side in (pos_lists[u], neg_lists[u])]
     sizes = np.fromiter(map(len, lists), np.int64, len(lists)).reshape(-1, 2)
-    counts = sizes.sum(axis=1).tolist()
-    bounds = [0, *accumulate(counts)]
-    items = np.fromiter(chain.from_iterable(lists), np.int64, bounds[-1])
+    items = np.fromiter(chain.from_iterable(lists), np.int64, int(sizes.sum()))
     labels = np.repeat(np.tile([1, 0], len(users)), sizes.ravel())
-    if field is None:
-        field = sample_field(dataset, params, sample_size, depth, seed, round_index)
-    scores = np.concatenate([
-        score_items(params.model, field, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
-                    counts[s:e])
-        for s, e in _user_blocks(counts, BLOCK_ITEMS)])
+    return users, items, labels, sizes
+
+
+def _ctr_report(scores: list[np.ndarray], labels: np.ndarray, sizes: np.ndarray) -> MetricReport:
+    """Pooled CTR metrics over `_ctr_candidates`' layout, scored in blocks."""
+    if not len(sizes):
+        return MetricReport(auc=None, f1=None)
+    scores = np.concatenate(scores)
     positives, negatives = sizes.sum(axis=0).tolist()
     return MetricReport(auc=auc(scores, labels), f1=f1(scores, labels),
-                        users_evaluated=len(users), positives=positives, negatives=negatives)
+                        users_evaluated=len(sizes), positives=positives, negatives=negatives)
+
+
+def evaluate_ctr(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
+                 sample_size: int, depth: int, seed: int, round_index: int,
+                 split: str = "valid") -> MetricReport:
+    """Pooled CTR metrics over every user's split positives and negatives."""
+    users, items, labels, sizes = _ctr_candidates(dataset, split)
+    counts = sizes.sum(axis=1).tolist()
+    bounds = [0, *accumulate(counts)]
+    field = sample_field(dataset, params, sample_size, depth, seed, round_index)
+    return _ctr_report([
+        score_items(params.model, field, user_emb[users[s:e]], items[bounds[s]:bounds[e]],
+                    counts[s:e])
+        for s, e in _user_blocks(counts, BLOCK_ITEMS)], labels, sizes)
 
 
 def recall_at_k(dataset: Dataset, scorer, user_emb: np.ndarray, users: list[int],
-                ks: list[int], split: str = "test") -> list[dict[int, float]]:
+                ks: list[int], split: str, pairs: tuple[np.ndarray, np.ndarray]):
     """Recall@K of a ranking block of users over every item but their other splits'
-    positives; the scorer takes the users in sub-blocks of at most BLOCK_PAIRS pairs."""
+    positives; the scorer takes the users in sub-blocks of at most BLOCK_PAIRS pairs.
+
+    Also returns the block's scores at `pairs`, (rows of `users`, item ids), read
+    before any score is masked."""
     scores = np.concatenate([
         scorer(user_emb[users[s:e]])
         for s, e in _user_blocks([dataset.num_items] * len(users), BLOCK_PAIRS)])
+    picked = scores[pairs]
     lists = {name: dataset.split_of(name)[0] for name in ("train", "valid", "test")}
     other = [lists[name][user] for name in lists if name != split for user in users]
     rows = np.repeat(np.arange(len(other)) % len(users), [len(items) for items in other])
     scores[rows, np.fromiter(chain.from_iterable(other), np.intp, len(rows))] = -np.inf
-    return recall_from_scores(scores, [lists[split][user] for user in users], ks)
+    return recall_from_scores(scores, [lists[split][user] for user in users], ks), picked
 
 
 def evaluate_report(dataset: Dataset, params: ParameterState, user_emb: np.ndarray,
                     sample_size: int, depth: int, seed: int, round_index: int,
                     ks: list[int] | None = None, split: str = "test") -> MetricReport:
-    """Full evaluation: pooled CTR metrics plus mean per-user Recall@K."""
+    """Full evaluation: pooled CTR metrics plus mean per-user Recall@K.
+
+    With Ks, the CTR metrics read the ranking blocks' scores; without, the
+    report is `evaluate_ctr`'s."""
+    if not ks:
+        return evaluate_ctr(dataset, params, user_emb, sample_size, depth, seed,
+                            round_index, split)
     field = sample_field(dataset, params, sample_size, depth, seed, round_index)
-    report = evaluate_ctr(dataset, params, user_emb, sample_size, depth,
-                          seed, round_index, split, field=field)
-    if ks:
-        scorer = field_scorer(field, params.model)
-        users = [u for u, pos in enumerate(dataset.split_of(split)[0]) if pos]
-        recs = [rec for s, e in _user_blocks([dataset.num_items] * len(users), RANK_PAIRS)
-                for rec in recall_at_k(dataset, scorer, user_emb, users[s:e], ks, split)]
-        if recs:  # cumsum adds in user order, where np.sum would add pairwise
-            report.recall_at_k = {k: float(np.cumsum([rec[k] for rec in recs])[-1]) / len(recs)
-                                  for k in ks}
+    scorer = field_scorer(field, params.model)
+    users = [u for u, pos in enumerate(dataset.split_of(split)[0]) if pos]
+    ctr_users, items, labels, sizes = _ctr_candidates(dataset, split)
+    # each CTR candidate's row among the ranked users, who include every CTR user;
+    # a ranking block's candidates are one contiguous run
+    rows = np.repeat(np.searchsorted(users, ctr_users), sizes.sum(axis=1))
+    recs, picked = [], []
+    for s, e in _user_blocks([dataset.num_items] * len(users), RANK_PAIRS):
+        a, b = np.searchsorted(rows, [s, e])
+        block_recs, block_scores = recall_at_k(dataset, scorer, user_emb, users[s:e], ks,
+                                               split, (rows[a:b] - s, items[a:b]))
+        recs += block_recs
+        picked.append(block_scores)
+    report = _ctr_report(picked, labels, sizes)
+    if recs:  # cumsum adds in user order, where np.sum would add pairwise
+        report.recall_at_k = {k: float(np.cumsum([rec[k] for rec in recs])[-1]) / len(recs)
+                              for k in ks}
     return report

@@ -18,6 +18,7 @@ ROLE_SELECT = 3
 ROLE_CLIENT = 4
 ROLE_SERVE = 5
 ROLE_EVAL = 6
+ROLE_GRADCHECK = 99  # gradcheck's random instances, outside any run
 
 
 def derive_rng(master_seed: int, role: int, *counters: int) -> np.random.Generator:

@@ -435,6 +435,20 @@ def test_evaluate_six_positives_per_user_scores_test_users(tmp_path):
     assert payload["users_evaluated"] > 0 and payload["auc"] is not None
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_evaluate_checkpoint_repeats_the_final_report(tmp_path, depth):
+    # train's final report and evaluate on its checkpoint score one field on one key
+    out, result = tmp_path / "run", tmp_path / "eval.json"
+    assert main(_tiny_train_args(out, depth=depth, recall_ks="3,10", seed=5)) == 0
+    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                 "--recall-ks", "3,10", "--out", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    final = json.loads((out / "final_metrics.json").read_text())
+    assert payload.pop("split") == "test"
+    assert payload == final
+    assert final["auc"] is not None and set(final["recall_at_k"]) == {"3", "10"}
+
+
 def test_evaluate_rejects_recall_k_below_one(tmp_path, capsys):
     out = tmp_path / "run"
     args = _tiny_train_args(out)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 from itertools import accumulate, product
 
 import numpy as np
@@ -512,15 +513,16 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
         metrics.recall_from_scores
 
     def sample(kg, anchors, k, depth, rng):
-        sampled.append((np.array(anchors), k, depth, rng.bit_generator.state))
-        return real_sample(kg, anchors, k, depth, rng)
+        sampled.append((np.array(anchors), k, depth, rng.bit_generator.state,
+                        real_sample(kg, anchors, k, depth, rng)))
+        return sampled[-1][-1]
 
     def gather_rows(state, entities, relations):
         gathered.append((np.array(entities), np.array(relations)))
         return real_gather(state, entities, relations)
 
     def score(model, field, users, items, counts):
-        scored.append((field, len(items)))
+        scored.append((field, len(users), list(counts)))
         return real_score(model, field, users, items, counts)
 
     def field_scorer(field, model):
@@ -553,7 +555,7 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     field = sample_subgraph(dataset.kg, np.arange(dataset.num_items), cfg.sample_size,
                             cfg.depth, derive_rng(cfg.seed, ROLE_EVAL, round_index))
     assert len(sampled) == 1
-    for anchors, k, depth, state in sampled:
+    for anchors, k, depth, state, _ in sampled:
         assert np.array_equal(anchors, np.arange(dataset.num_items))
         assert (k, depth) == (cfg.sample_size, cfg.depth)
         assert state == stream.bit_generator.state
@@ -561,16 +563,13 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     for entities, relations in gathered:
         assert np.array_equal(entities, field.entities)
         assert np.array_equal(relations, field.relations)
-    # the CTR blocks read the field through score_items ...
-    ctr = sum(len(dataset.test[u]) + len(dataset.test_neg[u])
-              for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u])
-    assert len({id(f) for f, _ in scored}) == 1
-    assert sum(n for _, n in scored) == ctr
-    # ... and the Recall@K users the same field through one block scorer: every user
-    # with test positives, in ranking blocks of max(1, RANK_PAIRS // items) users, each
-    # ranked in one call after its scorer sub-blocks of max(1, BLOCK_PAIRS // items),
-    # which start afresh at every ranking block
-    assert len(scorers) == 1 and scorers[0] is scored[0][0]
+    # the CTR metrics read the ranking blocks' scores: no score_items call, and one
+    # block scorer over that field
+    assert scored == []
+    assert len(scorers) == 1 and scorers[0].subgraph is sampled[0][-1]
+    # every user with test positives, in ranking blocks of max(1, RANK_PAIRS // items)
+    # users, each ranked in one call after its scorer sub-blocks of
+    # max(1, BLOCK_PAIRS // items), which start afresh at every ranking block
     users = sum(1 for u in range(dataset.num_users) if dataset.test[u])
 
     def split(total, step):
@@ -582,6 +581,21 @@ def test_evaluate_report_call_counts_match_recount(monkeypatch):
     assert [n for _, n in ranked] == rank_blocks
     assert [at for at, _ in ranked] == list(accumulate(map(len, sub_blocks)))
     assert blocks == [5, 5, 2, 5, 5, 2, 5, 1] and rank_blocks == [12, 12, 6]
+
+    # without Ks the report is evaluate_ctr's pass: the same score_items blocks on one
+    # field, and no scorer
+    def passes(run):
+        sampled.clear(), gathered.clear(), scored.clear(), scorers.clear()
+        run(dataset, params, user_emb, cfg.sample_size, cfg.depth, cfg.seed, round_index,
+            split="test")
+        assert len(sampled) == len(gathered) == 1 and scorers == []
+        assert all(f.subgraph is sampled[0][-1] for f, _, _ in scored)
+        return [(n, counts) for _, n, counts in scored]
+    want = passes(evaluate_ctr)
+    assert passes(partial(evaluate_report, ks=None)) == want
+    ctr = [len(dataset.test[u]) + len(dataset.test_neg[u])
+           for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u]]
+    assert [n for _, counts in want for n in counts] == ctr
 
 
 def scorer_setup(dataset, depth, mode):
@@ -762,6 +776,35 @@ def test_recall_report_bitwise_the_same_in_any_block(depth, mode, monkeypatch):
     scorer = pass_scorer(dataset, params, depth)[1]
     one_by_one = [scorer(user_emb[[u]]) for u in range(dataset.num_users)]
     assert scorer(user_emb).tobytes() == np.concatenate(one_by_one).tobytes()
+
+
+@pytest.mark.parametrize("depth,mode", list(product(range(3), ("replace", "transform"))))
+def test_report_ctr_reads_the_scores_it_ranks(depth, mode, monkeypatch):
+    dataset = _block_dataset()
+    params, user_emb = scorer_setup(dataset, depth, mode)
+    report = evaluate_report(dataset, params, user_emb, 3, depth, 5, 3, ks=[1, 5])
+
+    # the CTR users' candidates, read off the block scorer's full rows
+    users = [u for u in range(dataset.num_users) if dataset.test[u] and dataset.test_neg[u]]
+    assert 0 < len(users) < sum(1 for pos in dataset.test if pos)
+    got = pass_scorer(dataset, params, depth)[1](user_emb[users])
+    scores = [got[row, dataset.test[u] + dataset.test_neg[u]] for row, u in enumerate(users)]
+    pooled = np.concatenate(scores)
+    labels = np.concatenate([[1] * len(dataset.test[u]) + [0] * len(dataset.test_neg[u])
+                             for u in users])
+    assert (report.auc, report.f1) == (auc(pooled, labels), f1(pooled, labels))
+    assert report.users_evaluated == len(users)
+    assert (report.positives, report.negatives) == (int(labels.sum()),
+                                                    int(len(labels) - labels.sum()))
+
+    # the same model as field_batch's CTR pass, to rounding
+    calls = record_score_items(monkeypatch)
+    ctr = evaluate_ctr(dataset, params, user_emb, 3, depth, 5, 3, "test")
+    for want, have in zip(block_scores(calls), scores, strict=True):
+        np.testing.assert_array_max_ulp(have, want, maxulp=4)
+    # and without Ks the report is that pass
+    ctr_only = evaluate_report(dataset, params, user_emb, 3, depth, 5, 3, ks=None)
+    assert ctr_only.to_dict() == ctr.to_dict()
 
 
 def brute_force_recall(dataset, params, user_emb, k, depth, seed, round_index, ks, split):

@@ -38,3 +38,11 @@ def test_derive_rng_is_seed_sequence_of_the_key_list(monkeypatch, keys, words):
     assert isinstance(seen[0], np.ndarray) == words
     if words:
         assert seen[0].dtype == np.uint32 and seen[0].tolist() == list(keys)
+
+
+def test_role_table_is_pinned():
+    # role values key every seeded stream: a change re-seeds every run and instance
+    from fedkg import rng
+    roles = {name: value for name, value in vars(rng).items() if name.startswith("ROLE_")}
+    assert roles == {"ROLE_PARAMS": 0, "ROLE_USERS": 1, "ROLE_DATA": 2, "ROLE_SELECT": 3,
+                     "ROLE_CLIENT": 4, "ROLE_SERVE": 5, "ROLE_EVAL": 6, "ROLE_GRADCHECK": 99}
