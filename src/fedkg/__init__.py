@@ -4,9 +4,9 @@ from .client import ClientState, build_request, local_train, merge_graphs
 from .config import ExperimentConfig
 from .data import Dataset, generate_synthetic, load_dataset
 from .kg import KnowledgeGraph, Layer, Subgraph, build_kg, sample_subgraph
-from .messages import GradientUpload, RequestMessage, SubgraphResponse
+from .messages import GradientUpload, RequestMessage
 from .metrics import MetricReport, auc, evaluate_ctr, evaluate_report, f1
-from .model import (GradientPacket, LocalGraph, ModelParams, SparseGrad,
+from .model import (Field, GradientPacket, LocalGraph, ModelParams, SparseGrad,
                     attention_weights, backward, bce_loss, propagate)
 from .params import (ParameterState, apply_global_update, gather, init_params,
                      load_checkpoint, save_checkpoint)

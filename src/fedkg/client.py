@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check
-from .messages import RequestMessage, SubgraphResponse
-from .model import BatchGradient, LocalGraph, ModelParams, as_batch, backward
+from .messages import RequestMessage
+from .model import BatchGradient, Field, LocalGraph, ModelParams, as_batch, backward
 from .privacy import DpConfig, RequestPlan, generate_request_items
 
 
@@ -36,7 +36,7 @@ def build_request(state: ClientState, negatives_pool: list[int] | np.ndarray,
     return plan, msg
 
 
-def merge_graphs(plan: RequestPlan, response: SubgraphResponse,
+def merge_graphs(plan: RequestPlan, response: Field,
                  user_embedding: np.ndarray) -> LocalGraph:
     """Join the KG subgraph with the local labels into one training graph."""
     sub = response.subgraph

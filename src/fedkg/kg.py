@@ -72,6 +72,11 @@ class Layer:
         computed once per layer."""
         return np.flatnonzero(~self.isolated)
 
+    @cached_property
+    def sampled_rows(self) -> np.ndarray:
+        """Per center, its row in rel_rows/tail_rows when not isolated; computed once."""
+        return np.cumsum(~self.isolated) - 1
+
 
 @dataclass
 class Subgraph:
@@ -85,6 +90,11 @@ class Subgraph:
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def ent_rows(self) -> list[np.ndarray]:
+        """Per depth, each id's row in `entities`, computed once per subgraph."""
+        return [np.searchsorted(self.entities, ids) for ids in self.ids]
 
 
 def build_kg(triples: np.ndarray, num_entities: int, num_relations: int) -> KnowledgeGraph:

@@ -1,11 +1,11 @@
-"""Server-bound wire messages.
+"""Server-bound wire messages: this module holds only the two wire payloads.
 
 RequestMessage and GradientUpload are the only payloads a client ever
-sends; both are versioned with fixed field order and carry no user
-embedding, no labels, and no raw interaction set. An upload is a
-stripped GradientPacket: its wire keys `entities`, `relations` and
-`model` carry the packet's `entity_grads`, `relation_grads` and
-`model_grads`.
+sends (the server's reply is an in-process `model.Field`); both are
+versioned with fixed field order and carry no user embedding, no labels,
+and no raw interaction set. An upload is a stripped GradientPacket: its
+wire keys `entities`, `relations` and `model` carry the packet's
+`entity_grads`, `relation_grads` and `model_grads`.
 
 Both are JSON objects. Ids and counts are plain JSON: `version`,
 `client_id`, `weight`, request `items` and gradient `ids` are JSON
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import Subgraph
-from .model import GradientPacket, ModelParams, SparseGrad
+from .model import GradientPacket, SparseGrad
 
 WIRE_VERSION = 4
 
@@ -172,22 +171,6 @@ def _model_layer(layer) -> tuple[np.ndarray, np.ndarray]:
         raise WireFormatError(
             f"model layer: w of shape {dw.shape} does not match b of shape {db.shape}")
     return dw, db
-
-
-@dataclass
-class SubgraphResponse:
-    """Server reply: sampled subgraph, its gathered embedding rows, full model.
-
-    Row i of entity_rows (relation_rows) is the vector of
-    subgraph.entities[i] (subgraph.relations[i]); the rows are copies.
-    `model` is the global model itself, shared and read-only: local
-    training steps its own copies.
-    """
-
-    subgraph: Subgraph
-    entity_rows: np.ndarray
-    relation_rows: np.ndarray
-    model: ModelParams
 
 
 def _load(raw: bytes, expected: tuple[str, ...], kind: str) -> dict:

@@ -133,10 +133,12 @@ def recall_from_scores(scores: np.ndarray, positives, ks: list[int]) -> list[dic
 
 def sample_field(dataset: Dataset, params: ParameterState, sample_size: int, depth: int,
                  seed: int, round_index: int) -> Field:
-    """The pass's receptive field around every item, and its gathered rows."""
+    """The pass's receptive field around every item, with its gathered rows and
+    params.model; subgraph.ids[0] is arange(num_items), so an item is its own
+    anchor row."""
     sub = sample_subgraph(dataset.kg, np.arange(dataset.num_items), sample_size, depth,
                           derive_rng(seed, ROLE_EVAL, round_index))
-    return Field(sub, *gather(params, sub.entities, sub.relations))
+    return Field(sub, *gather(params, sub.entities, sub.relations), params.model)
 
 
 def score_items(model: ModelParams, field: Field, users: np.ndarray, items: np.ndarray,

@@ -189,7 +189,7 @@ class BatchGradient:
 class GraphBatch:
     """B LocalGraphs stacked in batch order (layout in the module docstring).
 
-    An evaluation batch (`field_batch`) shares one Field's read-only tables
+    An evaluation batch (`field_batch`) shares one Field's read-only rows
     among its users, so its entity/relation offsets are None: packets() is
     for training batches only.
     """
@@ -279,7 +279,7 @@ def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
         relations=np.concatenate([s.relations for s in subs]),
         entity_rows=np.concatenate([g.entity_rows for g in graphs]),
         relation_rows=np.concatenate([g.relation_rows for g in graphs]),
-        ent_rows=[np.concatenate([np.searchsorted(s.entities, s.ids[lvl]) for s in subs])
+        ent_rows=[np.concatenate([s.ent_rows[lvl] for s in subs])
                   + _per_row(ent_off[:-1], ids_off[lvl]) for lvl in range(depth + 1)],
         layers=layers, anchor_offsets=ids_off[0], entity_offsets=ent_off,
         relation_offsets=rel_off, sampled_offsets=sampled_off)
@@ -287,22 +287,22 @@ def stack_graphs(graphs: list[LocalGraph]) -> GraphBatch:
 
 @dataclass
 class Field:
-    """One receptive field sampled around every item, with its gathered rows.
+    """A sampled receptive field, its gathered rows and the model that reads them.
 
-    subgraph.ids[0] is arange(num_items), so an item is its own anchor row.
-    An evaluation pass scores all its users from one field (`field_batch`).
+    Row i of entity_rows (relation_rows) is the vector of subgraph.entities[i]
+    (subgraph.relations[i]); the rows are read-only copies. `model` is the
+    global model itself, shared and read-only: local training steps its own
+    copies. The server answers a request with one; an evaluation pass scores
+    all its users from one sampled around every item (`field_batch`).
     """
 
     subgraph: Subgraph
-    entity_rows: np.ndarray  # row i is the vector of subgraph.entities[i]
-    relation_rows: np.ndarray  # row i is the vector of subgraph.relations[i]
+    entity_rows: np.ndarray
+    relation_rows: np.ndarray
+    model: ModelParams
 
     def __post_init__(self):
         self.entity_rows.flags.writeable = self.relation_rows.flags.writeable = False
-        # made once per field: per depth, each id's row in entity_rows; per
-        # layer, each center's row in rel_rows/tail_rows
-        self.ent_rows = [np.searchsorted(self.subgraph.entities, ids) for ids in self.subgraph.ids]
-        self.sampled_rows = [np.cumsum(~layer.isolated) - 1 for layer in self.subgraph.layers]
 
 
 def field_batch(field: Field, users: np.ndarray, items: np.ndarray, counts) -> GraphBatch:
@@ -312,24 +312,24 @@ def field_batch(field: Field, users: np.ndarray, items: np.ndarray, counts) -> G
     distinct tails that user's sampled rows reach (one keyed unique over
     user * n + position). The deepest depth, which no hop updates, is the
     field's own, shared by the block. Every row index points into the
-    field's tables, so a user's scores are bitwise those of the field
+    field's rows, so a user's scores are bitwise those of the field
     restricted to its items and run as that user's own LocalGraph.
     """
     sub, anchors = field.subgraph, _offsets(counts)
     owner, pos = _per_row(np.arange(len(users)), anchors), np.asarray(items, dtype=np.int64)
-    ent_rows, layers, sampled_off = [field.ent_rows[0][pos]], [], []
+    ent_rows, layers, sampled_off = [sub.ent_rows[0][pos]], [], []
     for lvl, layer in enumerate(sub.layers):
         isolated = layer.isolated[pos]
-        rows, owner = field.sampled_rows[lvl][pos[~isolated]], owner[~isolated]
+        rows, owner = layer.sampled_rows[pos[~isolated]], owner[~isolated]
         tails = layer.tail_rows[rows]
         sampled_off.append(_offsets(np.bincount(owner, minlength=len(users))))
         if lvl + 1 < sub.depth:
             n = len(sub.ids[lvl + 1])
             keys, tails = unique_inverse(owner[:, None] * n + tails)
             owner, pos = np.divmod(keys, n)
-            ent_rows.append(field.ent_rows[lvl + 1][pos])
+            ent_rows.append(sub.ent_rows[lvl + 1][pos])
         else:
-            ent_rows.append(field.ent_rows[-1])
+            ent_rows.append(sub.ent_rows[-1])
         layers.append(Layer(isolated=isolated, rel_rows=layer.rel_rows[rows], tail_rows=tails))
     return GraphBatch(
         users=np.asarray(users, dtype=np.float64), labels=np.zeros(anchors[-1]),
@@ -355,7 +355,7 @@ def field_scorer(field: Field, params: ModelParams):
     (U, d, n); scores agree with `field_batch`'s to rounding.
     """
     sub, transform = field.subgraph, params.mode == "transform"
-    raw = [field.entity_rows[rows].T for rows in field.ent_rows]  # (d, n) per depth
+    raw = [field.entity_rows[rows].T for rows in sub.ent_rows]  # (d, n) per depth
     slots, draw_slots, hop1 = [], [], []
     for lvl, layer in enumerate(sub.layers):
         # a draw's slot: how many distinct relations its center drew below its own

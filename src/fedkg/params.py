@@ -79,8 +79,6 @@ def _update_rows(grad: SparseGrad, table: np.ndarray,
     if rows.shape != (len(ids), width) and (len(ids) or rows.size):
         raise ValueError(
             f"{kind} gradient rows have shape {rows.shape}, expected ({len(ids)}, {width})")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"non-finite {kind} gradient in aggregated update")
     return ids, rows.reshape(len(ids), width)
 
 
@@ -88,24 +86,27 @@ def apply_global_update(state: ParameterState, avg: "AggregatedGradient",
                         eta: float) -> None:
     """Plain gradient descent: p <- p - eta * avg_p on every touched parameter.
 
-    Checks every id range and order, row width and value before the first
-    write, so a bad round leaves the state bitwise unchanged.
+    Checks every id range and order and row width, then makes every new value
+    and checks that it is finite (a non-finite gradient, or a finite step that
+    overflows, is a ValueError), before the first write: a bad round leaves
+    the state bitwise unchanged, whatever the warnings filter.
     """
     ent_ids, ent_rows = _update_rows(avg.entity, state.entity_emb, "entity")
     rel_ids, rel_rows = _update_rows(avg.relation, state.relation_emb, "relation")
     if len(avg.model) > state.model.depth:
         raise ValueError("model gradient has more layers than the model")
+    steps = [(state.entity_emb, ent_ids, ent_rows), (state.relation_emb, rel_ids, rel_rows)]
     for (dw, db), w, b in zip(avg.model, state.model.weights, state.model.biases):
         if np.shape(dw) != w.shape or np.shape(db) != b.shape:
             raise ValueError("model gradient shape differs from the model")
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise ValueError("non-finite model gradient in aggregated update")
-
-    state.entity_emb[ent_ids] -= eta * ent_rows
-    state.relation_emb[rel_ids] -= eta * rel_rows
-    for layer, (dw, db) in enumerate(avg.model):
-        state.model.weights[layer] -= eta * dw
-        state.model.biases[layer] -= eta * db
+        steps += [(w, ..., dw), (b, ..., db)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the arithmetic of an in-place -=
+        new = [table[index] - eta * grad for table, index, grad in steps]
+    if not all(np.isfinite(values).all() for values in new):
+        raise ValueError("aggregated update is not finite: a non-finite gradient, "
+                         "or a step that overflows")
+    for (table, index, _), values in zip(steps, new):
+        table[index] = values
 
 
 def save_checkpoint(path: str, state: ParameterState,

@@ -35,8 +35,8 @@ from .client import ClientState, build_request, local_train, merge_graphs
 from .config import check
 from .data import unobserved_items
 from .kg import KnowledgeGraph, sample_subgraph, unique_inverse
-from .messages import GradientUpload, RequestMessage, SubgraphResponse
-from .model import GradientPacket, SparseGrad, broadcast_model, segment_sum, stack_graphs
+from .messages import GradientUpload, RequestMessage
+from .model import Field, GradientPacket, SparseGrad, broadcast_model, segment_sum, stack_graphs
 from .params import ParameterState, apply_global_update, gather
 from .privacy import DpConfig, ldp_encrypt
 from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
@@ -102,15 +102,14 @@ def select_clients(total: int, count: int, rng: np.random.Generator) -> list[int
 
 def serve_request(msg: RequestMessage, kg: KnowledgeGraph, params: ParameterState,
                   sample_size: int, depth: int,
-                  rng: np.random.Generator) -> SubgraphResponse:
+                  rng: np.random.Generator) -> Field:
     """Sample the receptive field; ship copies of its rows and the shared, read-only model."""
     for item in msg.items:
         if not 0 <= item < kg.num_entities:
             raise RequestError(f"unknown item id {item}")
     subgraph = sample_subgraph(kg, msg.items, sample_size, depth, rng)
-    ent_rows, rel_rows = gather(params, subgraph.entities, subgraph.relations)
-    return SubgraphResponse(subgraph=subgraph, entity_rows=ent_rows,
-                            relation_rows=rel_rows, model=params.model)
+    return Field(subgraph, *gather(params, subgraph.entities, subgraph.relations),
+                 params.model)
 
 
 def aggregate(packets: list[GradientPacket]) -> AggregatedGradient:
@@ -118,7 +117,8 @@ def aggregate(packets: list[GradientPacket]) -> AggregatedGradient:
 
     Packets are reduced in client-id order regardless of input order, so the
     result is bitwise permutation-invariant. Every packet must carry the
-    first packet's model-gradient layer count and shapes.
+    first packet's model-gradient layer count and shapes. An overflow or an
+    inf - inf gives a non-finite mean, never a warning: the update rejects it.
     """
     if not packets:
         raise ValueError("aggregate over zero packets")
@@ -132,15 +132,15 @@ def aggregate(packets: list[GradientPacket]) -> AggregatedGradient:
     total_weight = sum(weights)
     model_num = [(np.zeros_like(dw), np.zeros_like(db))
                  for dw, db in ordered[0].model_grads]
-    for w, p in zip(weights, ordered):
-        for (nw, nb), (dw, db) in zip(model_num, p.model_grads):
-            nw += w * dw
-            nb += w * db
-
-    return AggregatedGradient(
-        entity=_segment_mean(weights, [p.entity_grads for p in ordered]),
-        relation=_segment_mean(weights, [p.relation_grads for p in ordered]),
-        model=[(nw / total_weight, nb / total_weight) for nw, nb in model_num])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, p in zip(weights, ordered):
+            for (nw, nb), (dw, db) in zip(model_num, p.model_grads):
+                nw += w * dw
+                nb += w * db
+        return AggregatedGradient(
+            entity=_segment_mean(weights, [p.entity_grads for p in ordered]),
+            relation=_segment_mean(weights, [p.relation_grads for p in ordered]),
+            model=[(nw / total_weight, nb / total_weight) for nw, nb in model_num])
 
 
 def _segment_mean(weights: list[float], grads: list[SparseGrad]) -> SparseGrad:

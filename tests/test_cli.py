@@ -269,6 +269,8 @@ def test_os_errors_are_usage_errors(tmp_path, capsys, command):
 # change that moves the stream must update this digest and say why. Last
 # moved when evaluation began scoring every user of a pass from one sampled
 # field: at depth 2 the scores read that field's draws, not per-user ones.
+# Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
+# SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
 PINNED_METRICS_SHA256 = "8c3379c6677d8867f7fed97ff756aacaa37d6ab45dc3b1c9c3a7897af76fdb60"
 
 
@@ -289,6 +291,8 @@ def test_metrics_stream_pinned_across_transports(tmp_path):
 # sha256 of the README config's metrics.jsonl at its default depth, H = 1:
 #   fedkg train --seed 7 --max-rounds 12 --eval-every 4
 # A change that moves the stream must update this digest and say why.
+# Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
+# SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
 PINNED_README_H1_SHA256 = "a94ecbcc40298e39b7ac5953e4f632d09bb267718ec8231b238f7b0a537b3813"
 
 
@@ -311,6 +315,8 @@ def test_synth_emits_three_files(tmp_path):
 
 # sha256 of `fedkg synth --seed 7` at the default config. A change that
 # moves these bytes must update the digests and say why.
+# Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
+# SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
 PINNED_SYNTH_SHA256 = {
     "kg.txt": "3351cc0336522b814186c3d138c89840043179fe100d814aab56b8af0f3d6649",
     "ratings.txt": "6becbe2230c63aa1c19706de186e4d41707d59e9034623da80832a00aabebcc8",

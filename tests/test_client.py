@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -171,8 +173,8 @@ def test_local_train_near_zero_packet_at_flat_optimum():
     client = ClientState(user_id=2, user_embedding=np.full(4, 50.0),
                          interactions={1, 4})
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)
-    plan, msg, response = _serve(client, kg, params, dp)
-    response.entity_rows[...] = 50.0
+    plan, msg, served = _serve(client, kg, params, dp)
+    response = replace(served, entity_rows=np.full_like(served.entity_rows, 50.0))
     graph = merge_graphs(plan, response, client.user_embedding)
     packet = local_train(client, graph, response.model, eta=0.1, epochs=1)
     norm = sum(float(np.abs(v).sum()) for v in packet.entity_grads.entries.values())

@@ -267,6 +267,8 @@ def dataset_sha256(ds):
 # generator (whose loop stops once a user's preferred items run out), and a
 # catalogue barely larger than a user's interactions, so negative lists clamp
 # to the pool. A change that moves these bytes must update them and say why.
+# Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
+# SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
 PINNED_DATASET_SHA256 = {
     "scale": (dict(users=2000, items=2000, attributes=100),
               "426fe73f47436a2557036cba84c511dba395f605742c7305e1cbb7b253d53afc"),

@@ -212,6 +212,30 @@ def test_subgraph_matches_per_center_reference_stream():
             {int(r) for layer in ref for rows in layer.values() for r in rows[:, 0]})
 
 
+@pytest.mark.parametrize("depth", range(4))
+def test_subgraph_row_tables_locate_ids_and_draws(depth):
+    # random graphs in which some anchors and tails are isolated
+    for trial in range(20):
+        rng = derive_rng(14, depth, trial)
+        n = int(rng.integers(4, 30))
+        linked = n - int(rng.integers(1, 4))  # entities linked..n-1 have no triple
+        triples = [(int(rng.integers(0, linked)), int(rng.integers(0, 3)),
+                    int(rng.integers(0, linked))) for _ in range(int(rng.integers(1, 40)))]
+        kg = build_kg(triples, n, 3)
+        anchors = np.append(rng.permutation(n)[:int(rng.integers(1, 8))], n - 1)
+        sub = sample_subgraph(kg, anchors, int(rng.integers(1, 5)), depth, derive_rng(15, trial))
+        assert len(sub.ent_rows) == depth + 1
+        for ids, rows in zip(sub.ids, sub.ent_rows):
+            assert np.array_equal(rows, np.searchsorted(sub.entities, ids))
+            assert np.array_equal(sub.entities[rows], ids)
+        if depth:
+            assert sub.layers[0].isolated[-1]  # the last anchor, n - 1, has no edge
+        for layer in sub.layers:
+            assert np.array_equal(layer.sampled_rows, np.cumsum(~layer.isolated) - 1)
+            assert np.array_equal(layer.sampled_rows[layer.sampled],
+                                  np.arange(len(layer.rel_rows)))
+
+
 def test_sampling_uniformity_three_sigma():
     kg = build_kg([(0, 0, 1), (0, 0, 2), (0, 0, 3)], 4, 1)
     rng = derive_rng(10, 0)

@@ -39,6 +39,8 @@ def _packed(values, shape) -> dict:
 
 
 # v4 bytes of _stripped_packet()'s upload; a change to the wire format must edit this
+# Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
+# SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
 GOLDEN_UPLOAD = (
     b'{"version":4,"type":"gradient_upload","client_id":12,"weight":3,'
     b'"entities":{"ids":[1,4],"vectors":{"shape":[2,2],'

@@ -11,7 +11,7 @@ from fedkg.config import ExperimentConfig
 from fedkg.data import Dataset, unobserved_items
 from fedkg.kg import Layer, Subgraph, build_kg, sample_subgraph
 from fedkg.metrics import (auc, evaluate_ctr, evaluate_report, f1,
-                           recall_from_scores)
+                           recall_from_scores, sample_field)
 from fedkg.model import Field, LocalGraph, field_batch, field_scorer, propagate, sigmoid
 from fedkg.params import gather, init_params
 from fedkg.rng import ROLE_EVAL, derive_rng
@@ -324,6 +324,22 @@ def pass_field(dataset, k, depth, seed, round_index):
                            derive_rng(seed, ROLE_EVAL, round_index))
 
 
+def test_sample_field_is_a_read_only_field_around_every_item():
+    dataset = _block_dataset()
+    params = init_params(dataset.kg.num_entities, dataset.kg.num_relations, 8,
+                         derive_rng(24, 0), depth=2)
+    field = sample_field(dataset, params, 3, 2, 5, 1)
+    assert isinstance(field, Field) and field.model is params.model
+    assert np.array_equal(field.subgraph.ids[0], np.arange(dataset.num_items))
+    assert np.array_equal(field.subgraph.ids[1], pass_field(dataset, 3, 2, 5, 1).ids[1])
+    for rows, table, ids in ((field.entity_rows, params.entity_emb, field.subgraph.entities),
+                             (field.relation_rows, params.relation_emb,
+                              field.subgraph.relations)):
+        assert np.array_equal(rows, table[ids]) and not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0.0
+
+
 def record_score_items(monkeypatch):
     """Patch metrics.score_items to record (field, counts, scores) per block."""
     real, calls = metrics.score_items, []
@@ -480,7 +496,7 @@ def test_field_batch_user_with_only_isolated_candidates(depth, mode):
     params = init_params(dataset.kg.num_entities, dataset.kg.num_relations, 8,
                          derive_rng(24, depth), depth=depth, mode=mode)
     sub = pass_field(dataset, 3, depth, 5, 1)
-    field = Field(sub, *gather(params, sub.entities, sub.relations))
+    field = Field(sub, *gather(params, sub.entities, sub.relations), params.model)
     assert not field.entity_rows.flags.writeable and not field.relation_rows.flags.writeable
     users = derive_rng(25, depth).uniform(-0.5, 0.5, size=(3, 8))
     linked = [[3, 17, 40], [200, 3]]
@@ -608,8 +624,8 @@ def scorer_setup(dataset, depth, mode):
 
 def pass_scorer(dataset, params, depth):
     sub = pass_field(dataset, 3, depth, 5, 3)
-    return sub, field_scorer(Field(sub, *gather(params, sub.entities, sub.relations)),
-                             params.model)
+    return sub, field_scorer(
+        Field(sub, *gather(params, sub.entities, sub.relations), params.model), params.model)
 
 
 @pytest.mark.parametrize("depth,mode", list(product(range(4), ("replace", "transform"))))
@@ -662,7 +678,7 @@ def test_field_scorer_all_isolated_field_scores_raw_rows(depth, mode):
     users = derive_rng(23, depth).uniform(-0.5, 0.5, size=(5, 8))
     sub = sample_subgraph(kg, np.arange(items), 3, depth, derive_rng(5, ROLE_EVAL, 3))
     assert all(layer.isolated.all() for layer in sub.layers)
-    got = field_scorer(Field(sub, *gather(params, sub.entities, sub.relations)),
+    got = field_scorer(Field(sub, *gather(params, sub.entities, sub.relations), params.model),
                        params.model)(users)
     # raw rows, read out from one C-contiguous (U, d, n) state as the scorer
     # does: the matmul rounds by layout
@@ -692,7 +708,7 @@ def relation_sum_scores(field, params, users):
     """Depth 1 as a sum over every relation of the field, absent ones at count 0:
     the scorer's formula before relation slots, kept as its bitwise reference."""
     layer, transform = field.subgraph.layers[0], params.model.mode == "transform"
-    raw = [field.entity_rows[rows].T for rows in field.ent_rows]
+    raw = [field.entity_rows[rows].T for rows in field.subgraph.ent_rows]
     onehot = layer.rel_rows[..., None] == np.arange(len(field.relation_rows))
     counts = onehot.sum(axis=1).T
     sums = np.einsum("nkr,dnk->rdn", onehot, raw[1][:, layer.tail_rows])
@@ -718,7 +734,7 @@ def test_relation_slots_match_field_oracle(depth, mode):
     for dataset in (_relations_dataset(), replace(_relations_dataset(), num_items=110)):
         params, user_emb = scorer_setup(dataset, depth, mode)
         sub = pass_field(dataset, RELATIONS_K, depth, 5, 3)
-        field = Field(sub, *gather(params, sub.entities, sub.relations))
+        field = Field(sub, *gather(params, sub.entities, sub.relations), params.model)
         for layer in sub.layers:  # centers that drew three or more relations: several slots
             assert max(len(set(rels)) for rels in layer.rel_rows.tolist()) >= 3
         assert len(sub.relations) > RELATIONS_K

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,31 @@ def test_update_rejects_malformed_and_leaves_state_unchanged(avg, error):
     with pytest.raises(error):
         apply_global_update(state, avg, eta=0.1)
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("filtered", [True, False], ids=["warnings-error", "no-filter"])
+@pytest.mark.parametrize("avg, eta", [
+    # the entity step is finite, the relation step overflows: unguarded, the entity
+    # table was written before the relation multiply warned
+    (AggregatedGradient(entity=SparseGrad([1], [[0.5, 0.0, 0.0]]),
+                        relation=SparseGrad([0], [[1e308, 0.0, 0.0]])), 2.0),
+    # every step overflows: unguarded and unfiltered, both tables went non-finite
+    (AggregatedGradient(entity=SparseGrad([1], [[9e306, 0.0, 0.0]]),
+                        relation=SparseGrad([0], [[9e306, 0.0, 0.0]])), 100.0),
+    (AggregatedGradient(entity=_grad([0]),
+                        model=[(np.zeros((3, 3)), np.array([0.0, 1e308, 0.0]))]), 2.0),
+], ids=["relation-overflows", "both-overflow", "model-bias-overflows"])
+def test_update_step_that_overflows_is_rejected_before_any_write(avg, eta, filtered):
+    state = init_params(4, 2, 3, derive_rng(19, 1), depth=1)
+    before = [a.tobytes() for a in (state.entity_emb, state.relation_emb,
+                                    *state.model.weights, *state.model.biases)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if filtered else "always")
+        with pytest.raises(ValueError, match="not finite"):
+            apply_global_update(state, avg, eta=eta)
+    assert not caught
+    assert [a.tobytes() for a in (state.entity_emb, state.relation_emb,
+                                  *state.model.weights, *state.model.biases)] == before
 
 
 def test_update_linearity():
