@@ -59,6 +59,8 @@ def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
     clients' local copy (`stack_graphs` copies the rows), stepped in place
     so that its cached size groups serve every epoch; the model (transform
     mode) steps into new arrays, the served one being shared and read-only.
+    A loss, gradient or stepped value that is not finite is a ValueError,
+    whatever the warnings filter, and leaves every user embedding unchanged.
 
     One client trains as a batch of one (`as_batch`). A batch is the
     clients' states, their GraphBatch (`stack_graphs`) and the global
@@ -70,31 +72,44 @@ def local_train(state, graph, model: ModelParams, eta: float, epochs: int = 1):
     if isinstance(graph, LocalGraph):
         return local_train([state], *as_batch(graph, model), eta, epochs)[0]
     states, batch = state, graph
+    users = np.array([client.user_embedding for client in states])
     total: BatchGradient | None = None
-    for epoch in range(epochs):
-        grad = backward(batch, model)
-        for client, user_grad in zip(states, grad.user):
-            client.user_embedding -= eta * user_grad
-        if total is None:
-            total = grad
-        else:
-            # every epoch trains the same subgraphs, so the rows line up
-            total.entity += grad.entity
-            total.relation += grad.relation
-            for (tw, tb), (dw, db) in zip(total.model, grad.model):
-                tw += dw
-                tb += db
-            total.user = total.user + grad.user
-            total.losses = grad.losses  # most recent epoch's loss
-        if epoch + 1 < epochs:
-            batch.users -= eta * grad.user
-            batch.entity_rows -= eta * grad.entity
-            batch.relation_rows -= eta * grad.relation
-            if model.mode == "transform":
-                model = ModelParams(model.mode,
-                                    [w - eta * g for w, (g, _) in zip(model.weights, grad.model)],
-                                    [b - eta * g for b, (_, g) in zip(model.biases, grad.model)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        for epoch in range(epochs):
+            grad = backward(batch, model)
+            users = users - eta * grad.user
+            if total is None:
+                total = grad
+            else:
+                # every epoch trains the same subgraphs, so the rows line up
+                total.entity += grad.entity
+                total.relation += grad.relation
+                for (tw, tb), (dw, db) in zip(total.model, grad.model):
+                    tw += dw
+                    tb += db
+                total.user = total.user + grad.user
+                total.losses = grad.losses  # most recent epoch's loss
+            _require_finite(grad.losses, users, total.entity, total.relation, total.user,
+                            *(g for pair in total.model for g in pair))
+            if epoch + 1 < epochs:
+                batch.users -= eta * grad.user
+                batch.entity_rows -= eta * grad.entity
+                batch.relation_rows -= eta * grad.relation
+                if model.mode == "transform":
+                    model = ModelParams(model.mode,
+                                        [w - eta * g for w, (g, _) in zip(model.weights, grad.model)],
+                                        [b - eta * g for b, (_, g) in zip(model.biases, grad.model)])
+                _require_finite(batch.users, batch.entity_rows, batch.relation_rows,
+                                *model.weights, *model.biases)
+    for client, user in zip(states, users):
+        client.user_embedding[...] = user
     packets = batch.packets(total)
     for client, packet in zip(states, packets):
         packet.client_id = client.user_id
     return packets
+
+
+def _require_finite(*values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("local training is not finite: a loss, gradient or step "
+                         "overflows or is NaN")

@@ -8,13 +8,13 @@ are `user item rating` lines; KG files are `head relation tail` lines.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .kg import KnowledgeGraph, build_kg, load_kg_file, read_rows
+from .kg import KnowledgeGraph, _distinct, build_kg, load_kg_file, read_rows
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)  # train : valid : test, per user
 
@@ -114,26 +114,90 @@ def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
                           rng: np.random.Generator) -> list[list[int]]:
     """Per user: unobserved items, one per split positive, clamped to the pool.
 
-    The pool (`unobserved_items`) is never built. With `seen` the user's
-    sorted distinct positives in [0, num_items), the pool has
-    `size = num_items - len(seen)` items and its idx-th item is
+    Each user's list is the sorted items of numpy's
+    `rng.choice(pool, want, replace=False)` over their unobserved items
+    (`unobserved_items`), drawn user after user, and the stream ends where
+    those calls leave it; but one `integers` call over an array of highs
+    makes every draw of the split, as numpy's per-draw
+    `random_bounded_uint64(0, high - 1)` does. numpy's choice of `want` of
+    `size` runs Floyd's algorithm, `want` draws with highs
+    `size - want + 1 .. size`, then shuffles its picks with `want - 1`
+    draws, highs `want .. 2`; but for a pool above 10,000 items and a
+    `want` above `size // 50` it instead shuffles the tail of
+    `arange(size)`, highs `size` down to `max(size - want, 1) + 1`. A high
+    of 1 gives 0 and consumes nothing. The shuffle does not change a sorted
+    list, so only a tail user's swaps are replayed, on a sparse arange.
+
+    The pool is never built: with `seen` the user's sorted distinct
+    positives in [0, num_items), the idx-th pool item is
     `idx + bisect_right(gaps, idx)` for `gaps[r] = seen[r] - r`, the number
-    of unobserved ids below `seen[r]`. numpy's `rng.choice(pool, ...)`
-    draws `rng.choice(len(pool), ...)` and indexes the pool with it, so the
-    indices drawn here consume the same stream and pick the same items.
+    of unobserved ids below `seen[r]`. Memory is O(positives + negatives).
     """
-    out = []
-    for pos_all, pos_split in zip(all_positives, split_positives):
-        seen = sorted({i for i in pos_all if 0 <= i < num_items})
-        size = num_items - len(seen)
-        want = min(len(pos_split), size)
-        if want == 0:
-            out.append([])
-            continue
-        gaps = [item - rank for rank, item in enumerate(seen)]
-        idx = rng.choice(size, size=want, replace=False).tolist()
-        out.append(sorted(i + bisect_right(gaps, i) for i in idx))
-    return out
+    users, key = len(all_positives), num_items + 1  # (user, value) -> user * key + value
+    lengths = np.fromiter(map(len, all_positives), dtype=np.int64, count=users)
+    ids = np.fromiter(chain.from_iterable(all_positives), dtype=np.int64,
+                      count=int(lengths.sum()))
+    owner = np.repeat(np.arange(users), lengths)
+    inside = (ids >= 0) & (ids < num_items)
+    seen = _distinct(owner[inside] * key + ids[inside])  # per user, sorted distinct
+    seen_user = seen // key
+    seen_start = np.searchsorted(seen_user, np.arange(users))
+    size = num_items - np.bincount(seen_user, minlength=users)
+    want = np.minimum(np.fromiter(map(len, split_positives), dtype=np.int64, count=users),
+                      size)
+    tail = (size > 10_000) & (want > size // 50)
+
+    # per user two runs of highs: Floyd's (ascending), then a shuffle's (descending)
+    floyd = np.where(tail, 0, want)
+    runs = np.column_stack([floyd, np.where(tail, size - np.maximum(size - want, 1),
+                                            np.maximum(want - 1, 0))]).ravel()
+    run = np.repeat(np.arange(2 * users), runs)
+    step = np.arange(len(run)) - np.repeat(np.cumsum(runs) - runs, runs)
+    first = np.column_stack([size - want + 1, np.where(tail, size, want)]).ravel()
+    highs = first[run] + np.where(run % 2, -step, step)
+    draws = rng.integers(0, highs) if len(highs) else highs
+    floyd_draws = draws[run % 2 == 0]
+
+    picker = np.repeat(np.arange(users), want)
+    idx = np.empty(len(picker), dtype=np.int64)
+    idx[~tail[picker]] = floyd_draws
+    ends, run_ends = np.cumsum(want), np.cumsum(runs)
+    # a Floyd draw that repeats an earlier pick of its user picks j instead, so
+    # only a user whose draws repeat is resolved one draw at a time
+    ordered = np.sort(np.repeat(np.arange(users), floyd) * key + floyd_draws)
+    repeats = _distinct(ordered[1:][ordered[1:] == ordered[:-1]] // key)
+    for user in [*repeats.tolist(), *np.flatnonzero(tail).tolist()]:
+        n, w, end = int(size[user]), int(want[user]), int(ends[user])
+        r = 2 * user + int(tail[user])
+        mine = draws[run_ends[r] - runs[r]:run_ends[r]].tolist()
+        idx[end - w:end] = _tail_shuffle(n, w, mine) if tail[user] else _floyd(n, w, mine)
+
+    gaps = seen - seen_user * key - (np.arange(len(seen)) - seen_start[seen_user])
+    items = idx + np.searchsorted(seen_user * key + gaps, picker * key + idx,
+                                  side="right") - seen_start[picker]
+    flat = (np.sort(picker * key + items) - picker * key).tolist()
+    return [flat[end - w:end] for end, w in zip(ends.tolist(), want.tolist())]
+
+
+def _floyd(size: int, want: int, draws: list[int]) -> list[int]:
+    """Floyd's picks from its draws, j = size - want, ..: a draw already picked picks j."""
+    picked: set[int] = set()
+    for j, draw in enumerate(draws, start=size - want):
+        picked.add(j if draw in picked else draw)
+    return list(picked)
+
+
+def _tail_shuffle(size: int, want: int, draws: list[int]) -> list[int]:
+    """The last `want` entries of arange(size) after numpy's tail shuffle, whose
+    step at position i (size - 1 down) swaps it with position draw."""
+    moved: dict[int, int] = {}
+    picks = []
+    for i, j in zip(range(size - 1, -1, -1), draws):
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    if want == size:  # the shuffle stops at position 1; position 0 is picked too
+        picks.append(moved.get(0, 0))
+    return picks
 
 
 def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph,

@@ -125,6 +125,22 @@ def test_local_train_rejects_no_epochs(epochs):
     assert np.array_equal(client.user_embedding, before)
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_local_train_non_finite_is_a_value_error_leaving_the_user_unchanged(epochs):
+    # an infinite row makes inf - inf (invalid) inside the forward pass: under
+    # pytest's warnings-as-errors filter that was a RuntimeWarning; under any
+    # filter it is now the ValueError, with the user embedding never stepped
+    kg, params, client = _setup()
+    plan, msg, response = _serve(client, kg, params, DpConfig(flip_rate=0.0, pseudo_count=0))
+    before = client.user_embedding.copy()
+    graph = merge_graphs(plan, response, client.user_embedding)
+    graph.entity_rows = graph.entity_rows.copy()  # a served reply's rows are read-only
+    graph.entity_rows[-1] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        local_train(client, graph, response.model, eta=0.1, epochs=epochs)
+    assert client.user_embedding.tobytes() == before.tobytes()
+
+
 def test_local_train_updates_own_user_embedding():
     kg, params, client = _setup()
     dp = DpConfig(flip_rate=0.0, pseudo_count=0)

@@ -153,6 +153,7 @@ def test_eval_negatives_match_setdiff1d_reference():
         rng_a, rng_b = derive_rng(case, 0), derive_rng(case, 0)
         assert sample_eval_negatives(num_items, all_pos, split_pos, rng_a) == \
             reference(num_items, all_pos, split_pos, rng_b), case
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state, case
         assert rng_a.random() == rng_b.random(), case
 
     gen = np.random.default_rng(8)
@@ -183,6 +184,18 @@ def test_eval_negatives_match_setdiff1d_reference():
                    for _ in range(3)]
         split_pos = [p[:n_split] for p in all_pos]
         check(case, num_items, all_pos, split_pos)
+    # one call whose users, in shuffled order, draw nothing, the whole pool (a
+    # small one and one above 10,000 items), Floyd's algorithm (a pool below
+    # 10,000 with repeated draws; above it, up to and at a fiftieth of the pool)
+    # and a tail shuffle (one above that fiftieth, and more): the split's draws
+    # are one stream; (positives, split size, users)
+    shapes = [(50, 0, 5), (11_990, 20, 1), (30, 20_000, 2), (2_500, 5_000, 3), (100, 50, 8),
+              (100, 238, 3), (100, 239, 3), (400, 1_000, 5), (20, 8, 10)]
+    users = [(n_all, n_split) for n_all, n_split, count in shapes for _ in range(count)]
+    users = [users[i] for i in gen.permutation(len(users))]
+    all_pos = [sorted(int(i) for i in gen.choice(12_000, size=n_all, replace=False))
+               for n_all, _ in users]
+    check(107, 12_000, all_pos, [list(range(n_split)) for _, n_split in users])
 
 
 def test_synthetic_structure_and_planted_signal():
@@ -264,9 +277,11 @@ def dataset_sha256(ds):
 
 # sha256 of build_dataset at seed 7 over splits, evaluation negatives, triples
 # and planted preferences: the scale benchmark's shape, the noise-free
-# generator (whose loop stops once a user's preferred items run out), and a
+# generator (whose loop stops once a user's preferred items run out), a
 # catalogue barely larger than a user's interactions, so negative lists clamp
-# to the pool. A change that moves these bytes must update them and say why.
+# to the pool, and CI's synth-wide shape, whose train splits (240 of about
+# 11,600 unobserved items) take the tail-shuffle branch of numpy's choice.
+# A change that moves these bytes must update them and say why.
 # Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
 # SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
 PINNED_DATASET_SHA256 = {
@@ -276,6 +291,8 @@ PINNED_DATASET_SHA256 = {
                    "2f5cb6d70e6feda24c936df462c6fb028fe89d201cd59df94accf786d27531bc"),
     "clamped": (dict(users=60, items=20, attributes=4),
                 "8e81ef53b259ce1c10b05613ab527a054b722a2f6c23ecfe9c1336c36e84e4ff"),
+    "wide": (dict(users=40, items=12000, attributes=40, interactions_per_user=400),
+             "501261aae77344965f3e9ef504edd711dcd926227db633af602602f2acd72e71"),
 }
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,36 @@ def test_round_whose_step_overflows_leaves_state_unchanged():
     with pytest.raises(ValueError, match="not finite"):
         run_round(params, dataset.kg, clients, round_config(cfg, dataset), 0)
     _assert_round_left_unchanged(params, before, user_emb, snap_users)
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_huge_eta_rounds_end_alike_under_any_warnings_filter(epochs):
+    # eta = 1e300 is inside its bound, but local training overflows: with one epoch
+    # in round 1 (round 0 left rows near 1e298), with two in round 0's second epoch
+    # (which still ends finite) and round 1. A RuntimeWarning under -W error used
+    # to end a round that completed, or raised the update's ValueError, unfiltered
+    ends, finals = {}, {}
+    for action in ("error", "ignore"):
+        cfg, dataset, params, user_emb, clients = _small_federation(eta=1e300, epochs=epochs)
+        rcfg = round_config(cfg, dataset)
+        ends[action] = []
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            for round_index in range(3):
+                before, snap_users = params.copy(), user_emb.copy()
+                try:
+                    run_round(params, dataset.kg, clients, rcfg, round_index)
+                    ends[action].append("ok")
+                except ValueError as exc:
+                    assert "not finite" in str(exc)
+                    _assert_round_left_unchanged(params, before, user_emb, snap_users)
+                    ends[action].append("not finite")
+        finals[action] = [a.tobytes() for a in [params.entity_emb, params.relation_emb,
+                                                *params.model.weights, *params.model.biases,
+                                                user_emb]]
+    assert ends["error"] == ends["ignore"]
+    assert ends["error"][0] == "ok" and "not finite" in ends["error"]
+    assert finals["error"] == finals["ignore"]
 
 
 def test_round_batches_run_one_at_a_time_in_client_order_off_the_callers_thread(monkeypatch):
