@@ -114,73 +114,95 @@ def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
                           rng: np.random.Generator) -> list[list[int]]:
     """Per user: unobserved items, one per split positive, clamped to the pool.
 
-    Each user's list is the sorted items of numpy's
-    `rng.choice(pool, want, replace=False)` over their unobserved items
-    (`unobserved_items`), drawn user after user, and the stream ends where
-    those calls leave it; but one `integers` call over an array of highs
-    makes every draw of the split, as numpy's per-draw
-    `random_bounded_uint64(0, high - 1)` does. numpy's choice of `want` of
-    `size` runs Floyd's algorithm, `want` draws with highs
-    `size - want + 1 .. size`, then shuffles its picks with `want - 1`
-    draws, highs `want .. 2`; but for a pool above 10,000 items and a
-    `want` above `size // 50` it instead shuffles the tail of
-    `arange(size)`, highs `size` down to `max(size - want, 1) + 1`. A high
-    of 1 gives 0 and consumes nothing. The shuffle does not change a sorted
-    list, so only a tail user's swaps are replayed, on a sparse arange.
+    User u gets the sorted items that numpy's `rng.choice(pool, want,
+    replace=False)` picks from its unobserved items (`unobserved_items`),
+    with the calls made user after user, and the generator ends in the state
+    those calls leave. One `rng.integers(0, highs)` call makes every draw of
+    the split: per element it is numpy's `random_bounded_uint64(0, high - 1)`,
+    the draw `choice` makes. numpy's `choice` of `want` of `size`, user by user:
+      - for a pool of up to 10,000 items, or `want <= size // 50`, Floyd's
+        algorithm: `want` draws, highs `size - want + 1 .. size` (a draw
+        that repeats an earlier pick picks `size - want + t` instead), then
+        a shuffle of the picks, `want - 1` draws, highs `want .. 2`;
+      - otherwise a shuffle of the tail of `arange(size)`, highs `size`
+        down to `max(size - want, 1) + 1`.
+    A high of 1 gives 0 and consumes nothing. Shuffling Floyd's picks does
+    not change a sorted list, so only the tail shuffle's swaps are replayed.
 
     The pool is never built: with `seen` the user's sorted distinct
     positives in [0, num_items), the idx-th pool item is
     `idx + bisect_right(gaps, idx)` for `gaps[r] = seen[r] - r`, the number
     of unobserved ids below `seen[r]`. Memory is O(positives + negatives).
     """
-    users, key = len(all_positives), num_items + 1  # (user, value) -> user * key + value
+    key = num_items + 1  # (user, value) -> user * key + value
+    seen, seen_start = _seen_keys(num_items, all_positives, key)
+    seen_count = np.diff(seen_start, append=len(seen))
+    size = num_items - seen_count
+    want = np.minimum(np.fromiter(map(len, split_positives), dtype=np.int64, count=len(size)),
+                      size)
+    idx = _choice_indices(size, want, rng)
+    base = np.repeat(np.arange(len(size)) * key, want)
+    # a seen item's gap key: its user's key plus the number of unobserved ids below it
+    gaps = seen - np.arange(len(seen)) + np.repeat(seen_start, seen_count)
+    idx += np.searchsorted(gaps, base + idx, side="right") - np.repeat(seen_start, want)
+    flat = (np.sort(base + idx) - base).tolist()
+    return [flat[end - w:end] for end, w in zip(np.cumsum(want).tolist(), want.tolist())]
+
+
+def _seen_keys(num_items: int, all_positives: list[list[int]],
+               key: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct `user * key + item` over each user's items in
+    [0, num_items), and each user's first position in them."""
+    users = len(all_positives)
     lengths = np.fromiter(map(len, all_positives), dtype=np.int64, count=users)
     ids = np.fromiter(chain.from_iterable(all_positives), dtype=np.int64,
                       count=int(lengths.sum()))
-    owner = np.repeat(np.arange(users), lengths)
-    inside = (ids >= 0) & (ids < num_items)
-    seen = _distinct(owner[inside] * key + ids[inside])  # per user, sorted distinct
-    seen_user = seen // key
-    seen_start = np.searchsorted(seen_user, np.arange(users))
-    size = num_items - np.bincount(seen_user, minlength=users)
-    want = np.minimum(np.fromiter(map(len, split_positives), dtype=np.int64, count=users),
-                      size)
-    tail = (size > 10_000) & (want > size // 50)
+    keys = np.repeat(np.arange(users) * key, lengths) + ids
+    seen = _distinct(keys[(ids >= 0) & (ids < num_items)])
+    return seen, np.searchsorted(seen, np.arange(users) * key)
 
-    # per user two runs of highs: Floyd's (ascending), then a shuffle's (descending)
-    floyd = np.where(tail, 0, want)
-    runs = np.column_stack([floyd, np.where(tail, size - np.maximum(size - want, 1),
-                                            np.maximum(want - 1, 0))]).ravel()
-    run = np.repeat(np.arange(2 * users), runs)
-    step = np.arange(len(run)) - np.repeat(np.cumsum(runs) - runs, runs)
+
+def _choice_indices(size: np.ndarray, want: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Per user, in user order, the pool indices of numpy's
+    `rng.choice(size, want, replace=False)` (in any order), from one
+    `integers` call (the draw rule is in sample_eval_negatives)."""
+    users = len(size)
+    tail = (size > 10_000) & (want > size // 50)
+    # per user two runs of highs, Floyd's (up by 1) and a shuffle's (down by 1),
+    # made as the running sum of their steps
+    runs = np.column_stack([np.where(tail, 0, want),
+                            np.where(tail, size - np.maximum(size - want, 1),
+                                     np.maximum(want - 1, 0))]).ravel()
     first = np.column_stack([size - want + 1, np.where(tail, size, want)]).ravel()
-    highs = first[run] + np.where(run % 2, -step, step)
-    draws = rng.integers(0, highs) if len(highs) else highs
-    floyd_draws = draws[run % 2 == 0]
+    step = np.tile([1, -1], users)
+    live = runs > 0
+    first, step, length = first[live], step[live], runs[live]
+    highs = np.repeat(step, length)
+    last = first + step * (length - 1)
+    highs[np.cumsum(length) - length] = first - np.append(0, last[:-1])  # jump from run before
+    draws = rng.integers(0, np.cumsum(highs)) if len(highs) else highs
 
     picker = np.repeat(np.arange(users), want)
+    floyd = ~tail[picker]
     idx = np.empty(len(picker), dtype=np.int64)
-    idx[~tail[picker]] = floyd_draws
-    ends, run_ends = np.cumsum(want), np.cumsum(runs)
-    # a Floyd draw that repeats an earlier pick of its user picks j instead, so
-    # only a user whose draws repeat is resolved one draw at a time
-    ordered = np.sort(np.repeat(np.arange(users), floyd) * key + floyd_draws)
+    idx[floyd] = draws[np.repeat(np.tile([True, False], users), runs)]
+    # a user whose Floyd draws are distinct picks them; a user with a repeat, or
+    # with a tail shuffle, is replayed draw by draw
+    key = int(size.max(initial=0)) + 1
+    ordered = np.sort((picker * key + idx)[floyd])
     repeats = _distinct(ordered[1:][ordered[1:] == ordered[:-1]] // key)
+    ends, run_ends = np.cumsum(want), np.cumsum(runs)
     for user in [*repeats.tolist(), *np.flatnonzero(tail).tolist()]:
         n, w, end = int(size[user]), int(want[user]), int(ends[user])
         r = 2 * user + int(tail[user])
         mine = draws[run_ends[r] - runs[r]:run_ends[r]].tolist()
         idx[end - w:end] = _tail_shuffle(n, w, mine) if tail[user] else _floyd(n, w, mine)
-
-    gaps = seen - seen_user * key - (np.arange(len(seen)) - seen_start[seen_user])
-    items = idx + np.searchsorted(seen_user * key + gaps, picker * key + idx,
-                                  side="right") - seen_start[picker]
-    flat = (np.sort(picker * key + items) - picker * key).tolist()
-    return [flat[end - w:end] for end, w in zip(ends.tolist(), want.tolist())]
+    return idx
 
 
 def _floyd(size: int, want: int, draws: list[int]) -> list[int]:
-    """Floyd's picks from its draws, j = size - want, ..: a draw already picked picks j."""
+    """Floyd's picks from its draws: the t-th draw, if already picked, picks size - want + t."""
     picked: set[int] = set()
     for j, draw in enumerate(draws, start=size - want):
         picked.add(j if draw in picked else draw)
