@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,15 +188,47 @@ def test_eval_negatives_match_setdiff1d_reference():
     # one call whose users, in shuffled order, draw nothing, the whole pool (a
     # small one and one above 10,000 items), Floyd's algorithm (a pool below
     # 10,000 with repeated draws; above it, up to and at a fiftieth of the pool)
-    # and a tail shuffle (one above that fiftieth, and more): the split's draws
-    # are one stream; (positives, split size, users)
+    # and a tail shuffle (one above that fiftieth, and more), either side of a
+    # 10,000-item pool: the split's draws are one stream; (positives, split size, users)
     shapes = [(50, 0, 5), (11_990, 20, 1), (30, 20_000, 2), (2_500, 5_000, 3), (100, 50, 8),
-              (100, 238, 3), (100, 239, 3), (400, 1_000, 5), (20, 8, 10)]
+              (100, 238, 3), (100, 239, 3), (400, 1_000, 5), (20, 8, 10),
+              (2_000, 300, 2), (1_999, 201, 2)]
     users = [(n_all, n_split) for n_all, n_split, count in shapes for _ in range(count)]
     users = [users[i] for i in gen.permutation(len(users))]
     all_pos = [sorted(int(i) for i in gen.choice(12_000, size=n_all, replace=False))
                for n_all, _ in users]
     check(107, 12_000, all_pos, [list(range(n_split)) for _, n_split in users])
+
+
+def test_eval_negatives_draw_once_in_memory_of_the_draws():
+    # one integers call per split that draws anything, and no per-user matrix:
+    # 2,000 users want one item each, one user wants 6,000 of 11,900 (a tail
+    # shuffle), so a (users x largest want) int64 matrix would be 96 MB
+    class Recording:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, []
+
+        def __getattr__(self, name):
+            self.calls.append(name)
+            return getattr(self.rng, name)
+
+    num_items, users = 12_000, 2_000
+    all_pos = [list(range(100))] + [[u] for u in range(1, users)]
+    split_pos = [list(range(6_000))] + all_pos[1:]
+    rng = Recording(derive_rng(3, 0))
+    tracemalloc.start()
+    try:
+        out = sample_eval_negatives(num_items, all_pos, split_pos, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rng.calls == ["integers"]
+    assert [len(neg) for neg in out] == [6_000] + [1] * (users - 1)
+    assert peak < 8 * 2**20, peak
+
+    rng = Recording(derive_rng(3, 0))
+    assert sample_eval_negatives(num_items, all_pos, [[]] * users, rng) == [[]] * users
+    assert rng.calls == []
 
 
 def test_synthetic_structure_and_planted_signal():

@@ -376,10 +376,10 @@ def test_round_whose_step_overflows_leaves_state_unchanged():
 
 @pytest.mark.parametrize("epochs", [1, 2])
 def test_huge_eta_rounds_end_alike_under_any_warnings_filter(epochs):
-    # eta = 1e300 is inside its bound, but local training overflows: with one epoch
-    # in round 1 (round 0 left rows near 1e298), with two in round 0's second epoch
-    # (which still ends finite) and round 1. A RuntimeWarning under -W error used
-    # to end a round that completed, or raised the update's ValueError, unfiltered
+    # eta = 1e300 is inside its bound, but local training overflows (one epoch: in
+    # round 1, after round 0 left rows near 1e298; two: in round 0's second epoch,
+    # which still ends finite, and in round 1); every round must end the same way,
+    # and leave the same state, whatever the warnings filter
     ends, finals = {}, {}
     for action in ("error", "ignore"):
         cfg, dataset, params, user_emb, clients = _small_federation(eta=1e300, epochs=epochs)
