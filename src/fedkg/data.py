@@ -202,10 +202,11 @@ def _choice_indices(size: np.ndarray, want: np.ndarray,
 
 
 def _floyd(size: int, want: int, draws: list[int]) -> list[int]:
-    """Floyd's picks from its draws: the t-th draw, if already picked, picks size - want + t."""
-    picked: set[int] = set()
+    """Floyd's picks from its draws, in draw order: the t-th draw, if already
+    picked, picks size - want + t."""
+    picked: dict[int, None] = {}
     for j, draw in enumerate(draws, start=size - want):
-        picked.add(j if draw in picked else draw)
+        picked[j if draw in picked else draw] = None
     return list(picked)
 
 
@@ -220,6 +221,83 @@ def _tail_shuffle(size: int, want: int, draws: list[int]) -> list[int]:
     if want == size:  # the shuffle stops at position 1; position 0 is picked too
         picks.append(moved.get(0, 0))
     return picks
+
+
+class _Pcg64Draws:
+    """numpy's scalar `random()`, `integers(0, n)` and `choice(size, want,
+    replace=False)` on a PCG64 Generator, replayed in Python from its raw
+    64-bit outputs, which are read in chunks. Leaving the `with` block, also on
+    an exception, puts the generator where those numpy calls would have left it.
+
+    numpy's rules, for 1 <= n <= 2**32:
+      - `random()` is `(raw >> 11) * 2**-53`: one whole raw output;
+      - a 32-bit draw takes the buffered half if there is one, else a fresh
+        raw output's low 32 bits, buffering its high 32;
+      - `integers(0, n)` is Lemire's method on 32-bit draws: `m = u32 * n`,
+        redrawn while `m mod 2**32 < (2**32 - n) % n`, gives `m >> 32`; n = 1
+        gives 0 and draws nothing;
+      - `choice` draws `integers(0, bound + 1)` at each step of Floyd's
+        algorithm and its shuffle, or of the tail shuffle (sample_eval_negatives).
+    """
+
+    CHUNK = 4096  # raw outputs per read
+
+    def __init__(self, rng: np.random.Generator):
+        self._bits = rng.bit_generator
+        self._start = self._bits.state
+        self._has32, self._half = self._start["has_uint32"], self._start["uinteger"]
+        self._raw: list[int] = []
+        self._pos = self._done = 0  # next index in _raw; outputs of earlier chunks
+
+    def __enter__(self) -> "_Pcg64Draws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._bits.state = self._start
+        self._bits.advance(self._done + self._pos)  # advance empties the 32-bit buffer
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = self._has32, self._half
+        self._bits.state = state
+
+    def _next64(self) -> int:
+        if self._pos == len(self._raw):
+            self._done += self._pos
+            self._raw, self._pos = self._bits.random_raw(self.CHUNK).tolist(), 0
+        self._pos += 1
+        return self._raw[self._pos - 1]
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._half
+        raw = self._next64()
+        self._has32, self._half = 1, raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:  # n bounds the rejection floor, and is cheaper
+            floor = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < floor:
+                m = self._next32() * n
+        return m >> 32
+
+    def choice(self, size: int, want: int) -> list[int]:
+        draw = self.integers
+        if size > 10_000 and want > size // 50:
+            stop = max(size - want, 1)
+            draws = [draw(i + 1) for i in range(size - 1, stop - 1, -1)]
+            return _tail_shuffle(size, want, draws)[::-1]
+        picks = _floyd(size, want, [draw(j + 1) for j in range(size - want, size)])
+        for i in range(want - 1, 0, -1):
+            j = draw(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph,
@@ -255,35 +333,47 @@ def generate_synthetic(cfg: ExperimentConfig, rng: np.random.Generator) -> Datas
     each user prefers prefs_per_user attributes and draws interactions from
     preferred-attribute items with probability 1-noise, uniformly otherwise.
     The ground-truth preference matrix is kept for diagnostics.
+
+    `rng` must run on numpy's PCG64 bit generator, as `fedkg.rng.derive_rng`'s do;
+    any other raises TypeError before a draw. Per user, in user order, the
+    draws are those of `prefs = rng.choice(populated, s, replace=False)`, then
+    per attempt `rng.random() < noise` (not drawn when noise is 0) and
+    `rng.integers(0, items)` or `rng.integers(0, len(preferred))`. They are
+    replayed from the generator's raw outputs (`_Pcg64Draws`), which end
+    where those calls would, so the splits continue on the same stream.
     """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError("generate_synthetic replays PCG64 draws; got a "
+                        f"{type(rng.bit_generator).__name__} bit generator")
     m, a = cfg.items, cfg.attributes
     item_attr = rng.integers(0, a, size=m)
     attr_rel = rng.integers(0, cfg.relations, size=a)
     triples = np.column_stack([np.arange(m), attr_rel[item_attr], m + item_attr])
     kg = build_kg(triples, num_entities=m + a, num_relations=cfg.relations)
 
-    items_by_attr = [np.flatnonzero(item_attr == x) for x in range(a)]
-    populated = np.flatnonzero(np.bincount(item_attr, minlength=a))
+    items_by_attr = [np.flatnonzero(item_attr == x).tolist() for x in range(a)]
+    populated = np.flatnonzero(np.bincount(item_attr, minlength=a)).tolist()
+    s = min(cfg.prefs_per_user, len(populated))
+    noise, want, cap = cfg.noise, cfg.interactions_per_user, 50 * cfg.interactions_per_user
     truth = np.zeros((cfg.users, a), dtype=bool)
     positives: list[list[int]] = []
-    for _ in range(cfg.users):
-        prefs = rng.choice(populated, size=min(cfg.prefs_per_user, len(populated)),
-                           replace=False)
-        preferred = np.concatenate([items_by_attr[x] for x in prefs]).tolist()
-        chosen: set[int] = set()
-        attempts = 0
-        cap = 50 * cfg.interactions_per_user
-        while len(chosen) < cfg.interactions_per_user and attempts < cap:
-            attempts += 1
-            if cfg.noise > 0 and rng.random() < cfg.noise:
-                chosen.add(int(rng.integers(0, m)))
-            else:
-                chosen.add(preferred[rng.integers(0, len(preferred))])
-            if cfg.noise == 0.0 and len(chosen) >= len(preferred):
-                break
-        user = len(positives)
-        truth[user, prefs] = True
-        positives.append(sorted(chosen))
+    with _Pcg64Draws(rng) as draws:
+        random, integers = draws.random, draws.integers
+        for user in range(cfg.users):
+            prefs = [populated[i] for i in draws.choice(len(populated), s)]
+            preferred = [item for x in prefs for item in items_by_attr[x]]
+            chosen: set[int] = set()
+            attempts = 0
+            while len(chosen) < want and attempts < cap:
+                attempts += 1
+                if noise > 0 and random() < noise:
+                    chosen.add(integers(m))
+                else:
+                    chosen.add(preferred[integers(len(preferred))])
+                if noise == 0.0 and len(chosen) >= len(preferred):
+                    break
+            truth[user, prefs] = True
+            positives.append(sorted(chosen))
 
     return attach_splits(positives, m, kg, triples, rng, truth_prefs=truth)
 

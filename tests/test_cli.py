@@ -316,7 +316,11 @@ def test_synth_emits_three_files(tmp_path):
 # sha256 of `fedkg synth --seed 7` at the default config. A change that
 # moves these bytes must update the digests and say why.
 # Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
-# SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
+# SkylakeX (tools/envprobe.py). Integer draws and exact conversions make every byte,
+# so no kernel reaches it: on that machine it also passed under OPENBLAS_CORETYPE=Haswell
+# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", under Haswell alone and
+# under Prescott (core Katmai); CI runs it under Haswell with the runner's AVX-512
+# targets disabled (README).
 PINNED_SYNTH_SHA256 = {
     "kg.txt": "3351cc0336522b814186c3d138c89840043179fe100d814aab56b8af0f3d6649",
     "ratings.txt": "6becbe2230c63aa1c19706de186e4d41707d59e9034623da80832a00aabebcc8",

@@ -8,11 +8,12 @@ import pytest
 
 from fedkg.cli import build_dataset
 from fedkg.config import ExperimentConfig
-from fedkg.data import (DataFormatError, generate_synthetic, load_dataset, load_ratings,
-                        sample_eval_negatives, save_ratings_file, split)
-from fedkg.kg import save_kg_file
+from fedkg.data import (DataFormatError, _Pcg64Draws, attach_splits, generate_synthetic,
+                        load_dataset, load_ratings, sample_eval_negatives, save_ratings_file,
+                        split)
+from fedkg.kg import build_kg, save_kg_file
 from fedkg.metrics import auc
-from fedkg.rng import derive_rng
+from fedkg.rng import ROLE_DATA, derive_rng
 
 
 def test_load_ratings_movielens_threshold(tmp_path):
@@ -270,6 +271,126 @@ def test_synthetic_noise_zero_admits_perfect_predictor():
     assert auc(scores, labels) == 1.0
 
 
+# numpy's choice(P, s, replace=False) either side of its branch rule (Floyd's
+# algorithm up to 10,000 items or s <= P // 50, else a tail shuffle), and
+# integers(0, n) bounds where Lemire's rejection test is reached often (3e9,
+# 2**32 - 1) or never draws (1)
+CHOICE_SHAPES = [(size, want) for size in (1, 2, 30, 10_000, 10_001, 12_000)
+                 for want in sorted({0, 1, 2, size // 50, size // 50 + 1, size}) if want <= size]
+BOUNDS = (1, 2, 3, 17, 2000, 3 * 10**9, 2**32 - 1)
+
+
+def numpy_draw(rng, op):
+    kind, *args = op
+    if kind == "random":
+        return rng.random()
+    if kind == "integers":
+        return int(rng.integers(0, *args))
+    return rng.choice(*args, replace=False).tolist()
+
+
+def test_pcg64_draws_replay_numpy_values_and_state():
+    gen = np.random.default_rng(38)
+    small = [shape for shape in CHOICE_SHAPES if shape[1] <= 300]
+    for script in range(240):
+        rng = derive_rng(script, 0)
+        if script % 2:  # start on a buffered 32-bit half
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, int(gen.integers(0, 2**32))
+            rng.bit_generator.state = state
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = rng.bit_generator.state
+        ops = [("choice", *CHOICE_SHAPES[script % len(CHOICE_SHAPES)]),
+               ("choice", *small[gen.integers(len(small))])]
+        ops += [("random",) if gen.random() < 0.4 else ("integers", int(gen.choice(BOUNDS)))
+                for _ in range(gen.integers(2, 12))]
+        ops = [ops[i] for i in gen.permutation(len(ops))]
+        want = [numpy_draw(rng, op) for op in ops]
+        if script % 4 == 3:  # leaving on an exception ends after the draws made
+            with pytest.raises(KeyError), _Pcg64Draws(twin) as draws:
+                got = [getattr(draws, kind)(*args) for kind, *args in ops]
+                raise KeyError(script)
+        else:
+            with _Pcg64Draws(twin) as draws:
+                got = [getattr(draws, kind)(*args) for kind, *args in ops]
+        assert got == want, (script, ops)
+        assert twin.bit_generator.state == rng.bit_generator.state, (script, ops)
+
+
+def reference_generate_synthetic(cfg, rng):
+    """generate_synthetic's loop as numpy calls: the oracle for its replay."""
+    m, a = cfg.items, cfg.attributes
+    item_attr = rng.integers(0, a, size=m)
+    attr_rel = rng.integers(0, cfg.relations, size=a)
+    triples = np.column_stack([np.arange(m), attr_rel[item_attr], m + item_attr])
+    kg = build_kg(triples, num_entities=m + a, num_relations=cfg.relations)
+
+    items_by_attr = [np.flatnonzero(item_attr == x) for x in range(a)]
+    populated = np.flatnonzero(np.bincount(item_attr, minlength=a))
+    truth = np.zeros((cfg.users, a), dtype=bool)
+    positives: list[list[int]] = []
+    for _ in range(cfg.users):
+        prefs = rng.choice(populated, size=min(cfg.prefs_per_user, len(populated)),
+                           replace=False)
+        preferred = np.concatenate([items_by_attr[x] for x in prefs]).tolist()
+        chosen: set[int] = set()
+        attempts = 0
+        cap = 50 * cfg.interactions_per_user
+        while len(chosen) < cfg.interactions_per_user and attempts < cap:
+            attempts += 1
+            if cfg.noise > 0 and rng.random() < cfg.noise:
+                chosen.add(int(rng.integers(0, m)))
+            else:
+                chosen.add(preferred[rng.integers(0, len(preferred))])
+            if cfg.noise == 0.0 and len(chosen) >= len(preferred):
+                break
+        user = len(positives)
+        truth[user, prefs] = True
+        positives.append(sorted(chosen))
+
+    return attach_splits(positives, m, kg, triples, rng, truth_prefs=truth)
+
+
+def short_users(ds):
+    return sum(len(ds.positives(u)) < 16 for u in range(ds.num_users))
+
+
+# name: (overrides, a property of the dataset that shows the case's path ran)
+SYNTHETIC_CASES = {
+    "default": ({}, lambda ds: ds.num_users == 500),
+    # the early break: fewer preferred items than interactions
+    "noise-free": (dict(users=60, items=60, noise=0.0), short_users),
+    "all-noise": (dict(users=60, noise=1.0), lambda ds: True),
+    "half-noise": (dict(users=60, noise=0.5, seed=123), lambda ds: True),
+    "prefs-above-populated": (dict(users=40, items=12, attributes=6, prefs_per_user=9),
+                              lambda ds: ds.truth_prefs.sum(axis=1).max() < 9),
+    # the 50x attempt cap: a rare noise draw is the only way past ~4 preferred items
+    "attempt-cap": (dict(users=30, items=40, attributes=10, prefs_per_user=1,
+                         interactions_per_user=16, noise=0.001), short_users),
+    "unpopulated-attributes": (dict(users=40, items=20, attributes=50),
+                               lambda ds: len(set(ds.triples[:, 2].tolist())) < 50),
+    "relations": (dict(users=60, relations=4), lambda ds: ds.kg.num_relations == 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
+def test_generate_synthetic_equals_the_numpy_loop(name):
+    overrides, shows_path = SYNTHETIC_CASES[name]
+    cfg = ExperimentConfig(**overrides)
+    rng_a, rng_b = derive_rng(cfg.seed, ROLE_DATA), derive_rng(cfg.seed, ROLE_DATA)
+    got = generate_synthetic(cfg, rng_a)
+    assert dataset_sha256(got) == dataset_sha256(reference_generate_synthetic(cfg, rng_b))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert shows_path(got)
+
+
+def test_generate_synthetic_refuses_other_bit_generators():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        generate_synthetic(ExperimentConfig(users=5), rng)
+    assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()  # nothing drawn
+
+
 def test_ratings_roundtrip(tmp_path):
     cfg = ExperimentConfig(users=30, items=40, attributes=5)
     ds = generate_synthetic(cfg, derive_rng(10, 0))
@@ -316,7 +437,11 @@ def dataset_sha256(ds):
 # 11,600 unobserved items) take the tail-shuffle branch of numpy's choice.
 # A change that moves these bytes must update them and say why.
 # Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
-# SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
+# SkylakeX (tools/envprobe.py). Integer draws and exact conversions make every byte,
+# so no kernel reaches it: on that machine it also passed under OPENBLAS_CORETYPE=Haswell
+# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", under Haswell alone and
+# under Prescott (core Katmai); CI runs it under Haswell with the runner's AVX-512
+# targets disabled (README).
 PINNED_DATASET_SHA256 = {
     "scale": (dict(users=2000, items=2000, attributes=100),
               "426fe73f47436a2557036cba84c511dba395f605742c7305e1cbb7b253d53afc"),
