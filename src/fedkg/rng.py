@@ -3,11 +3,20 @@
 Every random decision in a run is drawn from a generator derived from
 (master seed, role, *counters), so streams are independent of execution
 order and parallel clients cannot perturb each other.
+
+`derive_rng` defines a stream; `derive_rngs` derives many at once, each
+with exactly the state `derive_rng` gives its key (its oracle). It replays
+numpy's SeedSequence, with its default pool of four words, column-wise over
+the batch, and hands each PCG64 the four uint64 words SeedSequence would,
+so PCG64 seeds itself in C; it builds PCG64 generators only.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Role tags for stream derivation. Values are part of the reproducibility
 # contract: changing them changes every seeded run.
@@ -35,3 +44,71 @@ def derive_rng(master_seed: int, role: int, *counters: int) -> np.random.Generat
     if min(entropy) >= 0 and max(entropy) < 1 << 32:
         entropy = np.array(entropy, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+
+
+def _hash_constants(h: int, mult: int, count: int) -> np.ndarray:
+    """A hash's first `count` constants, h, h * mult, ... (mod 2**32), as a uint32 column."""
+    steps = accumulate(range(count - 1), lambda c, _: c * mult & 0xFFFFFFFF, initial=h)
+    return np.array(list(steps), dtype=np.uint32)[:, None]
+
+
+class _PoolWords(ISeedSequence):
+    """Answers PCG64's one seeding request with words computed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(column).generate_state(4, np.uint64) for each column of a
+    (words, n) uint32 array, as (n, 4) uint64. A mixing step's hashes of one
+    source row, one per destination row in order, run as one operation."""
+    ha = _hash_constants(_INIT_A, _MULT_A, 17 + 4 * max(len(entropy) - 4, 0))
+
+    def hashmix(v, at, rows):  # hash steps at..at+rows-1, one per row
+        v = (v ^ ha[at:at + rows]) * ha[at + 1:at + rows + 1]
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ r >> 16
+
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)  # SeedSequence's zero padding
+    pool[:len(entropy)] = entropy[:4]
+    pool = hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for i, word in enumerate(entropy[4:]):
+        pool = mix(pool, hashmix(word, 16 + 4 * i, 4))
+    hb = _hash_constants(_INIT_B, _MULT_B, 9)
+    out = (np.concatenate([pool, pool]) ^ hb[:-1]) * hb[1:]
+    out = (out ^ out >> 16).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+
+
+def derive_rngs(keys: list[tuple[int, ...]]) -> list[np.random.Generator]:
+    """[derive_rng(*key) for key in keys], hashing all keys of one word count at once."""
+    words = []
+    for key in keys:
+        if min(key) < 0:
+            raise ValueError(f"negative key {key}")
+        words.append(key if max(key) < 1 << 32 else  # else little-endian uint32 words
+                     [k >> s & 0xFFFFFFFF for k in map(int, key)
+                      for s in range(0, max(k.bit_length(), 1), 32)])
+    seeds = [None] * len(words)
+    for width in {len(w) for w in words}:
+        at = [i for i, w in enumerate(words) if len(w) == width]
+        for i, row in zip(at, _pcg64_words(np.array([words[i] for i in at], dtype=np.uint32).T)):
+            seeds[i] = row
+    return [np.random.Generator(np.random.PCG64(_PoolWords(s))) for s in seeds]

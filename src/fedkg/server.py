@@ -3,13 +3,14 @@
 A round splits the selected clients, in id order, into `workers`
 contiguous batches and runs them in order, each through one function,
 `_batch_round`. With `workers > 1` the whole round, `wire_sink` calls
-included, runs on one worker thread. A batch reads top to bottom: per
-client, on that client's own streams, the request and randomized response
-(crng), serving (srng) and merging; one local_train over the batch's
-stacked graphs and the one global model (see `model`); then per client
-the LDP step (crng) and the upload, bound to what the server recorded
-serving that client. Over the json transport both server-bound messages
-reach the server as bytes (`_send`).
+included, runs on one worker thread. A batch derives its members' streams
+in one `derive_rngs` call before its per-client loop, then reads top to
+bottom: per client, on that client's own streams, the request and
+randomized response (crng), serving (srng) and merging; one local_train
+over the batch's stacked graphs and the one global model (see `model`);
+then per client the LDP step (crng) and the upload, bound to what the
+server recorded serving that client. Over the json transport both
+server-bound messages reach the server as bytes (`_send`).
 
 Aggregation is the request-size weighted mean of client gradients; sparse
 coordinates divide only by the weights of packets that touched them, so
@@ -39,7 +40,7 @@ from .messages import GradientUpload, RequestMessage
 from .model import Field, GradientPacket, SparseGrad, broadcast_model, segment_sum, stack_graphs
 from .params import ParameterState, apply_global_update, gather
 from .privacy import DpConfig, ldp_encrypt
-from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng
+from .rng import ROLE_CLIENT, ROLE_SELECT, ROLE_SERVE, derive_rng, derive_rngs
 
 
 class RequestError(ValueError):
@@ -181,9 +182,9 @@ def _batch_round(members: list[ClientState], kg: KnowledgeGraph, params: Paramet
     shapes; else UploadError.
     """
     legs, graphs = [], []
-    for client in members:
-        crng = derive_rng(cfg.seed, ROLE_CLIENT, round_index, client.user_id)
-        srng = derive_rng(cfg.seed, ROLE_SERVE, round_index, client.user_id)
+    rngs = derive_rngs([(cfg.seed, role, round_index, client.user_id)
+                        for client in members for role in (ROLE_CLIENT, ROLE_SERVE)])
+    for client, crng, srng in zip(members, rngs[0::2], rngs[1::2]):
         wire: list[bytes] | None = [] if keep_wire else None
         pool = unobserved_items(client.interactions, cfg.num_items)
         plan, msg = build_request(client, crng.permutation(pool), cfg.dp, crng)

@@ -670,10 +670,12 @@ def _reference_round(params, kg, clients, cfg, round_index):
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("transport", ["memory", "json"])
-@pytest.mark.parametrize("setting", [{}, {"depth": 2, "epochs": 2}],
-                         ids=["readme", "depth2-epochs2"])
+@pytest.mark.parametrize("setting", [{}, {"depth": 2, "epochs": 2},
+                                     {"depth": 2, "seed": 2**32 + 7}],
+                         ids=["readme", "depth2-epochs2", "depth2-multiword-seed"])
 def test_round_matches_per_client_reference_bitwise(setting, transport, workers):
-    # the README config (seed 7), and H = 2 with two local epochs
+    # the README config (seed 7), H = 2 with two local epochs, and H = 2 at a seed
+    # whose stream keys span five uint32 words, past SeedSequence's pool of four
     runs = []
     for _ in range(2):
         cfg = ExperimentConfig(workers=workers, transport=transport, **setting)
@@ -692,6 +694,26 @@ def test_round_matches_per_client_reference_bitwise(setting, transport, workers)
                              [ref_params.entity_emb, ref_params.relation_emb,
                               *ref_params.model.weights, *ref_params.model.biases, ref_users]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), r
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_round_builds_no_per_client_seed_sequence(monkeypatch, workers):
+    # a batch derives its clients' streams together; only selection's stream is a
+    # SeedSequence of its own
+    cfg, dataset, params, user_emb, clients = _small_federation(workers=workers)
+    rcfg = round_config(cfg, dataset)
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def recording(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    report = run_round(params, dataset.kg, clients, rcfg, 4)
+    assert report.participants == rcfg.clients_per_round == 6
+    assert len(built) == 1, f"{len(built)} SeedSequences for 6 clients"
+    assert list(built[0][0]) == [rcfg.seed, ROLE_SELECT, 4]
 
 
 def test_wire_bytes_pinned_without_noise():
