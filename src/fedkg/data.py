@@ -134,8 +134,13 @@ def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
     `idx + bisect_right(gaps, idx)` for `gaps[r] = seen[r] - r`, the number
     of unobserved ids below `seen[r]`. Memory is O(positives + negatives).
     """
-    key = num_items + 1  # (user, value) -> user * key + value
-    seen, seen_start = _seen_keys(num_items, all_positives, key)
+    return _eval_negatives(num_items, _seen_keys(num_items, all_positives), split_positives, rng)
+
+
+def _eval_negatives(num_items: int, seen_keys: tuple[np.ndarray, np.ndarray],
+                    split_positives: list[list[int]], rng: np.random.Generator) -> list[list[int]]:
+    """sample_eval_negatives on `_seen_keys`' result, which a dataset's splits share."""
+    (seen, seen_start), key = seen_keys, num_items + 1  # (user, value) -> user * key + value
     seen_count = np.diff(seen_start, append=len(seen))
     size = num_items - seen_count
     want = np.minimum(np.fromiter(map(len, split_positives), dtype=np.int64, count=len(size)),
@@ -149,11 +154,10 @@ def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
     return [flat[end - w:end] for end, w in zip(np.cumsum(want).tolist(), want.tolist())]
 
 
-def _seen_keys(num_items: int, all_positives: list[list[int]],
-               key: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct `user * key + item` over each user's items in
+def _seen_keys(num_items: int, all_positives: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct `user * (num_items + 1) + item` over each user's items in
     [0, num_items), and each user's first position in them."""
-    users = len(all_positives)
+    users, key = len(all_positives), num_items + 1
     lengths = np.fromiter(map(len, all_positives), dtype=np.int64, count=users)
     ids = np.fromiter(chain.from_iterable(all_positives), dtype=np.int64,
                       count=int(lengths.sum()))
@@ -224,10 +228,11 @@ def _tail_shuffle(size: int, want: int, draws: list[int]) -> list[int]:
 
 
 class _Pcg64Draws:
-    """numpy's scalar `random()`, `integers(0, n)` and `choice(size, want,
-    replace=False)` on a PCG64 Generator, replayed in Python from its raw
-    64-bit outputs, which are read in chunks. Leaving the `with` block, also on
-    an exception, puts the generator where those numpy calls would have left it.
+    """numpy's `integers(0, n)`, `choice(size, want, replace=False)` and
+    generate_synthetic's attempts (`interactions`) on a PCG64 Generator,
+    replayed in Python from its raw 64-bit outputs, which are read in chunks.
+    Leaving the `with` block, also on an exception, puts the generator where
+    those numpy calls would have left it.
 
     numpy's rules, for 1 <= n <= 2**32:
       - `random()` is `(raw >> 11) * 2**-53`: one whole raw output;
@@ -238,6 +243,11 @@ class _Pcg64Draws:
         gives 0 and draws nothing;
       - `choice` draws `integers(0, bound + 1)` at each step of Floyd's
         algorithm and its shuffle, or of the tail shuffle (sample_eval_negatives).
+    `interactions` keeps the chunk, read position and buffered half in locals:
+    its noise test `random() < noise` is `(raw >> 11) < noise * 2**53`, exact
+    since both sides are scaled by the same power of two, and it takes Lemire's
+    common case (`m mod 2**32 >= n`) in place; a chunk refill goes through
+    `_next64` and a redraw through `_lemire`, as for any draw.
     """
 
     CHUNK = 4096  # raw outputs per read
@@ -274,18 +284,16 @@ class _Pcg64Draws:
         self._has32, self._half = 1, raw >> 32
         return raw & 0xFFFFFFFF
 
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
-
     def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        m = self._next32() * n
+        return self._lemire(self._next32() * n, n) >> 32 if n > 1 else 0
+
+    def _lemire(self, m: int, n: int) -> int:
+        """Lemire's accepted product, from the first product m = u32 * n."""
         if m & 0xFFFFFFFF < n:  # n bounds the rejection floor, and is cheaper
             floor = (0x100000000 - n) % n
             while m & 0xFFFFFFFF < floor:
                 m = self._next32() * n
-        return m >> 32
+        return m
 
     def choice(self, size: int, want: int) -> list[int]:
         draw = self.integers
@@ -299,6 +307,42 @@ class _Pcg64Draws:
             picks[i], picks[j] = picks[j], picks[i]
         return picks
 
+    def interactions(self, preferred: list[int], items: int, noise: float, want: int,
+                     cap: int) -> list[int]:
+        """One synthetic user's sorted interactions, drawn inline (class docstring)."""
+        chosen: set[int] = set()
+        goal = min(want, len(preferred)) if noise == 0.0 else want
+        threshold = noise * 2.0**53
+        raw, pos, has32, half = self._raw, self._pos, self._has32, self._half
+        attempts = 0
+        while len(chosen) < goal and attempts < cap:
+            attempts += 1
+            noisy = False
+            if noise > 0:
+                if pos == len(raw):
+                    self._pos = pos
+                    r, raw, pos = self._next64(), self._raw, 1
+                else:
+                    r, pos = raw[pos], pos + 1
+                noisy = (r >> 11) < threshold
+            n, k = (items if noisy else len(preferred)), 0
+            if n > 1 and has32:
+                has32, k = 0, half * n
+            elif n > 1:
+                if pos == len(raw):
+                    self._pos = pos
+                    r, raw, pos = self._next64(), self._raw, 1
+                else:
+                    r, pos = raw[pos], pos + 1
+                has32, half, k = 1, r >> 32, (r & 0xFFFFFFFF) * n
+            if k & 0xFFFFFFFF < n:  # n = 1 lands here too, and _lemire draws nothing for it
+                self._pos, self._has32, self._half = pos, has32, half
+                k = self._lemire(k, n)
+                raw, pos, has32, half = self._raw, self._pos, self._has32, self._half
+            chosen.add(k >> 32 if noisy else preferred[k >> 32])
+        self._pos, self._has32, self._half = pos, has32, half
+        return sorted(chosen)
+
 
 def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph,
                   triples: np.ndarray, rng: np.random.Generator,
@@ -307,9 +351,9 @@ def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph
     """Split positives, draw evaluation negatives, assemble the Dataset."""
     canonical = [sorted(p) for p in positives]
     train, valid, test = split(canonical, rng)
-    train_neg = sample_eval_negatives(num_items, canonical, train, rng)
-    valid_neg = sample_eval_negatives(num_items, canonical, valid, rng)
-    test_neg = sample_eval_negatives(num_items, canonical, test, rng)
+    seen = _seen_keys(num_items, canonical)
+    train_neg, valid_neg, test_neg = (_eval_negatives(num_items, seen, pos, rng)
+                                      for pos in (train, valid, test))
     return Dataset(num_users=len(positives), num_items=num_items,
                    train=train, valid=valid, test=test,
                    train_neg=train_neg, valid_neg=valid_neg, test_neg=test_neg,
@@ -340,7 +384,9 @@ def generate_synthetic(cfg: ExperimentConfig, rng: np.random.Generator) -> Datas
     per attempt `rng.random() < noise` (not drawn when noise is 0) and
     `rng.integers(0, items)` or `rng.integers(0, len(preferred))`. They are
     replayed from the generator's raw outputs (`_Pcg64Draws`), which end
-    where those calls would, so the splits continue on the same stream.
+    where those calls would, so the splits continue on the same stream. Each
+    user's attempts run inline (`_Pcg64Draws.interactions`: an exact noise
+    threshold; refills and redraws through the class).
     """
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError("generate_synthetic replays PCG64 draws; got a "
@@ -355,25 +401,15 @@ def generate_synthetic(cfg: ExperimentConfig, rng: np.random.Generator) -> Datas
     populated = np.flatnonzero(np.bincount(item_attr, minlength=a)).tolist()
     s = min(cfg.prefs_per_user, len(populated))
     noise, want, cap = cfg.noise, cfg.interactions_per_user, 50 * cfg.interactions_per_user
-    truth = np.zeros((cfg.users, a), dtype=bool)
+    prefs: list[list[int]] = []
     positives: list[list[int]] = []
     with _Pcg64Draws(rng) as draws:
-        random, integers = draws.random, draws.integers
-        for user in range(cfg.users):
-            prefs = [populated[i] for i in draws.choice(len(populated), s)]
-            preferred = [item for x in prefs for item in items_by_attr[x]]
-            chosen: set[int] = set()
-            attempts = 0
-            while len(chosen) < want and attempts < cap:
-                attempts += 1
-                if noise > 0 and random() < noise:
-                    chosen.add(integers(m))
-                else:
-                    chosen.add(preferred[integers(len(preferred))])
-                if noise == 0.0 and len(chosen) >= len(preferred):
-                    break
-            truth[user, prefs] = True
-            positives.append(sorted(chosen))
+        for _ in range(cfg.users):
+            prefs.append([populated[i] for i in draws.choice(len(populated), s)])
+            preferred = [item for x in prefs[-1] for item in items_by_attr[x]]
+            positives.append(draws.interactions(preferred, m, noise, want, cap))
+    truth = np.zeros((cfg.users, a), dtype=bool)
+    truth[np.repeat(np.arange(cfg.users), s), list(chain.from_iterable(prefs))] = True
 
     return attach_splits(positives, m, kg, triples, rng, truth_prefs=truth)
 

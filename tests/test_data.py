@@ -282,8 +282,6 @@ BOUNDS = (1, 2, 3, 17, 2000, 3 * 10**9, 2**32 - 1)
 
 def numpy_draw(rng, op):
     kind, *args = op
-    if kind == "random":
-        return rng.random()
     if kind == "integers":
         return int(rng.integers(0, *args))
     return rng.choice(*args, replace=False).tolist()
@@ -302,8 +300,7 @@ def test_pcg64_draws_replay_numpy_values_and_state():
         twin.bit_generator.state = rng.bit_generator.state
         ops = [("choice", *CHOICE_SHAPES[script % len(CHOICE_SHAPES)]),
                ("choice", *small[gen.integers(len(small))])]
-        ops += [("random",) if gen.random() < 0.4 else ("integers", int(gen.choice(BOUNDS)))
-                for _ in range(gen.integers(2, 12))]
+        ops += [("integers", int(gen.choice(BOUNDS))) for _ in range(gen.integers(2, 12))]
         ops = [ops[i] for i in gen.permutation(len(ops))]
         want = [numpy_draw(rng, op) for op in ops]
         if script % 4 == 3:  # leaving on an exception ends after the draws made
@@ -389,6 +386,108 @@ def test_generate_synthetic_refuses_other_bit_generators():
     with pytest.raises(TypeError, match="MT19937"):
         generate_synthetic(ExperimentConfig(users=5), rng)
     assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()  # nothing drawn
+
+
+def synthetic_equals_the_numpy_loop(cfg):
+    """generate_synthetic(cfg) after checking its dataset digest and the generator
+    state it leaves against reference_generate_synthetic's."""
+    rng_a, rng_b = derive_rng(cfg.seed, ROLE_DATA), derive_rng(cfg.seed, ROLE_DATA)
+    got = generate_synthetic(cfg, rng_a)
+    assert dataset_sha256(got) == dataset_sha256(reference_generate_synthetic(cfg, rng_b))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
+def test_generate_synthetic_equals_the_numpy_loop_with_small_chunks(name, chunk, monkeypatch):
+    # chunks of 1-3 raw outputs make the inline loop refill on each kind of read:
+    # the noise test, a fresh 32-bit draw and a redraw
+    monkeypatch.setattr(_Pcg64Draws, "CHUNK", chunk)
+    overrides, shows_path = SYNTHETIC_CASES[name]
+    assert shows_path(synthetic_equals_the_numpy_loop(ExperimentConfig(**overrides)))
+
+
+def test_generate_synthetic_tail_shuffle_preferences_equal_the_numpy_loop():
+    # more than 10,000 populated attributes and prefs_per_user above populated // 50:
+    # each user's preferences come from numpy choice's tail shuffle
+    cfg = ExperimentConfig(users=3, items=40_000, attributes=10_500, prefs_per_user=210)
+    ds = synthetic_equals_the_numpy_loop(cfg)
+    populated = len(np.unique(ds.triples[:, 2]))
+    assert populated > 10_000 and cfg.prefs_per_user > populated // 50
+    assert ds.truth_prefs.sum(axis=1).tolist() == [210] * 3
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 LCG multiplier
+
+
+def pcg64_whose_next_raw_is(value, seed):
+    """A PCG64 Generator whose next raw output is `value` (< 2**64): the state one
+    step before the state with high word 0 and low word `value`, whose XSL-RR output
+    rotates by 0 and is `value` itself."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = rng.bit_generator.state
+    step_back = pow(PCG64_MULTIPLIER, -1, 2**128)
+    state["state"]["state"] = (value - state["state"]["inc"]) * step_back % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+def numpy_interactions(rng, preferred, items, noise, want, cap):
+    chosen, attempts = set(), 0
+    while len(chosen) < want and attempts < cap:
+        attempts += 1
+        if noise > 0 and rng.random() < noise:
+            chosen.add(int(rng.integers(0, items)))
+        else:
+            chosen.add(preferred[rng.integers(0, len(preferred))])
+        if noise == 0.0 and len(chosen) >= len(preferred):
+            break
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, _Pcg64Draws.CHUNK])
+def test_pcg64_interactions_replay_numpy(chunk, monkeypatch):
+    monkeypatch.setattr(_Pcg64Draws, "CHUNK", chunk)
+    # (preferred, items, noise, want, cap): a bound of 3e9 rejects ~30% of first
+    # products, so redraws are common; one preferred item draws nothing
+    shapes = [(list(range(50)), 3 * 10**9, 1.0, 40, 800),
+              (list(range(50)), 3 * 10**9, 0.5, 30, 800),
+              ([7], 2**32 - 1, 0.5, 6, 40),
+              (list(range(100, 130)), 2000, 0.1, 16, 800),
+              (list(range(5)), 2000, 0.0, 16, 800)]
+    for seed in range(12):
+        for preferred, items, noise, want, cap in shapes:
+            rng = derive_rng(seed, 0)
+            if seed % 2:  # start on a buffered 32-bit half
+                state = rng.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, 0xDEADBEEF * (seed + 1) % 2**32
+                rng.bit_generator.state = state
+            twin = np.random.Generator(np.random.PCG64())
+            twin.bit_generator.state = rng.bit_generator.state
+            want_items = numpy_interactions(rng, preferred, items, noise, want, cap)
+            with _Pcg64Draws(twin) as draws:
+                got = draws.interactions(preferred, items, noise, want, cap)
+                # the next draw continues the stream, on the buffered half if one is left
+                assert draws.integers(2**32 - 1) == rng.integers(0, 2**32 - 1)
+            assert got == want_items, (seed, items, noise)
+            assert twin.bit_generator.state == rng.bit_generator.state, (seed, items, noise)
+
+
+@pytest.mark.parametrize("noise", [0.25, 0.5, 2.0**-40])
+def test_pcg64_interactions_noise_test_is_strict_at_the_threshold(noise):
+    # a first raw output whose top 53 bits are noise * 2**53 makes random() equal
+    # noise exactly, which is not below it: that attempt draws from `preferred`
+    raw = int(noise * 2.0**53) << 11
+    rng, twin = pcg64_whose_next_raw_is(raw, 1), pcg64_whose_next_raw_is(raw, 1)
+    assert rng.random() == noise and int(twin.bit_generator.random_raw()) == raw
+    rng, twin = pcg64_whose_next_raw_is(raw, 1), pcg64_whose_next_raw_is(raw, 1)
+    preferred = list(range(10**6, 10**6 + 40))
+    want_items = numpy_interactions(rng, preferred, 1000, noise, 1, 1)
+    with _Pcg64Draws(twin) as draws:
+        assert draws.interactions(preferred, 1000, noise, 1, 1) == want_items
+    assert want_items[0] >= 10**6
+    assert twin.bit_generator.state == rng.bit_generator.state
 
 
 def test_ratings_roundtrip(tmp_path):
