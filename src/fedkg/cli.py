@@ -112,7 +112,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 def _check_tables(params: ParameterState, user_emb: np.ndarray,
                  dataset: data_mod.Dataset) -> None:
     """Raise ValueError unless the tables have one row per id of the dataset
-    and one embedding width."""
+    and one embedding width, and every table holds only finite values: the
+    scorers take finite inputs (`model.field_scorer`), and training never
+    writes a NaN or inf."""
     tables = {"entity_emb": (params.entity_emb, dataset.kg.num_entities),
               "relation_emb": (params.relation_emb, dataset.kg.num_relations),
               "user_emb": (user_emb, dataset.num_users)}
@@ -123,6 +125,12 @@ def _check_tables(params: ParameterState, user_emb: np.ndarray,
     widths = {name: table.shape[1] for name, (table, _) in tables.items()}
     if len(set(widths.values())) > 1:
         raise ValueError(f"checkpoint embedding widths differ: {widths}")
+    named = [(name, table) for name, (table, _) in tables.items()]
+    for i, (w, b) in enumerate(zip(params.model.weights, params.model.biases)):
+        named += [(f"w{i}", w), (f"b{i}", b)]  # the checkpoint's own key names
+    for name, table in named:
+        if not np.isfinite(table).all():
+            raise ValueError(f"checkpoint {name} holds a NaN or inf")
 
 
 def run_evaluate(checkpoint: str, split: str, ks: list[int], out: str | None) -> int:

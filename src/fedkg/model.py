@@ -350,9 +350,17 @@ def field_scorer(field: Field, params: ModelParams):
     shifted by the largest drawn. Hop 1 reads raw rows: the slots, S, c
     and, in transform mode, W x + b and W S_m (the parts of W (x + agg) +
     b) are made here once from each draw's slot, so neither this set-up
-    nor a block grows with R, only with M and K. Hops >= 2 gather per
-    block and read each draw's coefficient through its slot. States are
-    (U, d, n); scores agree with `field_batch`'s to rounding.
+    nor a block grows with R, only with M and K. A layer with one slot (M
+    = 1) weighs every draw 1/K for any user, so its coefficients, and each
+    state that reads only such layers, are one (1, d, n) row per block;
+    the others are (U, d, n). Hops >= 2 gather per block and read each
+    draw's coefficient through its slot.
+
+    Every row, weight and user must be finite, and the caller checks it
+    (`fedkg evaluate` refuses a checkpoint table that is not): an M = 1
+    layer never forms the user's logits, so a NaN or inf relation row
+    would not reach its scores as it reaches `field_batch`'s. With finite
+    inputs, scores agree with `field_batch`'s to rounding.
     """
     sub, transform = field.subgraph, params.mode == "transform"
     raw = [field.entity_rows[rows].T for rows in sub.ent_rows]  # (d, n) per depth
@@ -380,14 +388,18 @@ def field_scorer(field: Field, params: ModelParams):
                      np.where(count[:, None] > 0, sums, 0.0)))
 
     def score(users: np.ndarray) -> np.ndarray:
-        t = np.einsum("ud,rd->ur", users, field.relation_rows)  # the same in any block
+        t = (np.einsum("ud,rd->ur", users, field.relation_rows)  # the same in any block
+             if any(len(rel) > 1 for rel, _ in slots) else None)
         coefs = []
         for rel, count in slots:
+            if len(rel) == 1:  # one relation per center: e^0 / (e^0 K) = 1 / K for any user
+                coefs.append((1.0 / count)[None])
+                continue
             by_slot = t[:, rel]  # (U, M, n_sampled)
             shift = reduce(np.maximum, by_slot.swapaxes(0, 1))
             e = np.exp(by_slot - shift[:, None])
             coefs.append(e / reduce(np.add, (e * count).swapaxes(0, 1))[:, None])
-        states = [np.broadcast_to(x, (len(users), *x.shape)) for x in raw]
+        states = [x[None] for x in raw]  # one row until a user's attention reaches it
         for hop in range(1, sub.depth + 1):  # depth lvl's new state reads lvl + 1's old one
             for lvl, layer in enumerate(sub.layers[:sub.depth + 1 - hop]):
                 coef = coefs[lvl]
@@ -395,7 +407,7 @@ def field_scorer(field: Field, params: ModelParams):
                     base, slot_sums = hop1[lvl]
                     # one C-contiguous buffer: the readout matmul rounds by layout
                     new = np.multiply(coef[:, 0, None], slot_sums[0],
-                                      out=np.empty((len(users), *slot_sums.shape[1:])))
+                                      out=np.empty((len(coef), *slot_sums.shape[1:])))
                     new += base
                     for m in range(1, len(slot_sums)):
                         new += coef[:, m, None] * slot_sums[m]
@@ -409,7 +421,8 @@ def field_scorer(field: Field, params: ModelParams):
                         w, b = params.weights[hop - 1], params.biases[hop - 1][:, None]
                         new = np.tanh(w @ (states[lvl][:, :, layer.sampled] + new) + b)
                 if layer.isolated.any():  # isolated centers keep their state
-                    full = states[lvl].copy()
+                    shape = new.shape[:1] + states[lvl].shape[1:]  # a row per user, or one
+                    full = np.broadcast_to(states[lvl], shape).copy()
                     full[:, :, layer.sampled] = new
                     new = full
                 states[lvl] = new

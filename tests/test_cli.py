@@ -499,6 +499,29 @@ def test_evaluate_checkpoint_tables_must_fit_the_dataset(tmp_path, capsys):
         assert err.startswith("error:") and name in err
 
 
+def test_evaluate_rejects_non_finite_checkpoint_tables(tmp_path, capsys):
+    # training never writes a NaN or inf; the scorer takes finite tables, and at one
+    # relation per center it would not carry a NaN relation row into the scores
+    out = tmp_path / "run"
+    args = _tiny_train_args(out, depth=2)
+    args[args.index("--max-rounds") + 1] = "0"
+    assert main(args) == 0
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = dict(data)
+    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.npz")]) == 0
+    capsys.readouterr()
+    for name, row, value in (("relation_emb", 0, np.nan), ("w1", 2, np.inf),
+                             ("entity_emb", 3, -np.inf)):
+        table = arrays[name].copy()
+        table[row, 1] = value
+        bad, result = tmp_path / f"{name}.npz", tmp_path / f"{name}.json"
+        np.savez(bad, **{**arrays, name: table})
+        assert main(["evaluate", "--checkpoint", str(bad), "--out", str(result)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"checkpoint {name} holds a NaN or inf" in err
+        assert not result.exists()
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--instances", "24", "--seed", "2024"]) == 0
     assert "max relative error" in capsys.readouterr().out

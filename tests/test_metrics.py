@@ -753,6 +753,83 @@ def test_relation_slots_match_field_oracle(depth, mode):
             assert got.tobytes() == relation_sum_scores(field, params, user_emb).tobytes()
 
 
+def _slot_dataset(kind: str) -> Dataset:
+    """120 items and 30 attributes, each attribute under one of 4 relations;
+    items 110.. have no triple, so they stay isolated. "one": each item
+    links to one attribute under that attribute's relation, as the synthetic
+    generator builds it, so every center draws one relation. "items": each
+    item links to 2-4 attributes under theirs, so items draw several
+    relations and attributes one. "attributes": each item links to one
+    attribute under a relation of its own, so attributes draw several and
+    items one."""
+    rng = derive_rng(28, 0)
+    items, attributes, relations = 120, 30, 4
+    attr_rel = rng.integers(relations, size=attributes)
+    triples = np.array([
+        (i, int(rng.integers(relations)) if kind == "attributes" else int(attr_rel[a]),
+         items + int(a))
+        for i in range(110)
+        for a in rng.choice(attributes, int(rng.integers(2, 5)) if kind == "items" else 1,
+                            replace=False)])
+    kg = build_kg(triples, items + attributes, relations)
+    empty = [[] for _ in range(6)]
+    return Dataset(num_users=6, num_items=items, train=empty, valid=empty, test=empty,
+                   train_neg=empty, valid_neg=empty, test_neg=empty, kg=kg, triples=triples)
+
+
+class _ShapeRecorder:
+    """numpy, recording the shape of every 3-D array one of its functions returns."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if isinstance(out, np.ndarray) and out.ndim == 3:
+                self.shapes.append(out.shape)
+            return out
+        return call
+
+
+@pytest.mark.parametrize("kind,depth,mode",
+                         list(product(("one", "items", "attributes"), (1, 2, 3),
+                                      ("replace", "transform"))))
+def test_one_relation_layers_keep_one_state_row(kind, depth, mode, monkeypatch):
+    dataset = _slot_dataset(kind)
+    params, user_emb = scorer_setup(dataset, depth, mode)
+    sub = pass_field(dataset, RELATIONS_K, depth, 5, 3)
+    field = Field(sub, *gather(params, sub.entities, sub.relations), params.model)
+    # centers of even depth are items, of odd depth attributes
+    slots = [max(len(set(rels)) for rels in layer.rel_rows.tolist()) for layer in sub.layers]
+    several = {"one": [], "items": [0, 2], "attributes": [1]}[kind]
+    assert [lvl for lvl, m in enumerate(slots) if m > 1] == [lvl for lvl in several if lvl < depth]
+    assert sub.layers[0].isolated.any()
+    scorer = field_scorer(field, params.model)
+    got = scorer(user_emb)
+    items = np.arange(dataset.num_items)
+    for user in range(dataset.num_users):
+        want = field_oracle(params, sub, user_emb[user], items)
+        assert np.max(np.abs(got[user] - want)) <= 1e-12, user
+    one_by_one = [scorer(user_emb[[u]]) for u in range(dataset.num_users)]
+    assert got.tobytes() == np.concatenate(one_by_one).tobytes()
+    halves = [scorer(user_emb[:3]), scorer(user_emb[3:])]
+    assert got.tobytes() == np.concatenate(halves).tobytes()
+    if depth == 1:
+        assert got.tobytes() == relation_sum_scores(field, params, user_emb).tobytes()
+    # the hop states, among the 3-D arrays numpy makes while a block is scored: one
+    # row while no layer's attention depends on the user, a row per user once one does
+    recorder = _ShapeRecorder()
+    monkeypatch.setattr("fedkg.model.np", recorder)
+    assert scorer(user_emb).tobytes() == got.tobytes()
+    rows = {shape[0] for shape in recorder.shapes}
+    assert rows == {1} if max(slots) == 1 else dataset.num_users in rows
+
+
 def test_recall_breaks_exact_score_ties_by_item_id():
     base = _block_dataset()
     params, user_emb = scorer_setup(base, 0, "transform")
