@@ -13,8 +13,8 @@ per user (Recall@K); a user with more is a block alone, and its scores are
 the same in any block. A Recall@K block is scored in sub-blocks of at most
 BLOCK_PAIRS pairs by `model.field_scorer` (whose hop 1 costs M <= min(K, R)
 relation-slot passes per sub-block, M the most distinct relations a center
-drew, not R; a layer with M = 1, every layer of a synthetic field, does no
-per-user work, so only the readout is per user there); the block then
+drew, not R; each state reading only M = 1 layers, as on a synthetic field,
+is built once per pass, so a sub-block there is the readout); the block then
 sets its other-split positives to -inf in one assignment and ranks every
 held-out positive against its row in one `recall_from_scores` call.
 
@@ -48,7 +48,7 @@ from .rng import ROLE_EVAL, derive_rng
 BLOCK_ITEMS = 256
 # (user, item) pairs per field_scorer call: a per-user (U, d, items) state is
 # 0.5 MB at d = 16, small enough to stay in cache through the hops; a state no
-# user's attention reaches is one (1, d, items) row.
+# user's attention reaches is one (1, d, items) row, built once per pass.
 BLOCK_PAIRS = 4096
 # (user, item) pairs per Recall@K ranking block, ranked in one call: recall_at_k
 # and recall_from_scores pay a fixed cost per call, so a block spans about eight

@@ -351,9 +351,10 @@ def field_scorer(field: Field, params: ModelParams):
     and, in transform mode, W x + b and W S_m (the parts of W (x + agg) +
     b) are made here once from each draw's slot, so neither this set-up
     nor a block grows with R, only with M and K. A layer with one slot (M
-    = 1) weighs every draw 1/K for any user, so its coefficients, and each
-    state that reads only such layers, are one (1, d, n) row per block;
-    the others are (U, d, n). Hops >= 2 gather per block and read each
+    = 1) weighs every draw 1/K for any user, so each state that reads only
+    such layers is one read-only (1, d, n) row, made here once per pass.
+    A block makes the others, (U, d, n), and the readout: one matmul and
+    one sigmoid when every layer has M = 1. Hops >= 2 gather and read each
     draw's coefficient through its slot.
 
     Every row, weight and user must be finite, and the caller checks it
@@ -387,46 +388,60 @@ def field_scorer(field: Field, params: ModelParams):
         hop1.append((w @ raw[lvl][:, layer.sampled] + b if transform else 0.0,
                      np.where(count[:, None] > 0, sums, 0.0)))
 
+    def advance(hop: int, lvl: int, coef: np.ndarray, states: dict) -> np.ndarray:
+        """Depth lvl's state after `hop` hops, from states[hop - 1, lvl] and [.., lvl + 1]."""
+        layer, old = sub.layers[lvl], states[hop - 1, lvl]
+        if hop == 1:
+            base, slot_sums = hop1[lvl]
+            # one C-contiguous buffer: the readout matmul rounds by layout
+            new = np.multiply(coef[:, 0, None], slot_sums[0],
+                              out=np.empty((len(coef), *slot_sums.shape[1:])))
+            new += base
+            for m in range(1, len(slot_sums)):
+                new += coef[:, m, None] * slot_sums[m]
+            if transform:
+                np.tanh(new, out=new)
+        else:
+            alpha = coef[:, draw_slots[lvl], np.arange(len(layer.rel_rows))]
+            new = np.einsum("ukn,udkn->udn", alpha,
+                            states[hop - 1, lvl + 1][:, :, layer.tail_rows.T])
+            if transform:
+                w, b = params.weights[hop - 1], params.biases[hop - 1][:, None]
+                new = np.tanh(w @ (old[:, :, layer.sampled] + new) + b)
+        if layer.isolated.any():  # isolated centers keep their state
+            full = np.broadcast_to(old, new.shape[:1] + old.shape[1:]).copy()  # U rows, or 1
+            full[:, :, layer.sampled] = new
+            new = full
+        return new
+
+    # depth lvl's state after a hop reads its own and lvl + 1's from the hop before
+    hops = [(hop, lvl) for hop in range(1, sub.depth + 1) for lvl in range(sub.depth + 1 - hop)]
+    # one relation per center: e^0 / (e^0 K) = 1 / K for any user
+    one = [(1.0 / count)[None] if len(rel) == 1 else None for rel, count in slots]
+    # the states no user's attention reaches, one read-only (1, d, n) row for the pass
+    shared = {(0, lvl): x[None] for lvl, x in enumerate(raw)}
+    for hop, lvl in hops:
+        if one[lvl] is not None and {(hop - 1, lvl), (hop - 1, lvl + 1)} <= shared.keys():
+            shared[hop, lvl] = advance(hop, lvl, one[lvl], shared)
+    for state in shared.values():
+        state.flags.writeable = False
+
     def score(users: np.ndarray) -> np.ndarray:
         t = (np.einsum("ud,rd->ur", users, field.relation_rows)  # the same in any block
-             if any(len(rel) > 1 for rel, _ in slots) else None)
+             if any(coef is None for coef in one) else None)
         coefs = []
-        for rel, count in slots:
-            if len(rel) == 1:  # one relation per center: e^0 / (e^0 K) = 1 / K for any user
-                coefs.append((1.0 / count)[None])
-                continue
-            by_slot = t[:, rel]  # (U, M, n_sampled)
-            shift = reduce(np.maximum, by_slot.swapaxes(0, 1))
-            e = np.exp(by_slot - shift[:, None])
-            coefs.append(e / reduce(np.add, (e * count).swapaxes(0, 1))[:, None])
-        states = [x[None] for x in raw]  # one row until a user's attention reaches it
-        for hop in range(1, sub.depth + 1):  # depth lvl's new state reads lvl + 1's old one
-            for lvl, layer in enumerate(sub.layers[:sub.depth + 1 - hop]):
-                coef = coefs[lvl]
-                if hop == 1:
-                    base, slot_sums = hop1[lvl]
-                    # one C-contiguous buffer: the readout matmul rounds by layout
-                    new = np.multiply(coef[:, 0, None], slot_sums[0],
-                                      out=np.empty((len(coef), *slot_sums.shape[1:])))
-                    new += base
-                    for m in range(1, len(slot_sums)):
-                        new += coef[:, m, None] * slot_sums[m]
-                    if transform:
-                        np.tanh(new, out=new)
-                else:
-                    alpha = coef[:, draw_slots[lvl], np.arange(len(layer.rel_rows))]
-                    new = np.einsum("ukn,udkn->udn", alpha,
-                                    states[lvl + 1][:, :, layer.tail_rows.T])
-                    if transform:
-                        w, b = params.weights[hop - 1], params.biases[hop - 1][:, None]
-                        new = np.tanh(w @ (states[lvl][:, :, layer.sampled] + new) + b)
-                if layer.isolated.any():  # isolated centers keep their state
-                    shape = new.shape[:1] + states[lvl].shape[1:]  # a row per user, or one
-                    full = np.broadcast_to(states[lvl], shape).copy()
-                    full[:, :, layer.sampled] = new
-                    new = full
-                states[lvl] = new
-        return sigmoid((users[:, None] @ states[0])[:, 0])
+        for (rel, count), coef in zip(slots, one):
+            if coef is None:
+                by_slot = t[:, rel]  # (U, M, n_sampled)
+                shift = reduce(np.maximum, by_slot.swapaxes(0, 1))
+                e = np.exp(by_slot - shift[:, None])
+                coef = e / reduce(np.add, (e * count).swapaxes(0, 1))[:, None]
+            coefs.append(coef)
+        states = dict(shared)  # and a row per user for each state a user's attention reaches
+        for hop, lvl in hops:
+            if (hop, lvl) not in states:
+                states[hop, lvl] = advance(hop, lvl, coefs[lvl], states)
+        return sigmoid((users[:, None] @ states[sub.depth, 0])[:, 0])
     return score
 
 

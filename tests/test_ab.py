@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import os
 import pathlib
 
 import pytest
@@ -46,3 +48,72 @@ def test_summary_of_equal_values_and_a_zero_base():
     assert not same["beyond_iqr"]
     assert ab.summarize([0.0, 0.0], [0.0, 0.0], "lower", 0.1)["bound_holds"]
     assert not ab.summarize([0.0, 0.0], [1.0, 1.0], "lower", 0.1)["bound_holds"]
+
+
+def test_summary_beyond_the_aa_move_either_sign():
+    base, head = [10.0, 10.0, 10.0], [9.0, 9.0, 9.0]  # 10% better
+    assert ab.summarize(base, head, "lower", 0.25)["beyond_aa"] is None
+    assert ab.summarize(base, head, "lower", 0.25, aa_change=0.05)["beyond_aa"]
+    assert ab.summarize(base, head, "lower", 0.25, aa_change=-0.05)["beyond_aa"]
+    assert not ab.summarize(base, head, "lower", 0.25, aa_change=-0.125)["beyond_aa"]
+    assert not ab.summarize(base, base, "lower", 0.25, aa_change=0.0)["beyond_aa"]
+    assert not ab.summarize(base, [11.0] * 3, "lower", 0.25, aa_change=0.0)["beyond_aa"]
+    higher = ab.summarize([100.0] * 3, [104.0] * 3, "higher", 0.15, aa_change=0.03)
+    assert higher["change"] == pytest.approx(-0.04) and higher["beyond_aa"]
+
+
+def fake_repo(monkeypatch, tmp_path, head_sha, changed, side_values):
+    """ab.main over tmp_path without a benchmark run: BASE resolves to "base",
+    `changed` is `git status --porcelain -- src perfbench`, and each run reads
+    side_values[side] for its one metric."""
+    spec = {"run_seconds": 1, "end_to_end": [
+        {"name": "eval_final_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def git(*args):
+        if args[:2] == ("rev-parse", "--verify"):
+            return "base\n"
+        if args == ("rev-parse", "HEAD"):
+            return head_sha + "\n"
+        assert args[:2] == ("status", "--porcelain")
+        return changed if args[2:] == ("--", "src", "perfbench") else ""
+
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    monkeypatch.setattr(ab, "git", git)
+    monkeypatch.setattr(ab, "export_rev", lambda rev, dest: None)
+    monkeypatch.setattr(ab, "copy_worktree", lambda dest: None)
+    monkeypatch.setattr(ab, "envprobe", lambda: ["fingerprint"])
+    monkeypatch.setattr(ab, "run_bench", lambda tree, workload, seed, seconds: {
+        "correct": True, "failed": 0,
+        "metrics": {"eval_final_s": side_values[os.path.basename(tree)]}})
+
+
+def test_aa_run_writes_the_aa_file(monkeypatch, tmp_path):
+    fake_repo(monkeypatch, tmp_path, "base", "", {"base": 10.0, "head": 10.1})
+    assert ab.main(["--base", "HEAD", "--workload", "w", "--pairs", "2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json", "aa-BENCH_w.json"]
+    report = json.loads((tmp_path / "aa-BENCH_w.json").read_text())
+    assert report["aa"] and report["metrics"]["eval_final_s"]["change"] == pytest.approx(0.01)
+    assert report["metrics"]["eval_final_s"]["beyond_aa"] is None
+
+
+def test_run_with_a_source_diff_or_another_base_is_ab(monkeypatch, tmp_path):
+    fake_repo(monkeypatch, tmp_path, "base", " M src/fedkg/model.py\n",
+              {"base": 10.0, "head": 9.0})
+    assert ab.main(["--base", "HEAD", "--workload", "w", "--pairs", "2"]) == 0
+    assert not json.loads((tmp_path / "BENCH_w.json").read_text())["aa"]
+    (tmp_path / "BENCH_w.json").unlink()
+    fake_repo(monkeypatch, tmp_path, "head", "", {"base": 10.0, "head": 9.0})
+    assert ab.main(["--base", "HEAD~1", "--workload", "w", "--pairs", "2"]) == 0
+    assert not (tmp_path / "aa-BENCH_w.json").exists()
+
+
+@pytest.mark.parametrize("head,beyond", [(9.0, True), (9.7, False)])
+def test_ab_run_reads_the_aa_move(monkeypatch, tmp_path, capsys, head, beyond):
+    (tmp_path / "aa-BENCH_w.json").write_text(json.dumps(
+        {"metrics": {"eval_final_s": {"change": 0.05}}}))
+    fake_repo(monkeypatch, tmp_path, "head", "", {"base": 10.0, "head": head})
+    assert ab.main(["--base", "HEAD~1", "--workload", "w", "--pairs", "2"]) == 0
+    m = json.loads((tmp_path / "BENCH_w.json").read_text())["metrics"]["eval_final_s"]
+    assert m["beyond_aa"] is beyond and m["wins"] == 2
+    assert f"aa {beyond}" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, product
 
 import numpy as np
@@ -728,6 +728,74 @@ def relation_sum_scores(field, params, users):
     return sigmoid((users[:, None] @ new)[:, 0])
 
 
+def per_block_scorer(field, params):
+    """field_scorer before its shared states were made once per pass: every
+    block makes every hop state, one row until a user's attention reaches it.
+    Kept as its bitwise reference at any depth."""
+    sub, transform = field.subgraph, params.mode == "transform"
+    raw = [field.entity_rows[rows].T for rows in sub.ent_rows]
+    slots, draw_slots, hop1 = [], [], []
+    for lvl, layer in enumerate(sub.layers):
+        order = np.argsort(layer.rel_rows, axis=1)
+        ranked = np.take_along_axis(layer.rel_rows, order, axis=1)
+        step = np.cumsum(np.diff(ranked, axis=1, prepend=ranked[:, :1]) != 0, axis=1)
+        slot = np.empty_like(step)
+        np.put_along_axis(slot, order, step, axis=1)
+        mask = slot[..., None] == np.arange(slot.max(initial=0) + 1)
+        count = np.einsum("nkm->mn", mask.astype(np.intp))
+        first = np.where(count > 0, np.cumsum(count, axis=0) - count, 0)
+        rel = np.take_along_axis(ranked.T, first, axis=0)
+        sums = np.einsum("nkm,dnk->mdn", mask, raw[lvl + 1][:, layer.tail_rows])
+        w, b = params.weights[0], params.biases[0][:, None]
+        if transform:
+            sums = w @ sums
+        slots.append((rel, count))
+        draw_slots.append(slot.T)
+        hop1.append((w @ raw[lvl][:, layer.sampled] + b if transform else 0.0,
+                     np.where(count[:, None] > 0, sums, 0.0)))
+
+    def score(users):
+        t = (np.einsum("ud,rd->ur", users, field.relation_rows)
+             if any(len(rel) > 1 for rel, _ in slots) else None)
+        coefs = []
+        for rel, count in slots:
+            if len(rel) == 1:
+                coefs.append((1.0 / count)[None])
+                continue
+            by_slot = t[:, rel]
+            shift = reduce(np.maximum, by_slot.swapaxes(0, 1))
+            e = np.exp(by_slot - shift[:, None])
+            coefs.append(e / reduce(np.add, (e * count).swapaxes(0, 1))[:, None])
+        states = [x[None] for x in raw]
+        for hop in range(1, sub.depth + 1):
+            for lvl, layer in enumerate(sub.layers[:sub.depth + 1 - hop]):
+                coef = coefs[lvl]
+                if hop == 1:
+                    base, slot_sums = hop1[lvl]
+                    new = np.multiply(coef[:, 0, None], slot_sums[0],
+                                      out=np.empty((len(coef), *slot_sums.shape[1:])))
+                    new += base
+                    for m in range(1, len(slot_sums)):
+                        new += coef[:, m, None] * slot_sums[m]
+                    if transform:
+                        np.tanh(new, out=new)
+                else:
+                    alpha = coef[:, draw_slots[lvl], np.arange(len(layer.rel_rows))]
+                    new = np.einsum("ukn,udkn->udn", alpha,
+                                    states[lvl + 1][:, :, layer.tail_rows.T])
+                    if transform:
+                        w, b = params.weights[hop - 1], params.biases[hop - 1][:, None]
+                        new = np.tanh(w @ (states[lvl][:, :, layer.sampled] + new) + b)
+                if layer.isolated.any():
+                    shape = new.shape[:1] + states[lvl].shape[1:]
+                    full = np.broadcast_to(states[lvl], shape).copy()
+                    full[:, :, layer.sampled] = new
+                    new = full
+                states[lvl] = new
+        return sigmoid((users[:, None] @ states[0])[:, 0])
+    return score
+
+
 @pytest.mark.parametrize("depth,mode", list(product((1, 2, 3), ("replace", "transform"))))
 def test_relation_slots_match_field_oracle(depth, mode):
     # with and without isolated items: without, no copy makes the state contiguous
@@ -821,13 +889,34 @@ def test_one_relation_layers_keep_one_state_row(kind, depth, mode, monkeypatch):
     assert got.tobytes() == np.concatenate(halves).tobytes()
     if depth == 1:
         assert got.tobytes() == relation_sum_scores(field, params, user_emb).tobytes()
-    # the hop states, among the 3-D arrays numpy makes while a block is scored: one
-    # row while no layer's attention depends on the user, a row per user once one does
+    # the 3-D arrays numpy makes while a block is scored: the states no user's
+    # attention reaches were made once with the scorer, so none has one row, an
+    # all-M = 1 field makes none at all (only the readout is per user), and a layer
+    # whose attention depends on the user makes (U, d, n) states
     recorder = _ShapeRecorder()
     monkeypatch.setattr("fedkg.model.np", recorder)
     assert scorer(user_emb).tobytes() == got.tobytes()
-    rows = {shape[0] for shape in recorder.shapes}
-    assert rows == {1} if max(slots) == 1 else dataset.num_users in rows
+    assert all(shape[0] == dataset.num_users for shape in recorder.shapes)
+    if max(slots) == 1:
+        assert recorder.shapes == []
+    else:
+        assert (dataset.num_users, user_emb.shape[1]) in {s[:2] for s in recorder.shapes}
+
+
+@pytest.mark.parametrize("kind,depth,mode",
+                         list(product(("one", "items", "attributes"), (1, 2, 3),
+                                      ("replace", "transform"))))
+def test_field_scorer_equals_the_per_block_loop_bitwise(kind, depth, mode):
+    dataset = _slot_dataset(kind)
+    params, user_emb = scorer_setup(dataset, depth, mode)
+    sub = pass_field(dataset, RELATIONS_K, depth, 5, 3)
+    assert sub.layers[0].isolated.any()
+    field = Field(sub, *gather(params, sub.entities, sub.relations), params.model)
+    scorer, reference = field_scorer(field, params.model), per_block_scorer(field, params.model)
+    want = reference(user_emb).tobytes()
+    for blocks in ([user_emb], np.split(user_emb, dataset.num_users), np.split(user_emb, 2)):
+        assert np.concatenate([scorer(block) for block in blocks]).tobytes() == want
+        assert np.concatenate([reference(block) for block in blocks]).tobytes() == want
 
 
 def test_recall_breaks_exact_score_ties_by_item_id():

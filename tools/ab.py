@@ -17,6 +17,11 @@ metric both medians, the base quartiles, the head's wins, and the
 BENCHMARK.json bound with whether the head's median keeps it. Exits 1 when
 a run fails, reads incorrect, or a bound does not hold.
 
+An A/A run (REV is HEAD and nothing under src/ or perfbench/ differs from
+it) writes aa-BENCH_<workload>.json instead, the noise floor. An A/B run
+reads that file when it exists and adds per metric `beyond_aa`: whether
+the head beats the base by more than the A/A run's move.
+
 Standard library only.
 """
 
@@ -83,13 +88,15 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(base: list[float], head: list[float], better: str, bound: float) -> dict:
+def summarize(base: list[float], head: list[float], better: str, bound: float,
+              aa_change: float | None = None) -> dict:
     """Medians, base quartiles, head wins (ties count for neither) and the bound verdict.
 
     `change` is the head median relative to the base median, signed so that
     positive is worse; the bound holds while change <= bound. `beyond_iqr`
     says the head median is better than the base median by more than the
-    distance between the base quartiles.
+    distance between the base quartiles, and `beyond_aa` (None without an
+    A/A `change`) that it is better by more than the A/A move's size.
     """
     sign = 1.0 if better == "lower" else -1.0
     base_med, head_med = statistics.median(base), statistics.median(head)
@@ -102,7 +109,8 @@ def summarize(base: list[float], head: list[float], better: str, bound: float) -
     return {"base_median": base_med, "head_median": head_med, "base_iqr": [q1, q3],
             "change": change, "wins": sum(sign * (h - b) < 0 for b, h in zip(base, head)),
             "pairs": len(base), "bound": bound, "bound_holds": change <= bound,
-            "beyond_iqr": -worse > q3 - q1}
+            "beyond_iqr": -worse > q3 - q1,
+            "beyond_aa": None if aa_change is None else -change > abs(aa_change)}
 
 
 def envprobe() -> list[str]:
@@ -127,6 +135,13 @@ def main(argv=None) -> int:
     spec = {m["name"]: m for m in bench["end_to_end"]}
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
     head_sha = git("rev-parse", "HEAD").strip()
+    aa = base_sha == head_sha and not git("status", "--porcelain", "--", "src", "perfbench")
+    aa_path = os.path.join(ROOT, f"aa-BENCH_{args.workload}.json")
+    out = aa_path if aa else os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    aa_changes = {}
+    if not aa and os.path.exists(aa_path):
+        with open(aa_path) as fh:
+            aa_changes = {name: m["change"] for name, m in json.load(fh)["metrics"].items()}
     runs = []
     with tempfile.TemporaryDirectory(prefix="fedkg-ab-") as tmp:
         trees = {"base": os.path.join(tmp, "base"), "head": os.path.join(tmp, "head")}
@@ -150,20 +165,21 @@ def main(argv=None) -> int:
             metrics[name] = {"unit": m["unit"], "better": m["better"],
                              **summarize([r["base"]["metrics"][name] for r in runs],
                                          [r["head"]["metrics"][name] for r in runs],
-                                         m["better"], m["bound"])}
-    report = {"workload": args.workload, "seed": args.seed, "seconds": bench["run_seconds"],
-              "pairs": args.pairs,
+                                         m["better"], m["bound"], aa_changes.get(name))}
+    report = {"workload": args.workload, "aa": aa, "seed": args.seed,
+              "seconds": bench["run_seconds"], "pairs": args.pairs,
               "base": {"rev": args.base, "sha": base_sha},
               "head": {"sha": head_sha, "dirty": bool(git("status", "--porcelain").strip())},
               "fingerprint": envprobe(), "correct": ok, "metrics": metrics, "runs": runs}
-    with open(os.path.join(ROOT, f"BENCH_{args.workload}.json"), "w") as fh:
+    with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for name, m in metrics.items():
         print(f"{name:16s} {m['base_median']:12.6g} -> {m['head_median']:12.6g} {m['unit']:5s}"
               f" {abs(m['change']):7.2%} {'worse' if m['change'] > 0 else 'better'}"
               f" wins {m['wins']}/{m['pairs']}"
-              f" bound {m['bound']:.0%} {'holds' if m['bound_holds'] else 'BROKEN'}")
+              f" bound {m['bound']:.0%} {'holds' if m['bound_holds'] else 'BROKEN'}"
+              f" beyond iqr {m['beyond_iqr']} aa {m['beyond_aa']}")
     return 0 if ok and all(m["bound_holds"] for m in metrics.values()) else 1
 
 
