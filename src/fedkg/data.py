@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .kg import KnowledgeGraph, _distinct, build_kg, load_kg_file, read_rows
+from .kg import KnowledgeGraph, _distinct, _first_of_runs, build_kg, load_kg_file, read_rows
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)  # train : valid : test, per user
 
@@ -36,7 +36,7 @@ class Dataset:
     kg: KnowledgeGraph
     triples: np.ndarray  # (n, 3) int64 (head, relation, tail) rows kg was built from
     user_id_map: dict[int, int] | None = None  # original -> dense
-    truth_prefs: np.ndarray | None = None  # synthetic diagnostics only
+    truth_prefs: np.ndarray | None = None  # synthetic only: planted prefs (tools/oracle.py)
 
     def positives(self, user: int) -> list[int]:
         return sorted(self.train[user] + self.valid[user] + self.test[user])
@@ -114,25 +114,16 @@ def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
                           rng: np.random.Generator) -> list[list[int]]:
     """Per user: unobserved items, one per split positive, clamped to the pool.
 
-    User u gets the sorted items that numpy's `rng.choice(pool, want,
-    replace=False)` picks from its unobserved items (`unobserved_items`),
-    with the calls made user after user, and the generator ends in the state
-    those calls leave. One `rng.integers(0, highs)` call makes every draw of
-    the split: per element it is numpy's `random_bounded_uint64(0, high - 1)`,
-    the draw `choice` makes. numpy's `choice` of `want` of `size`, user by user:
-      - for a pool of up to 10,000 items, or `want <= size // 50`, Floyd's
-        algorithm: `want` draws, highs `size - want + 1 .. size` (a draw
-        that repeats an earlier pick picks `size - want + t` instead), then
-        a shuffle of the picks, `want - 1` draws, highs `want .. 2`;
-      - otherwise a shuffle of the tail of `arange(size)`, highs `size`
-        down to `max(size - want, 1) + 1`.
-    A high of 1 gives 0 and consumes nothing. Shuffling Floyd's picks does
-    not change a sorted list, so only the tail shuffle's swaps are replayed.
+    User u wants w = min(len(split_positives[u]), n) of its n unobserved items
+    (`unobserved_items`) and gets a uniform random w-subset of them, sorted,
+    drawn by `_subsets`: a split makes at most two draw calls, and none when
+    nothing is wanted.
 
     The pool is never built: with `seen` the user's sorted distinct
     positives in [0, num_items), the idx-th pool item is
     `idx + bisect_right(gaps, idx)` for `gaps[r] = seen[r] - r`, the number
-    of unobserved ids below `seen[r]`. Memory is O(positives + negatives).
+    of unobserved ids below `seen[r]`. Memory is O(positives + negatives), except
+    for a rare user with 2w <= n short of distinct draws: its sort keys its pool.
     """
     return _eval_negatives(num_items, _seen_keys(num_items, all_positives), split_positives, rng)
 
@@ -145,13 +136,57 @@ def _eval_negatives(num_items: int, seen_keys: tuple[np.ndarray, np.ndarray],
     size = num_items - seen_count
     want = np.minimum(np.fromiter(map(len, split_positives), dtype=np.int64, count=len(size)),
                       size)
-    idx = _choice_indices(size, want, rng)
-    base = np.repeat(np.arange(len(size)) * key, want)
+    picks = _subsets(size, want, key, rng)
     # a seen item's gap key: its user's key plus the number of unobserved ids below it
     gaps = seen - np.arange(len(seen)) + np.repeat(seen_start, seen_count)
-    idx += np.searchsorted(gaps, base + idx, side="right") - np.repeat(seen_start, want)
-    flat = (np.sort(base + idx) - base).tolist()
-    return [flat[end - w:end] for end, w in zip(np.cumsum(want).tolist(), want.tolist())]
+    picks += np.searchsorted(gaps, picks, side="right") - np.repeat(seen_start, want)
+    return _lists(picks, key, len(size))
+
+
+def _subsets(size: np.ndarray, want: np.ndarray, key: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """Sorted `user * key + index` over a uniform subset of w = want[u] of the n =
+    size[u] indices range(n), per user:
+      - a user with 2w <= n takes the first w distinct of its 2w + 4 draws of
+        `rng.integers(0, n)`, one call making every such user's draws, user after
+        user;
+      - a user with 2w > n, or with fewer than w distinct draws, takes the first
+        w of range(n) ordered by one `rng.random()` key per index (a stable
+        sort), from one more call.
+    """
+    draws = np.where((want > 0) & (2 * want <= size), 2 * want + 4, 0)
+    owner = np.repeat(np.arange(len(size)), draws)
+    drawn = owner * key + (rng.integers(0, np.repeat(size, draws)) if len(owner) else owner)
+    picks, full = _first_distinct(drawn, key, want)
+    short = ~full
+    picks = picks[full[picks // key]]
+    owner = np.repeat(np.flatnonzero(short), size[short])
+    if len(owner):  # the keyed sort of each short user's pool
+        start = np.repeat(np.cumsum(size[short]) - size[short], size[short])
+        order = np.lexsort((rng.random(len(owner)), owner))  # stable: by owner, then key
+        take = np.arange(len(owner)) - start < want[owner]
+        picks = np.concatenate([picks, owner[take] * key + (order - start)[take]])
+    return np.sort(picks)
+
+
+def _first_distinct(keys: np.ndarray, key: int,
+                    want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of `owner * key + value` keys laid out owner by owner: each owner's first
+    want[owner] distinct keys, in order (a stable sort finds first occurrences),
+    and whether each owner has that many."""
+    order = np.argsort(keys, kind="stable")
+    first = np.sort(order[_first_of_runs(keys[order])])
+    owner = keys[first] // key
+    rank = np.arange(len(first)) - np.searchsorted(owner, owner)
+    return keys[first[rank < want[owner]]], np.bincount(owner, minlength=len(want)) >= want
+
+
+def _lists(keys: np.ndarray, key: int, users: int) -> list[list[int]]:
+    """Sorted `user * key + value` keys as each user's list of values."""
+    owner = keys // key
+    flat = np.arange(key, dtype=object)[keys - owner * key].tolist()  # users share ints
+    ends = np.cumsum(np.bincount(owner, minlength=users)).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _seen_keys(num_items: int, all_positives: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -164,184 +199,6 @@ def _seen_keys(num_items: int, all_positives: list[list[int]]) -> tuple[np.ndarr
     keys = np.repeat(np.arange(users) * key, lengths) + ids
     seen = _distinct(keys[(ids >= 0) & (ids < num_items)])
     return seen, np.searchsorted(seen, np.arange(users) * key)
-
-
-def _choice_indices(size: np.ndarray, want: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Per user, in user order, the pool indices of numpy's
-    `rng.choice(size, want, replace=False)` (in any order), from one
-    `integers` call (the draw rule is in sample_eval_negatives)."""
-    users = len(size)
-    tail = (size > 10_000) & (want > size // 50)
-    # per user two runs of highs, Floyd's (up by 1) and a shuffle's (down by 1),
-    # made as the running sum of their steps
-    runs = np.column_stack([np.where(tail, 0, want),
-                            np.where(tail, size - np.maximum(size - want, 1),
-                                     np.maximum(want - 1, 0))]).ravel()
-    first = np.column_stack([size - want + 1, np.where(tail, size, want)]).ravel()
-    step = np.tile([1, -1], users)
-    live = runs > 0
-    first, step, length = first[live], step[live], runs[live]
-    highs = np.repeat(step, length)
-    last = first + step * (length - 1)
-    highs[np.cumsum(length) - length] = first - np.append(0, last[:-1])  # jump from run before
-    draws = rng.integers(0, np.cumsum(highs)) if len(highs) else highs
-
-    picker = np.repeat(np.arange(users), want)
-    floyd = ~tail[picker]
-    idx = np.empty(len(picker), dtype=np.int64)
-    idx[floyd] = draws[np.repeat(np.tile([True, False], users), runs)]
-    # a user whose Floyd draws are distinct picks them; a user with a repeat, or
-    # with a tail shuffle, is replayed draw by draw
-    key = int(size.max(initial=0)) + 1
-    ordered = np.sort((picker * key + idx)[floyd])
-    repeats = _distinct(ordered[1:][ordered[1:] == ordered[:-1]] // key)
-    ends, run_ends = np.cumsum(want), np.cumsum(runs)
-    for user in [*repeats.tolist(), *np.flatnonzero(tail).tolist()]:
-        n, w, end = int(size[user]), int(want[user]), int(ends[user])
-        r = 2 * user + int(tail[user])
-        mine = draws[run_ends[r] - runs[r]:run_ends[r]].tolist()
-        idx[end - w:end] = _tail_shuffle(n, w, mine) if tail[user] else _floyd(n, w, mine)
-    return idx
-
-
-def _floyd(size: int, want: int, draws: list[int]) -> list[int]:
-    """Floyd's picks from its draws, in draw order: the t-th draw, if already
-    picked, picks size - want + t."""
-    picked: dict[int, None] = {}
-    for j, draw in enumerate(draws, start=size - want):
-        picked[j if draw in picked else draw] = None
-    return list(picked)
-
-
-def _tail_shuffle(size: int, want: int, draws: list[int]) -> list[int]:
-    """The last `want` entries of arange(size) after numpy's tail shuffle, whose
-    step at position i (size - 1 down) swaps it with position draw."""
-    moved: dict[int, int] = {}
-    picks = []
-    for i, j in zip(range(size - 1, -1, -1), draws):
-        picks.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    if want == size:  # the shuffle stops at position 1; position 0 is picked too
-        picks.append(moved.get(0, 0))
-    return picks
-
-
-class _Pcg64Draws:
-    """numpy's `integers(0, n)`, `choice(size, want, replace=False)` and
-    generate_synthetic's attempts (`interactions`) on a PCG64 Generator,
-    replayed in Python from its raw 64-bit outputs, which are read in chunks.
-    Leaving the `with` block, also on an exception, puts the generator where
-    those numpy calls would have left it.
-
-    numpy's rules, for 1 <= n <= 2**32:
-      - `random()` is `(raw >> 11) * 2**-53`: one whole raw output;
-      - a 32-bit draw takes the buffered half if there is one, else a fresh
-        raw output's low 32 bits, buffering its high 32;
-      - `integers(0, n)` is Lemire's method on 32-bit draws: `m = u32 * n`,
-        redrawn while `m mod 2**32 < (2**32 - n) % n`, gives `m >> 32`; n = 1
-        gives 0 and draws nothing;
-      - `choice` draws `integers(0, bound + 1)` at each step of Floyd's
-        algorithm and its shuffle, or of the tail shuffle (sample_eval_negatives).
-    `interactions` keeps the chunk, read position and buffered half in locals:
-    its noise test `random() < noise` is `(raw >> 11) < noise * 2**53`, exact
-    since both sides are scaled by the same power of two, and it takes Lemire's
-    common case (`m mod 2**32 >= n`) in place; a chunk refill goes through
-    `_next64` and a redraw through `_lemire`, as for any draw.
-    """
-
-    CHUNK = 4096  # raw outputs per read
-
-    def __init__(self, rng: np.random.Generator):
-        self._bits = rng.bit_generator
-        self._start = self._bits.state
-        self._has32, self._half = self._start["has_uint32"], self._start["uinteger"]
-        self._raw: list[int] = []
-        self._pos = self._done = 0  # next index in _raw; outputs of earlier chunks
-
-    def __enter__(self) -> "_Pcg64Draws":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._bits.state = self._start
-        self._bits.advance(self._done + self._pos)  # advance empties the 32-bit buffer
-        state = self._bits.state
-        state["has_uint32"], state["uinteger"] = self._has32, self._half
-        self._bits.state = state
-
-    def _next64(self) -> int:
-        if self._pos == len(self._raw):
-            self._done += self._pos
-            self._raw, self._pos = self._bits.random_raw(self.CHUNK).tolist(), 0
-        self._pos += 1
-        return self._raw[self._pos - 1]
-
-    def _next32(self) -> int:
-        if self._has32:
-            self._has32 = 0
-            return self._half
-        raw = self._next64()
-        self._has32, self._half = 1, raw >> 32
-        return raw & 0xFFFFFFFF
-
-    def integers(self, n: int) -> int:
-        return self._lemire(self._next32() * n, n) >> 32 if n > 1 else 0
-
-    def _lemire(self, m: int, n: int) -> int:
-        """Lemire's accepted product, from the first product m = u32 * n."""
-        if m & 0xFFFFFFFF < n:  # n bounds the rejection floor, and is cheaper
-            floor = (0x100000000 - n) % n
-            while m & 0xFFFFFFFF < floor:
-                m = self._next32() * n
-        return m
-
-    def choice(self, size: int, want: int) -> list[int]:
-        draw = self.integers
-        if size > 10_000 and want > size // 50:
-            stop = max(size - want, 1)
-            draws = [draw(i + 1) for i in range(size - 1, stop - 1, -1)]
-            return _tail_shuffle(size, want, draws)[::-1]
-        picks = _floyd(size, want, [draw(j + 1) for j in range(size - want, size)])
-        for i in range(want - 1, 0, -1):
-            j = draw(i + 1)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
-
-    def interactions(self, preferred: list[int], items: int, noise: float, want: int,
-                     cap: int) -> list[int]:
-        """One synthetic user's sorted interactions, drawn inline (class docstring)."""
-        chosen: set[int] = set()
-        goal = min(want, len(preferred)) if noise == 0.0 else want
-        threshold = noise * 2.0**53
-        raw, pos, has32, half = self._raw, self._pos, self._has32, self._half
-        attempts = 0
-        while len(chosen) < goal and attempts < cap:
-            attempts += 1
-            noisy = False
-            if noise > 0:
-                if pos == len(raw):
-                    self._pos = pos
-                    r, raw, pos = self._next64(), self._raw, 1
-                else:
-                    r, pos = raw[pos], pos + 1
-                noisy = (r >> 11) < threshold
-            n, k = (items if noisy else len(preferred)), 0
-            if n > 1 and has32:
-                has32, k = 0, half * n
-            elif n > 1:
-                if pos == len(raw):
-                    self._pos = pos
-                    r, raw, pos = self._next64(), self._raw, 1
-                else:
-                    r, pos = raw[pos], pos + 1
-                has32, half, k = 1, r >> 32, (r & 0xFFFFFFFF) * n
-            if k & 0xFFFFFFFF < n:  # n = 1 lands here too, and _lemire draws nothing for it
-                self._pos, self._has32, self._half = pos, has32, half
-                k = self._lemire(k, n)
-                raw, pos, has32, half = self._raw, self._pos, self._has32, self._half
-            chosen.add(k >> 32 if noisy else preferred[k >> 32])
-        self._pos, self._has32, self._half = pos, has32, half
-        return sorted(chosen)
 
 
 def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph,
@@ -378,38 +235,60 @@ def generate_synthetic(cfg: ExperimentConfig, rng: np.random.Generator) -> Datas
     preferred-attribute items with probability 1-noise, uniformly otherwise.
     The ground-truth preference matrix is kept for diagnostics.
 
-    `rng` must run on numpy's PCG64 bit generator, as `fedkg.rng.derive_rng`'s do;
-    any other raises TypeError before a draw. Per user, in user order, the
-    draws are those of `prefs = rng.choice(populated, s, replace=False)`, then
-    per attempt `rng.random() < noise` (not drawn when noise is 0) and
-    `rng.integers(0, items)` or `rng.integers(0, len(preferred))`. They are
-    replayed from the generator's raw outputs (`_Pcg64Draws`), which end
-    where those calls would, so the splits continue on the same stream. Each
-    user's attempts run inline (`_Pcg64Draws.interactions`: an exact noise
-    threshold; refills and redraws through the class).
+    After the KG's draws, in this order:
+      - preferences: each user takes a uniform subset of s = min(prefs_per_user,
+        populated) populated attributes, drawn by `_subsets`, in ascending order;
+      - interactions: each user has one stream of attempts. An attempt is noisy
+        when `rng.random() < noise` (not drawn when noise is 0) and draws
+        `rng.integers(0, items)` if noisy, else a uniform preferred item, the
+        user's preferred items taken attribute by attribute in that order.
+        A user's positives are the first `goal` distinct items of its stream, goal
+        interactions_per_user (or, at noise 0, at most its preferred items), or
+        every distinct item of its first cap = 50 * interactions_per_user attempts.
+        The streams are drawn in rounds over the users still short of their goal,
+        2 * interactions_per_user attempts each in the first round, twice as many
+        in each next one, the last cut at the cap: a round draws its noise tests in
+        one call, then its items in one `integers` call of per-attempt highs, user
+        after user;
+      - the splits and their negatives (attach_splits).
     """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise TypeError("generate_synthetic replays PCG64 draws; got a "
-                        f"{type(rng.bit_generator).__name__} bit generator")
-    m, a = cfg.items, cfg.attributes
+    m, a, users = cfg.items, cfg.attributes, cfg.users
     item_attr = rng.integers(0, a, size=m)
     attr_rel = rng.integers(0, cfg.relations, size=a)
     triples = np.column_stack([np.arange(m), attr_rel[item_attr], m + item_attr])
     kg = build_kg(triples, num_entities=m + a, num_relations=cfg.relations)
 
-    items_by_attr = [np.flatnonzero(item_attr == x).tolist() for x in range(a)]
-    populated = np.flatnonzero(np.bincount(item_attr, minlength=a)).tolist()
+    counts = np.bincount(item_attr, minlength=a)
+    populated = np.flatnonzero(counts)
     s = min(cfg.prefs_per_user, len(populated))
-    noise, want, cap = cfg.noise, cfg.interactions_per_user, 50 * cfg.interactions_per_user
-    prefs: list[list[int]] = []
-    positives: list[list[int]] = []
-    with _Pcg64Draws(rng) as draws:
-        for _ in range(cfg.users):
-            prefs.append([populated[i] for i in draws.choice(len(populated), s)])
-            preferred = [item for x in prefs[-1] for item in items_by_attr[x]]
-            positives.append(draws.interactions(preferred, m, noise, want, cap))
-    truth = np.zeros((cfg.users, a), dtype=bool)
-    truth[np.repeat(np.arange(cfg.users), s), list(chain.from_iterable(prefs))] = True
+    picks = _subsets(np.full(users, len(populated)), np.full(users, s), a, rng)
+    prefs = populated[(picks % a).reshape(users, s)]
+    truth = np.zeros((users, a), dtype=bool)
+    truth[np.arange(users)[:, None], prefs] = True
+
+    # user u's j-th preferred item is preferred[start[u] + j]: one run of the item ids
+    # grouped by attribute (by_attr) per (user, preferred attribute), users in order
+    by_attr = np.argsort(item_attr, kind="stable")
+    runs = counts[prefs].ravel()
+    heads = (np.cumsum(counts) - counts)[prefs].ravel() - (np.cumsum(runs) - runs)
+    preferred = by_attr[np.repeat(heads, runs) + np.arange(runs.sum())]
+    sizes = runs.reshape(prefs.shape).sum(axis=1)
+    start = np.cumsum(sizes) - sizes
+    noise, want, key = cfg.noise, cfg.interactions_per_user, m + 1  # key: user * key + item
+    goal = np.minimum(want, sizes) if noise == 0 else np.full(users, want)
+    cap = 50 * want
+    live, attempts, picked, width = np.arange(users), np.empty((users, 0), np.int64), [], 2 * want
+    while len(live):
+        shape = (len(live), min(width, cap - attempts.shape[1]))
+        noisy = rng.random(shape) < noise if noise > 0 else np.zeros(shape, dtype=bool)
+        drawn = rng.integers(0, np.where(noisy, m, sizes[live, None]))
+        drawn[~noisy] = preferred[(start[live, None] + drawn)[~noisy]]
+        attempts = np.hstack([attempts, live[:, None] * key + drawn])
+        picks, full = _first_distinct(attempts.ravel(), key, goal)
+        done = full | (attempts.shape[1] == cap)
+        picked.append(picks[done[picks // key]])
+        live, attempts, width = live[~done[live]], attempts[~done[live]], 2 * width
+    positives = _lists(np.sort(np.concatenate(picked)), key, users)
 
     return attach_splits(positives, m, kg, triples, rng, truth_prefs=truth)
 

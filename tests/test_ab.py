@@ -53,13 +53,37 @@ def test_summary_of_equal_values_and_a_zero_base():
 def test_summary_beyond_the_aa_move_either_sign():
     base, head = [10.0, 10.0, 10.0], [9.0, 9.0, 9.0]  # 10% better
     assert ab.summarize(base, head, "lower", 0.25)["beyond_aa"] is None
-    assert ab.summarize(base, head, "lower", 0.25, aa_change=0.05)["beyond_aa"]
-    assert ab.summarize(base, head, "lower", 0.25, aa_change=-0.05)["beyond_aa"]
-    assert not ab.summarize(base, head, "lower", 0.25, aa_change=-0.125)["beyond_aa"]
-    assert not ab.summarize(base, base, "lower", 0.25, aa_change=0.0)["beyond_aa"]
-    assert not ab.summarize(base, [11.0] * 3, "lower", 0.25, aa_change=0.0)["beyond_aa"]
-    higher = ab.summarize([100.0] * 3, [104.0] * 3, "higher", 0.15, aa_change=0.03)
+    s = ab.summarize(base, head, "lower", 0.25, aa_iqr=(-0.05, 0.02))
+    assert s["aa_iqr"] == [-0.05, 0.02] and s["beyond_aa"]
+    assert ab.summarize(base, head, "lower", 0.25, aa_iqr=(0.01, 0.08))["beyond_aa"]
+    # a quartile of either sign at least as large as the move holds it back
+    assert not ab.summarize(base, head, "lower", 0.25, aa_iqr=(-0.125, -0.01))["beyond_aa"]
+    assert not ab.summarize(base, head, "lower", 0.25, aa_iqr=(0.01, 0.1))["beyond_aa"]
+    # so a spread leaning worse does not make a move of about 0 beyond it
+    assert not ab.summarize(base, [9.99] * 3, "lower", 0.25, aa_iqr=(0.01, 0.02))["beyond_aa"]
+    assert not ab.summarize(base, base, "lower", 0.25, aa_iqr=(0.0, 0.0))["beyond_aa"]
+    assert not ab.summarize(base, [11.0] * 3, "lower", 0.25, aa_iqr=(-0.3, -0.2))["beyond_aa"]
+    higher = ab.summarize([100.0] * 3, [104.0] * 3, "higher", 0.15, aa_iqr=(-0.03, 0.01))
     assert higher["change"] == pytest.approx(-0.04) and higher["beyond_aa"]
+
+
+def aa_runs(name, pairs):
+    """An A/A file's `runs`, one (base, head) value of `name` per pair."""
+    return [{"pair": i, "base": {"metrics": {name: b}}, "head": {"metrics": {name: h}}}
+            for i, (b, h) in enumerate(pairs, start=1)]
+
+
+def test_aa_spread_is_the_quartiles_of_the_pair_moves():
+    # moves +10%, -5%, 0%, +2%, -1%: quartiles -1% and +2%, whatever the median
+    runs = aa_runs("run_s", [(10.0, 11.0), (2.0, 1.9), (4.0, 4.0), (5.0, 5.1), (1.0, 0.99)])
+    q1, q3 = ab.aa_spread(runs, "run_s", "lower")
+    assert (q1, q3) == (pytest.approx(-0.01), pytest.approx(0.02))
+    q1, q3 = ab.aa_spread(runs, "run_s", "higher")  # a rise is better: signs flip
+    assert (q1, q3) == (pytest.approx(-0.02), pytest.approx(0.01))
+    # a pair whose base is 0 gives no move; with none left there is no spread
+    runs = aa_runs("loss", [(0.0, 0.5), (2.0, 2.2)])
+    assert ab.aa_spread(runs, "loss", "lower") == (pytest.approx(0.1), pytest.approx(0.1))
+    assert ab.aa_spread(aa_runs("loss", [(0.0, 0.0)]), "loss", "lower") is None
 
 
 def fake_repo(monkeypatch, tmp_path, head_sha, changed, side_values):
@@ -110,10 +134,13 @@ def test_run_with_a_source_diff_or_another_base_is_ab(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("head,beyond", [(9.0, True), (9.7, False)])
 def test_ab_run_reads_the_aa_move(monkeypatch, tmp_path, capsys, head, beyond):
+    # A/A pair moves -4%, +1%, +8%: quartiles -1.5% and +4.5%, median +1%
+    runs = aa_runs("eval_final_s", [(10.0, 9.6), (10.0, 10.1), (10.0, 10.8)])
     (tmp_path / "aa-BENCH_w.json").write_text(json.dumps(
-        {"metrics": {"eval_final_s": {"change": 0.05}}}))
+        {"metrics": {"eval_final_s": {"change": 0.01}}, "runs": runs}))
     fake_repo(monkeypatch, tmp_path, "head", "", {"base": 10.0, "head": head})
     assert ab.main(["--base", "HEAD~1", "--workload", "w", "--pairs", "2"]) == 0
     m = json.loads((tmp_path / "BENCH_w.json").read_text())["metrics"]["eval_final_s"]
+    assert m["aa_iqr"] == [pytest.approx(-0.015), pytest.approx(0.045)]
     assert m["beyond_aa"] is beyond and m["wins"] == 2
     assert f"aa {beyond}" in capsys.readouterr().out

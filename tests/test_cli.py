@@ -267,11 +267,11 @@ def test_os_errors_are_usage_errors(tmp_path, capsys, command):
 
 # sha256 of the criterion-9 config's metrics.jsonl at depth=2, epochs=2. A
 # change that moves the stream must update this digest and say why. Last
-# moved when evaluation began scoring every user of a pass from one sampled
-# field: at depth 2 the scores read that field's draws, not per-user ones.
+# moved when the synthetic generator and evaluation negatives became
+# whole-array draws (a new dataset).
 # Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
 # SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
-PINNED_METRICS_SHA256 = "8c3379c6677d8867f7fed97ff756aacaa37d6ab45dc3b1c9c3a7897af76fdb60"
+PINNED_METRICS_SHA256 = "71bf4c39430414359ee9c364b6fe8d7a9c803679c750ed7a2373739cfe600486"
 
 
 def test_metrics_stream_pinned_across_transports(tmp_path):
@@ -293,7 +293,7 @@ def test_metrics_stream_pinned_across_transports(tmp_path):
 # A change that moves the stream must update this digest and say why.
 # Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
 # SkylakeX (tools/envprobe.py); known to pass only under that fingerprint (README).
-PINNED_README_H1_SHA256 = "a94ecbcc40298e39b7ac5953e4f632d09bb267718ec8231b238f7b0a537b3813"
+PINNED_README_H1_SHA256 = "6039371f1c233d5fc6f0b69f05130bbb882515ddfaecfb044fe3803c21d59cdb"
 
 
 def test_readme_config_depth1_stream_pinned(tmp_path):
@@ -316,14 +316,13 @@ def test_synth_emits_three_files(tmp_path):
 # sha256 of `fedkg synth --seed 7` at the default config. A change that
 # moves these bytes must update the digests and say why.
 # Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
-# SkylakeX (tools/envprobe.py). Integer draws and exact conversions make every byte,
-# so no kernel reaches it: on that machine it also passed under OPENBLAS_CORETYPE=Haswell
-# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", under Haswell alone and
-# under Prescott (core Katmai); CI runs it under Haswell with the runner's AVX-512
-# targets disabled (README).
+# SkylakeX (tools/envprobe.py). Integer draws, `random() < noise` tests and stable
+# sorts make every byte, so no kernel reaches it: on that machine it also passed under
+# OPENBLAS_CORETYPE=Haswell with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR";
+# CI runs it under Haswell with the runner's AVX-512 targets disabled (README).
 PINNED_SYNTH_SHA256 = {
     "kg.txt": "3351cc0336522b814186c3d138c89840043179fe100d814aab56b8af0f3d6649",
-    "ratings.txt": "6becbe2230c63aa1c19706de186e4d41707d59e9034623da80832a00aabebcc8",
+    "ratings.txt": "76c3f074173dc4272bc12dd1074456b2ddcc812094887efce37bfdd745720e73",
 }
 
 

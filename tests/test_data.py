@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,10 +9,9 @@ import pytest
 
 from fedkg.cli import build_dataset
 from fedkg.config import ExperimentConfig
-from fedkg.data import (DataFormatError, _Pcg64Draws, attach_splits, generate_synthetic,
-                        load_dataset, load_ratings, sample_eval_negatives, save_ratings_file,
-                        split)
-from fedkg.kg import build_kg, save_kg_file
+from fedkg.data import (DataFormatError, generate_synthetic, load_dataset, load_ratings,
+                        sample_eval_negatives, save_ratings_file, split)
+from fedkg.kg import save_kg_file
 from fedkg.metrics import auc
 from fedkg.rng import ROLE_DATA, derive_rng
 
@@ -140,23 +140,76 @@ def test_eval_negatives_determinism():
     assert a == b
 
 
-def test_eval_negatives_match_setdiff1d_reference():
-    """Same pools as per-user np.setdiff1d, so rng.choice draws the same lists."""
-    def reference(num_items, all_positives, split_positives, rng):
-        out = []
-        for pos_all, pos_split in zip(all_positives, split_positives):
-            pool = np.setdiff1d(np.arange(num_items), np.array(pos_all, dtype=np.int64))
-            want = min(len(pos_split), len(pool))
-            out.append(sorted(int(i) for i in rng.choice(pool, size=want, replace=False))
-                       if want else [])
+class Recording:
+    """A generator that records a copy of each `random` and `integers` call's
+    output, in order."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
+        self.draws.append(("random", np.copy(out)))
         return out
 
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.draws.append(("integers", np.copy(out)))
+        return out
+
+
+def read_subsets(pools, wants, draws):
+    """Per user, the sorted elements of pools[u] that `_subsets` picks, wants[u] of
+    them, read from its recorded draws (its docstring's rule, in plain Python);
+    pops the draws it reads."""
+    sparse = [0 < w <= len(pool) / 2 for w, pool in zip(wants, pools)]
+    drawn = draws.pop(0)[1].tolist() if any(sparse) else []
+    picks = []
+    for w, in_draws in zip(wants, sparse):
+        mine = drawn[:2 * w + 4] if in_draws else []
+        drawn = drawn[len(mine):]
+        first = list(dict.fromkeys(mine))[:w]
+        picks.append(first if len(first) == w else None)
+    keys = draws.pop(0)[1].tolist() if None in picks else []
+    for user, (w, pool) in enumerate(zip(wants, pools)):
+        if picks[user] is None:  # the first w of the pool by key, ties by index
+            mine, keys = keys[:len(pool)], keys[len(pool):]
+            picks[user] = sorted(range(len(pool)), key=mine.__getitem__)[:w]
+    assert not drawn and not keys
+    return [sorted(pool[i] for i in idx) for pool, idx in zip(pools, picks)]
+
+
+def read_eval_negatives(num_items, all_positives, split_positives, draws):
+    """sample_eval_negatives' lists read from its recorded draws over per-user
+    np.setdiff1d pools."""
+    pools = [np.setdiff1d(np.arange(num_items), np.array(p, dtype=np.int64)).tolist()
+             for p in all_positives]
+    out = read_subsets(pools, [min(len(s), len(p)) for s, p in zip(split_positives, pools)],
+                       draws)
+    assert not draws
+    return out
+
+
+def test_eval_negatives_match_setdiff1d_reference():
+    """The lists read from the draws over np.setdiff1d pools: per user sorted and
+    distinct, inside its pool, as many as its split asks (clamped to the pool); a
+    seed repeats them and the generator state it leaves."""
     def check(case, num_items, all_pos, split_pos):
-        rng_a, rng_b = derive_rng(case, 0), derive_rng(case, 0)
-        assert sample_eval_negatives(num_items, all_pos, split_pos, rng_a) == \
-            reference(num_items, all_pos, split_pos, rng_b), case
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state, case
-        assert rng_a.random() == rng_b.random(), case
+        rng = Recording(derive_rng(case, 0))
+        got = sample_eval_negatives(num_items, all_pos, split_pos, rng)
+        for neg, pos, want in zip(got, all_pos, split_pos):
+            pool = np.setdiff1d(np.arange(num_items), np.array(pos, dtype=np.int64))
+            assert neg == sorted(set(neg)), case
+            assert set(neg) <= set(pool.tolist()), case
+            assert len(neg) == min(len(want), len(pool)), case
+        again = derive_rng(case, 0)
+        assert sample_eval_negatives(num_items, all_pos, split_pos, again) == got, case
+        assert again.bit_generator.state == rng.bit_generator.state, case
+        assert got == read_eval_negatives(num_items, all_pos, split_pos, rng.draws[:]), case
+        return rng
 
     gen = np.random.default_rng(8)
     for case in range(50):
@@ -176,21 +229,20 @@ def test_eval_negatives_match_setdiff1d_reference():
     check(100, 6, [[0, 1, 2, 3, 4], [5, 4, 3, 2, 1, 0], [0, 1, 2, 3]],
           [[0, 1, 2], [0, 1, 2], [0, 1, 2, 3]])
     check(101, 3, [[0, 0, 1, 2, 7], [-1, 2, 2]], [[0, 1], [2, 2, 2]])
-    # pools above 10,000 items: numpy's choice runs Floyd's algorithm up to a
-    # fiftieth of the pool and a tail shuffle above it (the last two straddle that)
+    # pools above 10,000 items, wanting a small share, half and more than half
     for case, (num_items, n_all, n_split) in enumerate(
             [(12_000, 50, 30), (12_000, 600, 300), (20_000, 900, 900),
-             (15_300, 300, 300), (15_301, 301, 301)],
+             (15_300, 300, 300), (15_301, 301, 301), (10_100, 100, 5_000),
+             (10_100, 100, 5_001)],
             start=102):
         all_pos = [sorted(int(i) for i in gen.choice(num_items, size=n_all, replace=False))
                    for _ in range(3)]
-        split_pos = [p[:n_split] for p in all_pos]
+        split_pos = [p[:n_split] for p in all_pos] if n_split <= n_all else \
+            [list(range(n_split))] * 3
         check(case, num_items, all_pos, split_pos)
-    # one call whose users, in shuffled order, draw nothing, the whole pool (a
-    # small one and one above 10,000 items), Floyd's algorithm (a pool below
-    # 10,000 with repeated draws; above it, up to and at a fiftieth of the pool)
-    # and a tail shuffle (one above that fiftieth, and more), either side of a
-    # 10,000-item pool: the split's draws are one stream; (positives, split size, users)
+    # one call whose users, in shuffled order, draw nothing, the whole pool (a small
+    # one and one above 10,000 items), a small share, half and more than half of
+    # it: the split's draws are one stream; (positives, split size, users)
     shapes = [(50, 0, 5), (11_990, 20, 1), (30, 20_000, 2), (2_500, 5_000, 3), (100, 50, 8),
               (100, 238, 3), (100, 239, 3), (400, 1_000, 5), (20, 8, 10),
               (2_000, 300, 2), (1_999, 201, 2)]
@@ -198,21 +250,32 @@ def test_eval_negatives_match_setdiff1d_reference():
     users = [users[i] for i in gen.permutation(len(users))]
     all_pos = [sorted(int(i) for i in gen.choice(12_000, size=n_all, replace=False))
                for n_all, _ in users]
-    check(107, 12_000, all_pos, [list(range(n_split)) for _, n_split in users])
+    check(109, 12_000, all_pos, [list(range(n_split)) for _, n_split in users])
+    # 4,000 users who want 10 of a 20-item pool: a few have fewer than 10 distinct of
+    # their 24 draws and take the keyed sort
+    rng = check(110, 20, [[]] * 4_000, [list(range(10))] * 4_000)
+    assert [kind for kind, _ in rng.draws] == ["integers", "random"]
+
+
+@pytest.mark.parametrize("want", [2, 3, 4])
+def test_eval_negatives_are_uniform_over_the_pool(want):
+    # each of the 15 or 20 subsets of a 6-item pool, over 6,000 users: want 2 and 3
+    # come from the draws (2 * 3 is the whole pool), want 4 from the keyed sort
+    users, subsets = 6_000, [list(c) for c in itertools.combinations(range(4, 10), want)]
+    out = sample_eval_negatives(10, [[0, 1, 2, 3]] * users, [list(range(want))] * users,
+                                derive_rng(16, want))
+    counts = np.array([out.count(c) for c in subsets])
+    expected = users / len(subsets)
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    # chi-square at p = 0.001 with 14 and 19 degrees of freedom
+    assert chi2 < {15: 36.12, 20: 43.82}[len(subsets)], (chi2, counts)
 
 
 def test_eval_negatives_draw_once_in_memory_of_the_draws():
-    # one integers call per split that draws anything, and no per-user matrix:
-    # 2,000 users want one item each, one user wants 6,000 of 11,900 (a tail
-    # shuffle), so a (users x largest want) int64 matrix would be 96 MB
-    class Recording:
-        def __init__(self, rng):
-            self.rng, self.calls = rng, []
-
-        def __getattr__(self, name):
-            self.calls.append(name)
-            return getattr(self.rng, name)
-
+    # at most two draw calls per split, `integers` for the users who want at most
+    # half of their pool and `random` keys for the others, and no per-user matrix:
+    # 2,000 users want one item each, one user wants 6,000 of 11,900 (the keyed
+    # sort), so a (users x largest want) int64 matrix would be 96 MB
     num_items, users = 12_000, 2_000
     all_pos = [list(range(100))] + [[u] for u in range(1, users)]
     split_pos = [list(range(6_000))] + all_pos[1:]
@@ -223,13 +286,13 @@ def test_eval_negatives_draw_once_in_memory_of_the_draws():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rng.calls == ["integers"]
+    assert [kind for kind, _ in rng.draws] == ["integers", "random"]
     assert [len(neg) for neg in out] == [6_000] + [1] * (users - 1)
     assert peak < 8 * 2**20, peak
 
     rng = Recording(derive_rng(3, 0))
     assert sample_eval_negatives(num_items, all_pos, [[]] * users, rng) == [[]] * users
-    assert rng.calls == []
+    assert rng.draws == []
 
 
 def test_synthetic_structure_and_planted_signal():
@@ -271,81 +334,27 @@ def test_synthetic_noise_zero_admits_perfect_predictor():
     assert auc(scores, labels) == 1.0
 
 
-# numpy's choice(P, s, replace=False) either side of its branch rule (Floyd's
-# algorithm up to 10,000 items or s <= P // 50, else a tail shuffle), and
-# integers(0, n) bounds where Lemire's rejection test is reached often (3e9,
-# 2**32 - 1) or never draws (1)
-CHOICE_SHAPES = [(size, want) for size in (1, 2, 30, 10_000, 10_001, 12_000)
-                 for want in sorted({0, 1, 2, size // 50, size // 50 + 1, size}) if want <= size]
-BOUNDS = (1, 2, 3, 17, 2000, 3 * 10**9, 2**32 - 1)
-
-
-def numpy_draw(rng, op):
-    kind, *args = op
-    if kind == "integers":
-        return int(rng.integers(0, *args))
-    return rng.choice(*args, replace=False).tolist()
-
-
-def test_pcg64_draws_replay_numpy_values_and_state():
-    gen = np.random.default_rng(38)
-    small = [shape for shape in CHOICE_SHAPES if shape[1] <= 300]
-    for script in range(240):
-        rng = derive_rng(script, 0)
-        if script % 2:  # start on a buffered 32-bit half
-            state = rng.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, int(gen.integers(0, 2**32))
-            rng.bit_generator.state = state
-        twin = np.random.Generator(np.random.PCG64())
-        twin.bit_generator.state = rng.bit_generator.state
-        ops = [("choice", *CHOICE_SHAPES[script % len(CHOICE_SHAPES)]),
-               ("choice", *small[gen.integers(len(small))])]
-        ops += [("integers", int(gen.choice(BOUNDS))) for _ in range(gen.integers(2, 12))]
-        ops = [ops[i] for i in gen.permutation(len(ops))]
-        want = [numpy_draw(rng, op) for op in ops]
-        if script % 4 == 3:  # leaving on an exception ends after the draws made
-            with pytest.raises(KeyError), _Pcg64Draws(twin) as draws:
-                got = [getattr(draws, kind)(*args) for kind, *args in ops]
-                raise KeyError(script)
-        else:
-            with _Pcg64Draws(twin) as draws:
-                got = [getattr(draws, kind)(*args) for kind, *args in ops]
-        assert got == want, (script, ops)
-        assert twin.bit_generator.state == rng.bit_generator.state, (script, ops)
-
-
-def reference_generate_synthetic(cfg, rng):
-    """generate_synthetic's loop as numpy calls: the oracle for its replay."""
-    m, a = cfg.items, cfg.attributes
-    item_attr = rng.integers(0, a, size=m)
-    attr_rel = rng.integers(0, cfg.relations, size=a)
-    triples = np.column_stack([np.arange(m), attr_rel[item_attr], m + item_attr])
-    kg = build_kg(triples, num_entities=m + a, num_relations=cfg.relations)
-
-    items_by_attr = [np.flatnonzero(item_attr == x) for x in range(a)]
-    populated = np.flatnonzero(np.bincount(item_attr, minlength=a))
-    truth = np.zeros((cfg.users, a), dtype=bool)
-    positives: list[list[int]] = []
-    for _ in range(cfg.users):
-        prefs = rng.choice(populated, size=min(cfg.prefs_per_user, len(populated)),
-                           replace=False)
-        preferred = np.concatenate([items_by_attr[x] for x in prefs]).tolist()
-        chosen: set[int] = set()
-        attempts = 0
-        cap = 50 * cfg.interactions_per_user
-        while len(chosen) < cfg.interactions_per_user and attempts < cap:
-            attempts += 1
-            if cfg.noise > 0 and rng.random() < cfg.noise:
-                chosen.add(int(rng.integers(0, m)))
-            else:
-                chosen.add(preferred[rng.integers(0, len(preferred))])
-            if cfg.noise == 0.0 and len(chosen) >= len(preferred):
-                break
-        user = len(positives)
-        truth[user, prefs] = True
-        positives.append(sorted(chosen))
-
-    return attach_splits(positives, m, kg, triples, rng, truth_prefs=truth)
+def read_interactions(item_attr, prefs, noise, want, draws):
+    """Each user's sorted positives, read user by user from generate_synthetic's
+    recorded interaction draws (its docstring's rule, in plain Python); also
+    checks each round's shape."""
+    m, cap = len(item_attr), 50 * want
+    preferred = [[i for x in row for i in range(m) if item_attr[i] == x] for row in prefs]
+    goal = [min(want, len(p)) if noise == 0 else want for p in preferred]
+    chosen = [{} for _ in preferred]  # insertion-ordered sets
+    live, attempts, width = list(range(len(preferred))), 0, 2 * want
+    while live:
+        width = min(width, cap - attempts)
+        noisy = draws.pop(0)[1] < noise if noise > 0 else np.zeros((len(live), width), bool)
+        kind, drawn = draws.pop(0)
+        assert kind == "integers" and drawn.shape == noisy.shape == (len(live), width)
+        for row, user in enumerate(live):
+            for flag, draw in zip(noisy[row].tolist(), drawn[row].tolist()):
+                if len(chosen[user]) < goal[user]:
+                    chosen[user].setdefault(draw if flag else preferred[user][draw])
+        attempts, width = attempts + width, 2 * width
+        live = [u for u in live if len(chosen[u]) < goal[u] and attempts < cap]
+    return [sorted(c) for c in chosen]
 
 
 def short_users(ds):
@@ -355,7 +364,7 @@ def short_users(ds):
 # name: (overrides, a property of the dataset that shows the case's path ran)
 SYNTHETIC_CASES = {
     "default": ({}, lambda ds: ds.num_users == 500),
-    # the early break: fewer preferred items than interactions
+    # fewer preferred items than interactions: the goal is the preferred pool
     "noise-free": (dict(users=60, items=60, noise=0.0), short_users),
     "all-noise": (dict(users=60, noise=1.0), lambda ds: True),
     "half-noise": (dict(users=60, noise=0.5, seed=123), lambda ds: True),
@@ -371,123 +380,69 @@ SYNTHETIC_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
-def test_generate_synthetic_equals_the_numpy_loop(name):
+def test_generate_synthetic_follows_its_draws(name):
     overrides, shows_path = SYNTHETIC_CASES[name]
     cfg = ExperimentConfig(**overrides)
-    rng_a, rng_b = derive_rng(cfg.seed, ROLE_DATA), derive_rng(cfg.seed, ROLE_DATA)
-    got = generate_synthetic(cfg, rng_a)
-    assert dataset_sha256(got) == dataset_sha256(reference_generate_synthetic(cfg, rng_b))
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
-    assert shows_path(got)
+    rng = Recording(derive_rng(cfg.seed, ROLE_DATA))
+    ds = generate_synthetic(cfg, rng)
+    draws = rng.draws[2:]  # after the KG's item and relation draws
+    item_attr = ds.triples[:, 2] - cfg.items
+    populated = sorted(set(item_attr.tolist()))
+    s = min(cfg.prefs_per_user, len(populated))
+    prefs = read_subsets([populated] * cfg.users, [s] * cfg.users, draws)
+    assert [np.flatnonzero(row).tolist() for row in ds.truth_prefs] == prefs
+    want = read_interactions(item_attr.tolist(), prefs, cfg.noise, cfg.interactions_per_user,
+                             draws)
+    assert [ds.positives(u) for u in range(ds.num_users)] == want
+    assert shows_path(ds)
+    # a seed repeats the dataset and the generator state it leaves
+    again = derive_rng(cfg.seed, ROLE_DATA)
+    assert dataset_sha256(generate_synthetic(cfg, again)) == dataset_sha256(ds)
+    assert again.bit_generator.state == rng.bit_generator.state
 
 
-def test_generate_synthetic_refuses_other_bit_generators():
-    rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(TypeError, match="MT19937"):
-        generate_synthetic(ExperimentConfig(users=5), rng)
-    assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()  # nothing drawn
+@pytest.mark.parametrize("overrides", [{}, dict(users=2000, items=2000, attributes=100),
+                                       dict(items=1000), dict(items=60, noise=0.0),
+                                       dict(users=40, items=12000, attributes=40,
+                                            interactions_per_user=400)])
+def test_every_user_reaches_its_goal_when_the_pool_allows(overrides):
+    cfg = ExperimentConfig(**overrides)
+    ds = build_dataset(cfg)
+    item_attr = ds.triples[:, 2] - cfg.items
+    for user in range(ds.num_users):
+        preferred = int(np.isin(item_attr, np.flatnonzero(ds.truth_prefs[user])).sum())
+        goal = min(cfg.interactions_per_user, preferred) if cfg.noise == 0 \
+            else cfg.interactions_per_user
+        assert len(ds.positives(user)) == goal
 
 
-def synthetic_equals_the_numpy_loop(cfg):
-    """generate_synthetic(cfg) after checking its dataset digest and the generator
-    state it leaves against reference_generate_synthetic's."""
-    rng_a, rng_b = derive_rng(cfg.seed, ROLE_DATA), derive_rng(cfg.seed, ROLE_DATA)
-    got = generate_synthetic(cfg, rng_a)
-    assert dataset_sha256(got) == dataset_sha256(reference_generate_synthetic(cfg, rng_b))
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
-    return got
+def test_noisy_share_of_interactions_is_about_noise():
+    # 100,000 items over 100 attributes: a user's 1,000 preferred items and the
+    # catalogue are large enough that a 16-item stream rarely repeats, so about
+    # noise * (1 - 1,000 / 100,000) of the positives fall outside the preferences
+    cfg = ExperimentConfig(users=500, items=100_000, attributes=100, prefs_per_user=1,
+                           noise=0.25)
+    ds = generate_synthetic(cfg, derive_rng(14, ROLE_DATA))
+    item_attr = ds.triples[:, 2] - cfg.items
+    outside = [not ds.truth_prefs[u, item_attr[i]] for u in range(ds.num_users)
+               for i in ds.positives(u)]
+    share = sum(outside) / len(outside)
+    preferred = ds.truth_prefs[:, item_attr].sum(axis=1).mean() / cfg.items
+    assert len(outside) == 500 * 16
+    assert abs(share - 0.25 * (1 - preferred)) < 0.02, share  # about 4 standard deviations
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
-def test_generate_synthetic_equals_the_numpy_loop_with_small_chunks(name, chunk, monkeypatch):
-    # chunks of 1-3 raw outputs make the inline loop refill on each kind of read:
-    # the noise test, a fresh 32-bit draw and a redraw
-    monkeypatch.setattr(_Pcg64Draws, "CHUNK", chunk)
-    overrides, shows_path = SYNTHETIC_CASES[name]
-    assert shows_path(synthetic_equals_the_numpy_loop(ExperimentConfig(**overrides)))
-
-
-def test_generate_synthetic_tail_shuffle_preferences_equal_the_numpy_loop():
-    # more than 10,000 populated attributes and prefs_per_user above populated // 50:
-    # each user's preferences come from numpy choice's tail shuffle
-    cfg = ExperimentConfig(users=3, items=40_000, attributes=10_500, prefs_per_user=210)
-    ds = synthetic_equals_the_numpy_loop(cfg)
-    populated = len(np.unique(ds.triples[:, 2]))
-    assert populated > 10_000 and cfg.prefs_per_user > populated // 50
-    assert ds.truth_prefs.sum(axis=1).tolist() == [210] * 3
-
-
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 LCG multiplier
-
-
-def pcg64_whose_next_raw_is(value, seed):
-    """A PCG64 Generator whose next raw output is `value` (< 2**64): the state one
-    step before the state with high word 0 and low word `value`, whose XSL-RR output
-    rotates by 0 and is `value` itself."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    state = rng.bit_generator.state
-    step_back = pow(PCG64_MULTIPLIER, -1, 2**128)
-    state["state"]["state"] = (value - state["state"]["inc"]) * step_back % 2**128
-    rng.bit_generator.state = state
-    return rng
-
-
-def numpy_interactions(rng, preferred, items, noise, want, cap):
-    chosen, attempts = set(), 0
-    while len(chosen) < want and attempts < cap:
-        attempts += 1
-        if noise > 0 and rng.random() < noise:
-            chosen.add(int(rng.integers(0, items)))
-        else:
-            chosen.add(preferred[rng.integers(0, len(preferred))])
-        if noise == 0.0 and len(chosen) >= len(preferred):
-            break
-    return sorted(chosen)
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 3, _Pcg64Draws.CHUNK])
-def test_pcg64_interactions_replay_numpy(chunk, monkeypatch):
-    monkeypatch.setattr(_Pcg64Draws, "CHUNK", chunk)
-    # (preferred, items, noise, want, cap): a bound of 3e9 rejects ~30% of first
-    # products, so redraws are common; one preferred item draws nothing
-    shapes = [(list(range(50)), 3 * 10**9, 1.0, 40, 800),
-              (list(range(50)), 3 * 10**9, 0.5, 30, 800),
-              ([7], 2**32 - 1, 0.5, 6, 40),
-              (list(range(100, 130)), 2000, 0.1, 16, 800),
-              (list(range(5)), 2000, 0.0, 16, 800)]
-    for seed in range(12):
-        for preferred, items, noise, want, cap in shapes:
-            rng = derive_rng(seed, 0)
-            if seed % 2:  # start on a buffered 32-bit half
-                state = rng.bit_generator.state
-                state["has_uint32"], state["uinteger"] = 1, 0xDEADBEEF * (seed + 1) % 2**32
-                rng.bit_generator.state = state
-            twin = np.random.Generator(np.random.PCG64())
-            twin.bit_generator.state = rng.bit_generator.state
-            want_items = numpy_interactions(rng, preferred, items, noise, want, cap)
-            with _Pcg64Draws(twin) as draws:
-                got = draws.interactions(preferred, items, noise, want, cap)
-                # the next draw continues the stream, on the buffered half if one is left
-                assert draws.integers(2**32 - 1) == rng.integers(0, 2**32 - 1)
-            assert got == want_items, (seed, items, noise)
-            assert twin.bit_generator.state == rng.bit_generator.state, (seed, items, noise)
-
-
-@pytest.mark.parametrize("noise", [0.25, 0.5, 2.0**-40])
-def test_pcg64_interactions_noise_test_is_strict_at_the_threshold(noise):
-    # a first raw output whose top 53 bits are noise * 2**53 makes random() equal
-    # noise exactly, which is not below it: that attempt draws from `preferred`
-    raw = int(noise * 2.0**53) << 11
-    rng, twin = pcg64_whose_next_raw_is(raw, 1), pcg64_whose_next_raw_is(raw, 1)
-    assert rng.random() == noise and int(twin.bit_generator.random_raw()) == raw
-    rng, twin = pcg64_whose_next_raw_is(raw, 1), pcg64_whose_next_raw_is(raw, 1)
-    preferred = list(range(10**6, 10**6 + 40))
-    want_items = numpy_interactions(rng, preferred, 1000, noise, 1, 1)
-    with _Pcg64Draws(twin) as draws:
-        assert draws.interactions(preferred, 1000, noise, 1, 1) == want_items
-    assert want_items[0] >= 10**6
-    assert twin.bit_generator.state == rng.bit_generator.state
+def test_a_user_stops_at_the_attempt_cap():
+    # one user preferring one attribute of about 4 items, at noise 1e-12: 16 distinct
+    # items are out of reach, so its rounds draw 32, 64, 128 and 256 attempts, then
+    # 320 up to the cap of 800, and it keeps every preferred item
+    cfg = ExperimentConfig(users=1, items=24, attributes=6, prefs_per_user=1, noise=1e-12)
+    rng = Recording(derive_rng(15, ROLE_DATA))
+    ds = generate_synthetic(cfg, rng)
+    rounds = [d.shape for kind, d in rng.draws if kind == "integers" and d.ndim == 2]
+    assert rounds == [(1, 32), (1, 64), (1, 128), (1, 256), (1, 320)]
+    preferred = np.flatnonzero(ds.truth_prefs[0, ds.triples[:, 2] - cfg.items])
+    assert ds.positives(0) == preferred.tolist() and len(preferred) < 16
 
 
 def test_ratings_roundtrip(tmp_path):
@@ -530,26 +485,25 @@ def dataset_sha256(ds):
 
 # sha256 of build_dataset at seed 7 over splits, evaluation negatives, triples
 # and planted preferences: the scale benchmark's shape, the noise-free
-# generator (whose loop stops once a user's preferred items run out), a
+# generator (whose users stop once their preferred items run out), a
 # catalogue barely larger than a user's interactions, so negative lists clamp
-# to the pool, and CI's synth-wide shape, whose train splits (240 of about
-# 11,600 unobserved items) take the tail-shuffle branch of numpy's choice.
+# to the pool and take the keyed sort, and CI's synth-wide shape, whose train
+# splits want 240 of about 11,600 unobserved items.
 # A change that moves these bytes must update them and say why.
 # Made under numpy 2.4.6 with X86_V4 (AVX-512) dispatch active and OpenBLAS core
-# SkylakeX (tools/envprobe.py). Integer draws and exact conversions make every byte,
-# so no kernel reaches it: on that machine it also passed under OPENBLAS_CORETYPE=Haswell
-# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", under Haswell alone and
-# under Prescott (core Katmai); CI runs it under Haswell with the runner's AVX-512
-# targets disabled (README).
+# SkylakeX (tools/envprobe.py). Integer draws, `random() < noise` tests and stable
+# sorts make every byte, so no kernel reaches it: on that machine it also passed under
+# OPENBLAS_CORETYPE=Haswell with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR";
+# CI runs it under Haswell with the runner's AVX-512 targets disabled (README).
 PINNED_DATASET_SHA256 = {
     "scale": (dict(users=2000, items=2000, attributes=100),
-              "426fe73f47436a2557036cba84c511dba395f605742c7305e1cbb7b253d53afc"),
+              "0c6afd807ecde0ce2027421dfb7efd146b1b9e473b9509b219917e095829884d"),
     "noise-free": (dict(noise=0.0),
-                   "2f5cb6d70e6feda24c936df462c6fb028fe89d201cd59df94accf786d27531bc"),
+                   "e6b7f016c9c494705f2868dce26af07f732e53f7471ca815279e894d09508717"),
     "clamped": (dict(users=60, items=20, attributes=4),
-                "8e81ef53b259ce1c10b05613ab527a054b722a2f6c23ecfe9c1336c36e84e4ff"),
+                "457b4aa98cf20397ffb4a548d4f03dce6044d1a6b9caea127e61145155437fd9"),
     "wide": (dict(users=40, items=12000, attributes=40, interactions_per_user=400),
-             "501261aae77344965f3e9ef504edd711dcd926227db633af602602f2acd72e71"),
+             "fb49467bd4bcd76322b168033c4262c15677f8de27b12e517384f09caa9599f7"),
 }
 
 

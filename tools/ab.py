@@ -19,8 +19,10 @@ a run fails, reads incorrect, or a bound does not hold.
 
 An A/A run (REV is HEAD and nothing under src/ or perfbench/ differs from
 it) writes aa-BENCH_<workload>.json instead, the noise floor. An A/B run
-reads that file when it exists and adds per metric `beyond_aa`: whether
-the head beats the base by more than the A/A run's move.
+reads that file's runs when it exists and adds per metric `aa_iqr`, the
+quartiles of the A/A pairs' moves (each pair's head against its base), and
+`beyond_aa`: whether the head's median move is better by more than that
+spread reaches on either side of no move.
 
 Standard library only.
 """
@@ -88,15 +90,27 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def aa_spread(runs: list[dict], name: str, better: str) -> tuple[float, float] | None:
+    """Quartiles of an A/A file's per-pair moves of `name`, each pair's head against
+    its base, signed so that positive is worse; pairs whose base is 0 are left
+    out, and with none left there is no spread (None)."""
+    sign = 1.0 if better == "lower" else -1.0
+    moves = [sign * (r["head"]["metrics"][name] - b) / abs(b)
+             for r in runs if (b := r["base"]["metrics"][name])]
+    return quartiles(moves) if moves else None
+
+
 def summarize(base: list[float], head: list[float], better: str, bound: float,
-              aa_change: float | None = None) -> dict:
+              aa_iqr: tuple[float, float] | None = None) -> dict:
     """Medians, base quartiles, head wins (ties count for neither) and the bound verdict.
 
     `change` is the head median relative to the base median, signed so that
     positive is worse; the bound holds while change <= bound. `beyond_iqr`
     says the head median is better than the base median by more than the
-    distance between the base quartiles, and `beyond_aa` (None without an
-    A/A `change`) that it is better by more than the A/A move's size.
+    distance between the base quartiles, and `beyond_aa` (None without the
+    A/A pairs' `aa_spread`) that it is better by more than either quartile
+    of that spread in size: by more than the middle half of the moves
+    between two copies of one tree, whichever side they lean to.
     """
     sign = 1.0 if better == "lower" else -1.0
     base_med, head_med = statistics.median(base), statistics.median(head)
@@ -110,7 +124,8 @@ def summarize(base: list[float], head: list[float], better: str, bound: float,
             "change": change, "wins": sum(sign * (h - b) < 0 for b, h in zip(base, head)),
             "pairs": len(base), "bound": bound, "bound_holds": change <= bound,
             "beyond_iqr": -worse > q3 - q1,
-            "beyond_aa": None if aa_change is None else -change > abs(aa_change)}
+            "aa_iqr": None if aa_iqr is None else list(aa_iqr),
+            "beyond_aa": None if aa_iqr is None else -change > max(map(abs, aa_iqr))}
 
 
 def envprobe() -> list[str]:
@@ -138,10 +153,11 @@ def main(argv=None) -> int:
     aa = base_sha == head_sha and not git("status", "--porcelain", "--", "src", "perfbench")
     aa_path = os.path.join(ROOT, f"aa-BENCH_{args.workload}.json")
     out = aa_path if aa else os.path.join(ROOT, f"BENCH_{args.workload}.json")
-    aa_changes = {}
+    aa_iqrs = {}
     if not aa and os.path.exists(aa_path):
         with open(aa_path) as fh:
-            aa_changes = {name: m["change"] for name, m in json.load(fh)["metrics"].items()}
+            aa_runs = json.load(fh)["runs"]
+        aa_iqrs = {name: aa_spread(aa_runs, name, m["better"]) for name, m in spec.items()}
     runs = []
     with tempfile.TemporaryDirectory(prefix="fedkg-ab-") as tmp:
         trees = {"base": os.path.join(tmp, "base"), "head": os.path.join(tmp, "head")}
@@ -165,7 +181,7 @@ def main(argv=None) -> int:
             metrics[name] = {"unit": m["unit"], "better": m["better"],
                              **summarize([r["base"]["metrics"][name] for r in runs],
                                          [r["head"]["metrics"][name] for r in runs],
-                                         m["better"], m["bound"], aa_changes.get(name))}
+                                         m["better"], m["bound"], aa_iqrs.get(name))}
     report = {"workload": args.workload, "aa": aa, "seed": args.seed,
               "seconds": bench["run_seconds"], "pairs": args.pairs,
               "base": {"rev": args.base, "sha": base_sha},
