@@ -110,37 +110,37 @@ def unobserved_items(items: set[int] | list[int], num_items: int) -> np.ndarray:
 
 
 def sample_eval_negatives(num_items: int, all_positives: list[list[int]],
-                          split_positives: list[list[int]],
-                          rng: np.random.Generator) -> list[list[int]]:
-    """Per user: unobserved items, one per split positive, clamped to the pool.
+                          splits: list[list[list[int]]],
+                          rng: np.random.Generator) -> list[list[list[int]]]:
+    """Per split, in order, per user: unobserved items, one per split positive,
+    clamped to the pool.
 
-    User u wants w = min(len(split_positives[u]), n) of its n unobserved items
-    (`unobserved_items`) and gets a uniform random w-subset of them, sorted,
+    In split s, user u wants w = min(len(splits[s][u]), n) of its n unobserved
+    items (`unobserved_items`) and gets a uniform random w-subset of them, sorted,
     drawn by `_subsets`: a split makes at most two draw calls, and none when
     nothing is wanted.
 
     The pool is never built: with `seen` the user's sorted distinct
     positives in [0, num_items), the idx-th pool item is
     `idx + bisect_right(gaps, idx)` for `gaps[r] = seen[r] - r`, the number
-    of unobserved ids below `seen[r]`. Memory is O(positives + negatives), except
-    for a rare user with 2w <= n short of distinct draws: its sort keys its pool.
+    of unobserved ids below `seen[r]`; the splits share these keys, built once.
+    Memory is O(positives + negatives), except for a rare user with 2w <= n
+    short of distinct draws: its sort keys its pool.
     """
-    return _eval_negatives(num_items, _seen_keys(num_items, all_positives), split_positives, rng)
-
-
-def _eval_negatives(num_items: int, seen_keys: tuple[np.ndarray, np.ndarray],
-                    split_positives: list[list[int]], rng: np.random.Generator) -> list[list[int]]:
-    """sample_eval_negatives on `_seen_keys`' result, which a dataset's splits share."""
-    (seen, seen_start), key = seen_keys, num_items + 1  # (user, value) -> user * key + value
+    seen, seen_start = _seen_keys(num_items, all_positives)
+    key = num_items + 1  # (user, value) -> user * key + value
     seen_count = np.diff(seen_start, append=len(seen))
     size = num_items - seen_count
-    want = np.minimum(np.fromiter(map(len, split_positives), dtype=np.int64, count=len(size)),
-                      size)
-    picks = _subsets(size, want, key, rng)
     # a seen item's gap key: its user's key plus the number of unobserved ids below it
     gaps = seen - np.arange(len(seen)) + np.repeat(seen_start, seen_count)
-    picks += np.searchsorted(gaps, picks, side="right") - np.repeat(seen_start, want)
-    return _lists(picks, key, len(size))
+    negatives = []
+    for split_positives in splits:
+        want = np.minimum(np.fromiter(map(len, split_positives), dtype=np.int64,
+                                      count=len(size)), size)
+        picks = _subsets(size, want, key, rng)
+        picks += np.searchsorted(gaps, picks, side="right") - np.repeat(seen_start, want)
+        negatives.append(_lists(picks, key, len(size)))
+    return negatives
 
 
 def _subsets(size: np.ndarray, want: np.ndarray, key: int,
@@ -208,9 +208,8 @@ def attach_splits(positives: list[list[int]], num_items: int, kg: KnowledgeGraph
     """Split positives, draw evaluation negatives, assemble the Dataset."""
     canonical = [sorted(p) for p in positives]
     train, valid, test = split(canonical, rng)
-    seen = _seen_keys(num_items, canonical)
-    train_neg, valid_neg, test_neg = (_eval_negatives(num_items, seen, pos, rng)
-                                      for pos in (train, valid, test))
+    train_neg, valid_neg, test_neg = sample_eval_negatives(num_items, canonical,
+                                                           [train, valid, test], rng)
     return Dataset(num_users=len(positives), num_items=num_items,
                    train=train, valid=valid, test=test,
                    train_neg=train_neg, valid_neg=valid_neg, test_neg=test_neg,

@@ -100,7 +100,7 @@ def f1(scores, labels, threshold: float = 0.5) -> float:
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
     fn = int(np.sum(~pred & (y == 1)))
-    if tp + fp == 0 or tp == 0:
+    if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)

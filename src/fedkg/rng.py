@@ -5,10 +5,13 @@ Every random decision in a run is drawn from a generator derived from
 order and parallel clients cannot perturb each other.
 
 `derive_rng` defines a stream; `derive_rngs` derives many at once, each
-with exactly the state `derive_rng` gives its key (its oracle). It replays
-numpy's SeedSequence, with its default pool of four words, column-wise over
-the batch, and hands each PCG64 the four uint64 words SeedSequence would,
-so PCG64 seeds itself in C; it builds PCG64 generators only.
+with exactly the state `derive_rng` gives its key (its oracle). A round's
+keys, (seed, role, round, client) as four uint32 words, fill numpy's
+SeedSequence's default pool of four words exactly: for those it replays
+SeedSequence column-wise over the batch, and hands each PCG64 the four
+uint64 words SeedSequence would, so PCG64 seeds itself in C; it builds
+PCG64 generators only. Any other key (a negative one, one past 2**32, or
+one of another length) goes to `derive_rng` itself, one key at a time.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ class _PoolWords(ISeedSequence):
 
 def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(column).generate_state(4, np.uint64) for each column of a
-    (words, n) uint32 array, as (n, 4) uint64. A mixing step's hashes of one
+    (4, n) uint32 array, as (n, 4) uint64. A mixing step's hashes of one
     source row, one per destination row in order, run as one operation."""
-    ha = _hash_constants(_INIT_A, _MULT_A, 17 + 4 * max(len(entropy) - 4, 0))
+    ha = _hash_constants(_INIT_A, _MULT_A, 17)
 
     def hashmix(v, at, rows):  # hash steps at..at+rows-1, one per row
         v = (v ^ ha[at:at + rows]) * ha[at + 1:at + rows + 1]
@@ -83,14 +86,10 @@ def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
         r = _MIX_MULT_L * x - _MIX_MULT_R * y
         return r ^ r >> 16
 
-    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)  # SeedSequence's zero padding
-    pool[:len(entropy)] = entropy[:4]
-    pool = hashmix(pool, 0, 4)
+    pool = hashmix(entropy, 0, 4)
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
-    for i, word in enumerate(entropy[4:]):
-        pool = mix(pool, hashmix(word, 16 + 4 * i, 4))
     hb = _hash_constants(_INIT_B, _MULT_B, 9)
     out = (np.concatenate([pool, pool]) ^ hb[:-1]) * hb[1:]
     out = (out ^ out >> 16).astype(np.uint64)
@@ -98,17 +97,9 @@ def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
 
 
 def derive_rngs(keys: list[tuple[int, ...]]) -> list[np.random.Generator]:
-    """[derive_rng(*key) for key in keys], hashing all keys of one word count at once."""
-    words = []
-    for key in keys:
-        if min(key) < 0:
-            raise ValueError(f"negative key {key}")
-        words.append(key if max(key) < 1 << 32 else  # else little-endian uint32 words
-                     [k >> s & 0xFFFFFFFF for k in map(int, key)
-                      for s in range(0, max(k.bit_length(), 1), 32)])
-    seeds = [None] * len(words)
-    for width in {len(w) for w in words}:
-        at = [i for i, w in enumerate(words) if len(w) == width]
-        for i, row in zip(at, _pcg64_words(np.array([words[i] for i in at], dtype=np.uint32).T)):
-            seeds[i] = row
-    return [np.random.Generator(np.random.PCG64(_PoolWords(s))) for s in seeds]
+    """[derive_rng(*key) for key in keys], hashing all keys of four uint32 words at once."""
+    replay = [len(key) == 4 and min(key) >= 0 and max(key) < 1 << 32 for key in keys]
+    words = iter(_pcg64_words(np.array([key for key, r in zip(keys, replay) if r],
+                                       dtype=np.uint32).reshape(-1, 4).T))
+    return [np.random.Generator(np.random.PCG64(_PoolWords(next(words)))) if r
+            else derive_rng(*key) for key, r in zip(keys, replay)]

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedkg import data
 from fedkg.cli import build_dataset
 from fedkg.config import ExperimentConfig
 from fedkg.data import (DataFormatError, generate_synthetic, load_dataset, load_ratings,
@@ -123,20 +124,20 @@ def test_split_leaves_every_user_with_three_positives_one_per_split():
 def test_eval_negatives_parity_and_disjoint():
     rng = derive_rng(4, 0)
     all_pos = [[0, 1, 2, 3]]
-    negs = sample_eval_negatives(20, all_pos, [[1, 2, 3, 0]], rng)
+    [negs] = sample_eval_negatives(20, all_pos, [[[1, 2, 3, 0]]], rng)
     assert len(negs[0]) == 4
     assert not set(negs[0]) & set(all_pos[0])
 
 
 def test_eval_negatives_clamped_when_pool_small():
     rng = derive_rng(5, 0)
-    negs = sample_eval_negatives(4, [[0, 1, 2, 3]], [[0, 1]], rng)
+    [negs] = sample_eval_negatives(4, [[0, 1, 2, 3]], [[[0, 1]]], rng)
     assert negs[0] == []
 
 
 def test_eval_negatives_determinism():
-    a = sample_eval_negatives(50, [[1, 2]], [[1, 2]], derive_rng(6, 0))
-    b = sample_eval_negatives(50, [[1, 2]], [[1, 2]], derive_rng(6, 0))
+    a = sample_eval_negatives(50, [[1, 2]], [[[1, 2]]], derive_rng(6, 0))
+    b = sample_eval_negatives(50, [[1, 2]], [[[1, 2]]], derive_rng(6, 0))
     assert a == b
 
 
@@ -199,14 +200,14 @@ def test_eval_negatives_match_setdiff1d_reference():
     seed repeats them and the generator state it leaves."""
     def check(case, num_items, all_pos, split_pos):
         rng = Recording(derive_rng(case, 0))
-        got = sample_eval_negatives(num_items, all_pos, split_pos, rng)
+        [got] = sample_eval_negatives(num_items, all_pos, [split_pos], rng)
         for neg, pos, want in zip(got, all_pos, split_pos):
             pool = np.setdiff1d(np.arange(num_items), np.array(pos, dtype=np.int64))
             assert neg == sorted(set(neg)), case
             assert set(neg) <= set(pool.tolist()), case
             assert len(neg) == min(len(want), len(pool)), case
         again = derive_rng(case, 0)
-        assert sample_eval_negatives(num_items, all_pos, split_pos, again) == got, case
+        assert sample_eval_negatives(num_items, all_pos, [split_pos], again) == [got], case
         assert again.bit_generator.state == rng.bit_generator.state, case
         assert got == read_eval_negatives(num_items, all_pos, split_pos, rng.draws[:]), case
         return rng
@@ -262,8 +263,8 @@ def test_eval_negatives_are_uniform_over_the_pool(want):
     # each of the 15 or 20 subsets of a 6-item pool, over 6,000 users: want 2 and 3
     # come from the draws (2 * 3 is the whole pool), want 4 from the keyed sort
     users, subsets = 6_000, [list(c) for c in itertools.combinations(range(4, 10), want)]
-    out = sample_eval_negatives(10, [[0, 1, 2, 3]] * users, [list(range(want))] * users,
-                                derive_rng(16, want))
+    [out] = sample_eval_negatives(10, [[0, 1, 2, 3]] * users, [[list(range(want))] * users],
+                                  derive_rng(16, want))
     counts = np.array([out.count(c) for c in subsets])
     expected = users / len(subsets)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -282,7 +283,7 @@ def test_eval_negatives_draw_once_in_memory_of_the_draws():
     rng = Recording(derive_rng(3, 0))
     tracemalloc.start()
     try:
-        out = sample_eval_negatives(num_items, all_pos, split_pos, rng)
+        [out] = sample_eval_negatives(num_items, all_pos, [split_pos], rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -291,7 +292,7 @@ def test_eval_negatives_draw_once_in_memory_of_the_draws():
     assert peak < 8 * 2**20, peak
 
     rng = Recording(derive_rng(3, 0))
-    assert sample_eval_negatives(num_items, all_pos, [[]] * users, rng) == [[]] * users
+    assert sample_eval_negatives(num_items, all_pos, [[[]] * users], rng) == [[[]] * users]
     assert rng.draws == []
 
 
@@ -511,3 +512,27 @@ PINNED_DATASET_SHA256 = {
 def test_build_dataset_outputs_pinned(name):
     overrides, digest = PINNED_DATASET_SHA256[name]
     assert dataset_sha256(build_dataset(ExperimentConfig(**overrides))) == digest
+
+
+@pytest.mark.parametrize("synthetic", [True, False])
+def test_build_dataset_draws_its_negatives_through_sample_eval_negatives_once(
+        monkeypatch, tmp_path, synthetic):
+    # set-up's one evaluation-negative sampler, called once over the three splits in
+    # order, so a hook on the public name (the benchmark's speed probe) sees set-up
+    cfg = ExperimentConfig(users=30, items=40, attributes=5)
+    if not synthetic:
+        ds = generate_synthetic(cfg, derive_rng(10, 0))
+        save_ratings_file(str(tmp_path / "ratings.txt"), ds)
+        save_kg_file(str(tmp_path / "kg.txt"), ds.triples)
+        cfg = ExperimentConfig(synthetic=False, ratings_file=str(tmp_path / "ratings.txt"),
+                               kg_file=str(tmp_path / "kg.txt"))
+    calls = []
+
+    def counting(num_items, all_positives, splits, rng):
+        calls.append(splits)
+        return sample_eval_negatives(num_items, all_positives, splits, rng)
+
+    monkeypatch.setattr(data, "sample_eval_negatives", counting)
+    ds = build_dataset(cfg)
+    assert len(calls) == 1
+    assert [id(s) for s in calls[0]] == [id(ds.train), id(ds.valid), id(ds.test)]

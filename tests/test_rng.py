@@ -80,6 +80,28 @@ def test_derive_rngs_of_one_key(key):
     _assert_same_streams([key], derive_rngs([key]))
 
 
+def test_a_rounds_keys_never_reach_derive_rng(monkeypatch):
+    # a 64-client batch's (seed, role, round, client) keys, four uint32 words each,
+    # take the batched replay; only the other shapes fall back to derive_rng
+    from fedkg import rng
+    keys = [(2**32 - 1, role, 3, user) for user in range(64)
+            for role in (ROLE_CLIENT, ROLE_SERVE)]
+    fallback = []
+
+    def refusing(*key):
+        if len(key) == 4 and min(key) >= 0 and max(key) < 2**32:
+            raise AssertionError(f"round key {key} reached derive_rng")
+        fallback.append(key)
+        return derive_rng(*key)
+
+    monkeypatch.setattr(rng, "derive_rng", refusing)
+    _assert_same_streams(keys, derive_rngs(keys))
+    assert fallback == []
+    other = [(2**32, ROLE_CLIENT, 3, 0), (7, ROLE_EVAL, 3)]
+    _assert_same_streams(keys + other, derive_rngs(keys + other))
+    assert fallback == other
+
+
 def test_derive_rngs_of_no_keys_is_empty():
     assert derive_rngs([]) == []
 
